@@ -28,6 +28,7 @@
 //! the T1 task index.
 
 use simkit::driver::KernelReport;
+use simkit::CounterOverflow;
 use sparse::rng::Rng64;
 
 use crate::diag::{Code, Diagnostic, Report, Span};
@@ -111,19 +112,28 @@ pub fn verify_model_plan(plan: &runtime::ShardPlan, model: &StreamModel) -> Repo
     report
 }
 
+/// A shard-report fold: merges the second report into the first, or
+/// reports that a merged counter is not representable.
+pub type Fold<'a> = &'a dyn Fn(&mut KernelReport, &KernelReport) -> Result<(), CounterOverflow>;
+
+/// A scaled merge: adds the second report's counters the given number of
+/// times to the first.
+pub type Scale<'a> =
+    &'a dyn Fn(&mut KernelReport, &KernelReport, u64) -> Result<(), CounterOverflow>;
+
 /// Folds `shards` into a copy of `seed` in the index order given by
 /// `order`.
 fn fold_in_order(
     seed: &KernelReport,
     shards: &[KernelReport],
-    fold: &dyn Fn(&mut KernelReport, &KernelReport),
+    fold: Fold<'_>,
     order: &[usize],
-) -> KernelReport {
+) -> Result<KernelReport, CounterOverflow> {
     let mut acc = seed.clone();
     for &i in order {
-        fold(&mut acc, &shards[i]);
+        fold(&mut acc, &shards[i])?;
     }
-    acc
+    Ok(acc)
 }
 
 /// Whether two folded reports agree on every order-sensitive counter
@@ -152,14 +162,19 @@ fn order_label(order: &[usize]) -> String {
 /// * the fold must leave `seed`'s energy untouched (energy is a
 ///   function of the *merged* events, recomputed exactly once by the
 ///   caller) — a fold that accumulates energy is `USTC018`.
-pub fn verify_fold(
-    seed: &KernelReport,
-    shards: &[KernelReport],
-    fold: &dyn Fn(&mut KernelReport, &KernelReport),
-) -> Report {
+///
+/// A fold that cannot represent the merged counters in some order
+/// (`CounterOverflow`) is `USTC017` as well: no order may yield a report.
+pub fn verify_fold(seed: &KernelReport, shards: &[KernelReport], fold: Fold<'_>) -> Report {
     let mut report = Report::new();
     let identity: Vec<usize> = (0..shards.len()).collect();
-    let base = fold_in_order(seed, shards, fold, &identity);
+    let base = match fold_in_order(seed, shards, fold, &identity) {
+        Ok(base) => base,
+        Err(e) => {
+            report.push(overflow_diagnostic(shards.len(), &identity, e));
+            return report;
+        }
+    };
 
     let mut orders: Vec<Vec<usize>> = Vec::new();
     let mut reversed = identity.clone();
@@ -177,7 +192,13 @@ pub fn verify_fold(
     }
 
     for order in &orders {
-        let alt = fold_in_order(seed, shards, fold, order);
+        let alt = match fold_in_order(seed, shards, fold, order) {
+            Ok(alt) => alt,
+            Err(e) => {
+                report.push(overflow_diagnostic(shards.len(), order, e));
+                break;
+            }
+        };
         if !counters_agree(&base, &alt) {
             report.push(Diagnostic::new(
                 Code::NonCommutativeFold,
@@ -207,11 +228,85 @@ pub fn verify_fold(
     report
 }
 
+/// The `USTC017` finding for a fold that overflowed in `order`.
+fn overflow_diagnostic(shards: usize, order: &[usize], e: CounterOverflow) -> Diagnostic {
+    Diagnostic::new(
+        Code::NonCommutativeFold,
+        Span::none(),
+        format!("folding {shards} shard reports in order [{}] fails: {e}", order_label(order)),
+    )
+}
+
 /// [`verify_fold`] over the runtime's real [`runtime::fold_report`] —
 /// the fold every sharded kernel run uses. Clean by construction; the
 /// golden suite pins that this stays true.
 pub fn verify_runtime_fold(seed: &KernelReport, shards: &[KernelReport]) -> Report {
     verify_fold(seed, shards, &runtime::fold_report)
+}
+
+/// Verifies that `scale` adds `times` copies of a single-task report
+/// exactly as `times` applications of `fold` do — the identity a counted
+/// task stream rests on (DESIGN.md §17):
+///
+/// * folding `single` into `seed` `times` times and scaling it once must
+///   agree on every counter, and must both succeed or both overflow; a
+///   divergence is `USTC017`;
+/// * `scale` must leave `seed`'s energy untouched, as the fold does;
+///   otherwise `USTC018`.
+///
+/// The fold side runs `times` steps, so witnesses use small factors.
+pub fn verify_scaling(
+    seed: &KernelReport,
+    single: &KernelReport,
+    times: u64,
+    fold: Fold<'_>,
+    scale: Scale<'_>,
+) -> Report {
+    let mut report = Report::new();
+    let mut folded = Ok(seed.clone());
+    for _ in 0..times {
+        folded = folded.and_then(|mut acc| fold(&mut acc, single).map(|()| acc));
+    }
+    let mut scaled = seed.clone();
+    let scaled = scale(&mut scaled, single, times).map(|()| scaled);
+    let agree = match (&folded, &scaled) {
+        (Ok(f), Ok(s)) => counters_agree(f, s),
+        (Err(_), Err(_)) => true,
+        _ => false,
+    };
+    if !agree {
+        let render = |r: &Result<KernelReport, CounterOverflow>| match r {
+            Ok(r) => r.counter_signature(),
+            Err(e) => e.to_string(),
+        };
+        report.push(Diagnostic::new(
+            Code::NonCommutativeFold,
+            Span::none(),
+            format!(
+                "scaling a single-task report by {times} diverges from folding it {times} times: \
+                 {} vs {}",
+                render(&scaled),
+                render(&folded)
+            ),
+        ));
+    }
+    if scaled.is_ok_and(|s| s.energy != seed.energy) {
+        report.push(Diagnostic::new(
+            Code::EnergyRefold,
+            Span::none(),
+            "scaling accumulates energy; energy must be recomputed exactly once from the \
+             merged events"
+                .to_owned(),
+        ));
+    }
+    report
+}
+
+/// [`verify_scaling`] over the real pair: [`runtime::fold_report`] and
+/// [`KernelReport::try_merge_scaled`], the scaling `driver::run_stream`
+/// applies to each distinct task.
+pub fn verify_runtime_scaling(seed: &KernelReport, single: &KernelReport, times: u64) -> Report {
+    verify_scaling(seed, single, times, &runtime::fold_report, &KernelReport::try_merge_scaled)
 }
 
 #[cfg(test)]
@@ -270,6 +365,7 @@ mod tests {
         let bad = |acc: &mut KernelReport, next: &KernelReport| {
             acc.cycles = acc.cycles * 2 + next.cycles;
             acc.t1_tasks += next.t1_tasks;
+            Ok(())
         };
         let r = verify_fold(&seed_report(), &shards, &bad);
         assert!(r.has_code(Code::NonCommutativeFold), "{}", r.render_human());
@@ -283,10 +379,76 @@ mod tests {
             s.energy.compute = 1.5;
         }
         let bad = |acc: &mut KernelReport, next: &KernelReport| {
-            runtime::fold_report(acc, next);
+            runtime::fold_report(acc, next)?;
             acc.energy.compute += next.energy.compute;
+            Ok(())
         };
         let r = verify_fold(&seed_report(), &shards, &bad);
+        assert!(r.has_code(Code::EnergyRefold), "{}", r.render_human());
+        assert!(!r.has_code(Code::NonCommutativeFold), "{}", r.render_human());
+    }
+
+    #[test]
+    fn overflowing_fold_is_ustc017() {
+        let shards = [shard_report(u64::MAX, 0, 1), shard_report(1, 0, 1)];
+        let r = verify_runtime_fold(&seed_report(), &shards);
+        assert!(r.has_code(Code::NonCommutativeFold), "{}", r.render_human());
+        assert!(r.render_human().contains("overflows u64"), "{}", r.render_human());
+    }
+
+    /// A real single-task report: one Uni-STC SpMM task.
+    fn single_task() -> (KernelReport, KernelReport) {
+        let engine = uni_stc::UniStc::default();
+        let em = simkit::EnergyModel::default();
+        let task = simkit::T1Task::mm(
+            simkit::Block16::from_fn(|r, c| (r * 3 + c) % 5 == 0),
+            simkit::Block16::dense().keep_cols(9),
+        );
+        let seed = simkit::driver::run_tasks(&engine, &em, Kernel::SpMM, std::iter::empty());
+        let single = simkit::driver::run_tasks(&engine, &em, Kernel::SpMM, [task]);
+        assert_eq!(single.t1_tasks, 1);
+        (seed, single)
+    }
+
+    #[test]
+    fn runtime_scaling_equals_repeated_folding() {
+        let (seed, single) = single_task();
+        for times in [0, 1, 2, 7, 100] {
+            let r = verify_runtime_scaling(&seed, &single, times);
+            assert!(r.is_clean(), "times={times}: {}", r.render_human());
+        }
+        // Both sides overflow together, so an unrepresentable scale is
+        // consistent rather than divergent.
+        let huge = shard_report(u64::MAX / 2 + 1, 0, 1);
+        assert!(verify_runtime_scaling(&seed_report(), &huge, 2).is_clean());
+    }
+
+    #[test]
+    fn scaling_that_skips_a_counter_is_ustc017() {
+        let (seed, single) = single_task();
+        let forgets_util = |acc: &mut KernelReport, next: &KernelReport, times: u64| {
+            let mut no_util = next.clone();
+            no_util.util = UtilHistogram::new(next.util.lanes());
+            acc.try_merge_scaled(&no_util, times)?;
+            acc.util.merge(&next.util);
+            Ok(())
+        };
+        let r = verify_scaling(&seed, &single, 5, &runtime::fold_report, &forgets_util);
+        assert!(r.has_code(Code::NonCommutativeFold), "{}", r.render_human());
+        let r = verify_scaling(&seed, &single, 1, &runtime::fold_report, &forgets_util);
+        assert!(r.is_clean(), "a factor of 1 hides the defect: {}", r.render_human());
+    }
+
+    #[test]
+    fn scaling_that_accumulates_energy_is_ustc018() {
+        let (seed, mut single) = single_task();
+        single.energy.compute = 2.0;
+        let energetic = |acc: &mut KernelReport, next: &KernelReport, times: u64| {
+            acc.try_merge_scaled(next, times)?;
+            acc.energy.compute += next.energy.compute * times as f64;
+            Ok(())
+        };
+        let r = verify_scaling(&seed, &single, 3, &runtime::fold_report, &energetic);
         assert!(r.has_code(Code::EnergyRefold), "{}", r.render_human());
         assert!(!r.has_code(Code::NonCommutativeFold), "{}", r.render_human());
     }

@@ -140,6 +140,7 @@ pub fn seeded_suite() -> Vec<(&'static str, Report)> {
     let order_dependent = |acc: &mut KernelReport, next: &KernelReport| {
         acc.cycles = acc.cycles * 2 + next.cycles;
         acc.t1_tasks += next.t1_tasks;
+        Ok(())
     };
     suite.push(("order-dependent-fold", verify_fold(&shard_report(0, 0, 0), &shards, &order_dependent)));
 
@@ -150,8 +151,9 @@ pub fn seeded_suite() -> Vec<(&'static str, Report)> {
         s.energy.compute = 1.5;
     }
     let energy_refolding = |acc: &mut KernelReport, next: &KernelReport| {
-        runtime::fold_report(acc, next);
+        runtime::fold_report(acc, next)?;
         acc.energy.compute += next.energy.compute;
+        Ok(())
     };
     suite.push((
         "energy-refolding-fold",

@@ -45,8 +45,11 @@ pub mod model;
 pub mod schedule;
 pub mod verifier;
 
-pub use concurrency::{verify_fold, verify_model_plan, verify_runtime_fold, verify_shard_plan};
+pub use concurrency::{
+    verify_fold, verify_model_plan, verify_runtime_fold, verify_runtime_scaling, verify_scaling,
+    verify_shard_plan,
+};
 pub use diag::{Code, Diagnostic, Report, Severity, Span};
 pub use model::{StreamModel, T1Node, T3Node, DOT_QUEUE_CAP, TILE_QUEUE_CAP};
 pub use schedule::{explore, Exploration, ModelBug, ModelConfig, Violation};
-pub use verifier::{UstcVerifier, Verifier};
+pub use verifier::{spmspv_shape_message, UstcVerifier, Verifier};

@@ -316,10 +316,19 @@ impl Verifier {
         report
     }
 
-    /// Full static check of an SpMSpV invocation (metadata + model; the
-    /// compiler has no SpMSpV entry point).
+    /// Full static check of an SpMSpV invocation (operand shapes, metadata
+    /// and model; the compiler has no SpMSpV entry point). An `x` whose
+    /// length is not `a.ncols()` is `USTC012`: the stream would mask
+    /// blocks against segments `x` does not have.
     pub fn verify_spmspv(&self, a: &BbcMatrix, x: &SparseVector) -> Report {
         let mut report = self.verify_matrix(a);
+        if x.dim() != a.ncols() {
+            report.push(Diagnostic::new(
+                Code::CorruptMetadata,
+                Span::none(),
+                spmspv_shape_message(a, x),
+            ));
+        }
         if report.has_errors() {
             return report;
         }
@@ -363,6 +372,18 @@ impl Verifier {
         report.merge(diff_kernels(&expected, kernel));
         report
     }
+}
+
+/// The `USTC012` message for an SpMSpV whose `x` does not match the
+/// operator's column count; shared by the verifier and the service's
+/// always-on shape gate.
+pub fn spmspv_shape_message(a: &BbcMatrix, x: &SparseVector) -> String {
+    format!(
+        "SpMSpV operand shapes do not conform: x has length {} but A is {}x{}",
+        x.dim(),
+        a.nrows(),
+        a.ncols()
+    )
 }
 
 /// Emits one `USTC013` per warp whose stream diverges from the expected
@@ -494,6 +515,19 @@ mod tests {
 
     fn dense_task(k: u8, i: u8, j: u8) -> T3Task {
         T3Task { i, j, k, a_tile: u16::MAX, b_tile: u16::MAX, products: 64 }
+    }
+
+    #[test]
+    fn spmspv_with_a_short_x_is_ustc012() {
+        use simkit::driver::StreamVerifier;
+        let a = bbc(1024, (0..1024).map(|i| (i, i)));
+        let v = UstcVerifier::new(UniStcConfig::default());
+        let short = SparseVector::try_new(3, vec![0, 2], vec![1.0, 1.0]).unwrap();
+        let err = v.verify_spmspv(&a, &short).unwrap_err();
+        assert_eq!(err.code, "USTC012");
+        assert!(err.message.contains("length 3"), "{}", err.message);
+        let fits = SparseVector::try_new(1024, vec![0, 700], vec![1.0, 1.0]).unwrap();
+        assert!(v.verify_spmspv(&a, &fits).is_ok());
     }
 
     #[test]

@@ -50,6 +50,7 @@ fn injected_non_commutative_fold_is_rejected_as_ustc017() {
     let order_dependent = |acc: &mut KernelReport, next: &KernelReport| {
         acc.cycles = acc.cycles * 2 + next.cycles;
         acc.t1_tasks += next.t1_tasks;
+        Ok(())
     };
     let report = verify_fold(&shard_report(0, 0, 0), &shards, &order_dependent);
     assert_code_in_both_renderings(&report, Code::NonCommutativeFold);

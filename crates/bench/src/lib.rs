@@ -86,16 +86,17 @@ impl MatrixCtx {
     ///
     /// # Errors
     ///
-    /// Returns [`uni_stc::multi::DegradedError::RetriesExhausted`] if a
-    /// shard failed intrinsically past the retry budget (only possible
-    /// with a panicking engine).
+    /// Returns [`runtime::PlannedRunError::Execution`] carrying
+    /// [`uni_stc::multi::DegradedError::RetriesExhausted`] if a shard
+    /// failed intrinsically past the retry budget (only possible with a
+    /// panicking engine).
     pub fn run_sharded(
         &self,
         cfg: &runtime::RuntimeConfig,
         engine: &(dyn TileEngine + Sync),
         em: &EnergyModel,
         kernel: Kernel,
-    ) -> Result<runtime::ShardedRun, uni_stc::multi::DegradedError> {
+    ) -> Result<runtime::ShardedRun, runtime::PlannedRunError> {
         match kernel {
             Kernel::SpMV => runtime::run_spmv_sharded(cfg, engine, em, &self.bbc),
             Kernel::SpMSpV => {

@@ -51,7 +51,7 @@ mod metrics;
 mod ring;
 
 pub use event::TraceEvent;
-pub use metrics::{Histogram, MetricsRegistry, SpanStats, WallSpan};
+pub use metrics::{log_linear_bounds, Histogram, MetricsRegistry, SpanStats, WallSpan};
 pub use ring::RingSink;
 
 /// A consumer of [`TraceEvent`]s.

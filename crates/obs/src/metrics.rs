@@ -12,6 +12,28 @@ use std::time::{Duration, Instant};
 
 use crate::json::Value;
 
+/// `N` upper-inclusive bounds on a log-linear (HDR-style) grid: `1..=8`
+/// exactly, then eight equal steps per power of two (`9, 10, .., 16, 18,
+/// 20, .., 32, 36, ..`). A value's bucket bound exceeds the value by less
+/// than an eighth of it, so [`Histogram::quantile`] overstates by less
+/// than 12.5 %. `N = 176` reaches `2^24`.
+///
+/// ```
+/// let b = obs::log_linear_bounds::<20>();
+/// assert_eq!(&b[6..20], &[7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 18, 20, 22, 24]);
+/// ```
+pub const fn log_linear_bounds<const N: usize>() -> [u64; N] {
+    let mut bounds = [0u64; N];
+    let mut bound = 0u64;
+    let mut i = 0;
+    while i < N {
+        bound += if bound < 8 { 1 } else { (1 << (63 - bound.leading_zeros())) / 8 };
+        bounds[i] = bound;
+        i += 1;
+    }
+    bounds
+}
+
 /// A fixed-bucket histogram over `u64` observations.
 ///
 /// Bucket `i` counts observations `v` with `v <= bounds[i]` (and greater
@@ -215,9 +237,11 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Adds `by` to the named counter (created at zero).
+    /// Adds `by` to the named counter (created at zero), saturating at
+    /// `u64::MAX` rather than wrapping.
     pub fn inc_counter(&mut self, name: &str, by: u64) {
-        *self.counters.entry(name.to_owned()).or_insert(0) += by;
+        let c = self.counters.entry(name.to_owned()).or_insert(0);
+        *c = c.saturating_add(by);
     }
 
     /// The counter's current value (zero if never incremented).
@@ -296,6 +320,27 @@ impl MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn log_linear_quantiles_stay_within_an_eighth() {
+        let bounds = log_linear_bounds::<176>();
+        assert_eq!(bounds[175], 1 << 24);
+        assert!(bounds.windows(2).all(|w| w[0] < w[1]));
+        for v in (1..5_000_000u64).step_by(997) {
+            let mut h = Histogram::with_bounds(&bounds);
+            h.observe(v);
+            let q = h.quantile(0.5).unwrap();
+            assert!(q >= v && (q - v) * 8 < v.max(8), "v={v} q={q}");
+        }
+    }
+
+    #[test]
+    fn counters_saturate() {
+        let mut m = MetricsRegistry::new();
+        m.inc_counter("c", u64::MAX - 1);
+        m.inc_counter("c", 5);
+        assert_eq!(m.counter("c"), u64::MAX);
+    }
 
     #[test]
     fn histogram_bucket_boundaries_are_upper_inclusive() {

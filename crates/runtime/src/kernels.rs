@@ -7,13 +7,15 @@
 //! counts, and energy is a *function of the merged events*, recomputed
 //! once at the end rather than summed. Sharding a task stream, running
 //! each shard through the untouched serial driver
-//! ([`simkit::driver::run_tasks`]), and folding the shard reports in
+//! ([`simkit::driver::run_stream`]), and folding the shard reports in
 //! shard order therefore reproduces the serial report **bit for bit** —
-//! the conformance golden counter snapshots pin this.
+//! the conformance golden counter snapshots pin this. A counted
+//! [`TaskStream`] shards the same way over its distinct entries
+//! ([`run_stream_planned`]).
 //!
 //! The shards execute on the [`pool`](crate::pool), so they inherit its
 //! resilience: a shard whose execution panics is retried and, past the
-//! budget, surfaces as
+//! budget, surfaces as [`PlannedRunError::Execution`] carrying
 //! [`DegradedError::RetriesExhausted`](uni_stc::multi::DegradedError);
 //! injected chaos can never change the merged counters, only how long the
 //! run takes.
@@ -25,7 +27,7 @@
 //! report as the serial driver.
 
 use simkit::driver::{self, Kernel, KernelReport};
-use simkit::{EnergyModel, T1Task, TileEngine};
+use simkit::{CounterOverflow, EnergyModel, T1Task, TaskStream, TileEngine};
 use sparse::{BbcMatrix, SparseVector};
 use uni_stc::multi::DegradedError;
 
@@ -50,19 +52,21 @@ pub fn shard_len(tasks: usize, threads: usize) -> usize {
     (tasks / (threads.max(1) * 4)).max(1)
 }
 
-/// Folds `next` into `acc`: plain sums, in shard order. Energy is *not*
-/// merged here — it is recomputed from the merged events by the caller.
+/// Folds `next` into `acc`: checked sums, in shard order
+/// ([`KernelReport::try_merge_scaled`] with a factor of 1). Energy is
+/// *not* merged here — it is recomputed from the merged events by the
+/// caller.
 ///
 /// Public so `analysis::concurrency` can verify the fold itself: the
 /// merged report is order-independent (a commutative monoid over shard
 /// reports) precisely because every field is a plain sum/merge and the
 /// energy field is left untouched.
-pub fn fold_report(acc: &mut KernelReport, next: &KernelReport) {
-    acc.cycles += next.cycles;
-    acc.useful += next.useful;
-    acc.t1_tasks += next.t1_tasks;
-    acc.util.merge(&next.util);
-    acc.events += next.events;
+///
+/// # Errors
+///
+/// [`CounterOverflow`] if a merged counter would exceed `u64::MAX`.
+pub fn fold_report(acc: &mut KernelReport, next: &KernelReport) -> Result<(), CounterOverflow> {
+    acc.try_merge_scaled(next, 1)
 }
 
 /// Why a [`ShardPlan`] is illegal to execute.
@@ -222,6 +226,9 @@ pub enum PlannedRunError {
     /// The plan was legal but a shard kept failing intrinsically past the
     /// retry budget.
     Execution(DegradedError),
+    /// A merged report counter would exceed `u64::MAX`; the exact report
+    /// is not representable.
+    Overflow(CounterOverflow),
 }
 
 impl std::fmt::Display for PlannedRunError {
@@ -229,6 +236,7 @@ impl std::fmt::Display for PlannedRunError {
         match self {
             PlannedRunError::Rejected(e) => write!(f, "shard plan rejected: {e}"),
             PlannedRunError::Execution(e) => write!(f, "planned run failed: {e}"),
+            PlannedRunError::Overflow(e) => write!(f, "planned run failed: {e}"),
         }
     }
 }
@@ -240,7 +248,8 @@ impl std::error::Error for PlannedRunError {}
 ///
 /// # Errors
 ///
-/// Returns [`DegradedError::RetriesExhausted`] if any shard kept failing
+/// [`PlannedRunError::Execution`] (carrying
+/// [`DegradedError::RetriesExhausted`]) if a shard kept failing
 /// intrinsically (the engine panicked on it) beyond the retry budget; the
 /// error names the first failed shard and its attempt count.
 pub fn run_tasks_sharded(
@@ -249,16 +258,16 @@ pub fn run_tasks_sharded(
     energy_model: &EnergyModel,
     kernel: Kernel,
     tasks: Vec<T1Task>,
-) -> Result<ShardedRun, DegradedError> {
+) -> Result<ShardedRun, PlannedRunError> {
     let plan = ShardPlan::contiguous(tasks.len(), cfg.threads);
-    debug_assert!(plan.verify_before_run().is_ok(), "contiguous plans are legal");
-    run_planned_unchecked(cfg, &plan, engine, energy_model, kernel, &tasks)
+    run_tasks_planned(cfg, &plan, engine, energy_model, kernel, &tasks)
 }
 
 /// [`run_tasks_sharded`] with a caller-supplied [`ShardPlan`]. The plan
 /// is verified *before any worker is spawned*: an illegal plan (overlap,
 /// gap, empty or out-of-range shard) is rejected with
-/// [`PlannedRunError::Rejected`] and zero tasks execute.
+/// [`PlannedRunError::Rejected`] and zero tasks execute. Each shard runs
+/// counted ([`driver::run_stream`] over the shard's distinct tasks).
 ///
 /// # Errors
 ///
@@ -273,51 +282,85 @@ pub fn run_tasks_planned(
     kernel: Kernel,
     tasks: &[T1Task],
 ) -> Result<ShardedRun, PlannedRunError> {
-    if plan.tasks() != tasks.len() {
-        // A plan for the wrong stream length is a coverage violation of
-        // one kind or the other; surface it through the same gate.
-        let stale = ShardPlan::from_ranges(tasks.len(), plan.shards().to_vec());
-        return match stale.verify_before_run() {
-            Err(e) => Err(PlannedRunError::Rejected(e)),
-            // Every shard fits inside the (longer) actual stream: the
-            // plan still leaves the tail uncovered.
-            Ok(()) => Err(PlannedRunError::Rejected(ShardPlanError::Gap {
-                task: plan.tasks().min(tasks.len()),
-            })),
-        };
-    }
-    plan.verify_before_run().map_err(PlannedRunError::Rejected)?;
-    run_planned_unchecked(cfg, plan, engine, energy_model, kernel, tasks)
-        .map_err(PlannedRunError::Execution)
+    verify_plan_for(plan, tasks.len())?;
+    run_shards(cfg, plan, engine, energy_model, kernel, |range| {
+        driver::run_stream(engine, energy_model, kernel, &TaskStream::from(&tasks[range]))
+    })
 }
 
-/// Executes an already-verified plan: one pool task per shard, fold in
-/// shard order, energy recomputed once from the merged events.
-fn run_planned_unchecked(
+/// Runs a counted [`TaskStream`] sharded across the pool. `plan` covers
+/// the stream's *distinct entries* (`stream.len()`), not the tasks they
+/// stand for; it is verified before any worker is spawned, exactly as in
+/// [`run_tasks_planned`]. The merged report is bit-identical to
+/// [`driver::run_stream`] over the whole stream.
+///
+/// # Errors
+///
+/// As [`run_tasks_planned`], plus [`PlannedRunError::Overflow`] when a
+/// report counter would exceed `u64::MAX`.
+pub fn run_stream_planned(
     cfg: &RuntimeConfig,
     plan: &ShardPlan,
     engine: &(dyn TileEngine + Sync),
     energy_model: &EnergyModel,
     kernel: Kernel,
-    tasks: &[T1Task],
-) -> Result<ShardedRun, DegradedError> {
-    let shards: Vec<&[T1Task]> =
-        plan.shards().iter().map(|r| &tasks[r.start.min(tasks.len())..r.end.min(tasks.len())]).collect();
-    let run = pool::run(cfg, &shards, |_, shard: &&[T1Task]| {
-        Ok(driver::run_tasks(engine, energy_model, kernel, shard.iter().copied()))
-    });
+    stream: &TaskStream,
+) -> Result<ShardedRun, PlannedRunError> {
+    verify_plan_for(plan, stream.len())?;
+    run_shards(cfg, plan, engine, energy_model, kernel, |range| {
+        driver::run_stream(engine, energy_model, kernel, &stream[range])
+    })
+}
+
+/// Proves `plan` legal for a stream of `len` entries.
+fn verify_plan_for(plan: &ShardPlan, len: usize) -> Result<(), PlannedRunError> {
+    if plan.tasks() != len {
+        // A plan for the wrong stream length is a coverage violation of
+        // one kind or the other; surface it through the same gate.
+        let stale = ShardPlan::from_ranges(len, plan.shards().to_vec());
+        return match stale.verify_before_run() {
+            Err(e) => Err(PlannedRunError::Rejected(e)),
+            // Every shard fits inside the (longer) actual stream: the
+            // plan still leaves the tail uncovered.
+            Ok(()) => Err(PlannedRunError::Rejected(ShardPlanError::Gap {
+                task: plan.tasks().min(len),
+            })),
+        };
+    }
+    plan.verify_before_run().map_err(PlannedRunError::Rejected)
+}
+
+/// Executes an already-verified plan: one pool task per shard, fold in
+/// shard order, energy recomputed once from the merged events.
+fn run_shards<F>(
+    cfg: &RuntimeConfig,
+    plan: &ShardPlan,
+    engine: &(dyn TileEngine + Sync),
+    energy_model: &EnergyModel,
+    kernel: Kernel,
+    run_shard: F,
+) -> Result<ShardedRun, PlannedRunError>
+where
+    F: Fn(std::ops::Range<usize>) -> Result<KernelReport, CounterOverflow> + Sync,
+{
+    let run = pool::run(cfg, plan.shards(), |_, range| Ok(run_shard(range.clone())));
     // Seed the accumulator with the empty-stream report so the engine
     // name, kernel tag, lane count and zero counters match the serial
     // driver even when there are no tasks at all.
-    let mut report = driver::run_tasks(engine, energy_model, kernel, std::iter::empty());
+    let mut report =
+        driver::run_stream(engine, energy_model, kernel, &[]).map_err(PlannedRunError::Overflow)?;
     for (index, outcome) in run.outcomes.iter().enumerate() {
         match outcome {
-            TaskOutcome::Done(shard_report) => fold_report(&mut report, shard_report),
+            TaskOutcome::Done(shard) => shard
+                .as_ref()
+                .map_err(|e| *e)
+                .and_then(|shard| fold_report(&mut report, shard))
+                .map_err(PlannedRunError::Overflow)?,
             TaskOutcome::Failed { attempts, .. } => {
-                return Err(DegradedError::RetriesExhausted {
+                return Err(PlannedRunError::Execution(DegradedError::RetriesExhausted {
                     task: index as u64,
                     attempts: *attempts,
-                })
+                }))
             }
         }
     }
@@ -340,7 +383,7 @@ pub fn run_spmv_sharded(
     engine: &(dyn TileEngine + Sync),
     energy_model: &EnergyModel,
     a: &BbcMatrix,
-) -> Result<ShardedRun, DegradedError> {
+) -> Result<ShardedRun, PlannedRunError> {
     run_tasks_sharded(cfg, engine, energy_model, Kernel::SpMV, driver::spmv_tasks(a))
 }
 
@@ -355,7 +398,7 @@ pub fn run_spmspv_sharded(
     energy_model: &EnergyModel,
     a: &BbcMatrix,
     x: &SparseVector,
-) -> Result<ShardedRun, DegradedError> {
+) -> Result<ShardedRun, PlannedRunError> {
     run_tasks_sharded(cfg, engine, energy_model, Kernel::SpMSpV, driver::spmspv_tasks(a, x))
 }
 
@@ -370,7 +413,7 @@ pub fn run_spmm_sharded(
     energy_model: &EnergyModel,
     a: &BbcMatrix,
     n_cols: usize,
-) -> Result<ShardedRun, DegradedError> {
+) -> Result<ShardedRun, PlannedRunError> {
     run_tasks_sharded(cfg, engine, energy_model, Kernel::SpMM, driver::spmm_tasks(a, n_cols))
 }
 
@@ -390,7 +433,7 @@ pub fn run_spgemm_sharded(
     energy_model: &EnergyModel,
     a: &BbcMatrix,
     b: &BbcMatrix,
-) -> Result<ShardedRun, DegradedError> {
+) -> Result<ShardedRun, PlannedRunError> {
     run_tasks_sharded(cfg, engine, energy_model, Kernel::SpGEMM, driver::spgemm_tasks(a, b))
 }
 
@@ -571,11 +614,46 @@ mod tests {
             ..RuntimeConfig::with_threads(2)
         };
         match run_spmv_sharded(&cfg, &Grenade, &em, &a) {
-            Err(DegradedError::RetriesExhausted { attempts, .. }) => {
+            Err(PlannedRunError::Execution(DegradedError::RetriesExhausted { attempts, .. })) => {
                 assert_eq!(attempts, 2, "first try + one retry");
             }
             other => panic!("expected RetriesExhausted, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn planned_stream_matches_serial_at_any_thread_count() {
+        use workloads::stencil::{lower, GridShape, Ordering, StencilKind};
+        let a = lower(StencilKind::Star5, GridShape::D2 { nx: 40, ny: 40 }, Ordering::Tiled16).bbc;
+        let em = EnergyModel::default();
+        let stream = driver::spmv_stream(&a);
+        assert!(stream.len() * 4 < a.block_count(), "stencil blocks repeat");
+        let serial = driver::run_spmv(&Ideal, &em, &a);
+        for threads in [1, 2, 8] {
+            let cfg = RuntimeConfig::with_threads(threads);
+            let plan = ShardPlan::contiguous(stream.len(), threads);
+            let run = run_stream_planned(&cfg, &plan, &Ideal, &em, Kernel::SpMV, &stream)
+                .expect("legal plan executes");
+            assert_eq!(run.report, serial, "threads={threads}");
+        }
+        // A plan sized for the expanded task list is stale for the stream.
+        let cfg = RuntimeConfig::with_threads(2);
+        let stale = ShardPlan::contiguous(a.block_count(), 2);
+        let err = run_stream_planned(&cfg, &stale, &Ideal, &em, Kernel::SpMV, &stream)
+            .expect_err("plan covers entries, not tasks");
+        assert!(matches!(err, PlannedRunError::Rejected(_)), "{err}");
+    }
+
+    #[test]
+    fn planned_stream_reports_overflow() {
+        let a = demo_matrix(8);
+        let em = EnergyModel::default();
+        let stream = driver::spmm_stream(&a, usize::MAX / 64).expect("under 2^64 tasks");
+        let cfg = RuntimeConfig::with_threads(2);
+        let plan = ShardPlan::contiguous(stream.len(), 2);
+        let err = run_stream_planned(&cfg, &plan, &Ideal, &em, Kernel::SpMM, &stream)
+            .expect_err("36 meta words per task pass 2^64");
+        assert!(matches!(err, PlannedRunError::Overflow(_)), "{err}");
     }
 
     #[test]

@@ -20,7 +20,8 @@
 //!   crashes, stalls and transient task failures, so the resilience
 //!   paths above are exercised by fixed-seed tests rather than trusted.
 //! * [`kernels`] — sharded kernel execution: task streams split into
-//!   shards, each shard run through the untouched serial driver, and the
+//!   shards (or a counted `simkit::TaskStream` split over its distinct
+//!   entries), each shard run through the untouched serial driver, and the
 //!   shard reports folded into a [`simkit::driver::KernelReport`] that is
 //!   bit-identical to the serial one (every counter is an
 //!   order-independent sum; energy is recomputed from the merged events).
@@ -58,8 +59,8 @@ pub mod pool;
 pub use chaos::{ChaosPlan, InvalidChaosRate};
 pub use kernels::{
     fold_report, run_spgemm_sharded, run_spmm_sharded, run_spmspv_sharded, run_spmv_sharded,
-    run_tasks_planned, run_tasks_sharded, shard_len, PlannedRunError, ShardPlan, ShardPlanError,
-    ShardedRun,
+    run_stream_planned, run_tasks_planned, run_tasks_sharded, shard_len, PlannedRunError,
+    ShardPlan, ShardPlanError, ShardedRun,
 };
 pub use pool::{
     run, Backoff, DegradedReport, RunReport, RunStats, RuntimeConfig, TaskError, TaskOutcome,

@@ -12,7 +12,7 @@
 //!   (CSR arrays, canonical BBC2 stream, sparse-vector contents), the
 //!   identity every cache keys on.
 //! * [`cache`] — deterministic LRU caches (logical ticks, no wall
-//!   clock) for BBC encodings and compiled `Vec<T1Task>` streams, with
+//!   clock) for BBC encodings and compiled counted `TaskStream`s, with
 //!   exact hit/miss/eviction statistics.
 //! * [`service`] — admission control (`analysis::UstcVerifier` plus the
 //!   shard-plan proof), same-stream batching, execution on the

@@ -9,8 +9,9 @@
 //!
 //! * **Bit-identity** — a cached response is byte-for-byte the serial
 //!   driver's report: the encoding cache stores the deterministic
-//!   CSR→BBC encoding, the stream cache stores the exact `Vec<T1Task>`
-//!   the driver would regenerate, and the runtime's fold is the proven
+//!   CSR→BBC encoding, the stream cache stores the counted
+//!   [`TaskStream`] the driver would regenerate (each distinct T1 task
+//!   once, with its multiplicity), and the runtime's fold is the proven
 //!   commutative monoid. Warm, cold, batched and degraded runs all
 //!   produce the same [`counter_signature`](simkit::driver::KernelReport::counter_signature).
 //! * **Admission control** — with [`ServiceConfig::admission`] on,
@@ -18,11 +19,16 @@
 //!   scheduled, so illegal work is rejected with its `USTC` code instead
 //!   of being simulated; the shard plan is additionally proven legal by
 //!   [`ShardPlan::verify_before_run`] before any worker spawns.
-//!   Non-conforming SpGEMM grids are rejected (`USTC012`) even with
-//!   admission off, because the task compiler cannot represent them.
+//!   Non-conforming SpGEMM grids and SpMSpV vectors whose length is not
+//!   the operator's column count are rejected (`USTC012`) even with
+//!   admission off, because the task compiler cannot represent them. A
+//!   request whose exact report would overflow a `u64` counter (an SpMM
+//!   with an astronomically wide `B`) is rejected with `USTC017`: the
+//!   counted fold cannot represent it.
 //! * **Observability** — queue depth, batch sizes, cache hit/miss/
-//!   eviction tallies, per-kernel latency histograms, runtime scheduler
-//!   stats and the degraded-run counter all land in one
+//!   eviction tallies, per-kernel latency histograms, simulated total and
+//!   distinct T1 tasks, runtime scheduler stats and the degraded-run
+//!   counter all land in one
 //!   [`MetricsRegistry`] snapshot ([`Service::metrics`]).
 
 use std::collections::BTreeMap;
@@ -31,9 +37,9 @@ use std::sync::{mpsc, Arc, Mutex};
 
 use analysis::UstcVerifier;
 use obs::MetricsRegistry;
-use runtime::{run_tasks_planned, PlannedRunError, RuntimeConfig, ShardPlan, ShardPlanError};
+use runtime::{run_stream_planned, PlannedRunError, RuntimeConfig, ShardPlan, ShardPlanError};
 use simkit::driver::{self, Kernel, StreamVerifier, VerifyError};
-use simkit::{EnergyModel, Precision, T1Task, TileEngine};
+use simkit::{CounterOverflow, EnergyModel, Precision, TaskStream, TileEngine};
 use sparse::{BbcMatrix, SparseVector};
 use uni_stc::{UniStc, UniStcConfig};
 
@@ -45,8 +51,11 @@ use crate::request::{JobError, JobRequest, JobResponse, KernelRequest, Operand};
 pub const DEFAULT_ENGINE: &str = "Uni-STC";
 
 /// Upper-inclusive bounds for the per-kernel latency histograms
-/// (`service/latency_us/<kernel>`), in microseconds.
-pub const LATENCY_BOUNDS_US: &[u64] = &[100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000];
+/// (`service/latency_us/<kernel>`), in microseconds: log-linear, eight
+/// sub-buckets per power of two from 8 µs to about 16.8 s
+/// ([`obs::log_linear_bounds`]), so a derived quantile gauge overstates
+/// the true quantile by less than 12.5 %.
+pub const LATENCY_BOUNDS_US: &[u64] = &obs::log_linear_bounds::<176>();
 
 /// Upper-inclusive bounds for the queue-depth histogram
 /// (`service/queue_depth_hist`), observed at every batch dequeue.
@@ -90,7 +99,7 @@ impl Default for ServiceConfig {
 
 /// The compiled-stream identity of a request: kernel plus the content
 /// fingerprints of every operand that shapes the task stream. Two jobs
-/// with equal keys execute the identical `Vec<T1Task>`.
+/// with equal keys execute the identical [`TaskStream`].
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 enum StreamKey {
     Spmv { a: Fingerprint },
@@ -127,7 +136,9 @@ struct Envelope {
 struct Shared {
     metrics: Mutex<MetricsRegistry>,
     encodings: SharedCache<Fingerprint, BbcMatrix>,
-    streams: SharedCache<StreamKey, Vec<T1Task>>,
+    /// Compiled counted streams, or the overflow that makes a key's
+    /// report unrepresentable (a deterministic verdict, cached alike).
+    streams: SharedCache<StreamKey, Result<TaskStream, CounterOverflow>>,
     /// Memoized admission verdicts: static verification is a pure
     /// function of the operand content a [`StreamKey`] names, so a
     /// repeated key replays the recorded verdict (accept *or* reject)
@@ -231,7 +242,9 @@ impl Service {
     }
 
     /// A point-in-time metrics snapshot: dispatcher counters and
-    /// histograms plus the caches' hit/miss/eviction tallies and
+    /// histograms (among them `service/sim_tasks_total`, the T1 tasks the
+    /// executed streams stand for, and `service/sim_tasks_distinct`, the
+    /// distinct ones actually simulated) plus the caches' hit/miss/eviction tallies and
     /// eviction-pressure gauges (`service/encoding_cache_*`,
     /// `service/stream_cache_*`, `service/admission_cache_*`), and
     /// per-kernel latency quantile gauges
@@ -285,8 +298,9 @@ fn export_cache(m: &mut MetricsRegistry, prefix: &str, s: CacheStats) {
 
 /// Derives p50/p99 gauges from every `service/latency_us/<kernel>`
 /// histogram present in the snapshot. Quantiles are conservative bucket
-/// upper bounds (see `obs::Histogram::quantile`); a tail that escaped the
-/// bucket range reports as `u64::MAX` and fails any finite SLO gate.
+/// upper bounds (see `obs::Histogram::quantile`), less than 12.5 % above
+/// the true value on the [`LATENCY_BOUNDS_US`] grid; a tail that escaped
+/// the bucket range reports as `u64::MAX` and fails any finite SLO gate.
 fn export_latency_quantiles(m: &mut MetricsRegistry) {
     const PREFIX: &str = "service/latency_us/";
     let mut quantiles = Vec::new();
@@ -380,13 +394,24 @@ fn run_batch(
             continue;
         };
         let (first, _) = &members[0];
-        let (tasks, stream_cached) = shared.streams.get_or_insert_with(&key, || compile(first));
-        let plan = ShardPlan::contiguous(tasks.len(), cfg.exec.threads);
+        let (stream, stream_cached) = shared.streams.get_or_insert_with(&key, || compile(first));
         let batch_size = members.len();
         shared
             .metrics()
             .observe("service/batch_size", &[1, 2, 4, 8, 16, 32], batch_size as u64);
-        match run_tasks_planned(&cfg.exec, &plan, engine.as_ref(), em, first.kernel, &tasks) {
+        let run = match stream.as_ref() {
+            Ok(stream) => {
+                {
+                    let mut m = shared.metrics();
+                    m.inc_counter("service/sim_tasks_total", stream.total());
+                    m.inc_counter("service/sim_tasks_distinct", stream.len() as u64);
+                }
+                let plan = ShardPlan::contiguous(stream.len(), cfg.exec.threads);
+                run_stream_planned(&cfg.exec, &plan, engine.as_ref(), em, first.kernel, stream)
+            }
+            Err(overflow) => Err(PlannedRunError::Overflow(*overflow)),
+        };
+        match run {
             Ok(run) => {
                 let degraded = run.degraded.is_some();
                 {
@@ -421,6 +446,11 @@ fn run_batch(
                         message: p.to_string(),
                     },
                     PlannedRunError::Execution(d) => JobError::Execution(d.to_string()),
+                    // The counted fold cannot represent the exact report.
+                    PlannedRunError::Overflow(o) => JobError::Rejected {
+                        code: "USTC017".to_owned(),
+                        message: format!("{} on {engine_name}: {o}", first.kernel),
+                    },
                 };
                 let mut m = shared.metrics();
                 m.inc_counter("service/jobs_rejected", batch_size as u64);
@@ -511,6 +541,14 @@ fn prepare(
             let (a_bbc, fp_a, hit) = resolve(a, shared);
             let key = StreamKey::Spmspv { a: fp_a, x: fingerprint_vector(x) };
             admit(verifier, shared, &key, |v| v.verify_spmspv(&a_bbc, x))?;
+            // Like the SpGEMM grid gate below, this holds with admission
+            // off: a mismatched `x` would silently mask blocks.
+            if x.dim() != a_bbc.ncols() {
+                return Err(JobError::Rejected {
+                    code: "USTC012".to_owned(),
+                    message: analysis::spmspv_shape_message(&a_bbc, x),
+                });
+            }
             Ok(Prepared {
                 engine,
                 key,
@@ -571,15 +609,54 @@ fn prepare(
     }
 }
 
-/// Compiles the task stream for an admitted job — exactly the stream the
-/// serial driver would run, so caching it preserves bit-identity.
-fn compile(p: &Prepared) -> Vec<T1Task> {
+/// Compiles the counted task stream for an admitted job — exactly the
+/// stream the serial driver would run, so caching it preserves
+/// bit-identity.
+fn compile(p: &Prepared) -> Result<TaskStream, CounterOverflow> {
     match (&p.kernel, &p.x, &p.b) {
-        (Kernel::SpMV, _, _) => driver::spmv_tasks(&p.a),
-        (Kernel::SpMSpV, Some(x), _) => driver::spmspv_tasks(&p.a, x),
-        (Kernel::SpMSpV, None, _) => Vec::new(),
-        (Kernel::SpMM, _, _) => driver::spmm_tasks(&p.a, p.n_cols),
-        (Kernel::SpGEMM, _, Some(b)) => driver::spgemm_tasks(&p.a, b),
-        (Kernel::SpGEMM, _, None) => Vec::new(),
+        (Kernel::SpMV, _, _) => Ok(driver::spmv_stream(&p.a)),
+        (Kernel::SpMSpV, Some(x), _) => Ok(driver::spmspv_stream(&p.a, x)),
+        (Kernel::SpMM, _, _) => driver::spmm_stream(&p.a, p.n_cols),
+        (Kernel::SpGEMM, _, Some(b)) => Ok(driver::spgemm_stream(&p.a, b)),
+        (Kernel::SpMSpV | Kernel::SpGEMM, _, _) => Ok(TaskStream::default()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The p50/p99 gauges a snapshot derives from `samples_us`.
+    fn gauges(samples_us: impl IntoIterator<Item = u64>) -> (f64, f64) {
+        let mut m = MetricsRegistry::new();
+        for v in samples_us {
+            m.observe("service/latency_us/SpMV", LATENCY_BOUNDS_US, v);
+        }
+        export_latency_quantiles(&mut m);
+        let g = |tag: &str| m.gauge(&format!("service/latency_{tag}_us/SpMV")).unwrap();
+        (g("p50"), g("p99"))
+    }
+
+    #[test]
+    fn latency_quantiles_resolve_within_an_eighth() {
+        // ~2 ms and ~20 ms populations, 100 samples each, spread ±10 %.
+        let population = |centre: u64| (0..100).map(move |i| centre * (90 + i / 5) / 100);
+        let (fast_p50, fast_p99) = gauges(population(2_000));
+        let (slow_p50, slow_p99) = gauges(population(20_000));
+        for (gauge, truth) in [
+            (fast_p50, 1_980.0),
+            (fast_p99, 2_180.0),
+            (slow_p50, 19_800.0),
+            (slow_p99, 21_800.0),
+        ] {
+            assert!(gauge >= truth && gauge < truth * 1.125, "{gauge} vs {truth}");
+        }
+        assert!(fast_p50 < fast_p99 && slow_p50 < slow_p99, "quantiles within a population");
+        assert!(fast_p99 < slow_p50, "the populations do not share a bucket");
+
+        // Both populations in one histogram: p50 from the fast one, p99
+        // from the slow one.
+        let (p50, p99) = gauges(population(2_000).chain(population(20_000)).take(190));
+        assert!(p50 < 2_500.0 && p99 > 19_000.0, "p50={p50} p99={p99}");
     }
 }

@@ -227,6 +227,90 @@ fn admission_off_still_rejects_nonconforming_spgemm() {
 }
 
 #[test]
+fn spmspv_shape_mismatch_is_rejected_with_and_without_admission() {
+    // x of length 3 against a 1024-column operator: the stream would
+    // mask 63 of 64 block columns against segments x does not have.
+    let a = diag_csr(1024);
+    let x = Arc::new(SparseVector::try_new(3, vec![0, 2], vec![1.0, -1.0]).expect("sorted"));
+    for admission in [true, false] {
+        let svc = Service::start(ServiceConfig { admission, ..ServiceConfig::default() });
+        let err = svc
+            .submit(JobRequest::new(KernelRequest::SpMSpV {
+                a: a.clone().into(),
+                x: Arc::clone(&x),
+            }))
+            .wait()
+            .expect_err("mismatched SpMSpV shapes must be rejected");
+        match err {
+            JobError::Rejected { code, message } => {
+                assert_eq!(code, "USTC012", "admission={admission}");
+                assert!(message.contains("length 3"), "admission={admission}: {message}");
+            }
+            other => panic!("admission={admission}: expected Rejected, got {other:?}"),
+        }
+        let m = svc.shutdown();
+        assert_eq!(m.counter("service/jobs_rejected"), 1, "admission={admission}");
+        assert_eq!(m.counter("service/jobs_completed"), 0, "admission={admission}");
+    }
+}
+
+#[test]
+fn overflowing_spmm_is_a_typed_rejection_and_the_service_survives() {
+    // ~2^59 column blocks: the counted stream holds two entries per A
+    // block, but the exact report's counters would pass 2^64. (Admission
+    // is off: the verifier's stream model still walks every column block.)
+    let a = diag_csr(64);
+    let svc = Service::start(ServiceConfig { admission: false, ..ServiceConfig::default() });
+    let err = svc
+        .submit(JobRequest::new(KernelRequest::SpMM {
+            a: a.clone().into(),
+            n_cols: usize::MAX / 2,
+        }))
+        .wait()
+        .expect_err("an unrepresentable report must not be returned");
+    match err {
+        JobError::Rejected { code, message } => {
+            assert_eq!(code, "USTC017");
+            assert!(message.contains("overflows u64"), "{message}");
+        }
+        other => panic!("expected Rejected, got {other:?}"),
+    }
+    // The dispatcher is alive and still bit-identical to the serial driver.
+    let expected = driver::run_spmm(
+        &UniStc::new(UniStcConfig::with_precision(Precision::Fp64)),
+        &EnergyModel::default(),
+        &BbcMatrix::from_csr(&a),
+        40,
+    );
+    let got = svc
+        .submit(JobRequest::new(KernelRequest::SpMM { a: a.into(), n_cols: 40 }))
+        .wait()
+        .expect("legal request after the rejection");
+    assert_eq!(got.report, expected);
+}
+
+#[test]
+fn metrics_count_total_and_distinct_simulated_tasks() {
+    // A block-diagonal operator of one repeated 16x16 pattern.
+    let n = 256;
+    let mut coo = CooMatrix::new(n, n);
+    for i in 0..n {
+        coo.push(i, i, 2.0);
+        coo.push(i, i - i % 16 + (i + 1) % 16, -1.0);
+    }
+    let a = CsrMatrix::try_from(coo).expect("valid test matrix");
+    let svc = Service::start(ServiceConfig::default());
+    for _ in 0..3 {
+        svc.submit(JobRequest::new(KernelRequest::SpMV { a: a.clone().into() }))
+            .wait()
+            .expect("legal stream");
+    }
+    let m = svc.shutdown();
+    assert_eq!(m.counter("service/sim_tasks_total"), 3 * 16, "16 blocks per step");
+    assert_eq!(m.counter("service/sim_tasks_distinct"), 3, "one pattern per step");
+}
+
+#[test]
 fn unknown_engine_is_a_typed_error() {
     let a = csr(16, &[(0, 0, 1.0)]);
     let svc = Service::start(ServiceConfig::default());

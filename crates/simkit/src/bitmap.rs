@@ -18,7 +18,7 @@ use sparse::BbcBlock;
 /// assert_eq!(b.col_mask(3), 1 << 3);
 /// assert_eq!(b.tile(1, 1), 0b1000_0100_0010_0001);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Block16 {
     rows: [u16; 16],
 }
@@ -67,6 +67,17 @@ impl Block16 {
             }
         }
         Block16 { rows }
+    }
+
+    /// The sixteen row masks packed into two words (rows 0–7, then rows
+    /// 8–15): the same content as a key that compares in two steps
+    /// instead of sixteen.
+    pub(crate) fn packed(&self) -> [u128; 2] {
+        let mut words = [0u128; 2];
+        for (r, &row) in self.rows.iter().enumerate() {
+            words[r / 8] |= u128::from(row) << (16 * (r % 8));
+        }
+        words
     }
 
     /// The mask of row `r` (bit `c` = element `(r, c)`).

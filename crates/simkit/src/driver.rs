@@ -17,8 +17,10 @@
 
 use sparse::{BbcMatrix, SparseVector};
 
+use crate::result::add_scaled;
 use crate::{
-    Block16, EnergyBreakdown, EnergyModel, EventCounts, T1Task, TileEngine, UtilHistogram,
+    Block16, CounterOverflow, EnergyBreakdown, EnergyModel, EventCounts, T1Result, T1Task,
+    TaskStream, TileEngine, UtilHistogram,
 };
 
 /// Metadata words fetched per issued T1 task: two 16-row operand bitmaps
@@ -281,6 +283,32 @@ impl KernelReport {
         self.util.mean_utilisation()
     }
 
+    /// Adds `times` copies of `other`'s counters — cycles, useful MACs, T1
+    /// tasks, the utilisation histogram and the events — with checked
+    /// arithmetic. Energy and the name/kernel tags are left untouched:
+    /// energy is recomputed once from the merged events.
+    ///
+    /// With `times == 1` this is the fold the runtime applies to shard
+    /// reports; with the multiplicity of a distinct task it is the scaling
+    /// [`run_stream`] applies. Scaling once equals folding `times` times
+    /// (`analysis::concurrency::verify_scaling` checks it).
+    ///
+    /// # Errors
+    ///
+    /// [`CounterOverflow`] if a counter would exceed `u64::MAX`; the report
+    /// is then partially merged and must be discarded.
+    pub fn try_merge_scaled(
+        &mut self,
+        other: &KernelReport,
+        times: u64,
+    ) -> Result<(), CounterOverflow> {
+        self.cycles = add_scaled(self.cycles, other.cycles, times, "cycles")?;
+        self.useful = add_scaled(self.useful, other.useful, times, "useful")?;
+        self.t1_tasks = add_scaled(self.t1_tasks, other.t1_tasks, times, "t1_tasks")?;
+        self.util.try_merge_scaled(&other.util, times)?;
+        self.events.try_add_scaled(&other.events, times)
+    }
+
     /// A stable one-line signature of the report's deterministic counters,
     /// suitable for golden-file snapshots: engine, kernel, cycles, useful
     /// MACs, T1 tasks and the event counters that drive the energy model.
@@ -305,7 +333,15 @@ impl KernelReport {
 /// Runs a stream of T1 tasks through an engine and aggregates the results.
 ///
 /// Trivial tasks (zero intermediate products) are filtered out by the
-/// software-level bitmap check and never reach the engine.
+/// software-level bitmap check and never reach the engine. The stream is
+/// collapsed into a [`TaskStream`] first, so each distinct task executes
+/// once ([`run_stream`]).
+///
+/// # Panics
+///
+/// Panics if a report counter overflows `u64`. That takes upwards of
+/// 2^40 tasks, far more than any task list holds or an iterator yields in
+/// practice; [`run_stream`] reports it as an error instead.
 pub fn run_tasks<I>(
     engine: &dyn TileEngine,
     energy_model: &EnergyModel,
@@ -325,10 +361,16 @@ where
 /// matching the synchronous UWMMA lifecycle the cycle totals assume) and
 /// re-bases each task's task-local engine trace onto it, bracketing it with
 /// [`TaskIssue`](obs::TraceEvent::TaskIssue) /
-/// [`TaskRetire`](obs::TraceEvent::TaskRetire) markers. With a disabled
-/// sink ([`obs::NoopSink`]) this is exactly `run_tasks`: same arithmetic on
-/// the same path, so reports are bit-identical whether or not a trace is
-/// attached.
+/// [`TaskRetire`](obs::TraceEvent::TaskRetire) markers. This ordered,
+/// task-by-task path runs only when the sink is enabled, because it needs
+/// a timestamp per task. With a disabled sink ([`obs::NoopSink`]) the
+/// stream runs counted, exactly as [`run_tasks`]; every field of the report
+/// is an integer sum (energy is computed once from the summed events), so
+/// reports are bit-identical whether or not a trace is attached.
+///
+/// # Panics
+///
+/// As [`run_tasks`].
 pub fn run_tasks_traced<I>(
     engine: &dyn TileEngine,
     energy_model: &EnergyModel,
@@ -339,66 +381,152 @@ pub fn run_tasks_traced<I>(
 where
     I: IntoIterator<Item = T1Task>,
 {
-    let mut cycles = 0u64;
-    let mut useful = 0u64;
-    let mut t1_tasks = 0u64;
-    let mut util = UtilHistogram::new(engine.lanes());
-    let mut events = EventCounts::default();
+    if !sink.enabled() {
+        let stream: TaskStream = tasks.into_iter().collect();
+        return fitted(engine, energy_model, kernel, Ok(stream));
+    }
+    let mut report = empty_report(engine, energy_model, kernel);
     for task in tasks {
         if task.is_trivial() {
             continue;
         }
-        if sink.enabled() {
-            sink.record(obs::TraceEvent::TaskIssue {
-                task: t1_tasks,
-                cycle: cycles,
-                products: task.products(),
-            });
-        }
-        let mut r = {
-            let mut shifted = obs::OffsetSink::new(sink, cycles);
-            engine.execute_traced(&task, &mut shifted)
-        };
-        r.events.meta_words += META_WORDS_PER_TASK;
-        if r.events.c_ports_cycles == 0 {
-            // Engines without dynamic gating pay their static network scale.
-            r.events.c_ports_cycles = r.cycles * engine.c_network_ports();
-        }
-        cycles += r.cycles;
-        useful += r.useful;
-        if sink.enabled() {
-            sink.record(obs::TraceEvent::TaskRetire {
-                task: t1_tasks,
-                cycle: cycles,
-                cycles: r.cycles,
-                useful: r.useful,
-            });
-        }
-        t1_tasks += 1;
-        util.merge(&r.util);
-        events += r.events;
+        sink.record(obs::TraceEvent::TaskIssue {
+            task: report.t1_tasks,
+            cycle: report.cycles,
+            products: task.products(),
+        });
+        let shifted = &mut obs::OffsetSink::new(sink, report.cycles);
+        let r = fix_up(engine, engine.execute_traced(&task, shifted));
+        report.cycles += r.cycles;
+        report.useful += r.useful;
+        sink.record(obs::TraceEvent::TaskRetire {
+            task: report.t1_tasks,
+            cycle: report.cycles,
+            cycles: r.cycles,
+            useful: r.useful,
+        });
+        report.t1_tasks += 1;
+        report.util.merge(&r.util);
+        report.events += r.events;
     }
-    let energy = energy_model.energy(&events, &engine.network_costs());
+    report.energy = energy_model.energy(&report.events, &engine.network_costs());
+    report
+}
+
+/// Executes a counted task stream: each non-trivial distinct task runs
+/// once and its result is added `multiplicity` times, with checked
+/// arithmetic ([`KernelReport::try_merge_scaled`]). Energy is computed
+/// once from the merged events.
+///
+/// Takes the `(task, multiplicity)` slice a [`TaskStream`] dereferences
+/// to, so `&stream` and a shard `&stream[range]` both work. The report is
+/// bit-identical to [`run_tasks_traced`] over the expanded task list with
+/// any sink (DESIGN.md §17).
+///
+/// # Errors
+///
+/// [`CounterOverflow`] if a report counter would exceed `u64::MAX`: the
+/// exact report is not representable, and no wrapped value is returned.
+pub fn run_stream(
+    engine: &dyn TileEngine,
+    energy_model: &EnergyModel,
+    kernel: Kernel,
+    stream: &[(T1Task, u64)],
+) -> Result<KernelReport, CounterOverflow> {
+    let mut report = empty_report(engine, energy_model, kernel);
+    for (task, times) in stream {
+        if task.is_trivial() {
+            continue;
+        }
+        let r = fix_up(engine, engine.execute(task));
+        let single = KernelReport {
+            engine: String::new(),
+            kernel,
+            cycles: r.cycles,
+            useful: r.useful,
+            t1_tasks: 1,
+            util: r.util,
+            events: r.events,
+            energy: EnergyBreakdown::default(),
+        };
+        report.try_merge_scaled(&single, *times)?;
+    }
+    report.energy = energy_model.energy(&report.events, &engine.network_costs());
+    Ok(report)
+}
+
+/// The driver's per-task fix-ups to an engine result: the Meta Buffer
+/// traffic of issuing the task, and the static output-network scale of
+/// engines without dynamic gating.
+fn fix_up(engine: &dyn TileEngine, mut r: T1Result) -> T1Result {
+    r.events.meta_words += META_WORDS_PER_TASK;
+    if r.events.c_ports_cycles == 0 {
+        // Engines without dynamic gating pay their static network scale.
+        r.events.c_ports_cycles = r.cycles * engine.c_network_ports();
+    }
+    r
+}
+
+/// The report of an empty stream: the engine's name, the kernel tag, zero
+/// counters and the energy of zero events.
+fn empty_report(
+    engine: &dyn TileEngine,
+    energy_model: &EnergyModel,
+    kernel: Kernel,
+) -> KernelReport {
+    let events = EventCounts::default();
     KernelReport {
         engine: engine.name().to_owned(),
         kernel,
-        cycles,
-        useful,
-        t1_tasks,
-        util,
+        cycles: 0,
+        useful: 0,
+        t1_tasks: 0,
+        util: UtilHistogram::new(engine.lanes()),
         events,
-        energy,
+        energy: energy_model.energy(&events, &engine.network_costs()),
     }
+}
+
+/// Runs a counted stream for the infallible `run_*` entry points.
+///
+/// # Panics
+///
+/// Panics if building or running the stream overflows a report counter.
+/// Only an SpMM whose `n_cols` is near `usize::MAX / 16` can get there;
+/// the fallible path is [`spmm_stream`] plus [`run_stream`].
+fn fitted(
+    engine: &dyn TileEngine,
+    energy_model: &EnergyModel,
+    kernel: Kernel,
+    stream: Result<TaskStream, CounterOverflow>,
+) -> KernelReport {
+    let run = stream.and_then(|s| run_stream(engine, energy_model, kernel, &s));
+    assert!(
+        run.is_ok(),
+        "{kernel} on {}: {}",
+        engine.name(),
+        run.as_ref().map_or_else(ToString::to_string, |_| String::new())
+    );
+    run.unwrap_or_else(|_| empty_report(engine, energy_model, kernel))
 }
 
 /// The T1 task stream of an SpMV invocation, in stored-block order: one MV
 /// task per stored 16x16 block of `A`.
 ///
-/// This is the exact stream [`run_spmv`] executes; materialising it lets a
-/// scheduler shard the same tasks across workers and still merge a
-/// bit-identical [`KernelReport`] (the stream order is the merge order).
+/// This is the task list [`run_spmv`] executes (in counted form,
+/// [`spmv_stream`]); materialising it lets a scheduler shard the same
+/// tasks across workers and still merge a bit-identical [`KernelReport`].
 pub fn spmv_tasks(a: &BbcMatrix) -> Vec<T1Task> {
-    a.blocks().map(|blk| T1Task::mv(Block16::from_bbc(&blk), u16::MAX)).collect()
+    spmv_iter(a).collect()
+}
+
+/// [`spmv_tasks`] in counted form.
+pub fn spmv_stream(a: &BbcMatrix) -> TaskStream {
+    spmv_iter(a).collect()
+}
+
+fn spmv_iter(a: &BbcMatrix) -> impl Iterator<Item = T1Task> + '_ {
+    a.blocks().map(|blk| T1Task::mv(Block16::from_bbc(&blk), u16::MAX))
 }
 
 /// SpMV (`y = A x`, dense `x`): one MV task per stored 16x16 block of `A`.
@@ -407,7 +535,7 @@ pub fn run_spmv(
     energy_model: &EnergyModel,
     a: &BbcMatrix,
 ) -> KernelReport {
-    run_spmv_traced(engine, energy_model, a, &mut obs::NoopSink)
+    fitted(engine, energy_model, Kernel::SpMV, Ok(spmv_stream(a)))
 }
 
 /// [`run_spmv`] streaming trace events into `sink`.
@@ -452,22 +580,29 @@ pub fn run_spmspv(
     a: &BbcMatrix,
     x: &SparseVector,
 ) -> KernelReport {
-    run_spmspv_traced(engine, energy_model, a, x, &mut obs::NoopSink)
+    fitted(engine, energy_model, Kernel::SpMSpV, Ok(spmspv_stream(a, x)))
 }
 
 /// The T1 task stream of an SpMSpV invocation (see [`spmv_tasks`]): stored
 /// blocks whose 16-element x-segment holds at least one nonzero.
 pub fn spmspv_tasks(a: &BbcMatrix, x: &SparseVector) -> Vec<T1Task> {
-    a.blocks()
-        .filter_map(|blk| {
-            let mask = x.segment_mask16(blk.block_col);
-            if mask == 0 {
-                None
-            } else {
-                Some(T1Task::mv(Block16::from_bbc(&blk), mask))
-            }
-        })
-        .collect()
+    spmspv_iter(a, x).collect()
+}
+
+/// [`spmspv_tasks`] in counted form.
+pub fn spmspv_stream(a: &BbcMatrix, x: &SparseVector) -> TaskStream {
+    spmspv_iter(a, x).collect()
+}
+
+fn spmspv_iter<'a>(a: &'a BbcMatrix, x: &'a SparseVector) -> impl Iterator<Item = T1Task> + 'a {
+    a.blocks().filter_map(|blk| {
+        let mask = x.segment_mask16(blk.block_col);
+        if mask == 0 {
+            None
+        } else {
+            Some(T1Task::mv(Block16::from_bbc(&blk), mask))
+        }
+    })
 }
 
 /// [`run_spmspv`] streaming trace events into `sink`.
@@ -487,24 +622,26 @@ pub fn run_spmspv_traced(
 /// A zero-column `B` is a degenerate but valid request (the product has
 /// zero columns): the report simply carries no tasks, matching the numeric
 /// dataflow's treatment of an empty `B`.
+///
+/// # Panics
+///
+/// Panics if a report counter overflows `u64` (an `n_cols` in the order
+/// of `usize::MAX / 16`); [`spmm_stream`] with [`run_stream`] reports it
+/// as an error instead.
 pub fn run_spmm(
     engine: &dyn TileEngine,
     energy_model: &EnergyModel,
     a: &BbcMatrix,
     n_cols: usize,
 ) -> KernelReport {
-    run_spmm_traced(engine, energy_model, a, n_cols, &mut obs::NoopSink)
+    fitted(engine, energy_model, Kernel::SpMM, spmm_stream(a, n_cols))
 }
 
 /// The T1 task stream of an SpMM invocation (see [`spmv_tasks`]):
 /// `ceil(n_cols / 16)` MM tasks per stored block of `A`. Empty when
 /// `n_cols == 0`.
 pub fn spmm_tasks(a: &BbcMatrix, n_cols: usize) -> Vec<T1Task> {
-    if n_cols == 0 {
-        return Vec::new();
-    }
-    let col_blocks = n_cols.div_ceil(16);
-    let tail = n_cols - (col_blocks - 1) * 16;
+    let (col_blocks, tail) = spmm_col_blocks(n_cols);
     a.blocks()
         .flat_map(move |blk| {
             let a_bits = Block16::from_bbc(&blk);
@@ -514,6 +651,34 @@ pub fn spmm_tasks(a: &BbcMatrix, n_cols: usize) -> Vec<T1Task> {
             })
         })
         .collect()
+}
+
+/// [`spmm_tasks`] in counted form, built without materialising the task
+/// list: at most two entries per stored block of `A` (full-width B blocks
+/// and the narrower tail), so host memory is O(blocks) for any `n_cols`.
+///
+/// # Errors
+///
+/// [`CounterOverflow`] if the stream stands for more than `u64::MAX`
+/// tasks.
+pub fn spmm_stream(a: &BbcMatrix, n_cols: usize) -> Result<TaskStream, CounterOverflow> {
+    let (col_blocks, tail) = spmm_col_blocks(n_cols);
+    let full = if tail == 16 { col_blocks } else { col_blocks.saturating_sub(1) };
+    let tail_count = u64::from(tail < 16 && col_blocks > 0);
+    TaskStream::try_from_counted(a.blocks().flat_map(|blk| {
+        let a_bits = Block16::from_bbc(&blk);
+        [
+            (T1Task::mm(a_bits, Block16::dense()), full as u64),
+            (T1Task::mm(a_bits, Block16::dense().keep_cols(tail)), tail_count),
+        ]
+    }))
+}
+
+/// `(ceil(n_cols / 16), width of the last column block)`; `(0, 0)` for
+/// `n_cols == 0`.
+fn spmm_col_blocks(n_cols: usize) -> (usize, usize) {
+    let col_blocks = n_cols.div_ceil(16);
+    (col_blocks, n_cols - col_blocks.saturating_sub(1) * 16)
 }
 
 /// [`run_spmm`] streaming trace events into `sink`.
@@ -542,7 +707,7 @@ pub fn run_spgemm(
     a: &BbcMatrix,
     b: &BbcMatrix,
 ) -> KernelReport {
-    run_spgemm_traced(engine, energy_model, a, b, &mut obs::NoopSink)
+    fitted(engine, energy_model, Kernel::SpGEMM, Ok(spgemm_stream(a, b)))
 }
 
 /// [`run_spgemm`] streaming trace events into `sink`.
@@ -569,24 +734,36 @@ pub fn run_spgemm_traced(
 /// Panics if the block grids do not conform (`a.block_cols() !=
 /// b.block_rows()`).
 pub fn spgemm_tasks(a: &BbcMatrix, b: &BbcMatrix) -> Vec<T1Task> {
+    spgemm_iter(a, b).collect()
+}
+
+/// [`spgemm_tasks`] in counted form, built without materialising the task
+/// list.
+///
+/// # Panics
+///
+/// As [`spgemm_tasks`].
+pub fn spgemm_stream(a: &BbcMatrix, b: &BbcMatrix) -> TaskStream {
+    spgemm_iter(a, b).collect()
+}
+
+fn spgemm_iter<'a>(a: &'a BbcMatrix, b: &'a BbcMatrix) -> impl Iterator<Item = T1Task> + 'a {
     assert_eq!(
         a.block_cols(),
         b.block_rows(),
         "SpGEMM block grids do not conform"
     );
-    (0..a.block_rows())
-        .flat_map(move |bi| {
-            a.blocks_in_row(bi).flat_map(move |ai| {
-                let a_blk = a.block(ai);
-                let a_bits = Block16::from_bbc(&a_blk);
-                let k = a_blk.block_col;
-                b.blocks_in_row(k).map(move |bj| {
-                    let b_blk = b.block(bj);
-                    T1Task::mm(a_bits, Block16::from_bbc(&b_blk))
-                })
+    (0..a.block_rows()).flat_map(move |bi| {
+        a.blocks_in_row(bi).flat_map(move |ai| {
+            let a_blk = a.block(ai);
+            let a_bits = Block16::from_bbc(&a_blk);
+            let k = a_blk.block_col;
+            b.blocks_in_row(k).map(move |bj| {
+                let b_blk = b.block(bj);
+                T1Task::mm(a_bits, Block16::from_bbc(&b_blk))
             })
         })
-        .collect()
+    })
 }
 
 #[cfg(test)]
@@ -755,6 +932,74 @@ mod tests {
         let plain = run_spmv(&Ideal, &EnergyModel::default(), &a);
         let traced = run_spmv_traced(&Ideal, &EnergyModel::default(), &a, &mut obs::NoopSink);
         assert_eq!(plain, traced);
+    }
+
+    /// Every task of the ordered path, with a recording sink.
+    fn ordered(kernel: Kernel, tasks: Vec<T1Task>) -> KernelReport {
+        let mut trace: Vec<obs::TraceEvent> = Vec::new();
+        let rep = run_tasks_traced(&Ideal, &EnergyModel::default(), kernel, tasks, &mut trace);
+        assert!(!trace.is_empty() || rep.t1_tasks == 0);
+        rep
+    }
+
+    #[test]
+    fn counted_run_equals_ordered_run() {
+        // Repeated block patterns: four identical diagonal blocks, two
+        // identical single-entry blocks and one dense row block.
+        let mut entries = Vec::new();
+        for b in 0..4 {
+            entries.extend((0..16).map(|i| (16 * b + i, 16 * b + i)));
+        }
+        entries.extend([(64, 0), (80, 16)]);
+        entries.extend((0..16).map(|c| (96, c)));
+        let a = bbc_from(&entries, 112);
+        let x = SparseVector::try_new(112, vec![0, 16, 32, 48, 96], vec![1.0; 5]).unwrap();
+        let em = EnergyModel::default();
+        let cases = [
+            (Kernel::SpMV, spmv_tasks(&a), spmv_stream(&a)),
+            (Kernel::SpMSpV, spmspv_tasks(&a, &x), spmspv_stream(&a, &x)),
+            (Kernel::SpMM, spmm_tasks(&a, 40), spmm_stream(&a, 40).unwrap()),
+            (Kernel::SpGEMM, spgemm_tasks(&a, &a), spgemm_stream(&a, &a)),
+        ];
+        for (kernel, tasks, stream) in cases {
+            assert_eq!(stream, TaskStream::from(&tasks[..]), "{kernel}");
+            assert!(stream.len() < tasks.len(), "{kernel}: patterns repeat");
+            let counted = run_stream(&Ideal, &em, kernel, &stream).unwrap();
+            assert_eq!(counted, ordered(kernel, tasks), "{kernel}");
+        }
+    }
+
+    #[test]
+    fn spmm_stream_matches_the_task_list_at_every_width() {
+        let a = bbc_from(&[(0, 0), (0, 1), (20, 20), (40, 3)], 48);
+        for n_cols in [0, 1, 15, 16, 17, 32, 33, 100] {
+            let stream = spmm_stream(&a, n_cols).unwrap();
+            assert_eq!(stream, TaskStream::from(&spmm_tasks(&a, n_cols)[..]), "n_cols={n_cols}");
+            assert!(stream.len() <= 2 * a.block_count(), "n_cols={n_cols}");
+        }
+    }
+
+    #[test]
+    fn huge_spmm_overflows_as_a_typed_error() {
+        let n_cols = usize::MAX / 2;
+        let a = bbc_from(&[(0, 0)], 16);
+        // Two entries (full width and tail) stand for ~2^59 tasks.
+        let stream = spmm_stream(&a, n_cols).unwrap();
+        assert_eq!(stream.len(), 2);
+        assert_eq!(stream.total(), n_cols.div_ceil(16) as u64);
+        let err = run_stream(&Ideal, &EnergyModel::default(), Kernel::SpMM, &stream).unwrap_err();
+        assert_eq!(err.counter, "meta_words", "36 words per task pass 2^64 first");
+
+        // 64 blocks of one pattern: the multiplicities alone pass 2^64.
+        let wide: Vec<(usize, usize)> = (0..64).map(|b| (16 * b, 16 * b)).collect();
+        let err = spmm_stream(&bbc_from(&wide, 1024), n_cols).unwrap_err();
+        assert_eq!(err.counter, "t1_tasks");
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow")]
+    fn infallible_spmm_panics_instead_of_wrapping() {
+        run_spmm(&Ideal, &EnergyModel::default(), &bbc_from(&[(0, 0)], 16), usize::MAX / 2);
     }
 
     #[test]

@@ -50,6 +50,19 @@ impl std::fmt::Display for Precision {
 /// modelled inside a task; cross-task state lives in the kernel drivers),
 /// which mirrors the synchronous UWMMA execution lifecycle of Section IV-G.
 ///
+/// # Purity contract
+///
+/// [`TileEngine::execute`] must be a pure function of the task's
+/// `(a, b, n_cols)`: the same task always yields the same [`T1Result`],
+/// whatever ran before it and however often it is called. The drivers rely
+/// on this. They collapse a stream into its distinct tasks
+/// ([`TaskStream`](crate::TaskStream)), so an engine sees **one call per
+/// distinct task** and the result is scaled by the task's multiplicity.
+/// An engine that counts its calls, or keeps state across them, would
+/// report different totals counted than ordered. Only a traced run
+/// ([`driver::run_tasks_traced`](crate::driver::run_tasks_traced) with an
+/// enabled sink) still calls the engine once per task, in stream order.
+///
 /// The trait is object-safe: kernel drivers take `&dyn TileEngine`.
 pub trait TileEngine {
     /// Short display name ("Uni-STC", "DS-STC", ...).

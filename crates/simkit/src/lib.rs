@@ -16,7 +16,9 @@
 //! * the **area model** ([`area`]) reproducing Table IX and the EED metric
 //!   of Section VI-E;
 //! * **kernel drivers** ([`driver`]) that walk a BBC matrix and feed every
-//!   engine the same stream of T1 tasks for SpMV, SpMSpV, SpMM and SpGEMM;
+//!   engine the same stream of T1 tasks for SpMV, SpMSpV, SpMM and SpGEMM,
+//!   executed in counted form ([`TaskStream`]: each distinct task once,
+//!   scaled by its multiplicity);
 //! * summary [`metrics`] (geometric means, utilisation bands, density
 //!   binning) used by the experiment harness.
 //!
@@ -61,13 +63,15 @@ pub mod metrics;
 pub mod network;
 pub mod report;
 mod result;
+mod stream;
 mod task;
 
 pub use bitmap::{tile_col, tile_products, tile_row, Block16};
 pub use driver::{Driver, StreamVerifier, VerifyError};
 pub use energy::{EnergyBreakdown, EnergyModel, NetworkCosts};
 pub use engine::{Precision, TileEngine};
-pub use result::{EventCounts, T1Result, UtilHistogram};
+pub use result::{CounterOverflow, EventCounts, T1Result, UtilHistogram};
+pub use stream::TaskStream;
 pub use task::{T1Task, TaskLevel, TaskSize};
 
 /// Dimension of a T1 task (one block matmul edge): 16.

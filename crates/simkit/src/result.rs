@@ -93,6 +93,70 @@ impl UtilHistogram {
             *a += b;
         }
     }
+
+    /// Merges `times` copies of `other` into this histogram with checked
+    /// arithmetic: exactly `times` calls of [`UtilHistogram::merge`], or
+    /// an error where one of them would overflow a bucket. On error the
+    /// histogram is partially merged and must be discarded.
+    ///
+    /// # Errors
+    ///
+    /// [`CounterOverflow`] if a bucket count would exceed `u64::MAX`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lane counts differ.
+    pub fn try_merge_scaled(
+        &mut self,
+        other: &UtilHistogram,
+        times: u64,
+    ) -> Result<(), CounterOverflow> {
+        assert_eq!(self.lanes, other.lanes, "cannot merge histograms of different lane counts");
+        // One overflow check after the loop, not one early exit per bucket,
+        // and no multiply for the common factor of 1: the loop stays
+        // branch-free and vectorises like `merge`.
+        let mut overflowed = false;
+        for (a, &b) in self.counts.iter_mut().zip(&other.counts) {
+            let (scaled, o1) = if times == 1 { (b, false) } else { b.overflowing_mul(times) };
+            let (sum, o2) = a.overflowing_add(scaled);
+            *a = sum;
+            overflowed |= o1 | o2;
+        }
+        if overflowed {
+            Err(CounterOverflow { counter: "util" })
+        } else {
+            Ok(())
+        }
+    }
+}
+
+/// A report counter that would exceed `u64::MAX`: the exact result is not
+/// representable, so the run reports this instead of a wrapped value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CounterOverflow {
+    /// The counter that overflowed (`"cycles"`, `"util"`, `"mac_issued"`, ...).
+    pub counter: &'static str,
+}
+
+impl std::fmt::Display for CounterOverflow {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "report counter `{}` overflows u64", self.counter)
+    }
+}
+
+impl std::error::Error for CounterOverflow {}
+
+/// `acc + value * times`, or the overflow of `counter`.
+pub(crate) fn add_scaled(
+    acc: u64,
+    value: u64,
+    times: u64,
+    counter: &'static str,
+) -> Result<u64, CounterOverflow> {
+    value
+        .checked_mul(times)
+        .and_then(|v| acc.checked_add(v))
+        .ok_or(CounterOverflow { counter })
 }
 
 /// Counted hardware events of one task (or an aggregate of tasks), in the
@@ -144,6 +208,44 @@ impl AddAssign for EventCounts {
         self.faults_injected += o.faults_injected;
         self.faults_detected += o.faults_detected;
         self.faults_uncorrected += o.faults_uncorrected;
+    }
+}
+
+impl EventCounts {
+    /// Adds `times` copies of `o` with checked arithmetic: exactly `times`
+    /// `+=` steps, or an error where one would overflow a field. On error
+    /// the counts are partially updated and must be discarded.
+    ///
+    /// # Errors
+    ///
+    /// [`CounterOverflow`] naming the first field that would exceed
+    /// `u64::MAX`.
+    pub fn try_add_scaled(&mut self, o: &EventCounts, times: u64) -> Result<(), CounterOverflow> {
+        let fields: [(&mut u64, u64, &'static str); 12] = [
+            (&mut self.a_elems, o.a_elems, "a_elems"),
+            (&mut self.b_elems, o.b_elems, "b_elems"),
+            (&mut self.partial_updates, o.partial_updates, "partial_updates"),
+            (&mut self.c_writes, o.c_writes, "c_writes"),
+            (&mut self.meta_words, o.meta_words, "meta_words"),
+            (&mut self.sched_ops, o.sched_ops, "sched_ops"),
+            (&mut self.unit_cycles, o.unit_cycles, "unit_cycles"),
+            (&mut self.mac_issued, o.mac_issued, "mac_issued"),
+            (&mut self.c_ports_cycles, o.c_ports_cycles, "c_ports_cycles"),
+            (&mut self.faults_injected, o.faults_injected, "faults_injected"),
+            (&mut self.faults_detected, o.faults_detected, "faults_detected"),
+            (&mut self.faults_uncorrected, o.faults_uncorrected, "faults_uncorrected"),
+        ];
+        let mut overflow = None;
+        for (acc, value, counter) in fields {
+            let (scaled, o1) =
+                if times == 1 { (value, false) } else { value.overflowing_mul(times) };
+            let (sum, o2) = acc.overflowing_add(scaled);
+            *acc = sum;
+            if o1 | o2 {
+                overflow = overflow.or(Some(CounterOverflow { counter }));
+            }
+        }
+        overflow.map_or(Ok(()), Err)
     }
 }
 
@@ -243,6 +345,45 @@ mod tests {
     fn merge_rejects_mismatched_lanes() {
         let mut a = UtilHistogram::new(8);
         a.merge(&UtilHistogram::new(4));
+    }
+
+    #[test]
+    fn scaled_merges_equal_repeated_merges() {
+        let mut one = UtilHistogram::new(8);
+        one.record(8);
+        one.record(3);
+        let mut folded = UtilHistogram::new(8);
+        for _ in 0..5 {
+            folded.merge(&one);
+        }
+        let mut scaled = UtilHistogram::new(8);
+        scaled.try_merge_scaled(&one, 5).unwrap();
+        assert_eq!(scaled, folded);
+
+        let e =
+            EventCounts { a_elems: 3, mac_issued: 64, faults_detected: 1, ..Default::default() };
+        let mut folded = EventCounts::default();
+        for _ in 0..7 {
+            folded += e;
+        }
+        let mut scaled = EventCounts::default();
+        scaled.try_add_scaled(&e, 7).unwrap();
+        assert_eq!(scaled, folded);
+    }
+
+    #[test]
+    fn scaled_merges_report_overflow_instead_of_wrapping() {
+        let mut h = UtilHistogram::new(4);
+        h.record(2);
+        let mut acc = UtilHistogram::new(4);
+        assert_eq!(
+            acc.try_merge_scaled(&h, u64::MAX).and_then(|()| acc.try_merge_scaled(&h, 1)),
+            Err(CounterOverflow { counter: "util" })
+        );
+        let e = EventCounts { mac_issued: 2, ..Default::default() };
+        let err = EventCounts::default().try_add_scaled(&e, u64::MAX / 2 + 1).unwrap_err();
+        assert_eq!(err.counter, "mac_issued");
+        assert!(err.to_string().contains("mac_issued"), "{err}");
     }
 
     #[test]

@@ -62,7 +62,7 @@ impl std::fmt::Display for TaskSize {
 /// assert_eq!(mv.n_cols, 1);
 /// assert_eq!(mv.products(), 16);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct T1Task {
     /// Structural bitmap of the A block.
     pub a: Block16,

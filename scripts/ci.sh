@@ -104,4 +104,11 @@ cargo test -p service -q --test stencil_determinism
 cargo run --release -p bench --bin stencil_bench -- \
     --label ci-stencil --steps 8 --threads 2 --assert
 
+echo "== perfbench self-check =="
+# perfbench/ is a separate package that builds against the crates by path
+# and is frozen between benchmark changes: its self-tests (mirror
+# fidelity, seeded workloads) catch a library API change that would break
+# the benchmark harness here rather than in the benchmark run.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "CI OK"

@@ -10,7 +10,7 @@
 use std::time::Duration;
 
 use bench::{headline_engines, MatrixCtx, KERNELS};
-use runtime::{Backoff, ChaosPlan, RuntimeConfig, TaskOutcome};
+use runtime::{Backoff, ChaosPlan, PlannedRunError, RuntimeConfig, TaskOutcome};
 use simkit::driver;
 use simkit::{EnergyModel, Precision};
 use uni_stc::multi::DegradedError;
@@ -148,7 +148,7 @@ fn panicking_engine_fails_the_kernel_not_the_process() {
     let cfg = fast(RuntimeConfig { max_retries: 1, ..RuntimeConfig::with_threads(2) });
     let em = EnergyModel::default();
     match ctx.run_sharded(&cfg, &Grenade, &em, driver::Kernel::SpMV) {
-        Err(DegradedError::RetriesExhausted { attempts, .. }) => {
+        Err(PlannedRunError::Execution(DegradedError::RetriesExhausted { attempts, .. })) => {
             assert_eq!(attempts, 2, "first try + one retry");
         }
         other => panic!("expected RetriesExhausted, got {other:?}"),
