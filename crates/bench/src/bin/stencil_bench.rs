@@ -24,8 +24,9 @@
 //! ```
 //!
 //! `--assert` adds the CI gates: signature identity, a 100 % stream-cache
-//! hit rate after each operator's first step, nonzero eviction pressure
-//! in the sweep, and (with `--slo-p99-us`) a p99 latency ceiling.
+//! hit rate after each operator's first step, one operand hash per
+//! operator in the cached pass, nonzero eviction pressure in the sweep,
+//! and (with `--slo-p99-us`) a p99 latency ceiling.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -428,6 +429,12 @@ fn main() -> ExitCode {
                 *stream_hits == spmv_count - 1,
             );
         }
+        // `run_pass` submits one `Arc` per case for every step, so the
+        // service hashes each operator on its first step only.
+        gate(
+            "cached pass hashed each operator once",
+            metrics.counter("service/fingerprint_hashes") == cases.len() as u64,
+        );
         gate(
             "resident corpus suffered no evictions",
             metrics.gauge("service/stream_cache_pressure") == Some(0.0),

@@ -12,9 +12,15 @@
 //! submit path. The miss path computes the value *outside* the lock: two
 //! racing misses on the same key may both compute, but only the first
 //! insert wins and every caller observes the winning value. Encoded
-//! matrices and compiled streams are pure functions of their fingerprint,
+//! matrices and compiled streams are pure functions of their operands,
 //! so a losing double-compute is wasted work, never a wrong answer — the
 //! concurrency race test pins this.
+//!
+//! A key is a content hash, which can collide. So the service looks up
+//! through `SharedCache::get_confirmed_or_insert_with`: an entry is
+//! served only if a confirmation predicate accepts it (the entry was
+//! computed from the request's own operands), and a rejected entry is a
+//! collision: the value is computed fresh and not stored.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -91,18 +97,38 @@ impl<K: Ord + Clone, V: Clone> LruCache<K, V> {
 
     /// Looks up `key`, refreshing its recency on a hit.
     pub fn lookup(&mut self, key: &K) -> Option<V> {
-        self.tick += 1;
-        match self.entries.get_mut(key) {
-            Some((v, touched)) => {
-                *touched = self.tick;
-                self.stats.hits += 1;
-                Some(v.clone())
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
+        self.lookup_mut(key).map(|v| v.clone())
+    }
+
+    /// Looks up `key` for in-place update, refreshing its recency on a
+    /// hit; counted like [`LruCache::lookup`].
+    pub(crate) fn lookup_mut(&mut self, key: &K) -> Option<&mut V> {
+        match self.lookup_confirmed(key, |_| true) {
+            Probe::Hit(v) => Some(v),
+            Probe::Absent | Probe::Rejected => None,
         }
+    }
+
+    /// Looks up `key` and serves the entry only if `confirm` accepts it.
+    /// An accepted entry counts as a hit and refreshes its recency; a
+    /// rejected one counts as a miss and is left as it was.
+    pub(crate) fn lookup_confirmed(
+        &mut self,
+        key: &K,
+        confirm: impl FnOnce(&V) -> bool,
+    ) -> Probe<&mut V> {
+        self.tick += 1;
+        let Some((v, touched)) = self.entries.get_mut(key) else {
+            self.stats.misses += 1;
+            return Probe::Absent;
+        };
+        if !confirm(v) {
+            self.stats.misses += 1;
+            return Probe::Rejected;
+        }
+        *touched = self.tick;
+        self.stats.hits += 1;
+        Probe::Hit(v)
     }
 
     /// Inserts `value` under `key` unless the key is already present
@@ -131,13 +157,36 @@ impl<K: Ord + Clone, V: Clone> LruCache<K, V> {
     }
 }
 
+/// What [`LruCache::lookup_confirmed`] found under a key.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Probe<V> {
+    /// An entry the confirmation accepted.
+    Hit(V),
+    /// No entry.
+    Absent,
+    /// An entry the confirmation rejected: a key collision.
+    Rejected,
+}
+
+/// How [`SharedCache::get_confirmed_or_insert_with`] produced its value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Outcome {
+    /// Served from a confirmed entry.
+    Hit,
+    /// Computed (or adopted from a racing, confirmed insert) after a miss.
+    Miss,
+    /// Computed fresh and not stored: the entry under the key failed
+    /// confirmation, so the key collides with another value's.
+    Collision,
+}
+
 /// A thread-safe [`LruCache`] with a compute-outside-the-lock miss path.
 #[derive(Debug)]
-pub struct SharedCache<K: Ord + Clone, V: Clone> {
+pub struct SharedCache<K: Ord + Clone, V> {
     inner: Mutex<LruCache<K, Arc<V>>>,
 }
 
-impl<K: Ord + Clone, V: Clone> SharedCache<K, V> {
+impl<K: Ord + Clone, V> SharedCache<K, V> {
     /// An empty shared cache holding at most `capacity` entries.
     pub fn new(capacity: usize) -> Self {
         SharedCache { inner: Mutex::new(LruCache::new(capacity)) }
@@ -178,19 +227,46 @@ impl<K: Ord + Clone, V: Clone> SharedCache<K, V> {
     /// the loser adopts the winner's value (checked under the lock before
     /// inserting), so all callers agree on one cached value.
     pub fn get_or_insert_with(&self, key: &K, compute: impl FnOnce() -> V) -> (Arc<V>, bool) {
-        if let Some(v) = self.lock().lookup(key) {
-            return (v, true);
-        }
+        let (v, outcome) = self.get_confirmed_or_insert_with(key, |_| true, compute);
+        (v, outcome == Outcome::Hit)
+    }
+
+    /// [`SharedCache::get_or_insert_with`] for keys that can collide: an
+    /// entry (cached, or inserted by a racer while `compute` ran) is
+    /// served only if `confirm` accepts it. On a rejection the freshly
+    /// computed value is returned and nothing is stored, so the entry
+    /// under the key stays as it was.
+    ///
+    /// `confirm` runs under the cache lock; `compute` runs with no lock
+    /// held.
+    pub(crate) fn get_confirmed_or_insert_with(
+        &self,
+        key: &K,
+        mut confirm: impl FnMut(&V) -> bool,
+        compute: impl FnOnce() -> V,
+    ) -> (Arc<V>, Outcome) {
+        let rejected = match self.lock().lookup_confirmed(key, |v| confirm(v)) {
+            Probe::Hit(v) => return (Arc::clone(v), Outcome::Hit),
+            Probe::Rejected => true,
+            Probe::Absent => false,
+        };
         let fresh = Arc::new(compute());
+        if rejected {
+            return (fresh, Outcome::Collision);
+        }
         let mut guard = self.lock();
         // Re-check: a racer may have inserted while we were computing.
         // This probe is a resolution step of *this* miss, not a second
         // lookup, so it must not touch the hit/miss tallies.
         if let Some((winner, _)) = guard.entries.get(key) {
-            return (Arc::clone(winner), false);
+            return if confirm(winner) {
+                (Arc::clone(winner), Outcome::Miss)
+            } else {
+                (fresh, Outcome::Collision)
+            };
         }
         guard.insert_if_absent(key.clone(), Arc::clone(&fresh));
-        (fresh, false)
+        (fresh, Outcome::Miss)
     }
 }
 
@@ -267,6 +343,19 @@ mod tests {
             c.stats()
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn a_rejected_entry_is_a_collision_and_stays_put() {
+        let c: SharedCache<u32, (char, u32)> = SharedCache::new(4);
+        let (v, o) = c.get_confirmed_or_insert_with(&1, |_| true, || ('a', 10));
+        assert_eq!((*v, o), (('a', 10), Outcome::Miss));
+        let (v, o) = c.get_confirmed_or_insert_with(&1, |(src, _)| *src == 'b', || ('b', 20));
+        assert_eq!((*v, o), (('b', 20), Outcome::Collision), "computed fresh, not served");
+        let (v, o) = c.get_confirmed_or_insert_with(&1, |(src, _)| *src == 'a', || ('x', 0));
+        assert_eq!((*v, o), (('a', 10), Outcome::Hit), "the original entry is still there");
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses, s.inserts), (1, 2, 1));
     }
 
     #[test]

@@ -1,34 +1,36 @@
 //! Stable content fingerprints for service operands.
 //!
 //! The operand caches are keyed by a 128-bit content hash over the exact
-//! bytes that define a matrix or vector: dimensions, structure arrays and
+//! data that defines a matrix or vector: dimensions, structure arrays and
 //! the IEEE-754 bit patterns of the values. Two submissions with
-//! byte-identical content always map to the same fingerprint, across
-//! processes and platforms (everything is hashed in a fixed
-//! little-endian order), so a warm cache entry is exactly as good as
-//! re-encoding the operand from scratch.
+//! bit-identical content always map to the same fingerprint, across
+//! processes and platforms (every word is absorbed in a fixed order,
+//! little-endian where bytes are involved).
 //!
-//! The hash is two independent 64-bit FNV-1a streams (different offset
-//! bases, same data), concatenated into 128 bits. FNV is not
-//! collision-resistant against an adversary, but the service caches are
-//! a performance layer, not a security boundary: a colliding pair would
-//! need ~2^64 distinct operands in one process lifetime to appear by
-//! chance, and the conformance counter signatures would catch the
-//! resulting wrong report immediately.
+//! A fingerprint is a cache *key*, not a proof of identity: every cache
+//! entry also keeps the operands it was computed from, and the service
+//! serves an entry only after confirming those are the request's own
+//! allocation or bitwise equal to it (DESIGN.md §18). A collision, by
+//! chance or forged, therefore costs an uncached answer, never a wrong
+//! one. So the hash only has to spread keys well and be cheap.
 //!
-//! Each operand family hashes a distinct domain tag first, so a CSR
-//! matrix, a BBC matrix and a sparse vector can never collide with each
-//! other even if their raw arrays happened to agree.
+//! It absorbs one 64-bit word per step into two independent lanes
+//! (multiply, rotate, different constants per lane), concatenated into
+//! 128 bits after a final avalanche. `usize` values go in as `u64`, `u32`
+//! arrays as packed pairs, `f64` values by `to_bits`, and every array is
+//! preceded by its length, so adjacent arrays cannot alias across a
+//! boundary shift. Each operand family absorbs a distinct domain tag
+//! first, so a CSR matrix, a BBC matrix and a sparse vector never share a
+//! key even if their raw arrays agree.
 
 use sparse::{BbcMatrix, CsrMatrix, SparseVector};
 
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-const FNV_OFFSET_A: u64 = 0xCBF2_9CE4_8422_2325;
-/// A second, independent stream: the standard offset basis XOR a fixed
-/// pad, so the two lanes disagree from the first byte on.
-const FNV_OFFSET_B: u64 = 0xCBF2_9CE4_8422_2325 ^ 0x9E37_79B9_7F4A_7C15;
+const LANE_A_MUL: u64 = 0xFF51_AFD7_ED55_8CCD;
+const LANE_B_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+const LANE_A_SEED: u64 = 0xCBF2_9CE4_8422_2325;
+const LANE_B_SEED: u64 = LANE_A_SEED ^ LANE_B_MUL;
 
-/// A 128-bit content fingerprint (two independent FNV-1a 64 lanes).
+/// A 128-bit content fingerprint (two independent 64-bit lanes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Fingerprint(pub [u64; 2]);
 
@@ -38,7 +40,7 @@ impl std::fmt::Display for Fingerprint {
     }
 }
 
-/// Incremental two-lane FNV-1a hasher.
+/// Incremental two-lane word hasher.
 #[derive(Debug, Clone)]
 pub struct Hasher {
     a: u64,
@@ -52,26 +54,36 @@ impl Default for Hasher {
 }
 
 impl Hasher {
-    /// A fresh hasher at the two offset bases.
+    /// A fresh hasher at the two lane seeds.
     pub fn new() -> Self {
-        Hasher { a: FNV_OFFSET_A, b: FNV_OFFSET_B }
+        Hasher { a: LANE_A_SEED, b: LANE_B_SEED }
     }
 
-    /// Absorbs raw bytes.
+    /// Absorbs one 64-bit word. Each lane step is a bijection of the
+    /// lane state for a fixed word, and the rotation feeds the high
+    /// product bits back into the next multiply.
+    pub fn update_u64(&mut self, w: u64) {
+        self.a = (self.a ^ w).wrapping_mul(LANE_A_MUL).rotate_left(29);
+        self.b = (self.b ^ w).wrapping_mul(LANE_B_MUL).rotate_left(31);
+    }
+
+    /// Absorbs raw bytes: their length, then 8-byte little-endian words,
+    /// the last one zero-padded.
     pub fn update(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.a = (self.a ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-            self.b = (self.b ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+        self.update_u64(bytes.len() as u64);
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.update_u64(u64::from_le_bytes(w.try_into().unwrap_or_default()));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut last = [0u8; 8];
+            last[..tail.len()].copy_from_slice(tail);
+            self.update_u64(u64::from_le_bytes(last));
         }
     }
 
-    /// Absorbs one `u64` in little-endian order.
-    pub fn update_u64(&mut self, v: u64) {
-        self.update(&v.to_le_bytes());
-    }
-
-    /// Absorbs a `usize` slice as little-endian `u64`s (lengths first, so
-    /// adjacent arrays cannot alias across a boundary shift).
+    /// Absorbs a `usize` slice, one word per entry, length first.
     fn update_usizes(&mut self, vs: &[usize]) {
         self.update_u64(vs.len() as u64);
         for &v in vs {
@@ -79,10 +91,15 @@ impl Hasher {
         }
     }
 
+    /// Absorbs a `u32` slice two entries per word, length first.
     fn update_u32s(&mut self, vs: &[u32]) {
         self.update_u64(vs.len() as u64);
-        for &v in vs {
-            self.update(&v.to_le_bytes());
+        let mut pairs = vs.chunks_exact(2);
+        for p in &mut pairs {
+            self.update_u64(u64::from(p[0]) | u64::from(p[1]) << 32);
+        }
+        if let [last] = pairs.remainder() {
+            self.update_u64(u64::from(*last));
         }
     }
 
@@ -94,9 +111,15 @@ impl Hasher {
         }
     }
 
-    /// The final 128-bit fingerprint.
+    /// The final 128-bit fingerprint: each lane through a 64-bit
+    /// avalanche, so every output bit depends on every absorbed word.
     pub fn finish(&self) -> Fingerprint {
-        Fingerprint([self.a, self.b])
+        fn avalanche(mut z: u64) -> u64 {
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+        Fingerprint([avalanche(self.a), avalanche(self.b)])
     }
 }
 
@@ -114,8 +137,8 @@ pub fn fingerprint_csr(m: &CsrMatrix) -> Fingerprint {
 }
 
 /// Fingerprints a BBC matrix over its canonical `BBC2` byte stream (the
-/// same bytes `BbcMatrix::write_bbc` persists), behind the `b"BBC"`
-/// domain tag.
+/// same bytes `BbcMatrix::write_bbc` persists), fed in 8-byte words,
+/// behind the `b"BBC"` domain tag.
 ///
 /// Note this is a *representation* fingerprint: a CSR operand and its
 /// BBC encoding hash to different fingerprints even though they describe
@@ -123,11 +146,28 @@ pub fn fingerprint_csr(m: &CsrMatrix) -> Fingerprint {
 /// representation, which is what makes a hit sound without decoding
 /// anything.
 pub fn fingerprint_bbc(m: &BbcMatrix) -> Fingerprint {
-    struct HashWriter<'a>(&'a mut Hasher);
-    impl std::io::Write for HashWriter<'_> {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.update(buf);
-            Ok(buf.len())
+    /// Packs the stream's small writes into whole words.
+    struct WordWriter<'a> {
+        h: &'a mut Hasher,
+        word: [u8; 8],
+        filled: usize,
+        total: u64,
+    }
+    impl std::io::Write for WordWriter<'_> {
+        fn write(&mut self, mut buf: &[u8]) -> std::io::Result<usize> {
+            let n = buf.len();
+            self.total += n as u64;
+            while !buf.is_empty() {
+                let take = (8 - self.filled).min(buf.len());
+                self.word[self.filled..self.filled + take].copy_from_slice(&buf[..take]);
+                self.filled += take;
+                buf = &buf[take..];
+                if self.filled == 8 {
+                    self.h.update_u64(u64::from_le_bytes(self.word));
+                    self.filled = 0;
+                }
+            }
+            Ok(n)
         }
         fn flush(&mut self) -> std::io::Result<()> {
             Ok(())
@@ -135,8 +175,14 @@ pub fn fingerprint_bbc(m: &BbcMatrix) -> Fingerprint {
     }
     let mut h = Hasher::new();
     h.update(b"BBC");
+    let mut w = WordWriter { h: &mut h, word: [0; 8], filled: 0, total: 0 };
     // Writing into a hasher cannot fail; the matrix is already in memory.
-    let _ = m.write_bbc(HashWriter(&mut h));
+    let _ = m.write_bbc(&mut w);
+    let (tail, filled, total) = (w.word, w.filled, w.total);
+    if filled > 0 {
+        h.update(&tail[..filled]);
+    }
+    h.update_u64(total);
     h.finish()
 }
 

@@ -8,9 +8,12 @@
 //! [`KernelReport`](simkit::driver::KernelReport)s. In between sit the
 //! pieces a real deployment needs:
 //!
-//! * [`fingerprint`] — stable 128-bit content hashes over operand bytes
+//! * [`fingerprint`] — stable 128-bit content hashes over operand data
 //!   (CSR arrays, canonical BBC2 stream, sparse-vector contents), the
-//!   identity every cache keys on.
+//!   key every cache uses. The dispatcher hashes each operand `Arc`
+//!   once and confirms every cache hit against the operands the entry
+//!   was built from, so a collision is answered uncached, never served
+//!   (DESIGN.md §18).
 //! * [`cache`] — deterministic LRU caches (logical ticks, no wall
 //!   clock) for BBC encodings and compiled counted `TaskStream`s, with
 //!   exact hit/miss/eviction statistics.
@@ -55,6 +58,7 @@
 
 pub mod cache;
 pub mod fingerprint;
+mod identity;
 pub mod request;
 pub mod service;
 

@@ -422,3 +422,58 @@ fn encoding_cache_eviction_still_serves_correct_results() {
     assert!(m.counter("service/encoding_cache_evictions") >= 1);
     assert!(m.counter("service/stream_cache_evictions") >= 1);
 }
+
+#[test]
+fn resubmitting_one_arc_hashes_it_once() {
+    let a = Arc::new(diag_csr(64));
+    let svc = Service::start(ServiceConfig::default());
+    for _ in 0..1000 {
+        svc.submit(JobRequest::new(KernelRequest::SpMV { a: Arc::clone(&a).into() }))
+            .wait()
+            .expect("legal stream");
+    }
+    let m = svc.shutdown();
+    assert_eq!(m.counter("service/fingerprint_hashes"), 1);
+    assert_eq!(m.counter("service/operand_identity_hits"), 999);
+    assert_eq!(m.counter("service/fingerprint_collisions"), 0);
+    assert_eq!(m.counter("service/stream_cache_hits"), 999);
+}
+
+#[test]
+fn the_service_keeps_no_operand_alive_past_its_caches() {
+    let a = Arc::new(diag_csr(48));
+    let x = Arc::new(
+        SparseVector::try_new(48, vec![0, 17, 40], vec![1.0, -2.0, 0.5]).expect("sorted indices"),
+    );
+    let b = Arc::new(BbcMatrix::from_csr(&diag_csr(48)));
+    let request = |kernel| {
+        JobRequest::new(match kernel {
+            0 => KernelRequest::SpMV { a: Arc::clone(&a).into() },
+            1 => KernelRequest::SpMSpV { a: Arc::clone(&a).into(), x: Arc::clone(&x) },
+            _ => KernelRequest::SpGEMM { a: Arc::clone(&b).into(), b: Arc::clone(&b).into() },
+        })
+    };
+    // Without caches nothing may outlive the reply: the identity tables
+    // hold only weak references.
+    let svc = Service::start(ServiceConfig {
+        encoding_cache_capacity: 0,
+        stream_cache_capacity: 0,
+        ..ServiceConfig::default()
+    });
+    for kernel in 0..3 {
+        svc.submit(request(kernel)).wait().expect("legal stream");
+        assert_eq!(
+            (Arc::strong_count(&a), Arc::strong_count(&x), Arc::strong_count(&b)),
+            (1, 1, 1)
+        );
+    }
+    drop(svc);
+    // With caches, their entries hold the operands until the service goes.
+    let svc = Service::start(ServiceConfig::default());
+    for kernel in 0..3 {
+        svc.submit(request(kernel)).wait().expect("legal stream");
+    }
+    assert!(Arc::strong_count(&a) > 1);
+    drop(svc);
+    assert_eq!((Arc::strong_count(&a), Arc::strong_count(&x), Arc::strong_count(&b)), (1, 1, 1));
+}

@@ -227,6 +227,24 @@ impl BbcMatrix {
         (0..self.block_count()).map(|i| self.block(i))
     }
 
+    /// Bitwise equality over every array, derived metadata included, with
+    /// values compared by IEEE-754 bit pattern (`0.0` and `-0.0` differ,
+    /// a NaN equals itself), unlike the derived float `PartialEq`.
+    pub fn bit_eq(&self, other: &Self) -> bool {
+        self.nrows == other.nrows
+            && self.ncols == other.ncols
+            && self.block_rows == other.block_rows
+            && self.block_cols == other.block_cols
+            && self.row_ptr == other.row_ptr
+            && self.col_idx == other.col_idx
+            && self.bitmap_lv1 == other.bitmap_lv1
+            && self.tile_ptr == other.tile_ptr
+            && self.bitmap_lv2 == other.bitmap_lv2
+            && self.valptr_lv1 == other.valptr_lv1
+            && self.valptr_lv2 == other.valptr_lv2
+            && crate::bits_eq(&self.values, &other.values)
+    }
+
     /// Converts back to CSR form.
     pub fn to_csr(&self) -> CsrMatrix {
         let mut coo = crate::CooMatrix::with_capacity(self.nrows, self.ncols, self.nnz());

@@ -145,6 +145,18 @@ impl CsrMatrix {
         &mut self.values
     }
 
+    /// Bitwise equality: the same shape and structure arrays, and values
+    /// with the same IEEE-754 bit patterns. Unlike the derived
+    /// `PartialEq` (float `==`), `0.0` and `-0.0` differ and a NaN equals
+    /// itself, so equal matrices feed every kernel the same bits.
+    pub fn bit_eq(&self, other: &Self) -> bool {
+        self.nrows == other.nrows
+            && self.ncols == other.ncols
+            && self.row_ptr == other.row_ptr
+            && self.col_idx == other.col_idx
+            && crate::bits_eq(&self.values, &other.values)
+    }
+
     /// The `(col_idx, values)` slices of one row.
     ///
     /// # Panics
@@ -301,6 +313,23 @@ mod tests {
             vec![1.0, 2.0, 3.0, 4.0, 5.0],
         )
         .unwrap()
+    }
+
+    #[test]
+    fn bit_eq_compares_structure_and_value_bits() {
+        let m = sample();
+        assert!(m.bit_eq(&m.clone()));
+        let mut signed = m.clone();
+        signed.values_mut()[0] = -0.0;
+        let mut zero = m.clone();
+        zero.values_mut()[0] = 0.0;
+        assert!(signed == zero && !signed.bit_eq(&zero), "float == hides the sign of zero");
+        let mut nan = m.clone();
+        nan.values_mut()[4] = f64::NAN;
+        assert!(nan != nan.clone() && nan.bit_eq(&nan.clone()), "float == never equals a NaN");
+        let bbc = crate::BbcMatrix::from_csr(&m);
+        assert!(bbc.bit_eq(&crate::BbcMatrix::from_csr(&m)));
+        assert!(!bbc.bit_eq(&crate::BbcMatrix::from_csr(&zero)));
     }
 
     #[test]

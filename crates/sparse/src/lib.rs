@@ -83,6 +83,12 @@ pub const INDEX_BYTES: usize = 4;
 /// Number of bytes used by one stored value (FP64).
 pub const VALUE_BYTES: usize = 8;
 
+/// Whether two value arrays hold the same IEEE-754 bit patterns: unlike
+/// float `==`, `0.0` and `-0.0` differ and a NaN equals itself.
+pub(crate) fn bits_eq(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
 /// Storage accounting common to every matrix format in this crate.
 ///
 /// Fig. 15 of the paper compares the *space reduction* of BSR and BBC over a

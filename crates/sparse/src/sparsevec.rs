@@ -103,6 +103,13 @@ impl SparseVector {
         &self.values
     }
 
+    /// Bitwise equality: the same dimension and indices, and values with
+    /// the same IEEE-754 bit patterns (`0.0` and `-0.0` differ, a NaN
+    /// equals itself), unlike the derived float `PartialEq`.
+    pub fn bit_eq(&self, other: &Self) -> bool {
+        self.dim == other.dim && self.idx == other.idx && crate::bits_eq(&self.values, &other.values)
+    }
+
     /// The stored value at `i`, or `None` if structurally zero.
     pub fn get(&self, i: usize) -> Option<f64> {
         self.idx.binary_search(&(i as u32)).ok().map(|p| self.values[p])
@@ -164,6 +171,15 @@ mod tests {
     fn try_new_validates_bounds() {
         let err = SparseVector::try_new(4, vec![4], vec![1.0]).unwrap_err();
         assert!(matches!(err, FormatError::IndexOutOfBounds { .. }));
+    }
+
+    #[test]
+    fn bit_eq_compares_value_bits() {
+        let v = |x: f64| SparseVector::try_new(4, vec![1], vec![x]).unwrap();
+        assert!(v(1.5).bit_eq(&v(1.5)));
+        assert!(!v(0.0).bit_eq(&v(-0.0)), "signed zeros are different content");
+        assert!(v(f64::NAN).bit_eq(&v(f64::NAN)), "a NaN is its own content");
+        assert!(!v(1.0).bit_eq(&SparseVector::try_new(4, vec![2], vec![1.0]).unwrap()));
     }
 
     #[test]
