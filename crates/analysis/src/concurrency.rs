@@ -157,7 +157,7 @@ fn order_label(order: &[usize]) -> String {
 /// with `seed` (the empty-stream report) as identity:
 ///
 /// * folding in the identity order, the reversed order and
-///   [`FOLD_SHUFFLES`] seeded shuffles must agree on every counter —
+///   `FOLD_SHUFFLES` seeded shuffles must agree on every counter —
 ///   a divergence is `USTC017`;
 /// * the fold must leave `seed`'s energy untouched (energy is a
 ///   function of the *merged* events, recomputed exactly once by the
@@ -237,11 +237,17 @@ fn overflow_diagnostic(shards: usize, order: &[usize], e: CounterOverflow) -> Di
     )
 }
 
-/// [`verify_fold`] over the runtime's real [`runtime::fold_report`] —
-/// the fold every sharded kernel run uses. Clean by construction; the
-/// golden suite pins that this stays true.
+/// The fold every sharded kernel run applies to its shard reports:
+/// [`KernelReport::try_merge_scaled`] with a factor of 1.
+fn fold_once(acc: &mut KernelReport, next: &KernelReport) -> Result<(), CounterOverflow> {
+    acc.try_merge_scaled(next, 1)
+}
+
+/// [`verify_fold`] over the runtime's real fold,
+/// [`KernelReport::try_merge_scaled`] with a factor of 1. Clean by
+/// construction; the golden suite pins that this stays true.
 pub fn verify_runtime_fold(seed: &KernelReport, shards: &[KernelReport]) -> Report {
-    verify_fold(seed, shards, &runtime::fold_report)
+    verify_fold(seed, shards, &fold_once)
 }
 
 /// Verifies that `scale` adds `times` copies of a single-task report
@@ -302,11 +308,11 @@ pub fn verify_scaling(
     report
 }
 
-/// [`verify_scaling`] over the real pair: [`runtime::fold_report`] and
+/// [`verify_scaling`] over the real pair: the runtime's shard fold and
 /// [`KernelReport::try_merge_scaled`], the scaling `driver::run_stream`
 /// applies to each distinct task.
 pub fn verify_runtime_scaling(seed: &KernelReport, single: &KernelReport, times: u64) -> Report {
-    verify_scaling(seed, single, times, &runtime::fold_report, &KernelReport::try_merge_scaled)
+    verify_scaling(seed, single, times, &fold_once, &KernelReport::try_merge_scaled)
 }
 
 #[cfg(test)]
@@ -379,7 +385,7 @@ mod tests {
             s.energy.compute = 1.5;
         }
         let bad = |acc: &mut KernelReport, next: &KernelReport| {
-            runtime::fold_report(acc, next)?;
+            fold_once(acc, next)?;
             acc.energy.compute += next.energy.compute;
             Ok(())
         };
@@ -404,8 +410,8 @@ mod tests {
             simkit::Block16::from_fn(|r, c| (r * 3 + c) % 5 == 0),
             simkit::Block16::dense().keep_cols(9),
         );
-        let seed = simkit::driver::run_tasks(&engine, &em, Kernel::SpMM, std::iter::empty());
-        let single = simkit::driver::run_tasks(&engine, &em, Kernel::SpMM, [task]);
+        let seed = simkit::driver::run_stream(&engine, &em, Kernel::SpMM, &[]).unwrap();
+        let single = simkit::driver::run_stream(&engine, &em, Kernel::SpMM, &[(task, 1)]).unwrap();
         assert_eq!(single.t1_tasks, 1);
         (seed, single)
     }
@@ -433,9 +439,9 @@ mod tests {
             acc.util.merge(&next.util);
             Ok(())
         };
-        let r = verify_scaling(&seed, &single, 5, &runtime::fold_report, &forgets_util);
+        let r = verify_scaling(&seed, &single, 5, &fold_once, &forgets_util);
         assert!(r.has_code(Code::NonCommutativeFold), "{}", r.render_human());
-        let r = verify_scaling(&seed, &single, 1, &runtime::fold_report, &forgets_util);
+        let r = verify_scaling(&seed, &single, 1, &fold_once, &forgets_util);
         assert!(r.is_clean(), "a factor of 1 hides the defect: {}", r.render_human());
     }
 
@@ -448,7 +454,7 @@ mod tests {
             acc.energy.compute += next.energy.compute * times as f64;
             Ok(())
         };
-        let r = verify_scaling(&seed, &single, 3, &runtime::fold_report, &energetic);
+        let r = verify_scaling(&seed, &single, 3, &fold_once, &energetic);
         assert!(r.has_code(Code::EnergyRefold), "{}", r.render_human());
         assert!(!r.has_code(Code::NonCommutativeFold), "{}", r.render_human());
     }

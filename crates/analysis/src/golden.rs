@@ -151,7 +151,7 @@ pub fn seeded_suite() -> Vec<(&'static str, Report)> {
         s.energy.compute = 1.5;
     }
     let energy_refolding = |acc: &mut KernelReport, next: &KernelReport| {
-        runtime::fold_report(acc, next)?;
+        acc.try_merge_scaled(next, 1)?;
         acc.energy.compute += next.energy.compute;
         Ok(())
     };

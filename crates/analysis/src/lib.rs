@@ -9,8 +9,8 @@
 //!    [`uni_stc::compiler::CompiledKernel`]s and [`StreamModel`]s —
 //!    *without executing anything*. Findings carry stable `USTC001`..
 //!    diagnostic codes ([`Code`]) with severities and spans, rendered
-//!    human-readable or as JSON ([`Report`]). [`UstcVerifier`] plugs the
-//!    verifier into [`simkit::driver::Driver::verify_before_run`] so
+//!    human-readable or as JSON ([`Report`]). [`UstcVerifier`] reduces a
+//!    report to its first error code ([`simkit::StreamVerifier`]), so
 //!    illegal streams are rejected before a single cycle is simulated.
 //! 2. **The concurrency verifier** ([`concurrency`], [`schedule`]) —
 //!    proves the parallel runtime's determinism claims statically:
@@ -52,4 +52,4 @@ pub use concurrency::{
 pub use diag::{Code, Diagnostic, Report, Severity, Span};
 pub use model::{StreamModel, T1Node, T3Node, DOT_QUEUE_CAP, TILE_QUEUE_CAP};
 pub use schedule::{explore, Exploration, ModelBug, ModelConfig, Violation};
-pub use verifier::{spmspv_shape_message, UstcVerifier, Verifier};
+pub use verifier::{spgemm_shape_message, spmspv_shape_message, UstcVerifier, Verifier};

@@ -347,11 +347,20 @@ impl Verifier {
     }
 
     /// Full static check of an SpGEMM invocation: both operands' metadata,
-    /// the stream model, and the compiled streams.
+    /// the block-grid shapes, the stream model, and the compiled streams.
+    /// Non-conforming grids (`a.block_cols() != b.block_rows()`) are
+    /// `USTC012`: the block outer-product walk cannot represent them.
     pub fn verify_spgemm(&self, a: &BbcMatrix, b: &BbcMatrix, n_warps: usize) -> Report {
         let mut report = self.verify_matrix(a);
         report.merge(self.verify_matrix(b));
-        if report.has_errors() || a.block_cols() != b.block_rows() {
+        if a.block_cols() != b.block_rows() {
+            report.push(Diagnostic::new(
+                Code::CorruptMetadata,
+                Span::none(),
+                spgemm_shape_message(a, b),
+            ));
+        }
+        if report.has_errors() {
             return report;
         }
         report.merge(self.verify_model(&StreamModel::spgemm(&self.cfg, a, b)));
@@ -383,6 +392,18 @@ pub fn spmspv_shape_message(a: &BbcMatrix, x: &SparseVector) -> String {
         x.dim(),
         a.nrows(),
         a.ncols()
+    )
+}
+
+/// The `USTC012` message for an SpGEMM whose block grids do not conform;
+/// shared by the verifier and the service's always-on shape gate.
+pub fn spgemm_shape_message(a: &BbcMatrix, b: &BbcMatrix) -> String {
+    format!(
+        "SpGEMM block grids do not conform ({}x{} blocks vs {}x{})",
+        a.block_rows(),
+        a.block_cols(),
+        b.block_rows(),
+        b.block_cols()
     )
 }
 
@@ -431,11 +452,9 @@ fn diff_kernels(expected: &CompiledKernel, actual: &CompiledKernel) -> Report {
     report
 }
 
-/// [`simkit::driver::StreamVerifier`] adapter: lets the simkit [`Driver`]
-/// reject illegal streams with their first `USTC` error code before
-/// simulating them.
-///
-/// [`Driver`]: simkit::driver::Driver
+/// [`simkit::driver::StreamVerifier`] adapter: reduces a [`Verifier`]
+/// report to its first `USTC` error code, so a caller (the service's
+/// admission gate) can reject an illegal stream before simulating it.
 #[derive(Debug, Clone)]
 pub struct UstcVerifier {
     verifier: Verifier,

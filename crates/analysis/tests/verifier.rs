@@ -1,13 +1,14 @@
 //! Integration tests for the static stream verifier: seeded illegal
 //! streams must be flagged with their exact stable `USTC` codes, every
-//! conformance generator regime must verify clean, and the simkit driver
-//! bridge must reject corrupted streams before simulating a cycle.
+//! conformance generator regime must verify clean, and the
+//! `StreamVerifier` adapter must reject corrupted streams before a cycle
+//! is simulated.
 
 use analysis::{Code, StreamModel, T1Node, T3Node, UstcVerifier, Verifier};
 use conformance::generators::{sparse_vector, Regime};
-use simkit::driver::{Driver, Kernel};
+use simkit::driver::Kernel;
 use simkit::fault::FaultPlan;
-use simkit::{driver, EnergyModel};
+use simkit::{driver, EnergyModel, StreamVerifier};
 use sparse::{BbcField, BbcMatrix, CooMatrix, CsrMatrix};
 use uni_stc::isa::{Program, Uwmma};
 use uni_stc::tms::T3Task;
@@ -109,10 +110,11 @@ fn driver_gate_passes_clean_streams_unchanged() {
     let engine = UniStc::default();
     let energy = EnergyModel::default();
     let verifier = UstcVerifier::new(UniStcConfig::default());
-    let gated = Driver::new(&engine, &energy).verify_before_run(&verifier);
-    let rep = gated.spmv(&a).expect("clean stream must pass the gate");
-    let direct = driver::run_spmv(&engine, &energy, &a);
-    assert_eq!(rep.counter_signature(), direct.counter_signature());
+    verifier.verify_spmv(&a).expect("clean stream must pass the gate");
+    let rep = driver::run_spmv(&engine, &energy, &a);
+    let stream = driver::spmv_stream(&a);
+    let counted = driver::run_stream(&engine, &energy, Kernel::SpMV, &stream).expect("fits");
+    assert_eq!(rep.counter_signature(), counted.counter_signature());
 }
 
 #[test]
@@ -123,12 +125,11 @@ fn driver_gate_rejects_corrupt_metadata_with_ustc012() {
     let engine = UniStc::default();
     let energy = EnergyModel::default();
     let verifier = UstcVerifier::new(UniStcConfig::default());
-    let gated = Driver::new(&engine, &energy).verify_before_run(&verifier);
-    let err = gated.spmv(&bad).expect_err("corrupt metadata must be rejected");
+    let err = verifier.verify_spmv(&bad).expect_err("corrupt metadata must be rejected");
     assert_eq!(err.code, "USTC012");
     assert!(err.to_string().contains("USTC012"), "{err}");
     // Without the gate, the driver happily simulates the corrupted stream.
-    assert!(Driver::new(&engine, &energy).spmv(&bad).is_ok());
+    assert!(driver::run_spmv(&engine, &energy, &bad).t1_tasks > 0);
 }
 
 #[test]
@@ -137,20 +138,41 @@ fn fault_bridge_catches_bit_flips_before_execution() {
     let engine = UniStc::default();
     let energy = EnergyModel::default();
     let verifier = UstcVerifier::new(UniStcConfig::default());
-    let gated = Driver::new(&engine, &energy).verify_before_run(&verifier);
     // A saturating fault plan flips metadata bits with certainty; the
     // static gate must catch the corruption before any cycle is simulated.
     let plan = FaultPlan::uniform(0xF00D, 1.0);
-    let err = gated.spmv_faulted(&a, &plan).expect_err("metadata corruption must be caught");
+    let (corrupted, _) = plan.inject_into(&a);
+    let err = verifier.verify_spmv(&corrupted).expect_err("metadata corruption must be caught");
     assert_eq!(err.code, "USTC012");
-    // The empty plan injects nothing: the gated run matches the plain one.
+    // The empty plan injects nothing: the gate passes and the faulted run
+    // matches the plain one.
     let none = FaultPlan::none(0xF00D);
-    let rep = gated.spmv_faulted(&a, &none).expect("no faults, no rejection");
+    let (untouched, _) = none.inject_into(&a);
+    verifier.verify_spmv(&untouched).expect("no faults, no rejection");
+    let rep = driver::run_spmv_faulted(&engine, &energy, &a, &none);
     assert_eq!(rep.events.faults_injected, 0);
-    let ungated = Driver::new(&engine, &energy)
-        .spmv_faulted(&a, &none)
-        .expect("ungated driver never rejects");
-    assert_eq!(rep.counter_signature(), ungated.counter_signature());
+    assert_eq!(
+        rep.counter_signature(),
+        driver::run_spmv(&engine, &energy, &a).counter_signature()
+    );
+}
+
+#[test]
+fn nonconforming_spgemm_grids_are_ustc012() {
+    // 32x32 (2x2 blocks) times 64x64 (4x4 blocks): the block
+    // outer-product walk cannot represent the stream.
+    let a = bbc(32, (0..32).map(|i| (i, i)));
+    let b = bbc(64, (0..64).map(|i| (i, i)));
+    let r = Verifier::new(UniStcConfig::default()).verify_spgemm(&a, &b, 4);
+    let codes: Vec<&str> = r.diagnostics().iter().map(|d| d.code.as_str()).collect();
+    assert_eq!(codes, vec!["USTC012"]);
+    let message = &r.diagnostics()[0].message;
+    assert_eq!(message, "SpGEMM block grids do not conform (2x2 blocks vs 4x4)");
+    assert_eq!(*message, analysis::spgemm_shape_message(&a, &b));
+    let err = UstcVerifier::new(UniStcConfig::default())
+        .verify_spgemm(&a, &b)
+        .expect_err("the adapter rejects what the verifier flags");
+    assert_eq!(err.code, "USTC012");
 }
 
 #[test]

@@ -56,7 +56,7 @@ pub use trapezoid::Trapezoid;
 use simkit::{Precision, TileEngine};
 
 /// All six baseline engines at the given precision, boxed for driver loops.
-pub fn all_baselines(precision: Precision) -> Vec<Box<dyn TileEngine>> {
+pub fn all_baselines(precision: Precision) -> Vec<Box<dyn TileEngine + Send + Sync>> {
     vec![
         Box::new(NvDtc::new(precision)),
         Box::new(DsStc::new(precision)),

@@ -14,7 +14,7 @@
 
 use bench::output::{Report, Section};
 use bench::{headline_engines, threads_arg, MatrixCtx, KERNELS};
-use simkit::driver::Kernel;
+use simkit::driver::{self, Kernel};
 use simkit::metrics::{geomean, Comparison};
 use simkit::{EnergyModel, Precision};
 use workloads::dlmc::{layers, DnnModel};
@@ -116,31 +116,24 @@ fn main() {
                 );
                 let act_bbc = sparse::BbcMatrix::from_csr(&act);
                 let engines = headline_engines(Precision::Fp32);
+                // Weight x dense activation block (dense inference), or
+                // conv treated as SpGEMM: sparse weight x sparse
+                // activation matrix.
+                let stream = match kernel {
+                    Kernel::SpMM => driver::spmm_stream(&w_bbc, layer.batch_cols)
+                        .expect("layer widths keep every counter far below 2^64"),
+                    _ => driver::spgemm_stream(&w_bbc, &act_bbc),
+                };
+                let cfg = runtime::RuntimeConfig::with_threads(threads);
+                let plan = runtime::ShardPlan::contiguous(stream.len(), threads);
                 let run = |e: &(dyn simkit::TileEngine + Sync)| {
                     if threads <= 1 {
-                        match kernel {
-                            // Weight x dense activation block (dense inference).
-                            Kernel::SpMM => {
-                                simkit::driver::run_spmm(e, &em, &w_bbc, layer.batch_cols)
-                            }
-                            // Conv treated as SpGEMM: sparse weight x sparse
-                            // activation matrix.
-                            _ => simkit::driver::run_spgemm(e, &em, &w_bbc, &act_bbc),
-                        }
+                        driver::run_stream(e, &em, kernel, &stream)
+                            .expect("layer widths keep every counter far below 2^64")
                     } else {
-                        let cfg = runtime::RuntimeConfig::with_threads(threads);
-                        match kernel {
-                            Kernel::SpMM => runtime::run_spmm_sharded(
-                                &cfg,
-                                e,
-                                &em,
-                                &w_bbc,
-                                layer.batch_cols,
-                            ),
-                            _ => runtime::run_spgemm_sharded(&cfg, e, &em, &w_bbc, &act_bbc),
-                        }
-                        .expect("production engines never fail a shard")
-                        .report
+                        runtime::run_stream_planned(&cfg, &plan, e, &em, kernel, &stream)
+                            .expect("production engines never fail a shard")
+                            .report
                     }
                 };
                 let baseline = run(engines[0].as_ref());

@@ -19,7 +19,7 @@
 //! the first representative matrix and writes its Chrome trace (open in
 //! Perfetto or `chrome://tracing`).
 //! `--backend <name>` selects the `sparse::kernels` backend (scalar |
-//! bitwise | simd, default bitwise) before collection; the choice is
+//! bitwise, default bitwise) before collection; the choice is
 //! recorded in the document's `backend` field. Simulated cycles are
 //! backend-invariant, so comparing documents collected under different
 //! backends doubles as a cross-backend bit-identity check — only the
@@ -32,7 +32,7 @@ use std::str::FromStr;
 use bench::output::{Report, Section};
 use bench::perf::{self, BenchDoc};
 use bench::MatrixCtx;
-use simkit::driver::run_spmv_traced;
+use simkit::driver::{run_tasks_traced, spmv_tasks, Kernel};
 use simkit::{EnergyModel, Precision};
 use uni_stc::{UniStc, UniStcConfig};
 use workloads::representative::representative_matrices;
@@ -98,7 +98,7 @@ fn parse_args() -> Args {
             "--json" | "--full" => {} // shared-mode flags, handled by the serializer
             other => {
                 eprintln!("unknown flag {other}");
-                eprintln!("usage: perf_regression [--label L] [--backend scalar|bitwise|simd] [--compare PREV.json] [--threshold PCT] [--trace OUT.json] [--threads N] [--json]");
+                eprintln!("usage: perf_regression [--label L] [--backend scalar|bitwise] [--compare PREV.json] [--threshold PCT] [--trace OUT.json] [--threads N] [--json]");
                 std::process::exit(2);
             }
         }
@@ -122,7 +122,8 @@ fn write_chrome_trace(path: &Path) {
     let ctx = MatrixCtx::new(rep.name, rep.matrix, 5);
     let engine = UniStc::new(UniStcConfig::with_precision(Precision::Fp64));
     let mut events: Vec<obs::TraceEvent> = Vec::new();
-    let report = run_spmv_traced(&engine, &EnergyModel::default(), &ctx.bbc, &mut events);
+    let em = EnergyModel::default();
+    let report = run_tasks_traced(&engine, &em, Kernel::SpMV, spmv_tasks(&ctx.bbc), &mut events);
     std::fs::write(path, obs::chrome::export_pretty(&events)).expect("write chrome trace");
     eprintln!(
         "wrote {} ({} events, {} cycles on {})",

@@ -98,7 +98,7 @@ fn main() {
     let uni = UniStc::default();
     let mut rows = Vec::new();
     for n_units in [1usize, 2, 4, 8, 16, 32] {
-        let rep = parallel_kernel(&uni, &em, &a, Kernel::SpMV, 1, n_units);
+        let rep = parallel_kernel(&uni, &a, Kernel::SpMV, 1, n_units);
         rows.push(vec![
             n_units.to_string(),
             rep.makespan.to_string(),

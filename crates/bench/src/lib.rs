@@ -13,7 +13,7 @@ pub mod perf;
 
 use baselines::{DsStc, Gamma, NvDtc, RmStc, Sigma, Trapezoid};
 use simkit::driver::{self, Kernel, KernelReport};
-use simkit::{EnergyModel, Precision, TileEngine};
+use simkit::{CounterOverflow, EnergyModel, Precision, TaskStream, TileEngine};
 use sparse::{BbcMatrix, CsrMatrix, SparseVector};
 use uni_stc::{UniStc, UniStcConfig};
 
@@ -71,18 +71,29 @@ impl MatrixCtx {
         MatrixCtx { name: name.into(), csr, bbc, x_sparse }
     }
 
-    /// Runs one kernel on one engine.
-    pub fn run(&self, engine: &dyn TileEngine, em: &EnergyModel, kernel: Kernel) -> KernelReport {
+    /// The counted task stream of `kernel` on this matrix: the one
+    /// operand builder [`MatrixCtx::run`] and [`MatrixCtx::run_sharded`]
+    /// share.
+    fn stream(&self, kernel: Kernel) -> Result<TaskStream, CounterOverflow> {
         match kernel {
-            Kernel::SpMV => driver::run_spmv(engine, em, &self.bbc),
-            Kernel::SpMSpV => driver::run_spmspv(engine, em, &self.bbc, &self.x_sparse),
-            Kernel::SpMM => driver::run_spmm(engine, em, &self.bbc, SPMM_N_COLS),
-            Kernel::SpGEMM => driver::run_spgemm(engine, em, &self.bbc, &self.bbc),
+            Kernel::SpMV => Ok(driver::spmv_stream(&self.bbc)),
+            Kernel::SpMSpV => Ok(driver::spmspv_stream(&self.bbc, &self.x_sparse)),
+            Kernel::SpMM => driver::spmm_stream(&self.bbc, SPMM_N_COLS),
+            Kernel::SpGEMM => Ok(driver::spgemm_stream(&self.bbc, &self.bbc)),
         }
     }
 
+    /// Runs one kernel on one engine through the serial driver.
+    pub fn run(&self, engine: &dyn TileEngine, em: &EnergyModel, kernel: Kernel) -> KernelReport {
+        self.stream(kernel)
+            .and_then(|stream| driver::run_stream(engine, em, kernel, &stream))
+            .expect("a 64-column SpMM keeps every counter far below 2^64")
+    }
+
     /// Runs one kernel through the resilient parallel runtime, sharded
-    /// under `cfg`. The merged report is bit-identical to [`MatrixCtx::run`].
+    /// under `cfg` exactly as the service shards a job: a contiguous plan
+    /// over the counted stream's distinct entries. The merged report is
+    /// bit-identical to [`MatrixCtx::run`].
     ///
     /// # Errors
     ///
@@ -97,14 +108,9 @@ impl MatrixCtx {
         em: &EnergyModel,
         kernel: Kernel,
     ) -> Result<runtime::ShardedRun, runtime::PlannedRunError> {
-        match kernel {
-            Kernel::SpMV => runtime::run_spmv_sharded(cfg, engine, em, &self.bbc),
-            Kernel::SpMSpV => {
-                runtime::run_spmspv_sharded(cfg, engine, em, &self.bbc, &self.x_sparse)
-            }
-            Kernel::SpMM => runtime::run_spmm_sharded(cfg, engine, em, &self.bbc, SPMM_N_COLS),
-            Kernel::SpGEMM => runtime::run_spgemm_sharded(cfg, engine, em, &self.bbc, &self.bbc),
-        }
+        let stream = self.stream(kernel).map_err(runtime::PlannedRunError::Overflow)?;
+        let plan = runtime::ShardPlan::contiguous(stream.len(), cfg.threads);
+        runtime::run_stream_planned(cfg, &plan, engine, em, kernel, &stream)
     }
 
     /// Runs one kernel on `threads` workers — the serial driver at 1
@@ -118,14 +124,8 @@ impl MatrixCtx {
         kernel: Kernel,
         threads: usize,
     ) -> KernelReport {
-        if threads <= 1 {
-            self.run(engine, em, kernel)
-        } else {
-            let cfg = runtime::RuntimeConfig::with_threads(threads);
-            self.run_sharded(&cfg, engine, em, kernel)
-                .expect("production engines never fail a shard intrinsically")
-                .report
-        }
+        let mut unused = obs::MetricsRegistry::new();
+        self.run_threaded_observed(engine, em, kernel, threads, &mut unused)
     }
 
     /// [`MatrixCtx::run_threaded`] that also exports the pool's scheduler

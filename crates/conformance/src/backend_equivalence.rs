@@ -1,7 +1,7 @@
 //! Differential backend-equivalence suite.
 //!
 //! `sparse::kernels` ships interchangeable bit-manipulation backends
-//! (`scalar`, `bitwise`, and optionally `simd`). They are *supposed* to be
+//! (`scalar` and `bitwise`). They are *supposed* to be
 //! observationally identical: same BBC encodings, same simulator counters,
 //! same numeric results to the last ULP — the bitwise tricks only change
 //! how index math is computed, never what is computed. This module turns
@@ -9,7 +9,7 @@
 //! the whole stack (BBC encode, all seven counter engines x four kernels,
 //! the scalar `sparse::ops` reference and the `uni_stc::kernels` dataflow)
 //! under each backend pair and demands bit-identical
-//! [`counter_signature`](simkit::KernelReport::counter_signature) strings,
+//! [`counter_signature`](simkit::driver::KernelReport::counter_signature) strings,
 //! structurally equal sparse outputs and [`Tolerance::EXACT`] numerics.
 //!
 //! Failures shrink through the same ddmin delta-debugger as the rest of
@@ -179,8 +179,7 @@ pub fn check_backend_pair(
 }
 
 /// The backend pairs under test: `scalar` is the reference; every other
-/// compiled-in backend (`bitwise`, and `simd` with the feature on) is a
-/// candidate.
+/// backend (`bitwise`) is a candidate.
 pub fn backend_pairs() -> Vec<(BackendKind, BackendKind)> {
     BackendKind::ALL
         .iter()

@@ -21,7 +21,7 @@ use crate::oracle::spgemm_rhs;
 
 /// Every counter-model engine under differential test: the six baselines
 /// plus Uni-STC itself, all at FP64.
-pub fn all_engines() -> Vec<Box<dyn TileEngine>> {
+pub fn all_engines() -> Vec<Box<dyn TileEngine + Send + Sync>> {
     let mut engines = all_baselines(Precision::Fp64);
     engines.push(Box::new(UniStc::default()));
     engines

@@ -14,9 +14,9 @@
 //!    cycle models, the Uni-STC engine and the numeric dataflow must all
 //!    count exactly the same useful work.
 //! 4. **Backend equivalence** ([`backend_equivalence`]): the scalar and
-//!    bit-parallel `sparse::kernels` backends (plus `simd` when the
-//!    feature is on) must be observationally identical — bit-identical
-//!    counter signatures and EXACT-tolerance numerics on every regime.
+//!    bit-parallel `sparse::kernels` backends must be observationally
+//!    identical — bit-identical counter signatures and EXACT-tolerance
+//!    numerics on every regime.
 //!
 //! Inputs come from structured sparsity [`generators`] (block-aligned,
 //! banded, pruning-mask, adversarial dense-row/column regimes), failures

@@ -25,7 +25,7 @@ fn full_sweep_under_session_seed() {
 }
 
 /// The backend-equivalence sweep from the issue: all regimes x 4 kernels
-/// through scalar vs bitwise (and simd under `--features simd`), demanding
+/// through scalar vs bitwise, demanding
 /// bit-identical counter signatures and EXACT numerics. Failures shrink
 /// and replay exactly like the main sweep.
 #[test]

@@ -1,11 +1,13 @@
 //! Counted-stream conformance: executing each distinct T1 task once and
-//! scaling by its multiplicity (`driver::run_stream`) must reproduce the
-//! ordered task-by-task path — the one a traced run takes — exactly:
-//! every counter, the utilisation histogram and the energy bits.
+//! scaling by its multiplicity (`driver::run_stream`), serially and
+//! sharded over two pool workers (`runtime::run_stream_planned`), must
+//! reproduce the ordered task-by-task path — the one a traced run takes —
+//! exactly: every counter, the utilisation histogram and the energy bits.
 
 use conformance::differential::all_engines;
 use conformance::generators::{sparse_vector, Regime};
 use conformance::oracle::spgemm_rhs;
+use runtime::{run_stream_planned, RuntimeConfig, ShardPlan};
 use simkit::driver::{self, Kernel, KernelReport};
 use simkit::{EnergyModel, T1Task, TaskStream, TileEngine};
 use sparse::BbcMatrix;
@@ -39,10 +41,11 @@ fn assert_identical(counted: &KernelReport, ordered: &KernelReport, ctx: &str) {
     assert_eq!(bits(counted), bits(ordered), "{ctx}: energy bits");
 }
 
-/// Runs `tasks` both ways on `engine` and compares, with `sink` recording
-/// the ordered run.
+/// Runs `tasks` three ways on `engine` — ordered, counted, and counted
+/// over a contiguous 2-thread shard plan — and compares, with `sink`
+/// recording the ordered run.
 fn check(
-    engine: &dyn TileEngine,
+    engine: &(dyn TileEngine + Sync),
     kernel: Kernel,
     tasks: &[T1Task],
     sink: &mut dyn obs::TraceSink,
@@ -56,6 +59,11 @@ fn check(
     let counted = driver::run_stream(engine, &em, kernel, &stream)
         .unwrap_or_else(|e| panic!("{ctx}: {e}"));
     assert_identical(&counted, &ordered, ctx);
+    let cfg = RuntimeConfig::with_threads(2);
+    let plan = ShardPlan::contiguous(stream.len(), cfg.threads);
+    let sharded = run_stream_planned(&cfg, &plan, engine, &em, kernel, &stream)
+        .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+    assert_identical(&sharded.report, &ordered, &format!("{ctx} (2 threads)"));
 }
 
 #[test]

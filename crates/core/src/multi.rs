@@ -20,7 +20,7 @@
 //! identical to the fault-free reference.
 
 use simkit::fault::FaultPlan;
-use simkit::{driver::Kernel, Block16, EnergyModel, EventCounts, T1Task, TileEngine};
+use simkit::{driver::Kernel, Block16, EventCounts, T1Task, TileEngine};
 use sparse::BbcMatrix;
 
 use crate::schedule::{balance_warps, warp_loads};
@@ -149,13 +149,12 @@ fn block_cycles(
 /// SpGEMM need a different partitioning axis).
 pub fn parallel_kernel(
     engine: &dyn TileEngine,
-    energy_model: &EnergyModel,
     a: &BbcMatrix,
     kernel: Kernel,
     n_cols: usize,
     n_units: usize,
 ) -> MultiUnitReport {
-    parallel_kernel_degraded(engine, energy_model, a, kernel, n_cols, n_units, &[])
+    parallel_kernel_degraded(engine, a, kernel, n_cols, n_units, &[])
         .expect("no fault plans, so no unit can be lost")
 }
 
@@ -245,7 +244,6 @@ fn plan_degraded(
 /// Panics if `n_units == 0` or `kernel` is not SpMV / SpMM.
 pub fn parallel_kernel_degraded(
     engine: &dyn TileEngine,
-    _energy_model: &EnergyModel,
     a: &BbcMatrix,
     kernel: Kernel,
     n_cols: usize,
@@ -302,7 +300,6 @@ pub fn parallel_kernel_degraded(
 /// Panics if `n_units == 0` or `x.len() != a.ncols()`.
 pub fn degraded_spmv(
     engine: &dyn TileEngine,
-    _energy_model: &EnergyModel,
     a: &BbcMatrix,
     x: &[f64],
     n_units: usize,
@@ -356,10 +353,9 @@ mod tests {
     #[test]
     fn makespan_bounded_by_serial_and_ideal() {
         let a = bbc(256, (0..256).map(|i| (i, (i * 11) % 256)));
-        let em = EnergyModel::default();
         let uni = UniStc::default();
         for n_units in [1usize, 2, 4, 8] {
-            let rep = parallel_kernel(&uni, &em, &a, Kernel::SpMV, 1, n_units);
+            let rep = parallel_kernel(&uni, &a, Kernel::SpMV, 1, n_units);
             assert!(rep.makespan <= rep.serial_cycles);
             assert!(rep.makespan * n_units as u64 >= rep.serial_cycles);
             assert!(rep.speedup() >= 1.0);
@@ -372,14 +368,7 @@ mod tests {
     #[test]
     fn one_unit_equals_serial() {
         let a = bbc(128, (0..128).map(|i| (i, i)));
-        let rep = parallel_kernel(
-            &UniStc::default(),
-            &EnergyModel::default(),
-            &a,
-            Kernel::SpMV,
-            1,
-            1,
-        );
+        let rep = parallel_kernel(&UniStc::default(), &a, Kernel::SpMV, 1, 1);
         assert_eq!(rep.makespan, rep.serial_cycles);
         assert!((rep.speedup() - 1.0).abs() < 1e-12);
     }
@@ -388,28 +377,14 @@ mod tests {
     fn balanced_work_scales_nearly_linearly() {
         // 32 identical diagonal blocks across 8 units.
         let a = bbc(512, (0..512).map(|i| (i, i)));
-        let rep = parallel_kernel(
-            &UniStc::default(),
-            &EnergyModel::default(),
-            &a,
-            Kernel::SpMV,
-            1,
-            8,
-        );
+        let rep = parallel_kernel(&UniStc::default(), &a, Kernel::SpMV, 1, 8);
         assert!(rep.efficiency() > 0.9, "efficiency {}", rep.efficiency());
     }
 
     #[test]
     fn spmm_replay_works() {
         let a = bbc(64, (0..64).map(|i| (i, (i * 3) % 64)));
-        let rep = parallel_kernel(
-            &UniStc::default(),
-            &EnergyModel::default(),
-            &a,
-            Kernel::SpMM,
-            64,
-            4,
-        );
+        let rep = parallel_kernel(&UniStc::default(), &a, Kernel::SpMM, 64, 4);
         assert!(rep.makespan > 0);
         assert!(rep.speedup() > 1.0);
     }
@@ -418,14 +393,7 @@ mod tests {
     #[should_panic(expected = "SpMV and SpMM")]
     fn spgemm_rejected() {
         let a = bbc(16, [(0, 0)]);
-        parallel_kernel(
-            &UniStc::default(),
-            &EnergyModel::default(),
-            &a,
-            Kernel::SpGEMM,
-            1,
-            2,
-        );
+        parallel_kernel(&UniStc::default(), &a, Kernel::SpGEMM, 1, 2);
     }
 
     #[test]
@@ -433,16 +401,8 @@ mod tests {
         let a = bbc(512, (0..512).map(|i| (i, i)));
         // Unit 0 gets certain metadata corruption; the rest stay clean.
         let plans = [FaultPlan { seed: 1, bitmap_rate: 0.3, pointer_rate: 0.0, value_rate: 0.0 }];
-        let rep = parallel_kernel_degraded(
-            &UniStc::default(),
-            &EnergyModel::default(),
-            &a,
-            Kernel::SpMV,
-            1,
-            4,
-            &plans,
-        )
-        .unwrap();
+        let rep = parallel_kernel_degraded(&UniStc::default(), &a, Kernel::SpMV, 1, 4, &plans)
+            .unwrap();
         assert_eq!(rep.faulty_units, vec![0]);
         assert!(rep.retried_blocks > 0);
         assert_eq!(rep.unit_cycles[0], 0, "offline unit must do no work");
@@ -450,14 +410,7 @@ mod tests {
         assert_eq!(rep.events.faults_detected, rep.events.faults_injected);
         assert_eq!(rep.events.faults_uncorrected, rep.events.faults_detected);
         // The same total work is still performed.
-        let clean = parallel_kernel(
-            &UniStc::default(),
-            &EnergyModel::default(),
-            &a,
-            Kernel::SpMV,
-            1,
-            4,
-        );
+        let clean = parallel_kernel(&UniStc::default(), &a, Kernel::SpMV, 1, 4);
         assert_eq!(rep.serial_cycles, clean.serial_cycles);
     }
 
@@ -467,16 +420,8 @@ mod tests {
         let plans: Vec<FaultPlan> = (0..4)
             .map(|s| FaultPlan { seed: s, bitmap_rate: 0.4, pointer_rate: 0.0, value_rate: 0.0 })
             .collect();
-        let err = parallel_kernel_degraded(
-            &UniStc::default(),
-            &EnergyModel::default(),
-            &a,
-            Kernel::SpMV,
-            1,
-            4,
-            &plans,
-        )
-        .unwrap_err();
+        let err = parallel_kernel_degraded(&UniStc::default(), &a, Kernel::SpMV, 1, 4, &plans)
+            .unwrap_err();
         assert!(matches!(err, DegradedError::NoHealthyUnits { .. }));
         assert!(!err.to_string().is_empty());
     }
@@ -501,13 +446,12 @@ mod tests {
         let a = bbc(256, (0..256).flat_map(|i| [(i, i), (i, (i * 7) % 256)]));
         let x: Vec<f64> = (0..256).map(|i| ((i % 13) as f64) - 6.0).collect();
         let uni = UniStc::default();
-        let em = EnergyModel::default();
-        let (y_ref, _) = degraded_spmv(&uni, &em, &a, &x, 4, &[]).unwrap();
+        let (y_ref, _) = degraded_spmv(&uni, &a, &x, 4, &[]).unwrap();
         let plans = [
             FaultPlan { seed: 5, bitmap_rate: 0.2, pointer_rate: 0.1, value_rate: 0.0 },
             FaultPlan::none(6),
         ];
-        let (y, rep) = degraded_spmv(&uni, &em, &a, &x, 4, &plans).unwrap();
+        let (y, rep) = degraded_spmv(&uni, &a, &x, 4, &plans).unwrap();
         assert_eq!(rep.faulty_units, vec![0]);
         assert!(y.iter().zip(&y_ref).all(|(a, b)| a.to_bits() == b.to_bits()));
     }
@@ -517,7 +461,7 @@ mod tests {
         let a = bbc(96, (0..96).map(|i| (i, (i * 5) % 96)));
         let x: Vec<f64> = (0..96).map(|i| 1.0 + (i % 3) as f64).collect();
         let (y, _) =
-            degraded_spmv(&UniStc::default(), &EnergyModel::default(), &a, &x, 3, &[]).unwrap();
+            degraded_spmv(&UniStc::default(), &a, &x, 3, &[]).unwrap();
         let want = sparse::ops::spmv(&a.to_csr(), &x).unwrap();
         for (g, w) in y.iter().zip(&want) {
             assert!((g - w).abs() < 1e-12);

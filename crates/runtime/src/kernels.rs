@@ -5,15 +5,17 @@
 //! [`EventCounts`](simkit::EventCounts) adds field-wise,
 //! [`UtilHistogram`](simkit::UtilHistogram) merges by adding bucket
 //! counts, and energy is a *function of the merged events*, recomputed
-//! once at the end rather than summed. Sharding a task stream, running
-//! each shard through the untouched serial driver
-//! ([`simkit::driver::run_stream`]), and folding the shard reports in
-//! shard order therefore reproduces the serial report **bit for bit** —
-//! the conformance golden counter snapshots pin this. A counted
-//! [`TaskStream`] shards the same way over its distinct entries
-//! ([`run_stream_planned`]).
+//! once at the end rather than summed. Sharding a counted [`TaskStream`]
+//! over its distinct entries, running each shard through the untouched
+//! serial driver ([`simkit::driver::run_stream`]), and folding the shard
+//! reports in shard order ([`KernelReport::try_merge_scaled`] with a
+//! factor of 1) therefore reproduces the serial report **bit for bit** —
+//! the conformance golden counter snapshots pin this.
+//! [`run_stream_planned`] is that parallel executor; a kernel's stream
+//! comes from `driver::<kernel>_stream`, and
+//! [`ShardPlan::contiguous`] splits it.
 //!
-//! The shards execute on the [`pool`](crate::pool), so they inherit its
+//! The shards execute on the [`pool`], so they inherit its
 //! resilience: a shard whose execution panics is retried and, past the
 //! budget, surfaces as [`PlannedRunError::Execution`] carrying
 //! [`DegradedError::RetriesExhausted`](uni_stc::multi::DegradedError);
@@ -28,7 +30,6 @@
 
 use simkit::driver::{self, Kernel, KernelReport};
 use simkit::{CounterOverflow, EnergyModel, T1Task, TaskStream, TileEngine};
-use sparse::{BbcMatrix, SparseVector};
 use uni_stc::multi::DegradedError;
 
 use crate::pool::{self, RuntimeConfig, TaskOutcome};
@@ -44,29 +45,6 @@ pub struct ShardedRun {
     pub degraded: Option<pool::DegradedReport>,
     /// Scheduler lifecycle trace (µs timestamps since the run started).
     pub trace: Vec<obs::TraceEvent>,
-}
-
-/// Shard length targeting ~4 shards per worker, so steals have something
-/// to rebalance without shrinking shards into scheduling overhead.
-pub fn shard_len(tasks: usize, threads: usize) -> usize {
-    (tasks / (threads.max(1) * 4)).max(1)
-}
-
-/// Folds `next` into `acc`: checked sums, in shard order
-/// ([`KernelReport::try_merge_scaled`] with a factor of 1). Energy is
-/// *not* merged here — it is recomputed from the merged events by the
-/// caller.
-///
-/// Public so `analysis::concurrency` can verify the fold itself: the
-/// merged report is order-independent (a commutative monoid over shard
-/// reports) precisely because every field is a plain sum/merge and the
-/// energy field is left untouched.
-///
-/// # Errors
-///
-/// [`CounterOverflow`] if a merged counter would exceed `u64::MAX`.
-pub fn fold_report(acc: &mut KernelReport, next: &KernelReport) -> Result<(), CounterOverflow> {
-    acc.try_merge_scaled(next, 1)
 }
 
 /// Why a [`ShardPlan`] is illegal to execute.
@@ -144,10 +122,11 @@ pub struct ShardPlan {
 }
 
 impl ShardPlan {
-    /// The plan [`run_tasks_sharded`] uses: contiguous chunks of
-    /// [`shard_len`] tasks, targeting ~4 shards per worker.
+    /// Contiguous chunks targeting ~4 shards per worker, so steals have
+    /// something to rebalance without shrinking shards into scheduling
+    /// overhead. The plan the service and the bench harness run.
     pub fn contiguous(tasks: usize, threads: usize) -> Self {
-        let chunk = shard_len(tasks, threads);
+        let chunk = (tasks / (threads.max(1) * 4)).max(1);
         let mut shards = Vec::new();
         let mut start = 0;
         while start < tasks {
@@ -243,31 +222,17 @@ impl std::fmt::Display for PlannedRunError {
 
 impl std::error::Error for PlannedRunError {}
 
-/// Runs a materialised task stream sharded across the pool and merges a
-/// report bit-identical to `driver::run_tasks` over the same stream.
+/// Runs a materialised task list sharded under `plan`: each shard is
+/// collapsed into a [`TaskStream`] and runs through
+/// [`driver::run_stream`]. The plan covers task indices and is verified
+/// *before any worker is spawned*: an illegal plan (overlap, gap, empty
+/// or out-of-range shard) is rejected with [`PlannedRunError::Rejected`]
+/// and zero tasks execute. The merged report is bit-identical to the
+/// serial driver over the same tasks.
 ///
-/// # Errors
-///
-/// [`PlannedRunError::Execution`] (carrying
-/// [`DegradedError::RetriesExhausted`]) if a shard kept failing
-/// intrinsically (the engine panicked on it) beyond the retry budget; the
-/// error names the first failed shard and its attempt count.
-pub fn run_tasks_sharded(
-    cfg: &RuntimeConfig,
-    engine: &(dyn TileEngine + Sync),
-    energy_model: &EnergyModel,
-    kernel: Kernel,
-    tasks: Vec<T1Task>,
-) -> Result<ShardedRun, PlannedRunError> {
-    let plan = ShardPlan::contiguous(tasks.len(), cfg.threads);
-    run_tasks_planned(cfg, &plan, engine, energy_model, kernel, &tasks)
-}
-
-/// [`run_tasks_sharded`] with a caller-supplied [`ShardPlan`]. The plan
-/// is verified *before any worker is spawned*: an illegal plan (overlap,
-/// gap, empty or out-of-range shard) is rejected with
-/// [`PlannedRunError::Rejected`] and zero tasks execute. Each shard runs
-/// counted ([`driver::run_stream`] over the shard's distinct tasks).
+/// Prefer [`run_stream_planned`], which collapses the stream once
+/// instead of once per shard; this entry point serves callers that hold
+/// a `Vec<T1Task>`.
 ///
 /// # Errors
 ///
@@ -354,7 +319,7 @@ where
             TaskOutcome::Done(shard) => shard
                 .as_ref()
                 .map_err(|e| *e)
-                .and_then(|shard| fold_report(&mut report, shard))
+                .and_then(|shard| report.try_merge_scaled(shard, 1))
                 .map_err(PlannedRunError::Overflow)?,
             TaskOutcome::Failed { attempts, .. } => {
                 return Err(PlannedRunError::Execution(DegradedError::RetriesExhausted {
@@ -373,74 +338,11 @@ where
     })
 }
 
-/// Sharded SpMV — same task stream as [`driver::run_spmv`].
-///
-/// # Errors
-///
-/// See [`run_tasks_sharded`].
-pub fn run_spmv_sharded(
-    cfg: &RuntimeConfig,
-    engine: &(dyn TileEngine + Sync),
-    energy_model: &EnergyModel,
-    a: &BbcMatrix,
-) -> Result<ShardedRun, PlannedRunError> {
-    run_tasks_sharded(cfg, engine, energy_model, Kernel::SpMV, driver::spmv_tasks(a))
-}
-
-/// Sharded SpMSpV — same task stream as [`driver::run_spmspv`].
-///
-/// # Errors
-///
-/// See [`run_tasks_sharded`].
-pub fn run_spmspv_sharded(
-    cfg: &RuntimeConfig,
-    engine: &(dyn TileEngine + Sync),
-    energy_model: &EnergyModel,
-    a: &BbcMatrix,
-    x: &SparseVector,
-) -> Result<ShardedRun, PlannedRunError> {
-    run_tasks_sharded(cfg, engine, energy_model, Kernel::SpMSpV, driver::spmspv_tasks(a, x))
-}
-
-/// Sharded SpMM — same task stream as [`driver::run_spmm`].
-///
-/// # Errors
-///
-/// See [`run_tasks_sharded`].
-pub fn run_spmm_sharded(
-    cfg: &RuntimeConfig,
-    engine: &(dyn TileEngine + Sync),
-    energy_model: &EnergyModel,
-    a: &BbcMatrix,
-    n_cols: usize,
-) -> Result<ShardedRun, PlannedRunError> {
-    run_tasks_sharded(cfg, engine, energy_model, Kernel::SpMM, driver::spmm_tasks(a, n_cols))
-}
-
-/// Sharded SpGEMM — same task stream as [`driver::run_spgemm`].
-///
-/// # Errors
-///
-/// See [`run_tasks_sharded`].
-///
-/// # Panics
-///
-/// Panics if the block grids do not conform, exactly as
-/// [`driver::spgemm_tasks`] does.
-pub fn run_spgemm_sharded(
-    cfg: &RuntimeConfig,
-    engine: &(dyn TileEngine + Sync),
-    energy_model: &EnergyModel,
-    a: &BbcMatrix,
-    b: &BbcMatrix,
-) -> Result<ShardedRun, PlannedRunError> {
-    run_tasks_sharded(cfg, engine, energy_model, Kernel::SpGEMM, driver::spgemm_tasks(a, b))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use simkit::{NetworkCosts, T1Result};
+    use sparse::{BbcMatrix, SparseVector};
 
     /// The reference engine from the driver tests: perfect packing.
     struct Ideal;
@@ -485,14 +387,27 @@ mod tests {
         SparseVector::try_new(dim, idx, vals).expect("indices sorted by construction")
     }
 
+    /// The parallel path the service runs: a contiguous plan over the
+    /// stream's distinct entries, then [`run_stream_planned`].
+    fn sharded(
+        cfg: &RuntimeConfig,
+        engine: &(dyn TileEngine + Sync),
+        kernel: Kernel,
+        stream: &TaskStream,
+    ) -> Result<ShardedRun, PlannedRunError> {
+        let plan = ShardPlan::contiguous(stream.len(), cfg.threads);
+        run_stream_planned(cfg, &plan, engine, &EnergyModel::default(), kernel, stream)
+    }
+
     #[test]
     fn sharded_spmv_matches_serial_bit_for_bit() {
         let a = demo_matrix(1);
         let em = EnergyModel::default();
         let serial = driver::run_spmv(&Ideal, &em, &a);
+        let stream = driver::spmv_stream(&a);
         for threads in [1, 2, 8] {
             let cfg = RuntimeConfig::with_threads(threads);
-            let sharded = run_spmv_sharded(&cfg, &Ideal, &em, &a).expect("no failures");
+            let sharded = sharded(&cfg, &Ideal, Kernel::SpMV, &stream).expect("no failures");
             assert_eq!(
                 sharded.report.counter_signature(),
                 serial.counter_signature(),
@@ -514,7 +429,7 @@ mod tests {
         for &kind in BackendKind::ALL {
             let sharded = with_backend(kind, || {
                 let cfg = RuntimeConfig::with_threads(4);
-                run_spmv_sharded(&cfg, &Ideal, &em, &a).expect("no failures")
+                sharded(&cfg, &Ideal, Kernel::SpMV, &driver::spmv_stream(&a)).expect("no failures")
             });
             assert_eq!(
                 sharded.report.counter_signature(),
@@ -532,35 +447,15 @@ mod tests {
         let x = demo_vector(96, 0.25, 9);
         let em = EnergyModel::default();
         let cfg = RuntimeConfig::with_threads(4);
-        let pairs = [
-            (
-                driver::run_spmv(&Ideal, &em, &a).counter_signature(),
-                run_spmv_sharded(&cfg, &Ideal, &em, &a).expect("spmv").report.counter_signature(),
-            ),
-            (
-                driver::run_spmspv(&Ideal, &em, &a, &x).counter_signature(),
-                run_spmspv_sharded(&cfg, &Ideal, &em, &a, &x)
-                    .expect("spmspv")
-                    .report
-                    .counter_signature(),
-            ),
-            (
-                driver::run_spmm(&Ideal, &em, &a, 40).counter_signature(),
-                run_spmm_sharded(&cfg, &Ideal, &em, &a, 40)
-                    .expect("spmm")
-                    .report
-                    .counter_signature(),
-            ),
-            (
-                driver::run_spgemm(&Ideal, &em, &a, &b).counter_signature(),
-                run_spgemm_sharded(&cfg, &Ideal, &em, &a, &b)
-                    .expect("spgemm")
-                    .report
-                    .counter_signature(),
-            ),
+        let cases = [
+            (driver::run_spmv(&Ideal, &em, &a), driver::spmv_stream(&a)),
+            (driver::run_spmspv(&Ideal, &em, &a, &x), driver::spmspv_stream(&a, &x)),
+            (driver::run_spmm(&Ideal, &em, &a, 40), driver::spmm_stream(&a, 40).expect("fits")),
+            (driver::run_spgemm(&Ideal, &em, &a, &b), driver::spgemm_stream(&a, &b)),
         ];
-        for (serial, sharded) in pairs {
-            assert_eq!(serial, sharded);
+        for (serial, stream) in cases {
+            let run = sharded(&cfg, &Ideal, serial.kernel, &stream).expect("no failures");
+            assert_eq!(serial.counter_signature(), run.report.counter_signature());
         }
     }
 
@@ -569,8 +464,8 @@ mod tests {
         let em = EnergyModel::default();
         let cfg = RuntimeConfig::with_threads(2);
         let sharded =
-            run_tasks_sharded(&cfg, &Ideal, &em, Kernel::SpMM, Vec::new()).expect("empty");
-        let serial = driver::run_tasks(&Ideal, &em, Kernel::SpMM, std::iter::empty());
+            sharded(&cfg, &Ideal, Kernel::SpMM, &TaskStream::default()).expect("empty");
+        let serial = driver::run_stream(&Ideal, &em, Kernel::SpMM, &[]).expect("no counters");
         assert_eq!(sharded.report, serial);
         assert_eq!(sharded.report.t1_tasks, 0);
     }
@@ -585,7 +480,8 @@ mod tests {
             backoff: crate::pool::Backoff::none(),
             ..RuntimeConfig::with_threads(2).with_chaos(chaos)
         };
-        let sharded = run_spmv_sharded(&cfg, &Ideal, &em, &a).expect("chaos is survivable");
+        let sharded = sharded(&cfg, &Ideal, Kernel::SpMV, &driver::spmv_stream(&a))
+            .expect("chaos is survivable");
         assert_eq!(sharded.report, serial);
     }
 
@@ -607,13 +503,12 @@ mod tests {
             }
         }
         let a = demo_matrix(5);
-        let em = EnergyModel::default();
         let cfg = RuntimeConfig {
             max_retries: 1,
             backoff: crate::pool::Backoff::none(),
             ..RuntimeConfig::with_threads(2)
         };
-        match run_spmv_sharded(&cfg, &Grenade, &em, &a) {
+        match sharded(&cfg, &Grenade, Kernel::SpMV, &driver::spmv_stream(&a)) {
             Err(PlannedRunError::Execution(DegradedError::RetriesExhausted { attempts, .. })) => {
                 assert_eq!(attempts, 2, "first try + one retry");
             }
@@ -658,10 +553,11 @@ mod tests {
 
     #[test]
     fn shard_len_scales_with_threads() {
-        assert_eq!(shard_len(0, 4), 1);
-        assert_eq!(shard_len(100, 1), 25);
-        assert_eq!(shard_len(1000, 8), 31);
-        assert!(shard_len(3, 8) >= 1);
+        let first_len = |tasks, threads| ShardPlan::contiguous(tasks, threads).shards()[0].len();
+        assert_eq!(first_len(100, 1), 25);
+        assert_eq!(first_len(1000, 8), 31);
+        assert_eq!(first_len(3, 8), 1);
+        assert!(ShardPlan::contiguous(0, 4).shards().is_empty());
     }
 
     #[test]

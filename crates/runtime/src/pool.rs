@@ -7,7 +7,7 @@
 //! # Supervision model
 //!
 //! A supervisor (the calling thread) owns all mutable bookkeeping; workers
-//! only pull [`Attempt`]s from deques and report what happened over a
+//! only pull `Attempt`s from deques and report what happened over a
 //! channel. Per-attempt faults are isolated with
 //! [`std::panic::catch_unwind`], so a panicking task function costs one
 //! attempt, never a worker. Failures split into two classes:

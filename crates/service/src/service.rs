@@ -690,17 +690,11 @@ fn prepare(
             admit(verifier, shared, &mut job, &key, sources, |v| v.verify_spgemm(&a, &b))?;
             // The task compiler cannot represent a non-conforming grid
             // (it would panic), so this gate holds even with admission
-            // off — the same `USTC012` the verified driver reports.
+            // off — the same `USTC012` the verifier reports.
             if a.block_cols() != b.block_rows() {
                 return Err(JobError::Rejected {
                     code: "USTC012".to_owned(),
-                    message: format!(
-                        "SpGEMM block grids do not conform ({}x{} blocks vs {}x{})",
-                        a.block_rows(),
-                        a.block_cols(),
-                        b.block_rows(),
-                        b.block_cols()
-                    ),
+                    message: analysis::spgemm_shape_message(&a, &b),
                 });
             }
             (key, a, Some(b), hit_a && hit_b)

@@ -45,12 +45,13 @@ impl std::fmt::Display for VerifyError {
 
 impl std::error::Error for VerifyError {}
 
-/// A static checker the [`Driver`] can consult before simulating a stream.
+/// A static checker a caller consults before simulating a stream.
 ///
 /// Implementations prove stream legality without executing anything; the
 /// `analysis` crate provides the canonical implementation
-/// (`analysis::UstcVerifier`). A clean result (`Ok`) means the invocation
-/// may proceed; an error carries the first error-severity diagnostic.
+/// (`analysis::UstcVerifier`), which the service's admission gate runs.
+/// A clean result (`Ok`) means the invocation may proceed; an error
+/// carries the first error-severity diagnostic.
 pub trait StreamVerifier {
     /// Statically checks an SpMV invocation on `a`.
     fn verify_spmv(&self, a: &BbcMatrix) -> Result<(), VerifyError>;
@@ -60,158 +61,6 @@ pub trait StreamVerifier {
     fn verify_spmm(&self, a: &BbcMatrix, n_cols: usize) -> Result<(), VerifyError>;
     /// Statically checks an SpGEMM invocation on `a` and `b`.
     fn verify_spgemm(&self, a: &BbcMatrix, b: &BbcMatrix) -> Result<(), VerifyError>;
-}
-
-/// A kernel driver with an optional verify-before-run gate.
-///
-/// Without a verifier, the methods delegate to the free `run_*` functions.
-/// With one ([`Driver::verify_before_run`]), every invocation is statically
-/// checked first and illegal streams are rejected with their first `USTC`
-/// error code instead of being simulated.
-///
-/// # Example
-///
-/// ```
-/// use simkit::driver::Driver;
-/// use simkit::{EnergyModel, NetworkCosts, T1Result, T1Task, TileEngine};
-/// use sparse::{BbcMatrix, CooMatrix, CsrMatrix};
-///
-/// # struct Ideal;
-/// # impl TileEngine for Ideal {
-/// #     fn name(&self) -> &str { "ideal" }
-/// #     fn lanes(&self) -> usize { 64 }
-/// #     fn execute(&self, task: &T1Task) -> T1Result {
-/// #         let mut r = T1Result::new(64);
-/// #         r.record_cycle(task.products() as usize);
-/// #         r.useful = task.products();
-/// #         r
-/// #     }
-/// #     fn network_costs(&self) -> NetworkCosts { NetworkCosts::flat() }
-/// # }
-/// # fn main() -> Result<(), sparse::FormatError> {
-/// let mut coo = CooMatrix::new(32, 32);
-/// coo.push(0, 0, 1.0);
-/// let a = BbcMatrix::from_csr(&CsrMatrix::try_from(coo)?);
-/// let engine = Ideal;
-/// let energy = EnergyModel::default();
-/// let driver = Driver::new(&engine, &energy);
-/// let report = driver.spmv(&a).expect("no verifier installed: always Ok");
-/// assert_eq!(report.t1_tasks, 1);
-/// # Ok(())
-/// # }
-/// ```
-pub struct Driver<'a> {
-    engine: &'a dyn TileEngine,
-    energy: &'a EnergyModel,
-    verifier: Option<&'a dyn StreamVerifier>,
-}
-
-impl<'a> Driver<'a> {
-    /// A driver with no verification gate.
-    pub fn new(engine: &'a dyn TileEngine, energy: &'a EnergyModel) -> Self {
-        Driver { engine, energy, verifier: None }
-    }
-
-    /// Installs a static verifier: every subsequent kernel call is checked
-    /// before it is simulated.
-    pub fn verify_before_run(mut self, verifier: &'a dyn StreamVerifier) -> Self {
-        self.verifier = Some(verifier);
-        self
-    }
-
-    /// SpMV with the optional static gate.
-    ///
-    /// # Errors
-    ///
-    /// Returns the verifier's first error-severity diagnostic if the stream
-    /// is illegal.
-    pub fn spmv(&self, a: &BbcMatrix) -> Result<KernelReport, VerifyError> {
-        if let Some(v) = self.verifier {
-            v.verify_spmv(a)?;
-        }
-        Ok(run_spmv(self.engine, self.energy, a))
-    }
-
-    /// SpMSpV with the optional static gate.
-    ///
-    /// # Errors
-    ///
-    /// Returns the verifier's first error-severity diagnostic if the stream
-    /// is illegal.
-    pub fn spmspv(&self, a: &BbcMatrix, x: &SparseVector) -> Result<KernelReport, VerifyError> {
-        if let Some(v) = self.verifier {
-            v.verify_spmspv(a, x)?;
-        }
-        Ok(run_spmspv(self.engine, self.energy, a, x))
-    }
-
-    /// SpMM with the optional static gate.
-    ///
-    /// # Errors
-    ///
-    /// Returns the verifier's first error-severity diagnostic if the stream
-    /// is illegal.
-    pub fn spmm(&self, a: &BbcMatrix, n_cols: usize) -> Result<KernelReport, VerifyError> {
-        if let Some(v) = self.verifier {
-            v.verify_spmm(a, n_cols)?;
-        }
-        Ok(run_spmm(self.engine, self.energy, a, n_cols))
-    }
-
-    /// SpGEMM with the optional static gate.
-    ///
-    /// # Errors
-    ///
-    /// Returns the verifier's first error-severity diagnostic if the stream
-    /// is illegal.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block grids do not conform and no verifier is
-    /// installed (with one, non-conforming grids are a verifier rejection).
-    pub fn spgemm(&self, a: &BbcMatrix, b: &BbcMatrix) -> Result<KernelReport, VerifyError> {
-        if let Some(v) = self.verifier {
-            v.verify_spgemm(a, b)?;
-            if a.block_cols() != b.block_rows() {
-                return Err(VerifyError {
-                    code: "USTC012".to_owned(),
-                    message: format!(
-                        "SpGEMM block grids do not conform ({}x{} blocks vs {}x{})",
-                        a.block_rows(),
-                        a.block_cols(),
-                        b.block_rows(),
-                        b.block_cols()
-                    ),
-                });
-            }
-        }
-        Ok(run_spgemm(self.engine, self.energy, a, b))
-    }
-
-    /// SpMV under a fault plan, with the static gate applied to the
-    /// *corrupted* matrix: a verifier turns silent metadata corruption into
-    /// an up-front `USTC012` rejection, before any cycle is simulated.
-    /// Without a verifier this is exactly [`run_spmv_faulted`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the verifier's rejection of the corrupted stream (the
-    /// caller decides whether to re-read from protected storage and retry).
-    pub fn spmv_faulted(
-        &self,
-        a: &BbcMatrix,
-        plan: &crate::fault::FaultPlan,
-    ) -> Result<KernelReport, VerifyError> {
-        let Some(v) = self.verifier else {
-            return Ok(run_spmv_faulted(self.engine, self.energy, a, plan));
-        };
-        let (corrupted, outcome) = plan.inject_into(a);
-        v.verify_spmv(&corrupted)?;
-        let mut rep = run_spmv(self.engine, self.energy, &corrupted);
-        rep.events.faults_injected = outcome.log.injected();
-        rep.events.faults_detected = outcome.detected;
-        Ok(rep)
-    }
 }
 
 /// The four sparse kernels (Fig. 2 of the paper).
@@ -330,32 +179,10 @@ impl KernelReport {
     }
 }
 
-/// Runs a stream of T1 tasks through an engine and aggregates the results.
-///
-/// Trivial tasks (zero intermediate products) are filtered out by the
-/// software-level bitmap check and never reach the engine. The stream is
-/// collapsed into a [`TaskStream`] first, so each distinct task executes
-/// once ([`run_stream`]).
-///
-/// # Panics
-///
-/// Panics if a report counter overflows `u64`. That takes upwards of
-/// 2^40 tasks, far more than any task list holds or an iterator yields in
-/// practice; [`run_stream`] reports it as an error instead.
-pub fn run_tasks<I>(
-    engine: &dyn TileEngine,
-    energy_model: &EnergyModel,
-    kernel: Kernel,
-    tasks: I,
-) -> KernelReport
-where
-    I: IntoIterator<Item = T1Task>,
-{
-    run_tasks_traced(engine, energy_model, kernel, tasks, &mut obs::NoopSink)
-}
-
-/// [`run_tasks`] with tracing: streams [`obs::TraceEvent`]s into `sink` as
-/// the task stream executes.
+/// Runs a stream of T1 tasks through an engine in order, streaming
+/// [`obs::TraceEvent`]s into `sink` as the stream executes. Trivial tasks
+/// (zero intermediate products) are filtered out by the software-level
+/// bitmap check and never reach the engine.
 ///
 /// The driver maintains a global cycle cursor (tasks retire back-to-back,
 /// matching the synchronous UWMMA lifecycle the cycle totals assume) and
@@ -364,13 +191,16 @@ where
 /// [`TaskRetire`](obs::TraceEvent::TaskRetire) markers. This ordered,
 /// task-by-task path runs only when the sink is enabled, because it needs
 /// a timestamp per task. With a disabled sink ([`obs::NoopSink`]) the
-/// stream runs counted, exactly as [`run_tasks`]; every field of the report
-/// is an integer sum (energy is computed once from the summed events), so
-/// reports are bit-identical whether or not a trace is attached.
+/// stream is collapsed into a [`TaskStream`] and runs counted
+/// ([`run_stream`]); every field of the report is an integer sum (energy
+/// is computed once from the summed events), so reports are bit-identical
+/// whether or not a trace is attached.
 ///
 /// # Panics
 ///
-/// As [`run_tasks`].
+/// Panics if a report counter overflows `u64`. That takes upwards of
+/// 2^40 tasks, far more than any task list holds or an iterator yields in
+/// practice; [`run_stream`] reports it as an error instead.
 pub fn run_tasks_traced<I>(
     engine: &dyn TileEngine,
     energy_model: &EnergyModel,
@@ -538,16 +368,6 @@ pub fn run_spmv(
     fitted(engine, energy_model, Kernel::SpMV, Ok(spmv_stream(a)))
 }
 
-/// [`run_spmv`] streaming trace events into `sink`.
-pub fn run_spmv_traced(
-    engine: &dyn TileEngine,
-    energy_model: &EnergyModel,
-    a: &BbcMatrix,
-    sink: &mut dyn obs::TraceSink,
-) -> KernelReport {
-    run_tasks_traced(engine, energy_model, Kernel::SpMV, spmv_tasks(a), sink)
-}
-
 /// SpMV under a fault plan: injects bit flips into a copy of `a`, checks
 /// the damage, and runs the kernel on the corrupted copy *unless*
 /// validation caught the corruption — in which case the run falls back to
@@ -556,8 +376,7 @@ pub fn run_spmv_traced(
 /// here). Undetected faults flow into the run silently, exactly as real
 /// soft errors would.
 ///
-/// The fault counters land in the report's
-/// [`EventCounts`](crate::EventCounts).
+/// The fault counters land in the report's [`EventCounts`].
 pub fn run_spmv_faulted(
     engine: &dyn TileEngine,
     energy_model: &EnergyModel,
@@ -603,17 +422,6 @@ fn spmspv_iter<'a>(a: &'a BbcMatrix, x: &'a SparseVector) -> impl Iterator<Item 
             Some(T1Task::mv(Block16::from_bbc(&blk), mask))
         }
     })
-}
-
-/// [`run_spmspv`] streaming trace events into `sink`.
-pub fn run_spmspv_traced(
-    engine: &dyn TileEngine,
-    energy_model: &EnergyModel,
-    a: &BbcMatrix,
-    x: &SparseVector,
-    sink: &mut dyn obs::TraceSink,
-) -> KernelReport {
-    run_tasks_traced(engine, energy_model, Kernel::SpMSpV, spmspv_tasks(a, x), sink)
 }
 
 /// SpMM (`C = A B`, dense `B` with `n_cols` columns): `ceil(n_cols / 16)`
@@ -681,17 +489,6 @@ fn spmm_col_blocks(n_cols: usize) -> (usize, usize) {
     (col_blocks, n_cols - col_blocks.saturating_sub(1) * 16)
 }
 
-/// [`run_spmm`] streaming trace events into `sink`.
-pub fn run_spmm_traced(
-    engine: &dyn TileEngine,
-    energy_model: &EnergyModel,
-    a: &BbcMatrix,
-    n_cols: usize,
-    sink: &mut dyn obs::TraceSink,
-) -> KernelReport {
-    run_tasks_traced(engine, energy_model, Kernel::SpMM, spmm_tasks(a, n_cols), sink)
-}
-
 /// SpGEMM (`C = A B`, both sparse): the block-level outer-product walk of
 /// Algorithm 2 — for every stored `A(i, k)` and every stored `B(k, j)`,
 /// issue one MM task (the top-level bitmap product check drops trivial
@@ -708,22 +505,6 @@ pub fn run_spgemm(
     b: &BbcMatrix,
 ) -> KernelReport {
     fitted(engine, energy_model, Kernel::SpGEMM, Ok(spgemm_stream(a, b)))
-}
-
-/// [`run_spgemm`] streaming trace events into `sink`.
-///
-/// # Panics
-///
-/// Panics if the block grids do not conform (`a.block_cols() !=
-/// b.block_rows()`).
-pub fn run_spgemm_traced(
-    engine: &dyn TileEngine,
-    energy_model: &EnergyModel,
-    a: &BbcMatrix,
-    b: &BbcMatrix,
-    sink: &mut dyn obs::TraceSink,
-) -> KernelReport {
-    run_tasks_traced(engine, energy_model, Kernel::SpGEMM, spgemm_tasks(a, b), sink)
 }
 
 /// The T1 task stream of an SpGEMM invocation (see [`spmv_tasks`]): the
@@ -906,7 +687,8 @@ mod tests {
     fn traced_run_brackets_every_task() {
         let a = bbc_from(&[(0, 0), (20, 20), (40, 0)], 48);
         let mut trace: Vec<obs::TraceEvent> = Vec::new();
-        let rep = run_spmv_traced(&Ideal, &EnergyModel::default(), &a, &mut trace);
+        let em = EnergyModel::default();
+        let rep = run_tasks_traced(&Ideal, &em, Kernel::SpMV, spmv_tasks(&a), &mut trace);
         let issues = trace
             .iter()
             .filter(|e| matches!(e, obs::TraceEvent::TaskIssue { .. }))
@@ -930,7 +712,9 @@ mod tests {
     fn noop_sink_report_matches_untraced_run() {
         let a = bbc_from(&[(0, 0), (0, 1), (20, 20)], 32);
         let plain = run_spmv(&Ideal, &EnergyModel::default(), &a);
-        let traced = run_spmv_traced(&Ideal, &EnergyModel::default(), &a, &mut obs::NoopSink);
+        let em = EnergyModel::default();
+        let noop = &mut obs::NoopSink;
+        let traced = run_tasks_traced(&Ideal, &em, Kernel::SpMV, spmv_tasks(&a), noop);
         assert_eq!(plain, traced);
     }
 

@@ -67,7 +67,7 @@ mod stream;
 mod task;
 
 pub use bitmap::{tile_col, tile_products, tile_row, Block16};
-pub use driver::{Driver, StreamVerifier, VerifyError};
+pub use driver::{StreamVerifier, VerifyError};
 pub use energy::{EnergyBreakdown, EnergyModel, NetworkCosts};
 pub use engine::{Precision, TileEngine};
 pub use result::{CounterOverflow, EventCounts, T1Result, UtilHistogram};

@@ -111,8 +111,8 @@ impl MemoryModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::{run_tasks, Kernel};
-    use crate::{Block16, EnergyModel, NetworkCosts, T1Result, T1Task, TileEngine};
+    use crate::driver::{run_stream, Kernel};
+    use crate::{Block16, EnergyModel, NetworkCosts, T1Result, T1Task, TaskStream, TileEngine};
 
     struct OnePerCycle;
 
@@ -143,7 +143,8 @@ mod tests {
     }
 
     fn report(tasks: Vec<T1Task>) -> KernelReport {
-        run_tasks(&OnePerCycle, &EnergyModel::default(), Kernel::SpGEMM, tasks)
+        let stream = TaskStream::from(&tasks[..]);
+        run_stream(&OnePerCycle, &EnergyModel::default(), Kernel::SpGEMM, &stream).unwrap()
     }
 
     fn traffic(bytes: f64) -> CompulsoryTraffic {

@@ -83,8 +83,8 @@ pub fn summary_line(r: &KernelReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::{run_tasks, Kernel};
-    use crate::{Block16, EnergyModel, NetworkCosts, T1Result, T1Task, TileEngine};
+    use crate::driver::{run_stream, Kernel};
+    use crate::{Block16, EnergyModel, NetworkCosts, T1Result, T1Task, TaskStream, TileEngine};
 
     struct Simple;
 
@@ -107,11 +107,12 @@ mod tests {
     }
 
     fn report() -> KernelReport {
-        let tasks = vec![
+        let tasks = [
             T1Task::mm(Block16::dense(), Block16::dense()),
             T1Task::mm(Block16::from_fn(|r, c| r == c), Block16::dense()),
         ];
-        run_tasks(&Simple, &EnergyModel::default(), Kernel::SpGEMM, tasks)
+        let stream = TaskStream::from(&tasks[..]);
+        run_stream(&Simple, &EnergyModel::default(), Kernel::SpGEMM, &stream).unwrap()
     }
 
     #[test]

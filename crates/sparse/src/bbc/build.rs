@@ -9,7 +9,7 @@
 //!
 //! * **scalar** — the original per-entry path: bucket entries into
 //!   per-block vectors, sort by (tile, elem), emit.
-//! * **bitwise / simd** — a packed path: each touched block accumulates
+//! * **bitwise** — a packed path: each touched block accumulates
 //!   a 256-bit occupancy mask (4×u64, bit `tile * 16 + elem`) plus a
 //!   direct-indexed value scratch; metadata falls out of
 //!   [`crate::kernels::BitKernels::encode_block`] (SWAR lane extraction +
@@ -251,12 +251,6 @@ mod tests {
             let scalar = BbcMatrix::from_csr_with(&csr, BackendKind::Scalar);
             let bitwise = BbcMatrix::from_csr_with(&csr, BackendKind::Bitwise);
             assert_eq!(scalar, bitwise, "seed {seed}");
-            #[cfg(feature = "simd")]
-            assert_eq!(
-                scalar,
-                BbcMatrix::from_csr_with(&csr, BackendKind::Simd),
-                "seed {seed}"
-            );
         }
     }
 

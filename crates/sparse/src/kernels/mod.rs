@@ -12,14 +12,11 @@
 //! * [`bitwise`] — u64 word-at-a-time bit tricks: whole-word AND/OR
 //!   overlays, `count_ones` prefix sums, SWAR encode/decode of a 16×16
 //!   block packed as 4×u64. The default.
-//! * [`simd`] — a `std::simd` portable-SIMD variant of the mask algebra
-//!   (nightly only, behind the `simd` cargo feature). Numeric methods
-//!   delegate to the bitwise backend so accumulation order is untouched.
 //!
 //! # Selection
 //!
 //! The active backend is a process-wide selection, read lazily from the
-//! `USTC_BACKEND` environment variable (`scalar` | `bitwise` | `simd`)
+//! `USTC_BACKEND` environment variable (`scalar` | `bitwise`)
 //! the first time [`active_kind`] runs, and overridable at runtime via
 //! [`set_backend`]. Unknown names warn on stderr and fall back to the
 //! default ([`BackendKind::Bitwise`]). Worker threads (e.g. the
@@ -42,8 +39,6 @@
 
 pub mod bitwise;
 pub mod scalar;
-#[cfg(feature = "simd")]
-pub mod simd;
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -55,10 +50,6 @@ pub enum BackendKind {
     Scalar,
     /// u64 word-at-a-time bit-trick implementation (the default).
     Bitwise,
-    /// `std::simd` mask algebra (requires the `simd` cargo feature and
-    /// a nightly toolchain).
-    #[cfg(feature = "simd")]
-    Simd,
 }
 
 /// The backend used when nothing is selected.
@@ -66,33 +57,22 @@ pub const DEFAULT_BACKEND: BackendKind = BackendKind::Bitwise;
 
 impl BackendKind {
     /// Every backend compiled into this build.
-    pub const ALL: &'static [BackendKind] = &[
-        BackendKind::Scalar,
-        BackendKind::Bitwise,
-        #[cfg(feature = "simd")]
-        BackendKind::Simd,
-    ];
+    pub const ALL: &'static [BackendKind] = &[BackendKind::Scalar, BackendKind::Bitwise];
 
     /// Stable lower-case name; also the accepted `USTC_BACKEND` value.
     pub fn name(self) -> &'static str {
         match self {
             BackendKind::Scalar => "scalar",
             BackendKind::Bitwise => "bitwise",
-            #[cfg(feature = "simd")]
-            BackendKind::Simd => "simd",
         }
     }
 
     /// Parses a backend name as used by `USTC_BACKEND` and the bench
-    /// `--backend` flag. Returns `None` for unknown names and for
-    /// backends not compiled into this build (e.g. `simd` without the
-    /// `simd` feature).
+    /// `--backend` flag. Returns `None` for unknown names.
     pub fn parse(name: &str) -> Option<BackendKind> {
         match name.trim().to_ascii_lowercase().as_str() {
             "scalar" => Some(BackendKind::Scalar),
             "bitwise" => Some(BackendKind::Bitwise),
-            #[cfg(feature = "simd")]
-            "simd" => Some(BackendKind::Simd),
             _ => None,
         }
     }
@@ -199,16 +179,12 @@ pub trait BitKernels: Sync {
 
 static SCALAR: scalar::ScalarKernels = scalar::ScalarKernels;
 static BITWISE: bitwise::BitwiseKernels = bitwise::BitwiseKernels;
-#[cfg(feature = "simd")]
-static SIMD: simd::SimdKernels = simd::SimdKernels;
 
 /// The statically-allocated implementation of `kind`.
 pub fn backend_for(kind: BackendKind) -> &'static dyn BitKernels {
     match kind {
         BackendKind::Scalar => &SCALAR,
         BackendKind::Bitwise => &BITWISE,
-        #[cfg(feature = "simd")]
-        BackendKind::Simd => &SIMD,
     }
 }
 
@@ -219,16 +195,12 @@ fn encode_kind(kind: BackendKind) -> u8 {
     match kind {
         BackendKind::Scalar => 1,
         BackendKind::Bitwise => 2,
-        #[cfg(feature = "simd")]
-        BackendKind::Simd => 3,
     }
 }
 
 fn decode_kind(state: u8) -> BackendKind {
     match state {
         1 => BackendKind::Scalar,
-        #[cfg(feature = "simd")]
-        3 => BackendKind::Simd,
         _ => BackendKind::Bitwise,
     }
 }
@@ -506,7 +478,6 @@ mod tests {
         assert_eq!(BackendKind::parse("Bitwise"), Some(BackendKind::Bitwise));
         assert_eq!(BackendKind::parse(" scalar "), Some(BackendKind::Scalar));
         assert_eq!(BackendKind::parse("quantum"), None);
-        #[cfg(not(feature = "simd"))]
         assert_eq!(BackendKind::parse("simd"), None);
     }
 
@@ -535,13 +506,6 @@ mod tests {
     fn bitwise_matches_scalar_on_boundary_grid() {
         differential_check(&scalar::ScalarKernels, &bitwise::BitwiseKernels)
             .unwrap_or_else(|e| panic!("bitwise diverges from scalar: {e}"));
-    }
-
-    #[cfg(feature = "simd")]
-    #[test]
-    fn simd_matches_scalar_on_boundary_grid() {
-        differential_check(&scalar::ScalarKernels, &simd::SimdKernels)
-            .unwrap_or_else(|e| panic!("simd diverges from scalar: {e}"));
     }
 
     /// A backend with a deliberate off-by-one in its tail-word masking:

@@ -41,7 +41,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![cfg_attr(feature = "simd", feature(portable_simd))]
 
 mod bitmap;
 mod bsr;

@@ -10,7 +10,7 @@
 //! microsecond equals one simulated cycle. Without an output path, the
 //! example prints an event-count summary instead.
 
-use simkit::driver::run_spmv_traced;
+use simkit::driver::{run_tasks_traced, spmv_tasks, Kernel};
 use simkit::{EnergyModel, Precision};
 use uni_stc::{UniStc, UniStcConfig};
 use workloads::representative::representative_matrices;
@@ -26,7 +26,8 @@ fn main() {
     // A bounded ring keeps long traces from growing without limit; 1 << 20
     // events is plenty for the representative matrices.
     let mut ring = obs::RingSink::new(1 << 20);
-    let report = run_spmv_traced(&engine, &EnergyModel::default(), &bbc, &mut ring);
+    let em = EnergyModel::default();
+    let report = run_tasks_traced(&engine, &em, Kernel::SpMV, spmv_tasks(&bbc), &mut ring);
 
     println!(
         "{}: SpMV on {} — {} cycles, {} T1 tasks, utilisation {:.3}",

@@ -12,6 +12,10 @@ export CARGO_NET_OFFLINE=true
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== rustdoc (deny warnings) =="
+# A deleted or private symbol must not leave a dangling intra-doc link.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== workspace source lint =="
 # Robustness rules over library code (no-unwrap/no-panic/float-eq/...),
 # with stable per-rule allowlists; see crates/analysis/src/lint.rs.
@@ -47,13 +51,6 @@ echo "== backend matrix =="
 # under both. The default run above already covered `bitwise`.
 USTC_BACKEND=scalar cargo test --workspace -q
 USTC_BACKEND=bitwise cargo test -p sparse -p conformance -q
-# The std::simd backend needs a nightly toolchain; cover it when one is
-# installed, otherwise skip loudly (the stable build stays simd-free).
-if rustup toolchain list 2>/dev/null | grep -q nightly; then
-    cargo +nightly test -p sparse -p conformance --features simd -q
-else
-    echo "nightly toolchain not installed — skipping simd backend leg"
-fi
 
 echo "== concurrency verify =="
 # Static shard-plan/fold proofs plus the deterministic schedule explorer:

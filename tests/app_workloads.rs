@@ -106,7 +106,7 @@ fn multi_unit_replay_consistent_with_roofline() {
     let bbc = BbcMatrix::from_csr(&a);
     let em = EnergyModel::default();
     let uni = UniStc::default();
-    let rep = parallel_kernel(&uni, &em, &bbc, Kernel::SpMV, 1, 4);
+    let rep = parallel_kernel(&uni, &bbc, Kernel::SpMV, 1, 4);
     assert!(rep.speedup() > 2.0);
     // Roofline on the serial run: SpMV streams the matrix once.
     let serial = simkit::driver::run_spmv(&uni, &em, &bbc);

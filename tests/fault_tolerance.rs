@@ -13,7 +13,7 @@
 //!    `Err`, never as a panic.
 
 use simkit::fault::{FaultOutcome, FaultPlan};
-use simkit::{driver::Kernel, EnergyModel};
+use simkit::driver::Kernel;
 use sparse::rng::Rng64;
 use sparse::{BbcMatrix, CooMatrix, CsrMatrix};
 use uni_stc::multi::{degraded_spmv, parallel_kernel_degraded};
@@ -108,7 +108,6 @@ fn stream_corruption_is_detected_by_crc() {
 #[test]
 fn degraded_runs_are_bitwise_identical_to_reference() {
     let engine = UniStc::default();
-    let em = EnergyModel::default();
     for (si, &rate) in RATES.iter().enumerate() {
         for seed in 0..8u64 {
             let seed = seed * RATES.len() as u64 + si as u64;
@@ -127,10 +126,10 @@ fn degraded_runs_are_bitwise_identical_to_reference() {
                     value_rate: 0.0,
                 })
                 .collect();
-            let reference = degraded_spmv(&engine, &em, &a, &x, n_units, &[]);
+            let reference = degraded_spmv(&engine, &a, &x, n_units, &[]);
             let (y_ref, rep_ref) = reference.expect("fault-free run cannot lose units");
             assert!(rep_ref.faulty_units.is_empty());
-            match degraded_spmv(&engine, &em, &a, &x, n_units, &plans) {
+            match degraded_spmv(&engine, &a, &x, n_units, &plans) {
                 Ok((y, rep)) => {
                     for (i, (got, want)) in y.iter().zip(&y_ref).enumerate() {
                         assert_eq!(
@@ -161,7 +160,6 @@ fn degraded_runs_are_bitwise_identical_to_reference() {
 #[test]
 fn degraded_cycle_reports_stay_consistent() {
     let engine = UniStc::default();
-    let em = EnergyModel::default();
     for &rate in &RATES {
         for seed in 0..6u64 {
             let a = BbcMatrix::from_csr(&random_matrix(seed ^ 0x90));
@@ -173,9 +171,9 @@ fn degraded_cycle_reports_stay_consistent() {
                     value_rate: 0.0,
                 })
                 .collect();
-            let clean = parallel_kernel_degraded(&engine, &em, &a, Kernel::SpMV, 1, 4, &[])
+            let clean = parallel_kernel_degraded(&engine, &a, Kernel::SpMV, 1, 4, &[])
                 .expect("fault-free run cannot lose units");
-            match parallel_kernel_degraded(&engine, &em, &a, Kernel::SpMV, 1, 4, &plans) {
+            match parallel_kernel_degraded(&engine, &a, Kernel::SpMV, 1, 4, &plans) {
                 Ok(rep) => {
                     // Work conservation: requeueing moves cycles between
                     // units but the serial total is invariant.

@@ -10,7 +10,7 @@ use std::str::FromStr;
 
 use bench::perf::{self, BenchDoc, BenchEntry};
 use obs::json::Value;
-use simkit::driver::{run_spmv, run_spmv_traced};
+use simkit::driver::{run_spmv, run_tasks_traced, spmv_tasks, Kernel};
 use simkit::{EnergyModel, Precision};
 use sparse::BbcMatrix;
 use uni_stc::{UniStc, UniStcConfig};
@@ -39,7 +39,7 @@ fn disabled_trace_is_bit_identical_to_untraced_run() {
     let (engine, bbc) = fixture();
     let em = EnergyModel::default();
     let plain = run_spmv(&engine, &em, &bbc);
-    let noop = run_spmv_traced(&engine, &em, &bbc, &mut obs::NoopSink);
+    let noop = run_tasks_traced(&engine, &em, Kernel::SpMV, spmv_tasks(&bbc), &mut obs::NoopSink);
     // KernelReport's PartialEq covers cycles, useful, util histogram and
     // the full EventCounts — any divergence is a real behaviour change.
     assert_eq!(plain, noop);
@@ -52,7 +52,7 @@ fn enabled_trace_never_changes_the_report() {
     let em = EnergyModel::default();
     let plain = run_spmv(&engine, &em, &bbc);
     let mut events: Vec<obs::TraceEvent> = Vec::new();
-    let traced = run_spmv_traced(&engine, &em, &bbc, &mut events);
+    let traced = run_tasks_traced(&engine, &em, Kernel::SpMV, spmv_tasks(&bbc), &mut events);
     assert_eq!(plain, traced);
     assert!(!events.is_empty());
     // The driver's retire markers land exactly on the report totals.
@@ -76,12 +76,12 @@ fn ring_sink_bounds_memory_and_keeps_the_tail() {
 
     // Unbounded reference capture.
     let mut full: Vec<obs::TraceEvent> = Vec::new();
-    let reference = run_spmv_traced(&engine, &em, &bbc, &mut full);
+    let reference = run_tasks_traced(&engine, &em, Kernel::SpMV, spmv_tasks(&bbc), &mut full);
 
     // A ring far smaller than the trace: the report is unaffected and the
     // retained events are exactly the trace's tail.
     let mut ring = obs::RingSink::new(8);
-    let ringed = run_spmv_traced(&engine, &em, &bbc, &mut ring);
+    let ringed = run_tasks_traced(&engine, &em, Kernel::SpMV, spmv_tasks(&bbc), &mut ring);
     assert_eq!(reference, ringed);
     assert_eq!(ring.len(), 8);
     assert_eq!(ring.recorded() as usize, full.len());
@@ -93,7 +93,8 @@ fn ring_sink_bounds_memory_and_keeps_the_tail() {
 fn chrome_export_is_valid_trace_event_json() {
     let (engine, bbc) = fixture();
     let mut events: Vec<obs::TraceEvent> = Vec::new();
-    run_spmv_traced(&engine, &EnergyModel::default(), &bbc, &mut events);
+    let em = EnergyModel::default();
+    run_tasks_traced(&engine, &em, Kernel::SpMV, spmv_tasks(&bbc), &mut events);
     let doc = obs::json::parse(&obs::chrome::export(&events)).expect("export parses");
     let evs = doc
         .get("traceEvents")
@@ -117,7 +118,8 @@ fn chrome_export_is_valid_trace_event_json() {
 fn golden_chrome_trace_snapshot() {
     let (engine, bbc) = fixture();
     let mut events: Vec<obs::TraceEvent> = Vec::new();
-    run_spmv_traced(&engine, &EnergyModel::default(), &bbc, &mut events);
+    let em = EnergyModel::default();
+    run_tasks_traced(&engine, &em, Kernel::SpMV, spmv_tasks(&bbc), &mut events);
     let rendered = obs::chrome::export_pretty(&events);
 
     let path = golden_path();

@@ -10,7 +10,7 @@
 use std::time::Duration;
 
 use bench::{headline_engines, MatrixCtx, KERNELS};
-use runtime::{Backoff, ChaosPlan, PlannedRunError, RuntimeConfig, TaskOutcome};
+use runtime::{Backoff, ChaosPlan, PlannedRunError, RuntimeConfig, ShardPlan, TaskOutcome};
 use simkit::driver;
 use simkit::{EnergyModel, Precision};
 use uni_stc::multi::DegradedError;
@@ -287,19 +287,18 @@ fn two_thread_conformance_smoke() {
         let bt = a.transpose();
         let bbc_b = BbcMatrix::from_csr(&bt);
         let engine = UniStc::new(UniStcConfig::with_precision(Precision::Fp64));
-        let serial = [
-            driver::run_spmv(&engine, &em, &bbc),
-            driver::run_spmspv(&engine, &em, &bbc, &sx),
-            driver::run_spmm(&engine, &em, &bbc, 20),
-            driver::run_spgemm(&engine, &em, &bbc, &bbc_b),
+        let cases = [
+            (driver::run_spmv(&engine, &em, &bbc), driver::spmv_stream(&bbc)),
+            (driver::run_spmspv(&engine, &em, &bbc, &sx), driver::spmspv_stream(&bbc, &sx)),
+            (driver::run_spmm(&engine, &em, &bbc, 20), driver::spmm_stream(&bbc, 20).expect("fit")),
+            (driver::run_spgemm(&engine, &em, &bbc, &bbc_b), driver::spgemm_stream(&bbc, &bbc_b)),
         ];
-        let sharded = [
-            runtime::run_spmv_sharded(&cfg, &engine, &em, &bbc).expect("spmv"),
-            runtime::run_spmspv_sharded(&cfg, &engine, &em, &bbc, &sx).expect("spmspv"),
-            runtime::run_spmm_sharded(&cfg, &engine, &em, &bbc, 20).expect("spmm"),
-            runtime::run_spgemm_sharded(&cfg, &engine, &em, &bbc, &bbc_b).expect("spgemm"),
-        ];
-        for (s, p) in serial.iter().zip(&sharded) {
+        for (s, stream) in cases {
+            // The service's parallel path: a contiguous plan over the
+            // counted stream's distinct entries.
+            let plan = ShardPlan::contiguous(stream.len(), cfg.threads);
+            let p = runtime::run_stream_planned(&cfg, &plan, &engine, &em, s.kernel, &stream)
+                .unwrap_or_else(|e| panic!("{}: {e}", s.kernel));
             assert_eq!(
                 s.counter_signature(),
                 p.report.counter_signature(),
