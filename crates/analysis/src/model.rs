@@ -22,13 +22,9 @@ use uni_stc::power::dpgs_required;
 use uni_stc::tms::{generate_t3_tasks, T3Task};
 use uni_stc::UniStcConfig;
 
-/// Capacity of the TMS Tile queue in T3 tasks: one T1 task expands into at
-/// most a full 4x4x4 outer-product grid.
-pub const TILE_QUEUE_CAP: usize = 64;
-
-/// Capacity of a DPG's Dot-product queue in T4 codes: one T3 task produces
-/// at most one code per output position of the 4x4 tile C.
-pub const DOT_QUEUE_CAP: usize = 16;
+// The capacities the verifier proves are the ones that size the
+// pipeline's fixed-capacity queues.
+pub use uni_stc::pipeline::{DOT_QUEUE_CAP, TILE_QUEUE_CAP};
 
 /// One T3 task together with the DPG slot it is routed to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

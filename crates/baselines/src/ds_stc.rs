@@ -39,6 +39,15 @@ impl DsStc {
     }
 }
 
+/// The nonzero counts of the occupied positional `width`-wide windows of
+/// `mask`, lowest window first.
+fn window_counts(mask: u16, width: usize) -> impl Iterator<Item = usize> + Clone {
+    (0..16)
+        .step_by(width)
+        .map(move |lo| (mask >> lo & ((1u32 << width) - 1) as u16).count_ones() as usize)
+        .filter(|&n| n > 0)
+}
+
 impl Default for DsStc {
     fn default() -> Self {
         DsStc::new(Precision::Fp64)
@@ -68,26 +77,16 @@ impl TileEngine for DsStc {
             // *half-column of A* and a *half-row of B* — positional access
             // windows, not perfectly gathered nonzeros. Sparsity scattered
             // across windows causes the paper's "ineffective accesses".
-            let a_wins: Vec<usize> = (0..16)
-                .step_by(wa)
-                .map(|lo| (acol >> lo & ((1u32 << wa) - 1) as u16).count_ones() as usize)
-                .filter(|&n| n > 0)
-                .collect();
-            let b_wins: Vec<usize> = (0..16)
-                .step_by(wb)
-                .map(|lo| {
-                    (brow >> lo & ((1u32 << wb) - 1) as u16).count_ones() as usize
-                })
-                .filter(|&n| n > 0)
-                .collect();
+            let a_wins = window_counts(acol, wa);
+            let b_wins = window_counts(brow, wb);
             // The A window is buffered once per K slice; the B windows are
             // re-streamed for every A window.
-            let na: usize = a_wins.iter().sum();
-            let nb: usize = b_wins.iter().sum();
+            let na = acol.count_ones() as usize;
+            let nb = brow.count_ones() as usize;
             r.events.a_elems += na as u64;
-            r.events.b_elems += (nb * a_wins.len()) as u64;
-            for &ca in &a_wins {
-                for &cb in &b_wins {
+            r.events.b_elems += (nb * a_wins.clone().count()) as u64;
+            for ca in a_wins {
+                for cb in b_wins.clone() {
                     r.record_cycle(ca * cb);
                     r.useful += (ca * cb) as u64;
                 }

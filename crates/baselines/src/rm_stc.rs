@@ -67,10 +67,11 @@ impl TileEngine for RmStc {
             }
             // Gathered column groups of 4 over the union of the two B rows
             // (concatenation along N only — the Fig. 6 restriction).
-            let cols: Vec<usize> = bits(union).collect();
+            let mut cols = union;
             let mut b_fetched = false;
-            for group in cols.chunks(group_width) {
-                let gmask: u16 = group.iter().map(|&c| 1u16 << c).sum();
+            while cols != 0 {
+                let gmask: u16 = bits(cols).take(group_width).map(|c| 1u16 << c).sum();
+                cols &= !gmask;
                 let nb0 = (b0 & gmask).count_ones() as usize;
                 let nb1 = (b1 & gmask).count_ones() as usize;
                 let mut group_used = false;

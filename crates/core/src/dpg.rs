@@ -87,6 +87,23 @@ pub fn visit_order(fill: FillOrder) -> [(u8, u8); 16] {
 /// tile C's row-major structural order, matching the BBC value layout the
 /// accumulation buffer uses.
 pub fn expand_t3(a_tile: u16, b_tile: u16, fill: FillOrder) -> Vec<T4Code> {
+    // A 4x4 tile C has at most 16 outputs, one code each.
+    let mut out = Vec::with_capacity(16);
+    visit_t4_codes(a_tile, b_tile, fill, &mut obs::NoopSink, |c| out.push(c));
+    out
+}
+
+/// [`expand_t3`] without the `Vec`: calls `f` on each T4 code in fill
+/// order, then records one [`DpgExpand`](obs::TraceEvent::DpgExpand)
+/// event carrying the segment count and total intermediate products of
+/// the expansion.
+pub(crate) fn visit_t4_codes(
+    a_tile: u16,
+    b_tile: u16,
+    fill: FillOrder,
+    sink: &mut dyn obs::TraceSink,
+    mut f: impl FnMut(T4Code),
+) {
     // Structural C tile: row-major ranks for the accumulation targets.
     let mut pattern = [[0u8; 4]; 4];
     let mut c_rank = [[0u8; 4]; 4];
@@ -101,35 +118,17 @@ pub fn expand_t3(a_tile: u16, b_tile: u16, fill: FillOrder) -> Vec<T4Code> {
             }
         }
     }
-    let mut out = Vec::with_capacity(rank as usize);
+    let mut products = 0u32;
     for (m, n) in visit_order(fill) {
         let p = pattern[m as usize][n as usize];
         if p != 0 {
-            out.push(T4Code { m, n, c_index: c_rank[m as usize][n as usize], pattern: p });
+            products += p.count_ones();
+            f(T4Code { m, n, c_index: c_rank[m as usize][n as usize], pattern: p });
         }
     }
-    out
-}
-
-/// [`expand_t3`] with instrumentation: records one
-/// [`DpgExpand`](obs::TraceEvent::DpgExpand) event carrying the segment
-/// count and total intermediate products of the expansion.
-pub fn expand_t3_traced(
-    a_tile: u16,
-    b_tile: u16,
-    fill: FillOrder,
-    sink: &mut dyn obs::TraceSink,
-) -> Vec<T4Code> {
-    let codes = expand_t3(a_tile, b_tile, fill);
     if sink.enabled() {
-        let products: u32 = codes.iter().map(|c| u32::from(c.len())).sum();
-        sink.record(obs::TraceEvent::DpgExpand {
-            cycle: 0,
-            segments: codes.len() as u32,
-            products,
-        });
+        sink.record(obs::TraceEvent::DpgExpand { cycle: 0, segments: u32::from(rank), products });
     }
-    codes
 }
 
 /// Maximum distance (in queue positions) between two T4 codes that share

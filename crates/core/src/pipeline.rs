@@ -17,20 +17,38 @@
 //! Task generation latency is hidden by the asynchronous `stc.task_gen`
 //! lifecycle (Section IV-G), so the model charges only execution cycles.
 
-use std::collections::VecDeque;
-
 use simkit::{T1Result, T1Task};
 
-use crate::dpg::expand_t3_traced;
-use crate::tms::{generate_t3_tasks_traced, T3Task};
+use crate::dpg::visit_t4_codes;
+use crate::tms::visit_t3_tasks;
 use crate::UniStcConfig;
 
-/// A T3 task in flight on a DPG: its output-tile id and remaining T4
-/// segment lengths in fill order.
-#[derive(Debug, Clone)]
+/// Capacity of the TMS Tile queue in T3 tasks: one T1 task expands into at
+/// most a full 4x4x4 outer-product grid.
+pub const TILE_QUEUE_CAP: usize = 64;
+
+/// Capacity of a DPG's Dot-product queue in T4 codes: one T3 task produces
+/// at most one code per output position of the 4x4 tile C.
+pub const DOT_QUEUE_CAP: usize = 16;
+
+/// A DPG slot holding no T3 task.
+const IDLE: u8 = u8::MAX;
+
+/// A T3 task on the Tile queue or a DPG: its output-tile id and its T4
+/// segment lengths in fill order, of which `segments[head..len]` remain.
+#[derive(Debug, Clone, Copy, Default)]
 struct InFlight {
     output_id: u8,
-    segments: VecDeque<u8>,
+    head: u8,
+    len: u8,
+    segments: [u8; DOT_QUEUE_CAP],
+}
+
+impl InFlight {
+    /// The segment lengths not yet emitted.
+    fn remaining(&self) -> &[u8] {
+        &self.segments[usize::from(self.head)..usize::from(self.len)]
+    }
 }
 
 /// One cycle of the pipeline's execution, as recorded by
@@ -130,21 +148,16 @@ fn execute_impl(cfg: &UniStcConfig, task: &T1Task, sink: &mut impl PipeSink) -> 
     let lanes = cfg.lanes();
     let mut res = T1Result::new(lanes);
 
-    // ---- Stage 1: TMS ----
-    let t3_tasks: Vec<T3Task> =
-        generate_t3_tasks_traced(&task.a, &task.b, cfg.ordering, sink.obs());
-    if t3_tasks.is_empty() {
-        return res;
-    }
-    res.events.sched_ops += t3_tasks.len() as u64;
-    res.events.meta_words += 2 * t3_tasks.len() as u64; // two tile bitmaps each
-
+    // ---- Stage 1: TMS, straight into the Tile queue ----
     // Reuse-aware operand fetch accounting: within one K layer the
     // outer-product ordering executes same-tile tasks back to back, so each
     // distinct A(i,k) / B(k,j) tile is fetched once per layer (Fig. 8 (2)).
     let mut seen_a = [[false; 4]; 4]; // [k][i]
     let mut seen_b = [[false; 4]; 4]; // [k][j]
-    for t in &t3_tasks {
+    let mut queue = [InFlight::default(); TILE_QUEUE_CAP];
+    let mut tiles = [(0u16, 0u16); TILE_QUEUE_CAP];
+    let mut queued = 0usize;
+    visit_t3_tasks(&task.a, &task.b, cfg.ordering, sink.obs(), |t| {
         if !seen_a[t.k as usize][t.i as usize] {
             seen_a[t.k as usize][t.i as usize] = true;
             res.events.a_elems += t.a_tile.count_ones() as u64;
@@ -153,25 +166,33 @@ fn execute_impl(cfg: &UniStcConfig, task: &T1Task, sink: &mut impl PipeSink) -> 
             seen_b[t.k as usize][t.j as usize] = true;
             res.events.b_elems += t.b_tile.count_ones() as u64;
         }
+        queue[queued].output_id = t.output_id();
+        tiles[queued] = (t.a_tile, t.b_tile);
+        queued += 1;
+    });
+    if queued == 0 {
+        return res;
     }
+    res.events.sched_ops += queued as u64;
+    res.events.meta_words += 2 * queued as u64; // two tile bitmaps each
 
     // ---- Stage 2: DPG expansion ----
-    let mut queue: VecDeque<InFlight> = t3_tasks
-        .iter()
-        .map(|t| {
-            let codes = expand_t3_traced(t.a_tile, t.b_tile, cfg.fill_order, sink.obs());
-            res.events.sched_ops += codes.len() as u64;
-            InFlight {
-                output_id: t.output_id(),
-                segments: codes.iter().map(|c| c.len()).collect(),
-            }
-        })
-        .collect();
+    for (infl, &(a_tile, b_tile)) in queue.iter_mut().zip(&tiles[..queued]) {
+        visit_t4_codes(a_tile, b_tile, cfg.fill_order, sink.obs(), |c| {
+            infl.segments[usize::from(infl.len)] = c.len();
+            infl.len += 1;
+        });
+        res.events.sched_ops += u64::from(infl.len);
+    }
 
     // ---- Stage 3: SDPU execution with round-robin DPG arbitration ----
     let n_dpg = cfg.n_dpg;
     let emit_cap = cfg.dpg_emit_lanes();
-    let mut slots: Vec<Option<InFlight>> = vec![None; n_dpg];
+    // Slot `d` holds the queue index of DPG `d`'s T3 task. DPGs beyond the
+    // Tile queue's capacity never receive one, so they need no slot.
+    let mut slot_store = [IDLE; TILE_QUEUE_CAP];
+    let slots = &mut slot_store[..n_dpg.min(TILE_QUEUE_CAP)];
+    let mut next = 0usize; // head of the Tile queue
     let mut rr = 0usize;
     // MV tasks accumulate into per-thread registers (`ry` in Algorithm 1)
     // that a final `shfl_gather` merges, so same-output-tile T3 tasks do
@@ -181,29 +202,34 @@ fn execute_impl(cfg: &UniStcConfig, task: &T1Task, sink: &mut impl PipeSink) -> 
     let mut cycle = 0u64;
 
     loop {
-        // Refill empty DPG slots from the tile queue.
+        // Refill idle DPG slots from the tile queue.
+        let mut tasks_in_flight = 0;
         for slot in slots.iter_mut() {
-            if slot.is_none() {
-                *slot = queue.pop_front();
+            if *slot == IDLE && next < queued {
+                *slot = next as u8;
+                next += 1;
             }
+            tasks_in_flight += usize::from(*slot != IDLE);
         }
-        if slots.iter().all(Option::is_none) {
+        if tasks_in_flight == 0 {
             break;
         }
 
         if sink.obs().enabled() {
             // Sample queue occupancy at cycle start: T3 tasks still in the
             // Tile queue, T4 segments resident in DPG slots (Dot queue).
-            let dot: u32 =
-                slots.iter().flatten().map(|infl| infl.segments.len() as u32).sum();
+            let dot: u32 = slots
+                .iter()
+                .filter(|&&q| q != IDLE)
+                .map(|&q| queue[usize::from(q)].remaining().len() as u32)
+                .sum();
             sink.obs().record(obs::TraceEvent::QueueDepth {
                 cycle,
-                tile: queue.len() as u32,
+                tile: (queued - next) as u32,
                 dot,
             });
         }
 
-        let tasks_in_flight = slots.iter().filter(|s| s.is_some()).count();
         let mut used = 0usize;
         let mut outputs_claimed: u16 = 0;
         let mut active_dpgs = 0u64;
@@ -214,7 +240,8 @@ fn execute_impl(cfg: &UniStcConfig, task: &T1Task, sink: &mut impl PipeSink) -> 
                 break;
             }
             let idx = (rr + off) % n_dpg;
-            let Some(infl) = slots[idx].as_mut() else { continue };
+            let Some(slot) = slots.get_mut(idx).filter(|q| **q != IDLE) else { continue };
+            let infl = &mut queue[usize::from(*slot)];
             let bit = 1u16 << infl.output_id;
             if check_conflicts && outputs_claimed & bit != 0 {
                 // Write conflict: the Tile queue's round-robin arbitration
@@ -223,12 +250,12 @@ fn execute_impl(cfg: &UniStcConfig, task: &T1Task, sink: &mut impl PipeSink) -> 
                 continue;
             }
             let mut emitted = 0usize;
-            while let Some(&len) = infl.segments.front() {
+            while let Some(&len) = infl.remaining().first() {
                 let len = len as usize;
                 if used + len > lanes || emitted + len > emit_cap {
                     break;
                 }
-                infl.segments.pop_front();
+                infl.head += 1;
                 used += len;
                 emitted += len;
                 segments_emitted += 1;
@@ -239,8 +266,8 @@ fn execute_impl(cfg: &UniStcConfig, task: &T1Task, sink: &mut impl PipeSink) -> 
                 active_dpgs += 1;
                 outputs_claimed |= bit;
             }
-            if infl.segments.is_empty() {
-                slots[idx] = None;
+            if infl.remaining().is_empty() {
+                *slot = IDLE;
             }
         }
         debug_assert!(used > 0, "pipeline must make progress every cycle");
@@ -285,10 +312,219 @@ fn execute_impl(cfg: &UniStcConfig, task: &T1Task, sink: &mut impl PipeSink) -> 
     res
 }
 
+/// The pipeline as first written, with heap `VecDeque` queues: the frozen
+/// reference the fixed-capacity queues of `execute_impl` must match
+/// result for result and event for event.
+#[cfg(test)]
+mod reference {
+    use std::collections::VecDeque;
+
+    use super::*;
+    use crate::dpg::expand_t3;
+    use crate::tms::{generate_t3_tasks, T3Task};
+
+    #[derive(Debug, Clone)]
+    struct InFlight {
+        output_id: u8,
+        segments: VecDeque<u8>,
+    }
+
+    fn generate_t3_tasks_traced(
+        a: &simkit::Block16,
+        b: &simkit::Block16,
+        ordering: crate::TaskOrdering,
+        sink: &mut dyn obs::TraceSink,
+    ) -> Vec<T3Task> {
+        let tasks = generate_t3_tasks(a, b, ordering);
+        if sink.enabled() {
+            sink.record(obs::TraceEvent::TmsGenerate { cycle: 0, t3_tasks: tasks.len() as u32 });
+        }
+        tasks
+    }
+
+    fn expand_t3_traced(
+        a_tile: u16,
+        b_tile: u16,
+        fill: crate::FillOrder,
+        sink: &mut dyn obs::TraceSink,
+    ) -> Vec<crate::dpg::T4Code> {
+        let codes = expand_t3(a_tile, b_tile, fill);
+        if sink.enabled() {
+            let products: u32 = codes.iter().map(|c| u32::from(c.len())).sum();
+            sink.record(obs::TraceEvent::DpgExpand {
+                cycle: 0,
+                segments: codes.len() as u32,
+                products,
+            });
+        }
+        codes
+    }
+
+    pub(super) fn execute_impl(cfg: &UniStcConfig, task: &T1Task, sink: &mut impl PipeSink) -> T1Result {
+        let lanes = cfg.lanes();
+        let mut res = T1Result::new(lanes);
+
+        // ---- Stage 1: TMS ----
+        let t3_tasks: Vec<T3Task> =
+            generate_t3_tasks_traced(&task.a, &task.b, cfg.ordering, sink.obs());
+        if t3_tasks.is_empty() {
+            return res;
+        }
+        res.events.sched_ops += t3_tasks.len() as u64;
+        res.events.meta_words += 2 * t3_tasks.len() as u64; // two tile bitmaps each
+
+        // Reuse-aware operand fetch accounting: within one K layer the
+        // outer-product ordering executes same-tile tasks back to back, so each
+        // distinct A(i,k) / B(k,j) tile is fetched once per layer (Fig. 8 (2)).
+        let mut seen_a = [[false; 4]; 4]; // [k][i]
+        let mut seen_b = [[false; 4]; 4]; // [k][j]
+        for t in &t3_tasks {
+            if !seen_a[t.k as usize][t.i as usize] {
+                seen_a[t.k as usize][t.i as usize] = true;
+                res.events.a_elems += t.a_tile.count_ones() as u64;
+            }
+            if !seen_b[t.k as usize][t.j as usize] {
+                seen_b[t.k as usize][t.j as usize] = true;
+                res.events.b_elems += t.b_tile.count_ones() as u64;
+            }
+        }
+
+        // ---- Stage 2: DPG expansion ----
+        let mut queue: VecDeque<InFlight> = t3_tasks
+            .iter()
+            .map(|t| {
+                let codes = expand_t3_traced(t.a_tile, t.b_tile, cfg.fill_order, sink.obs());
+                res.events.sched_ops += codes.len() as u64;
+                InFlight {
+                    output_id: t.output_id(),
+                    segments: codes.iter().map(|c| c.len()).collect(),
+                }
+            })
+            .collect();
+
+        // ---- Stage 3: SDPU execution with round-robin DPG arbitration ----
+        let n_dpg = cfg.n_dpg;
+        let emit_cap = cfg.dpg_emit_lanes();
+        let mut slots: Vec<Option<InFlight>> = vec![None; n_dpg];
+        let mut rr = 0usize;
+        // MV tasks accumulate into per-thread registers (`ry` in Algorithm 1)
+        // that a final `shfl_gather` merges, so same-output-tile T3 tasks do
+        // not contend for an accumulator bank; write-conflict arbitration only
+        // guards the accumulation-buffer path of MM tasks (Fig. 8 (3)).
+        let check_conflicts = task.n_cols > 1;
+        let mut cycle = 0u64;
+
+        loop {
+            // Refill empty DPG slots from the tile queue.
+            for slot in slots.iter_mut() {
+                if slot.is_none() {
+                    *slot = queue.pop_front();
+                }
+            }
+            if slots.iter().all(Option::is_none) {
+                break;
+            }
+
+            if sink.obs().enabled() {
+                // Sample queue occupancy at cycle start: T3 tasks still in the
+                // Tile queue, T4 segments resident in DPG slots (Dot queue).
+                let dot: u32 =
+                    slots.iter().flatten().map(|infl| infl.segments.len() as u32).sum();
+                sink.obs().record(obs::TraceEvent::QueueDepth {
+                    cycle,
+                    tile: queue.len() as u32,
+                    dot,
+                });
+            }
+
+            let tasks_in_flight = slots.iter().filter(|s| s.is_some()).count();
+            let mut used = 0usize;
+            let mut outputs_claimed: u16 = 0;
+            let mut active_dpgs = 0u64;
+            let mut stalled_dpgs = 0usize;
+            let mut segments_emitted = 0u32;
+            for off in 0..n_dpg {
+                if used >= lanes {
+                    break;
+                }
+                let idx = (rr + off) % n_dpg;
+                let Some(infl) = slots[idx].as_mut() else { continue };
+                let bit = 1u16 << infl.output_id;
+                if check_conflicts && outputs_claimed & bit != 0 {
+                    // Write conflict: the Tile queue's round-robin arbitration
+                    // stalls this DPG for one cycle (Fig. 8 (3)).
+                    stalled_dpgs += 1;
+                    continue;
+                }
+                let mut emitted = 0usize;
+                while let Some(&len) = infl.segments.front() {
+                    let len = len as usize;
+                    if used + len > lanes || emitted + len > emit_cap {
+                        break;
+                    }
+                    infl.segments.pop_front();
+                    used += len;
+                    emitted += len;
+                    segments_emitted += 1;
+                    // One pre-merged partial write per segment (SDPU merge).
+                    res.events.partial_updates += 1;
+                }
+                if emitted > 0 {
+                    active_dpgs += 1;
+                    outputs_claimed |= bit;
+                }
+                if infl.segments.is_empty() {
+                    slots[idx] = None;
+                }
+            }
+            debug_assert!(used > 0, "pipeline must make progress every cycle");
+            if sink.obs().enabled() {
+                sink.obs().record(obs::TraceEvent::SdpuPack {
+                    cycle,
+                    segments: segments_emitted,
+                    lanes_used: used.min(lanes) as u32,
+                    lanes: lanes as u32,
+                });
+                sink.obs().record(obs::TraceEvent::DpgPowerGate {
+                    cycle,
+                    active: active_dpgs as u32,
+                    total: n_dpg as u32,
+                });
+                if stalled_dpgs > 0 {
+                    sink.obs().record(obs::TraceEvent::Stall {
+                        cycle,
+                        dpgs: stalled_dpgs as u32,
+                    });
+                }
+            }
+            sink.cycle_trace(CycleTrace {
+                used_lanes: used.min(lanes),
+                active_dpgs: active_dpgs as usize,
+                stalled_dpgs,
+                tasks_in_flight,
+            });
+            res.record_cycle(used.min(lanes));
+            res.useful += used as u64;
+            let powered = if cfg.power_gating { active_dpgs } else { n_dpg as u64 };
+            res.events.unit_cycles += powered;
+            res.events.c_ports_cycles += powered * 256; // 16x16 net per DPG
+            rr = (rr + 1) % n_dpg;
+            cycle += 1;
+        }
+
+        // Final write-back: the accumulation buffer holds tile C partials
+        // across the whole T1 task, so each structurally nonzero C element is
+        // written back exactly once.
+        res.events.c_writes = task.c_nnz() as u64;
+        res
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simkit::Block16;
+    use crate::{FillOrder, TaskOrdering};
+    use simkit::{Block16, Precision};
 
     fn cfg() -> UniStcConfig {
         UniStcConfig::default()
@@ -487,5 +723,79 @@ mod tests {
         assert!(c8.cycles <= c4.cycles);
         assert!(c16.cycles <= c8.cycles);
         assert_eq!(c4.useful, c16.useful);
+    }
+
+    /// Seeded random blocks across densities as MV tasks, MM tasks and
+    /// SpMM tails narrowed to every `keep_cols(1..=16)` width.
+    fn sample_tasks(seed: u64) -> Vec<T1Task> {
+        let mut rng = sparse::rng::Rng64::new(seed);
+        let mut block = |p: f64| Block16::from_fn(|_, _| rng.next_bool(p));
+        let mut tasks = vec![T1Task::mm(Block16::dense(), Block16::dense())];
+        for &pa in &[0.03, 0.1, 0.3, 0.6, 1.0] {
+            for &pb in &[0.03, 0.1, 0.3, 0.6, 1.0] {
+                for width in 1..=16 {
+                    let (a, b) = (block(pa), block(pb));
+                    tasks.push(T1Task::mv(a, b.row_mask(width - 1)));
+                    tasks.push(T1Task::mm(a, b));
+                    tasks.push(T1Task::mm(a, b.keep_cols(width)));
+                }
+            }
+        }
+        tasks
+    }
+
+    /// Every precision, DPG count (past the Tile queue's 64 too),
+    /// ordering, fill order and gating mode.
+    fn sample_configs() -> Vec<UniStcConfig> {
+        let mut cfgs: Vec<UniStcConfig> = [Precision::Fp64, Precision::Fp32, Precision::Fp16]
+            .into_iter()
+            .map(UniStcConfig::with_precision)
+            .collect();
+        cfgs.extend([1, 3, 4, 16, 70].map(UniStcConfig::with_dpgs));
+        cfgs.extend([TaskOrdering::DotProduct, TaskOrdering::RowRow].map(|ordering| {
+            UniStcConfig { ordering, ..cfg() }
+        }));
+        cfgs.push(UniStcConfig { fill_order: FillOrder::NShape, ..cfg() });
+        cfgs.push(UniStcConfig { power_gating: false, ..cfg() });
+        cfgs
+    }
+
+    #[test]
+    fn matches_frozen_reference() {
+        let tasks = sample_tasks(0x51C_2026);
+        for c in sample_configs() {
+            for t in &tasks {
+                let want = reference::execute_impl(&c, t, &mut obs::NoopSink);
+                assert_eq!(execute_t1(&c, t), want, "{c:?} {t:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn traces_match_frozen_reference() {
+        let tasks = sample_tasks(0x7E_2026);
+        for c in sample_configs() {
+            for t in &tasks {
+                let mut got: Vec<obs::TraceEvent> = Vec::new();
+                let mut want: Vec<obs::TraceEvent> = Vec::new();
+                let res = execute_t1_with_sink(&c, t, &mut got);
+                let ref_res = reference::execute_impl(&c, t, &mut ObsForward(&mut want));
+                assert_eq!(res, ref_res, "{c:?} {t:?}");
+                assert_eq!(got, want, "{c:?} {t:?}");
+
+                let mut ref_cycles = CycleVec(Vec::new());
+                reference::execute_impl(&c, t, &mut ref_cycles);
+                assert_eq!(execute_t1_traced(&c, t).1, ref_cycles.0, "{c:?} {t:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn n_cols_zero_matches_frozen_reference() {
+        let a = Block16::from_fn(|r, c| (r + 3 * c) % 4 == 0);
+        for b in [Block16::dense(), Block16::from_vector_mask(0x5A5A), a.transpose()] {
+            let t = T1Task { a, b, n_cols: 0 };
+            assert_eq!(execute_t1(&cfg(), &t), reference::execute_impl(&cfg(), &t, &mut obs::NoopSink));
+        }
     }
 }

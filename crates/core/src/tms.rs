@@ -61,8 +61,25 @@ impl std::fmt::Display for TaskOrdering {
 /// Tile pairs whose structural product is empty are dropped (they would
 /// occupy a DPG for zero work; the DPG's bitmap overlay detects this in
 /// one cycle, which we fold into TMS generation).
-#[allow(clippy::needless_range_loop)] // k/i/j index two parallel structures
 pub fn generate_t3_tasks(a: &Block16, b: &Block16, ordering: TaskOrdering) -> Vec<T3Task> {
+    let mut out = Vec::new();
+    visit_t3_tasks(a, b, ordering, &mut obs::NoopSink, |t| out.push(t));
+    out
+}
+
+/// [`generate_t3_tasks`] without the `Vec`: calls `f` on each T3 task in
+/// order, then records one [`TmsGenerate`](obs::TraceEvent::TmsGenerate)
+/// event carrying the batch size (timestamp 0 — generation latency is
+/// hidden by the asynchronous `stc.task_gen` lifecycle, so the batch
+/// materialises at task start).
+#[allow(clippy::needless_range_loop)] // k/i/j index two parallel structures
+pub(crate) fn visit_t3_tasks(
+    a: &Block16,
+    b: &Block16,
+    ordering: TaskOrdering,
+    sink: &mut dyn obs::TraceSink,
+    mut f: impl FnMut(T3Task),
+) {
     let mut grid = [[[None::<T3Task>; 4]; 4]; 4]; // [k][i][j]
     for k in 0..4usize {
         for i in 0..4usize {
@@ -91,14 +108,18 @@ pub fn generate_t3_tasks(a: &Block16, b: &Block16, ordering: TaskOrdering) -> Ve
         }
     }
 
-    let mut out = Vec::new();
+    let mut count = 0u32;
+    let mut emit = |t: T3Task| {
+        count += 1;
+        f(t);
+    };
     match ordering {
         TaskOrdering::DotProduct => {
             for i in 0..4 {
                 for j in 0..4 {
                     for layer in grid.iter() {
                         if let Some(t) = layer[i][j] {
-                            out.push(t);
+                            emit(t);
                         }
                     }
                 }
@@ -116,14 +137,14 @@ pub fn generate_t3_tasks(a: &Block16, b: &Block16, ordering: TaskOrdering) -> Ve
                     for j in 0..4 {
                         for row in layer.iter() {
                             if let Some(t) = row[j] {
-                                out.push(t);
+                                emit(t);
                             }
                         }
                     }
                 } else {
                     for row in layer.iter() {
                         for t in row.iter().flatten() {
-                            out.push(*t);
+                            emit(*t);
                         }
                     }
                 }
@@ -133,30 +154,15 @@ pub fn generate_t3_tasks(a: &Block16, b: &Block16, ordering: TaskOrdering) -> Ve
             for i in 0..4 {
                 for layer in grid.iter() {
                     for t in layer[i].iter().flatten() {
-                        out.push(*t);
+                        emit(*t);
                     }
                 }
             }
         }
     }
-    out
-}
-
-/// [`generate_t3_tasks`] with instrumentation: records one
-/// [`TmsGenerate`](obs::TraceEvent::TmsGenerate) event carrying the batch
-/// size (timestamp 0 — generation latency is hidden by the asynchronous
-/// `stc.task_gen` lifecycle, so the batch materialises at task start).
-pub fn generate_t3_tasks_traced(
-    a: &Block16,
-    b: &Block16,
-    ordering: TaskOrdering,
-    sink: &mut dyn obs::TraceSink,
-) -> Vec<T3Task> {
-    let tasks = generate_t3_tasks(a, b, ordering);
     if sink.enabled() {
-        sink.record(obs::TraceEvent::TmsGenerate { cycle: 0, t3_tasks: tasks.len() as u32 });
+        sink.record(obs::TraceEvent::TmsGenerate { cycle: 0, t3_tasks: count });
     }
-    tasks
 }
 
 /// The four intermediate-product bitmap layers of Fig. 8 (1): bit
@@ -164,9 +170,9 @@ pub fn generate_t3_tasks_traced(
 /// as present (both tiles structurally nonzero with a nonzero product).
 pub fn layer_bitmaps(a: &Block16, b: &Block16) -> [u16; 4] {
     let mut layers = [0u16; 4];
-    for t in generate_t3_tasks(a, b, TaskOrdering::OuterProduct) {
+    visit_t3_tasks(a, b, TaskOrdering::OuterProduct, &mut obs::NoopSink, |t| {
         layers[t.k as usize] |= 1 << t.output_id();
-    }
+    });
     layers
 }
 

@@ -68,7 +68,12 @@ pub struct T1Task {
     pub a: Block16,
     /// Structural bitmap of the B operand (block, or 16x1 vector segment).
     pub b: Block16,
-    /// Logical N dimension: 16 for MM tasks, 1 for MV tasks.
+    /// Logical N dimension, in `1..=16`: 16 for MM tasks, 1 for MV tasks.
+    ///
+    /// Every constructor yields 1 or 16; a narrower SpMM tail keeps 16 and
+    /// narrows `b` with [`Block16::keep_cols`] instead. Engines are
+    /// specified on `1..=16` only: those that read the field treat 0 as 1,
+    /// and a value above 16 may panic.
     pub n_cols: usize,
 }
 
