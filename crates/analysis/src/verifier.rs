@@ -15,15 +15,105 @@
 //! * **Routing and power-gating soundness** — `USTC010`, `USTC011`.
 //! * **BBC metadata consistency** via [`BbcMatrix::validate`] — `USTC012`.
 //! * **Stream/metadata agreement** by recompilation diff — `USTC013`.
+//!
+//! A kernel invocation ([`Invocation`]) is checked over its counted
+//! [`TaskStream`], once per distinct T1 task: see [`Verifier::verify`].
 
+use simkit::driver;
+use simkit::{Block16, CounterOverflow, T1Task, TaskStream};
 use sparse::{BbcMatrix, SparseVector};
+use uni_stc::check::check_t1;
 use uni_stc::compiler::{compile_spgemm, compile_spmv, CompiledKernel};
 use uni_stc::dpg::expand_t3;
-use uni_stc::isa::{Program, Uwmma};
+use uni_stc::isa::{Instruction, Program, Uwmma};
+use uni_stc::tms::generate_t3_tasks;
 use uni_stc::{UniStcConfig, T4_MAX_LEN};
 
 use crate::diag::{Code, Diagnostic, Report, Span};
-use crate::model::{active_dpgs, StreamModel, T3Node, DOT_QUEUE_CAP, TILE_QUEUE_CAP};
+use crate::model::{active_dpgs, route_tasks, StreamModel, T3Node, DOT_QUEUE_CAP, TILE_QUEUE_CAP};
+
+/// The operands of one kernel invocation: everything that fixes its T1
+/// task stream.
+#[derive(Debug, Clone, Copy)]
+pub enum Invocation<'a> {
+    /// SpMV (`y = A x`, dense `x`).
+    SpMV(&'a BbcMatrix),
+    /// SpMSpV (`y = A x`, sparse `x`).
+    SpMSpV(&'a BbcMatrix, &'a SparseVector),
+    /// SpMM (`C = A B`, dense `B` with this many columns).
+    SpMM(&'a BbcMatrix, usize),
+    /// SpGEMM (`C = A B`, both sparse).
+    SpGEMM(&'a BbcMatrix, &'a BbcMatrix),
+}
+
+impl Invocation<'_> {
+    /// The counted stream the serial driver runs (`driver::<kernel>_stream`).
+    ///
+    /// # Errors
+    ///
+    /// [`CounterOverflow`] if the stream stands for more than `u64::MAX`
+    /// tasks (SpMM only).
+    ///
+    /// # Panics
+    ///
+    /// If SpGEMM block grids do not conform, as [`driver::spgemm_stream`];
+    /// [`Verifier::verify_operands`] rejects those first.
+    pub fn stream(&self) -> Result<TaskStream, CounterOverflow> {
+        match *self {
+            Invocation::SpMV(a) => Ok(driver::spmv_stream(a)),
+            Invocation::SpMSpV(a, x) => Ok(driver::spmspv_stream(a, x)),
+            Invocation::SpMM(a, n_cols) => driver::spmm_stream(a, n_cols),
+            Invocation::SpGEMM(a, b) => Ok(driver::spgemm_stream(a, b)),
+        }
+    }
+
+    /// The stored block of `A` at which `task` first appears in the issue
+    /// order. Every kernel issues its tasks in ascending A-block order, so
+    /// this is the first block whose tasks include `task`. Spans only: a
+    /// linear search, run for a task that failed a check.
+    fn first_block(&self, task: &T1Task) -> Option<usize> {
+        let a = match *self {
+            Invocation::SpMV(a)
+            | Invocation::SpMSpV(a, _)
+            | Invocation::SpMM(a, _)
+            | Invocation::SpGEMM(a, _) => a,
+        };
+        (0..a.block_count()).find(|&bi| {
+            let blk = a.block(bi);
+            let bits = Block16::from_bbc(&blk);
+            bits == task.a
+                && match *self {
+                    // Every block's tasks are a function of its bitmap.
+                    Invocation::SpMV(_) | Invocation::SpMM(..) => true,
+                    Invocation::SpMSpV(_, x) => {
+                        T1Task::mv(bits, x.segment_mask16(blk.block_col)) == *task
+                    }
+                    Invocation::SpGEMM(_, b) => b
+                        .blocks_in_row(blk.block_col)
+                        .any(|bj| Block16::from_bbc(&b.block(bj)) == task.b),
+                }
+        })
+    }
+
+    /// The UWMMA sequence the compiler emits for one non-trivial T1 task
+    /// of this kernel; `None` for the kernels it cannot compile.
+    fn block_program(&self, t3_tasks: u32, products: u64) -> Option<Program> {
+        match self {
+            Invocation::SpMV(_) => Some(Program::spmv_block(t3_tasks.into(), products)),
+            Invocation::SpGEMM(..) => Some(Program::spgemm_block(t3_tasks.into(), products)),
+            Invocation::SpMSpV(..) | Invocation::SpMM(..) => None,
+        }
+    }
+
+    /// The compiled per-warp streams, for the kernels the compiler covers.
+    fn compile(&self, cfg: &UniStcConfig, n_warps: usize) -> Option<CompiledKernel> {
+        match *self {
+            Invocation::SpMV(a) => Some(compile_spmv(cfg, a, n_warps.max(1))),
+            Invocation::SpGEMM(a, b) => Some(compile_spgemm(cfg, a, b, n_warps.max(1))),
+            Invocation::SpMSpV(..) | Invocation::SpMM(..) => None,
+        }
+    }
+}
 
 /// Task-batch kind tracked by the lifecycle walk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,6 +132,10 @@ impl BatchKind {
 }
 
 /// The static verifier, parameterised by one Uni-STC configuration.
+///
+/// A kernel invocation is verified over its counted task stream, each
+/// distinct T1 task once; a finding of a task that repeats is reported
+/// once, at the task's first appearance ([`Verifier::verify_stream`]).
 #[derive(Debug, Clone)]
 pub struct Verifier {
     cfg: UniStcConfig,
@@ -190,22 +284,23 @@ impl Verifier {
     pub fn verify_model(&self, model: &StreamModel) -> Report {
         let mut report = Report::new();
         for (ni, node) in model.t1.iter().enumerate() {
-            let block = node.block.unwrap_or(ni);
-            if node.t3.len() > TILE_QUEUE_CAP {
-                report.push(Diagnostic::new(
-                    Code::TileQueueOverflow,
-                    Span::at_block(block),
-                    format!(
-                        "{} T3 tasks exceed the {TILE_QUEUE_CAP}-entry Tile queue",
-                        node.t3.len()
-                    ),
-                ));
-            }
-            self.check_t3_expansions(&mut report, block, &node.t3);
-            self.check_write_conflicts(&mut report, block, &node.t3);
-            self.check_routing(&mut report, block, &node.t3);
+            self.check_node(&mut report, node.block.unwrap_or(ni), &node.t3);
         }
         report
+    }
+
+    /// The `USTC006`–`USTC011` checks of one T1 node, spanned at `block`.
+    fn check_node(&self, report: &mut Report, block: usize, t3: &[T3Node]) {
+        if t3.len() > TILE_QUEUE_CAP {
+            report.push(Diagnostic::new(
+                Code::TileQueueOverflow,
+                Span::at_block(block),
+                format!("{} T3 tasks exceed the {TILE_QUEUE_CAP}-entry Tile queue", t3.len()),
+            ));
+        }
+        self.check_t3_expansions(report, block, t3);
+        self.check_write_conflicts(report, block, t3);
+        self.check_routing(report, block, t3);
     }
 
     /// Per-T3 checks: Dot-product-queue load and segment lengths.
@@ -302,70 +397,155 @@ impl Verifier {
         report
     }
 
-    /// Full static check of an SpMV invocation: metadata, stream model and
-    /// the compiled per-warp UWMMA streams. Stops after the metadata check
-    /// when the matrix is corrupt (a corrupt structure cannot be safely
-    /// walked).
+    /// The operand checks of an invocation (`USTC012`): BBC metadata of
+    /// every matrix, and for SpMSpV and SpGEMM the operand shapes. An `x`
+    /// whose length is not `a.ncols()` would mask blocks against segments
+    /// `x` does not have; non-conforming SpGEMM block grids
+    /// (`a.block_cols() != b.block_rows()`) cannot be walked at all.
+    pub fn verify_operands(&self, inv: Invocation<'_>) -> Report {
+        match inv {
+            Invocation::SpMV(a) | Invocation::SpMM(a, _) => self.verify_matrix(a),
+            Invocation::SpMSpV(a, x) => {
+                let mut report = self.verify_matrix(a);
+                if x.dim() != a.ncols() {
+                    report.push(Diagnostic::new(
+                        Code::CorruptMetadata,
+                        Span::none(),
+                        spmspv_shape_message(a, x),
+                    ));
+                }
+                report
+            }
+            Invocation::SpGEMM(a, b) => {
+                let mut report = self.verify_matrix(a);
+                report.merge(self.verify_matrix(b));
+                if a.block_cols() != b.block_rows() {
+                    report.push(Diagnostic::new(
+                        Code::CorruptMetadata,
+                        Span::none(),
+                        spgemm_shape_message(a, b),
+                    ));
+                }
+                report
+            }
+        }
+    }
+
+    /// Checks an invocation's counted task stream, which must be the one
+    /// [`Invocation::stream`] builds for operands that passed
+    /// [`Verifier::verify_operands`].
+    ///
+    /// Every check is a pure function of one T1 task, so each distinct
+    /// task is checked once, whatever its multiplicity: the
+    /// `USTC006`–`USTC011` schedule checks ([`check_t1`]), then the UWMMA
+    /// lifecycle of the sequence the compiler emits for it
+    /// (`USTC001`–`USTC005`, SpMV and SpGEMM). **A failing distinct task
+    /// reports once, at its first appearance:** its schedule findings
+    /// are spanned at the first A block that issues it, and a failing
+    /// UWMMA sequence at the first `(warp, instr)` of the compiled
+    /// kernel that carries it. Those positions are looked up only when a
+    /// check fails. The findings are therefore the per-issued-task
+    /// findings with repeats dropped: the same first error and the same
+    /// set of codes.
+    pub fn verify_stream(
+        &self,
+        inv: Invocation<'_>,
+        stream: &TaskStream,
+        n_warps: usize,
+    ) -> Report {
+        let mut report = Report::new();
+        // The length of a per-task UWMMA sequence with a lifecycle finding.
+        let mut failing_len = None;
+        for (task, _) in stream.iter() {
+            let check = check_t1(&self.cfg, &task.a, &task.b);
+            if check.t3_tasks == 0 {
+                continue; // trivial T1 tasks never reach the engine
+            }
+            if !check.sound {
+                let tasks = generate_t3_tasks(&task.a, &task.b, self.cfg.ordering);
+                let block = inv.first_block(task).unwrap_or(0);
+                self.check_node(&mut report, block, &route_tasks(&self.cfg, &tasks));
+            }
+            if let Some(program) = inv.block_program(check.t3_tasks, check.products) {
+                if !self.program_report(None, &program).is_clean() {
+                    failing_len = Some(program.instructions().len());
+                }
+            }
+        }
+        if let Some(block_len) = failing_len {
+            // Only now is the kernel compiled, to locate the findings.
+            if let Some(kernel) = inv.compile(&self.cfg, n_warps) {
+                report.merge(self.kernel_report_once(&kernel, block_len));
+            }
+        }
+        report
+    }
+
+    /// [`Verifier::verify_kernel`] for a kernel made of `block_len`-long
+    /// per-task sequences, each distinct sequence reported once: only the
+    /// findings inside a sequence's first appearance, in warp order and
+    /// then instruction order, are kept.
+    fn kernel_report_once(&self, kernel: &CompiledKernel, block_len: usize) -> Report {
+        let mut report = Report::new();
+        let mut seen: Vec<&[Instruction]> = Vec::new();
+        for w in &kernel.warps {
+            let first: Vec<bool> = w
+                .program
+                .instructions()
+                .chunks(block_len)
+                .map(|chunk| {
+                    let fresh = !seen.contains(&chunk);
+                    if fresh {
+                        seen.push(chunk);
+                    }
+                    fresh
+                })
+                .collect();
+            for d in self.program_report(Some(w.warp), &w.program).diagnostics() {
+                if d.span.instr.is_none_or(|i| first.get(i / block_len) == Some(&true)) {
+                    report.push(d.clone());
+                }
+            }
+        }
+        report
+    }
+
+    /// Full static check of one invocation: [`Verifier::verify_operands`],
+    /// then, unless that found an error (a corrupt or non-conforming
+    /// structure cannot be safely walked), [`Verifier::verify_stream`]
+    /// over the stream the driver would run. `n_warps` is the warp count
+    /// of the compiled streams a lifecycle finding is spanned in. A
+    /// stream standing for more than `u64::MAX` tasks cannot be run and
+    /// is left to the runner to reject.
+    pub fn verify(&self, inv: Invocation<'_>, n_warps: usize) -> Report {
+        let mut report = self.verify_operands(inv);
+        if report.has_errors() {
+            return report;
+        }
+        if let Ok(stream) = inv.stream() {
+            report.merge(self.verify_stream(inv, &stream, n_warps));
+        }
+        report
+    }
+
+    /// [`Verifier::verify`] of an SpMV invocation.
     pub fn verify_spmv(&self, a: &BbcMatrix, n_warps: usize) -> Report {
-        let mut report = self.verify_matrix(a);
-        if report.has_errors() {
-            return report;
-        }
-        report.merge(self.verify_model(&StreamModel::spmv(&self.cfg, a)));
-        report.merge(self.verify_kernel(&compile_spmv(&self.cfg, a, n_warps.max(1))));
-        report
+        self.verify(Invocation::SpMV(a), n_warps)
     }
 
-    /// Full static check of an SpMSpV invocation (operand shapes, metadata
-    /// and model; the compiler has no SpMSpV entry point). An `x` whose
-    /// length is not `a.ncols()` is `USTC012`: the stream would mask
-    /// blocks against segments `x` does not have.
+    /// [`Verifier::verify`] of an SpMSpV invocation.
     pub fn verify_spmspv(&self, a: &BbcMatrix, x: &SparseVector) -> Report {
-        let mut report = self.verify_matrix(a);
-        if x.dim() != a.ncols() {
-            report.push(Diagnostic::new(
-                Code::CorruptMetadata,
-                Span::none(),
-                spmspv_shape_message(a, x),
-            ));
-        }
-        if report.has_errors() {
-            return report;
-        }
-        report.merge(self.verify_model(&StreamModel::spmspv(&self.cfg, a, x)));
-        report
+        self.verify(Invocation::SpMSpV(a, x), 1)
     }
 
-    /// Full static check of an SpMM invocation (metadata + model).
+    /// [`Verifier::verify`] of an SpMM invocation.
     pub fn verify_spmm(&self, a: &BbcMatrix, n_cols: usize) -> Report {
-        let mut report = self.verify_matrix(a);
-        if report.has_errors() {
-            return report;
-        }
-        report.merge(self.verify_model(&StreamModel::spmm(&self.cfg, a, n_cols)));
-        report
+        self.verify(Invocation::SpMM(a, n_cols), 1)
     }
 
-    /// Full static check of an SpGEMM invocation: both operands' metadata,
-    /// the block-grid shapes, the stream model, and the compiled streams.
-    /// Non-conforming grids (`a.block_cols() != b.block_rows()`) are
-    /// `USTC012`: the block outer-product walk cannot represent them.
+    /// [`Verifier::verify`] of an SpGEMM invocation.
     pub fn verify_spgemm(&self, a: &BbcMatrix, b: &BbcMatrix, n_warps: usize) -> Report {
-        let mut report = self.verify_matrix(a);
-        report.merge(self.verify_matrix(b));
-        if a.block_cols() != b.block_rows() {
-            report.push(Diagnostic::new(
-                Code::CorruptMetadata,
-                Span::none(),
-                spgemm_shape_message(a, b),
-            ));
-        }
-        if report.has_errors() {
-            return report;
-        }
-        report.merge(self.verify_model(&StreamModel::spgemm(&self.cfg, a, b)));
-        report.merge(self.verify_kernel(&compile_spgemm(&self.cfg, a, b, n_warps.max(1))));
-        report
+        self.verify(Invocation::SpGEMM(a, b), n_warps)
     }
 
     /// Diffs a caller-supplied SpMV kernel against the stream the verifier
@@ -480,9 +660,33 @@ impl UstcVerifier {
     pub fn verifier(&self) -> &Verifier {
         &self.verifier
     }
+
+    /// [`Verifier::verify_operands`], reduced to its first error: what a
+    /// caller checks before it builds the invocation's stream.
+    pub fn verify_operands(
+        &self,
+        inv: Invocation<'_>,
+    ) -> Result<(), simkit::driver::VerifyError> {
+        to_result(self.verifier.verify_operands(inv))
+    }
+
+    /// [`Verifier::verify_stream`], reduced to its first error, for a
+    /// stream built after [`UstcVerifier::verify_operands`] passed. A
+    /// caller that caches streams verifies the instance it caches.
+    pub fn verify_stream(
+        &self,
+        inv: Invocation<'_>,
+        stream: &TaskStream,
+    ) -> Result<(), simkit::driver::VerifyError> {
+        to_result(self.verifier.verify_stream(inv, stream, self.n_warps))
+    }
+
+    fn verify(&self, inv: Invocation<'_>) -> Result<(), simkit::driver::VerifyError> {
+        to_result(self.verifier.verify(inv, self.n_warps))
+    }
 }
 
-fn to_result(report: Report) -> Result<(), simkit::driver::VerifyError> {
+pub(crate) fn to_result(report: Report) -> Result<(), simkit::driver::VerifyError> {
     match report.first_error() {
         None => Ok(()),
         Some(d) => Err(simkit::driver::VerifyError {
@@ -494,7 +698,7 @@ fn to_result(report: Report) -> Result<(), simkit::driver::VerifyError> {
 
 impl simkit::driver::StreamVerifier for UstcVerifier {
     fn verify_spmv(&self, a: &BbcMatrix) -> Result<(), simkit::driver::VerifyError> {
-        to_result(self.verifier.verify_spmv(a, self.n_warps))
+        self.verify(Invocation::SpMV(a))
     }
 
     fn verify_spmspv(
@@ -502,11 +706,11 @@ impl simkit::driver::StreamVerifier for UstcVerifier {
         a: &BbcMatrix,
         x: &SparseVector,
     ) -> Result<(), simkit::driver::VerifyError> {
-        to_result(self.verifier.verify_spmspv(a, x))
+        self.verify(Invocation::SpMSpV(a, x))
     }
 
     fn verify_spmm(&self, a: &BbcMatrix, n_cols: usize) -> Result<(), simkit::driver::VerifyError> {
-        to_result(self.verifier.verify_spmm(a, n_cols))
+        self.verify(Invocation::SpMM(a, n_cols))
     }
 
     fn verify_spgemm(
@@ -514,13 +718,14 @@ impl simkit::driver::StreamVerifier for UstcVerifier {
         a: &BbcMatrix,
         b: &BbcMatrix,
     ) -> Result<(), simkit::driver::VerifyError> {
-        to_result(self.verifier.verify_spgemm(a, b, self.n_warps))
+        self.verify(Invocation::SpGEMM(a, b))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::reference;
     use sparse::{CooMatrix, CsrMatrix};
     use uni_stc::tms::T3Task;
 
@@ -621,11 +826,57 @@ mod tests {
         let cfg = UniStcConfig::default();
         let v = Verifier::new(cfg);
         let a = bbc(64, (0..64).flat_map(|i| [(i, i), (i, (i * 7) % 64)]));
-        assert!(v.verify_model(&StreamModel::spmv(&cfg, &a)).is_clean());
-        assert!(v.verify_model(&StreamModel::spmm(&cfg, &a, 40)).is_clean());
-        assert!(v.verify_model(&StreamModel::spgemm(&cfg, &a, &a)).is_clean());
+        assert!(v.verify_model(&reference::spmv(&cfg, &a)).is_clean());
+        assert!(v.verify_model(&reference::spmm(&cfg, &a, 40)).is_clean());
+        assert!(v.verify_model(&reference::spgemm(&cfg, &a, &a)).is_clean());
         assert!(v.verify_spmv(&a, 4).is_clean());
         assert!(v.verify_spgemm(&a, &a, 4).is_clean());
+    }
+
+    #[test]
+    fn a_failing_distinct_task_reports_once_at_its_first_block() {
+        // Four identical diagonal blocks, and no DPG to route their T3
+        // tasks to. At 40 columns each block issues two full-width tasks
+        // (16 T3 tasks each) and one 8-column tail (8 T3 tasks): two
+        // distinct tasks, each reported once, at block 0.
+        let cfg = UniStcConfig { n_dpg: 0, ..UniStcConfig::default() };
+        let v = Verifier::new(cfg);
+        let a = bbc(64, (0..64).map(|i| (i, i)));
+        assert_eq!(driver::spmm_stream(&a, 40).map(|s| s.len()), Ok(2));
+        let r = v.verify_spmm(&a, 40);
+        assert!(r.diagnostics().iter().all(|d| d.code == Code::DpgRouteOutOfRange));
+        let blocks: Vec<_> = r.diagnostics().iter().map(|d| d.span.block).collect();
+        assert_eq!(blocks, vec![Some(0); 16 + 8], "one finding per T3 task of block 0");
+        assert_eq!(r.diagnostics()[0].message, "DPG slot 0 outside the 0-DPG array");
+        // Under SpMSpV the first block that issues the task is the first
+        // whose `x` segment is nonzero.
+        let x = SparseVector::try_new(64, vec![40], vec![1.0]).unwrap();
+        let r = v.verify_spmspv(&a, &x);
+        assert_eq!(r.first_error().map(|d| d.span.block), Some(Some(2)));
+    }
+
+    #[test]
+    fn a_failing_uwmma_sequence_reports_once_at_its_first_instr() {
+        // Every block's metadata load claims 9 cycles: a warning per issued
+        // task per warp, but one per distinct sequence once deduplicated.
+        let cfg = UniStcConfig::default();
+        let v = Verifier::new(cfg);
+        let a = bbc(64, (0..64).map(|i| (i, i)));
+        let mut kernel = compile_spmv(&cfg, &a, 2);
+        for w in &mut kernel.warps {
+            let mut rebuilt = Program::new();
+            for instr in w.program.instructions() {
+                let cost = if instr.op == Uwmma::LoadMetaMv { 9 } else { instr.cost };
+                rebuilt.push(instr.op, cost);
+            }
+            w.program = rebuilt;
+        }
+        assert_eq!(v.verify_kernel(&kernel).diagnostics().len(), 4);
+        let once = v.kernel_report_once(&kernel, 4);
+        let spans: Vec<_> =
+            once.diagnostics().iter().map(|d| (d.span.warp, d.span.instr)).collect();
+        assert_eq!(spans, vec![(Some(0), Some(0))]);
+        assert_eq!(once.diagnostics()[0].code, Code::CostOutOfRange);
     }
 
     #[test]

@@ -46,6 +46,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod check;
 mod config;
 pub mod compiler;
 pub mod dpg;

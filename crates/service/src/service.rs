@@ -21,7 +21,10 @@
 //! * **Admission control** — with [`ServiceConfig::admission`] on,
 //!   every stream passes `analysis::UstcVerifier` before it is
 //!   scheduled, so illegal work is rejected with its `USTC` code instead
-//!   of being simulated; the shard plan is additionally proven legal by
+//!   of being simulated. Admission checks the operands, then builds the
+//!   counted stream and verifies it once per distinct T1 task; on a
+//!   stream-cache miss that same stream is the one cached and run. The
+//!   shard plan is additionally proven legal by
 //!   [`ShardPlan::verify_before_run`] before any worker spawns.
 //!   Non-conforming SpGEMM grids and SpMSpV vectors whose length is not
 //!   the operator's column count are rejected (`USTC012`) even with
@@ -40,10 +43,10 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 
-use analysis::UstcVerifier;
+use analysis::{Invocation, UstcVerifier};
 use obs::MetricsRegistry;
 use runtime::{run_stream_planned, PlannedRunError, RuntimeConfig, ShardPlan, ShardPlanError};
-use simkit::driver::{self, Kernel, StreamVerifier, VerifyError};
+use simkit::driver::{self, Kernel, VerifyError};
 use simkit::{CounterOverflow, EnergyModel, Precision, TaskStream, TileEngine};
 use sparse::{BbcMatrix, CsrMatrix};
 use uni_stc::{UniStc, UniStcConfig};
@@ -125,7 +128,14 @@ struct Prepared {
     /// A detected fingerprint collision: the job runs alone, past every
     /// cache.
     collided: bool,
+    /// The stream admission built and verified, for the stream cache to
+    /// hold on a miss instead of building it again.
+    stream: Option<Built>,
 }
+
+/// A compiled counted stream, or the overflow that makes its report
+/// unrepresentable.
+type Built = Result<TaskStream, CounterOverflow>;
 
 /// A cached value with the request it was computed from; it is served
 /// only to requests whose operands are confirmed the same.
@@ -150,7 +160,7 @@ struct Shared {
     encodings: SharedCache<Fingerprint, (Arc<CsrMatrix>, Arc<BbcMatrix>)>,
     /// Compiled counted streams, or the overflow that makes a key's
     /// report unrepresentable (a deterministic verdict, cached alike).
-    streams: SharedCache<StreamKey, Sourced<Result<TaskStream, CounterOverflow>>>,
+    streams: SharedCache<StreamKey, Sourced<Built>>,
     /// Memoized admission verdicts: static verification is a pure
     /// function of the operand content a [`StreamKey`] names, so a
     /// repeated key replays the recorded verdict (accept *or* reject)
@@ -453,9 +463,10 @@ fn execute(
     em: &EnergyModel,
     shared: &Shared,
     ids: &mut Identities,
-    members: Vec<Member>,
+    mut members: Vec<Member>,
 ) {
     let batch_size = members.len();
+    let admitted = members[0].0.stream.take();
     let (first, first_job) = &members[0];
     let (kernel, engine_name) = (first.kernel, first.engine.clone());
     let Some(engine) = engines.get(&engine_name) else {
@@ -471,7 +482,7 @@ fn execute(
         &shared.streams,
         &first.key,
         |ids, (held, _)| ids.same_request(held, sources),
-        || (sources.clone(), compile(first, sources)),
+        || (sources.clone(), admitted.unwrap_or_else(|| compile(first, sources))),
     );
     shared
         .metrics()
@@ -621,25 +632,38 @@ fn reject(e: VerifyError) -> JobError {
 }
 
 /// Runs admission control through the verdict memo: on the first
-/// sighting of `key` the verifier walks the operands and the verdict —
-/// accept or reject — is recorded; every repeat with confirmed operands
-/// replays it without re-verification. No-op when admission is off.
+/// sighting of `key` the verifier checks the operands, builds the
+/// invocation's stream and verifies it, and the verdict — accept or
+/// reject — is recorded; every repeat with confirmed operands replays it
+/// without re-verification. Returns the stream it built, if any, so the
+/// stream cache holds the instance that was verified. No-op when
+/// admission is off.
 fn admit(
     verifier: Option<&UstcVerifier>,
     shared: &Shared,
     job: &mut Lookups<'_>,
     key: &StreamKey,
     req: &KernelRequest,
-    verify: impl FnOnce(&UstcVerifier) -> Result<(), VerifyError>,
-) -> Result<(), JobError> {
-    let Some(v) = verifier else { return Ok(()) };
+    inv: Invocation<'_>,
+) -> Result<Option<Built>, JobError> {
+    let Some(v) = verifier else { return Ok(None) };
+    let mut built = None;
     let (verdict, _) = job.get(
         &shared.verdicts,
         key,
         |ids, (held, _)| ids.same_request(held, req),
-        || (req.clone(), verify(v)),
+        || {
+            let verdict = v.verify_operands(inv).and_then(|()| {
+                let stream = built.insert(inv.stream());
+                // A stream too long to count has no report to admit; the
+                // run rejects it.
+                stream.as_ref().map_or(Ok(()), |s| v.verify_stream(inv, s))
+            });
+            (req.clone(), verdict)
+        },
     );
-    verdict.1.clone().map_err(reject)
+    verdict.1.clone().map_err(reject)?;
+    Ok(built)
 }
 
 /// Validates, encodes and admits one request.
@@ -656,17 +680,18 @@ fn prepare(
     }
     let mut job = Lookups { ids, collided: false };
     let sources = &req.kernel;
-    let (key, a, b, encoding_cached) = match sources {
+    let (key, a, b, encoding_cached, stream) = match sources {
         KernelRequest::SpMV { a } => {
             let (a, fp, hit) = resolve(a, shared, &mut job);
             let key = StreamKey::Spmv { a: fp };
-            admit(verifier, shared, &mut job, &key, sources, |v| v.verify_spmv(&a))?;
-            (key, a, None, hit)
+            let built = admit(verifier, shared, &mut job, &key, sources, Invocation::SpMV(&a))?;
+            (key, a, None, hit, built)
         }
         KernelRequest::SpMSpV { a, x } => {
             let (a, fp, hit) = resolve(a, shared, &mut job);
             let key = StreamKey::Spmspv { a: fp, x: job.ids.vector(x) };
-            admit(verifier, shared, &mut job, &key, sources, |v| v.verify_spmspv(&a, x))?;
+            let inv = Invocation::SpMSpV(&a, x);
+            let built = admit(verifier, shared, &mut job, &key, sources, inv)?;
             // Like the SpGEMM grid gate below, this holds with admission
             // off: a mismatched `x` would silently mask blocks.
             if x.dim() != a.ncols() {
@@ -675,19 +700,21 @@ fn prepare(
                     message: analysis::spmspv_shape_message(&a, x),
                 });
             }
-            (key, a, None, hit)
+            (key, a, None, hit, built)
         }
         KernelRequest::SpMM { a, n_cols } => {
             let (a, fp, hit) = resolve(a, shared, &mut job);
             let key = StreamKey::Spmm { a: fp, n_cols: *n_cols };
-            admit(verifier, shared, &mut job, &key, sources, |v| v.verify_spmm(&a, *n_cols))?;
-            (key, a, None, hit)
+            let inv = Invocation::SpMM(&a, *n_cols);
+            let built = admit(verifier, shared, &mut job, &key, sources, inv)?;
+            (key, a, None, hit, built)
         }
         KernelRequest::SpGEMM { a, b } => {
             let (a, fp_a, hit_a) = resolve(a, shared, &mut job);
             let (b, fp_b, hit_b) = resolve(b, shared, &mut job);
             let key = StreamKey::Spgemm { a: fp_a, b: fp_b };
-            admit(verifier, shared, &mut job, &key, sources, |v| v.verify_spgemm(&a, &b))?;
+            let inv = Invocation::SpGEMM(&a, &b);
+            let built = admit(verifier, shared, &mut job, &key, sources, inv)?;
             // The task compiler cannot represent a non-conforming grid
             // (it would panic), so this gate holds even with admission
             // off — the same `USTC012` the verifier reports.
@@ -697,7 +724,7 @@ fn prepare(
                     message: analysis::spgemm_shape_message(&a, &b),
                 });
             }
-            (key, a, Some(b), hit_a && hit_b)
+            (key, a, Some(b), hit_a && hit_b, built)
         }
     };
     Ok(Prepared {
@@ -708,13 +735,14 @@ fn prepare(
         a,
         b,
         collided: job.collided,
+        stream,
     })
 }
 
 /// Compiles the counted task stream for an admitted job — exactly the
 /// stream the serial driver would run, so caching it preserves
 /// bit-identity.
-fn compile(p: &Prepared, req: &KernelRequest) -> Result<TaskStream, CounterOverflow> {
+fn compile(p: &Prepared, req: &KernelRequest) -> Built {
     match (req, &p.b) {
         (KernelRequest::SpMV { .. }, _) => Ok(driver::spmv_stream(&p.a)),
         (KernelRequest::SpMSpV { x, .. }, _) => Ok(driver::spmspv_stream(&p.a, x)),

@@ -257,8 +257,8 @@ fn spmspv_shape_mismatch_is_rejected_with_and_without_admission() {
 #[test]
 fn overflowing_spmm_is_a_typed_rejection_and_the_service_survives() {
     // ~2^59 column blocks: the counted stream holds two entries per A
-    // block, but the exact report's counters would pass 2^64. (Admission
-    // is off: the verifier's stream model still walks every column block.)
+    // block, but the exact report's counters would pass 2^64. With
+    // admission on the same job is answered as quickly (see below).
     let a = diag_csr(64);
     let svc = Service::start(ServiceConfig { admission: false, ..ServiceConfig::default() });
     let err = svc
@@ -287,6 +287,36 @@ fn overflowing_spmm_is_a_typed_rejection_and_the_service_survives() {
         .wait()
         .expect("legal request after the rejection");
     assert_eq!(got.report, expected);
+}
+
+#[test]
+fn wide_spmm_under_admission_is_answered_promptly() {
+    // Admission verifies each distinct T1 task once, so its work is
+    // bounded by the stored blocks, not by the column blocks of `B`.
+    let a = csr(16, &(0..16).map(|i| (i, i, 1.0)).collect::<Vec<_>>());
+    let bbc = BbcMatrix::from_csr(&a);
+    let engine = UniStc::new(UniStcConfig::with_precision(Precision::Fp64));
+    let em = EnergyModel::default();
+    let svc = Service::start(ServiceConfig::default());
+    for n_cols in [1 << 24, 1 << 28, usize::MAX / 2] {
+        let started = std::time::Instant::now();
+        let got = svc
+            .submit(JobRequest::new(KernelRequest::SpMM { a: a.clone().into(), n_cols }))
+            .wait();
+        assert!(started.elapsed().as_secs_f64() < 1.0, "n_cols {n_cols}: {:?}", started.elapsed());
+        let expected = driver::spmm_stream(&bbc, n_cols)
+            .and_then(|s| driver::run_stream(&engine, &em, driver::Kernel::SpMM, &s));
+        match (got, expected) {
+            (Ok(got), Ok(expected)) => assert_eq!(got.report, expected, "n_cols {n_cols}"),
+            (Err(JobError::Rejected { code, .. }), Err(_)) => assert_eq!(code, "USTC017"),
+            (got, expected) => panic!("n_cols {n_cols}: {got:?} vs driver {expected:?}"),
+        }
+    }
+    let got = svc
+        .submit(JobRequest::new(KernelRequest::SpMV { a: diag_csr(64).into() }))
+        .wait()
+        .expect("the dispatcher still serves a normal job");
+    assert!(got.report.cycles > 0);
 }
 
 #[test]

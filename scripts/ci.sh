@@ -31,9 +31,10 @@ cargo test --workspace -q
 
 echo "== engine suites in release =="
 # Release builds wrap on integer overflow where debug builds panic, so the
-# engines' packed byte-lane arithmetic and their frozen-reference
-# differentials must also pass with release arithmetic.
-cargo test --release -p baselines -p uni-stc -q
+# engines' packed byte-lane arithmetic, the verifier's per-distinct-task
+# pass and their frozen-reference differentials must also pass with
+# release arithmetic.
+cargo test --release -p baselines -p uni-stc -p analysis -q
 
 echo "== conformance sweep (fixed seed) =="
 cargo test -p conformance -q
