@@ -131,6 +131,55 @@ impl BatchKind {
     }
 }
 
+/// Slots of a [`LifecycleMemo`]: it records up to half as many pairs.
+const LIFECYCLE_MEMO_SLOTS: usize = 512;
+
+/// The UWMMA lifecycle verdicts reached in one stream, keyed by the exact
+/// `(T3 count, products)` pair that a per-task sequence is a function of,
+/// so each distinct pair is checked once. An open-addressed table on the
+/// stack: no heap allocation. Once half full it stops recording, and a
+/// new pair is checked each time it appears — the same verdict, only not
+/// memoised.
+struct LifecycleMemo {
+    recorded: usize,
+    /// `(T3 count, failing sequence length or 0, products)`; a T3 count
+    /// of 0 marks a free slot (trivial tasks are never checked).
+    slots: [(u32, u32, u64); LIFECYCLE_MEMO_SLOTS],
+}
+
+impl LifecycleMemo {
+    fn new() -> Self {
+        LifecycleMemo { recorded: 0, slots: [(0, 0, 0); LIFECYCLE_MEMO_SLOTS] }
+    }
+
+    /// The length of the pair's UWMMA sequence if it fails the lifecycle
+    /// check, else `None`; `check` decides a pair not seen before.
+    fn verdict(
+        &mut self,
+        t3_tasks: u32,
+        products: u64,
+        check: impl FnOnce() -> Option<usize>,
+    ) -> Option<usize> {
+        let hash = (u64::from(t3_tasks) << 32 ^ products).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut at = (hash >> 55) as usize % LIFECYCLE_MEMO_SLOTS;
+        while let Some(&(t3, len, p)) = self.slots.get(at).filter(|slot| slot.0 != 0) {
+            if (t3, p) == (t3_tasks, products) {
+                return (len != 0).then_some(len as usize);
+            }
+            at = (at + 1) % LIFECYCLE_MEMO_SLOTS;
+        }
+        let verdict = check();
+        let len = verdict.map_or(Some(0), |n| u32::try_from(n).ok());
+        if let (Some(len), Some(slot)) = (len, self.slots.get_mut(at)) {
+            if t3_tasks != 0 && self.recorded < LIFECYCLE_MEMO_SLOTS / 2 {
+                *slot = (t3_tasks, len, products);
+                self.recorded += 1;
+            }
+        }
+        verdict
+    }
+}
+
 /// The static verifier, parameterised by one Uni-STC configuration.
 ///
 /// A kernel invocation is verified over its counted task stream, each
@@ -456,6 +505,7 @@ impl Verifier {
         let mut report = Report::new();
         // The length of a per-task UWMMA sequence with a lifecycle finding.
         let mut failing_len = None;
+        let mut lifecycle = LifecycleMemo::new();
         for (task, _) in stream.iter() {
             let check = check_t1(&self.cfg, &task.a, &task.b);
             if check.t3_tasks == 0 {
@@ -466,10 +516,13 @@ impl Verifier {
                 let block = inv.first_block(task).unwrap_or(0);
                 self.check_node(&mut report, block, &route_tasks(&self.cfg, &tasks));
             }
-            if let Some(program) = inv.block_program(check.t3_tasks, check.products) {
-                if !self.program_report(None, &program).is_clean() {
-                    failing_len = Some(program.instructions().len());
-                }
+            let failing = lifecycle.verdict(check.t3_tasks, check.products, || {
+                let program = inv.block_program(check.t3_tasks, check.products)?;
+                let clean = self.program_report(None, &program).is_clean();
+                (!clean).then(|| program.instructions().len())
+            });
+            if failing.is_some() {
+                failing_len = failing;
             }
         }
         if let Some(block_len) = failing_len {
@@ -949,5 +1002,51 @@ mod tests {
         let r = v.verify_spmv_against(&a, &tampered);
         assert!(r.has_code(Code::CostMismatch));
         assert_eq!(r.diagnostics().len(), 1);
+    }
+
+    #[test]
+    fn lifecycle_checks_once_per_distinct_pair() {
+        // Sixteen diagonal blocks, each holding one entry at a different
+        // position of its first tile: sixteen distinct T1 tasks, all with
+        // one T3 task of one product.
+        let a = bbc(256, (0..16).map(|b| (16 * b + b / 4, 16 * b + b % 4)));
+        let v = Verifier::new(UniStcConfig::default());
+        let inv = Invocation::SpMV(&a);
+        let stream = inv.stream().unwrap();
+        assert_eq!(stream.len(), 16);
+        let mut memo = LifecycleMemo::new();
+        let mut checks = 0;
+        for (task, _) in stream.iter() {
+            let c = check_t1(v.config(), &task.a, &task.b);
+            assert_eq!((c.t3_tasks, c.products), (1, 1));
+            assert_eq!(memo.verdict(c.t3_tasks, c.products, || { checks += 1; None }), None);
+        }
+        assert_eq!(checks, 1);
+        assert!(v.verify_stream(inv, &stream, 2).is_clean());
+
+        // A failing verdict replays with its sequence length; a new pair
+        // is checked on its own.
+        let mut memo = LifecycleMemo::new();
+        assert_eq!(memo.verdict(40, 9, || Some(4)), Some(4));
+        assert_eq!(memo.verdict(40, 9, || unreachable!("memoised")), Some(4));
+        assert_eq!(memo.verdict(40, 10, || None), None);
+    }
+
+    #[test]
+    fn lifecycle_memo_past_capacity_still_answers_exactly() {
+        let mut memo = LifecycleMemo::new();
+        let verdict = |products: u64| products.is_multiple_of(3).then_some(4);
+        for products in 1..=2 * LIFECYCLE_MEMO_SLOTS as u64 {
+            assert_eq!(memo.verdict(7, products, || verdict(products)), verdict(products));
+        }
+        let mut rechecked = 0;
+        for products in 1..=2 * LIFECYCLE_MEMO_SLOTS as u64 {
+            let got = memo.verdict(7, products, || {
+                rechecked += 1;
+                verdict(products)
+            });
+            assert_eq!(got, verdict(products), "{products}");
+        }
+        assert_eq!(rechecked, 2 * LIFECYCLE_MEMO_SLOTS - LIFECYCLE_MEMO_SLOTS / 2);
     }
 }

@@ -59,18 +59,14 @@ fn main() {
         let mut max_b = 0usize;
         for ctx in &reps {
             for blk in ctx.bbc.blocks().take(64) {
-                let bits = simkit::Block16::from_bbc(&blk);
-                for tr in 0..4 {
-                    for tc in 0..4 {
-                        let t = bits.tile(tr, tc);
-                        if t == 0 {
-                            continue;
-                        }
-                        let codes = expand_t3(t, t, fill);
-                        let (a, b) = broadcast_gaps(&codes);
-                        max_a = max_a.max(a);
-                        max_b = max_b.max(b);
+                for t in simkit::Block16::from_bbc(&blk).tiles() {
+                    if t == 0 {
+                        continue;
                     }
+                    let codes = expand_t3(t, t, fill);
+                    let (a, b) = broadcast_gaps(&codes);
+                    max_a = max_a.max(a);
+                    max_b = max_b.max(b);
                 }
             }
         }

@@ -92,7 +92,8 @@ pub fn check_t1(cfg: &UniStcConfig, a: &Block16, b: &Block16) -> T1Check {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tms::{generate_t3_tasks, TaskOrdering};
+    use crate::tms::TaskOrdering;
+    use crate::walk_reference::generate_t3_tasks;
     use crate::FillOrder;
 
     #[test]

@@ -10,7 +10,7 @@
 //! T4 codes fill the dot-product queue in a **Z-shaped** order that bounds
 //! every operand's broadcast range (A: 5 multipliers, B: 9).
 
-use simkit::{tile_col, tile_row};
+use simkit::transpose_tile;
 
 /// Fill order of the dot-product queue (Section IV-A.2, point 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -56,27 +56,68 @@ impl T4Code {
     }
 }
 
+/// A fill order as constant tables: its visit order over the 4x4 tile C,
+/// and a byte-indexed lookup per half of a row-major C-tile mask (bit
+/// `m * 4 + n`) that moves each output to its place in the visit order.
+struct FillTables {
+    order: [(u8, u8); 16],
+    to_visit: [[u16; 256]; 2],
+}
+
+impl FillTables {
+    /// The tables of visiting the 2x2 output sub-blocks of tile C in
+    /// row-major order, each in the `inner` order.
+    const fn new(inner: [(u8, u8); 4]) -> Self {
+        let mut order = [(0u8, 0u8); 16];
+        let mut place = [0u16; 16]; // place[m * 4 + n]: the visit index
+        let mut idx = 0;
+        while idx < 16 {
+            let (block, (dm, dn)) = (idx / 4, inner[idx % 4]);
+            let (m, n) = ((block / 2) as u8 * 2 + dm, (block % 2) as u8 * 2 + dn);
+            order[idx] = (m, n);
+            place[(m * 4 + n) as usize] = idx as u16;
+            idx += 1;
+        }
+        let mut to_visit = [[0u16; 256]; 2];
+        let mut byte = 0;
+        while byte < 256 {
+            let mut bit = 0;
+            while bit < 8 {
+                if byte >> bit & 1 == 1 {
+                    to_visit[0][byte] |= 1 << place[bit];
+                    to_visit[1][byte] |= 1 << place[bit + 8];
+                }
+                bit += 1;
+            }
+            byte += 1;
+        }
+        FillTables { order, to_visit }
+    }
+
+    /// The row-major C-tile mask `c_tile`, with bit `i` set when the
+    /// `i`-th position of the visit order is set.
+    fn in_visit_order(&self, c_tile: u16) -> u16 {
+        self.to_visit[0][usize::from(c_tile & 0xFF)] | self.to_visit[1][usize::from(c_tile >> 8)]
+    }
+}
+
+/// Z: left-right then next row (A row reused consecutively, B column at
+/// distance 2).
+const Z_FILL: FillTables = FillTables::new([(0, 0), (0, 1), (1, 0), (1, 1)]);
+
+/// N: top-bottom then next column.
+const N_FILL: FillTables = FillTables::new([(0, 0), (1, 0), (0, 1), (1, 1)]);
+
+const fn fill_tables(fill: FillOrder) -> &'static FillTables {
+    match fill {
+        FillOrder::ZShape => &Z_FILL,
+        FillOrder::NShape => &N_FILL,
+    }
+}
+
 /// The output-position visit order of a fill strategy over the 4x4 tile C.
 pub fn visit_order(fill: FillOrder) -> [(u8, u8); 16] {
-    let mut order = [(0u8, 0u8); 16];
-    let mut idx = 0;
-    for bm in 0..2u8 {
-        for bn in 0..2u8 {
-            let (m0, n0) = (bm * 2, bn * 2);
-            let inner: [(u8, u8); 4] = match fill {
-                // Z: left-right then next row (A row reused consecutively,
-                // B column at distance 2).
-                FillOrder::ZShape => [(0, 0), (0, 1), (1, 0), (1, 1)],
-                // N: top-bottom then next column.
-                FillOrder::NShape => [(0, 0), (1, 0), (0, 1), (1, 1)],
-            };
-            for (dm, dn) in inner {
-                order[idx] = (m0 + dm, n0 + dn);
-                idx += 1;
-            }
-        }
-    }
-    order
+    fill_tables(fill).order
 }
 
 /// Expands one T3 task (tile masks `a_tile`, `b_tile`) into its T4 codes
@@ -96,39 +137,86 @@ pub fn expand_t3(a_tile: u16, b_tile: u16, fill: FillOrder) -> Vec<T4Code> {
 /// [`expand_t3`] without the `Vec`: calls `f` on each T4 code in fill
 /// order, then records one [`DpgExpand`](obs::TraceEvent::DpgExpand)
 /// event carrying the segment count and total intermediate products of
-/// the expansion.
+/// the expansion. Returns the structural C tile: bit `m * 4 + n` set when
+/// output `(m, n)` has a code.
+///
+/// Word-parallel: one word holds all sixteen [`patterns`]; output `p`'s
+/// `c_index` is the number of nonzero pattern nibbles below nibble `p`.
 pub(crate) fn visit_t4_codes(
     a_tile: u16,
     b_tile: u16,
     fill: FillOrder,
     sink: &mut dyn obs::TraceSink,
     mut f: impl FnMut(T4Code),
-) {
-    // Structural C tile: row-major ranks for the accumulation targets.
-    let mut pattern = [[0u8; 4]; 4];
-    let mut c_rank = [[0u8; 4]; 4];
-    let mut rank = 0u8;
-    for m in 0..4 {
-        for n in 0..4 {
-            let p = (tile_row(a_tile, m) & tile_col(b_tile, n)) as u8;
-            pattern[m][n] = p;
-            if p != 0 {
-                c_rank[m][n] = rank;
-                rank += 1;
-            }
-        }
-    }
-    let mut products = 0u32;
-    for (m, n) in visit_order(fill) {
-        let p = pattern[m as usize][n as usize];
-        if p != 0 {
-            products += p.count_ones();
-            f(T4Code { m, n, c_index: c_rank[m as usize][n as usize], pattern: p });
-        }
+) -> u16 {
+    let patterns = patterns(a_tile, b_tile);
+    let outputs = nonzero_nibbles(patterns);
+    // Nibble p: the outputs before p in row-major order, i.e. p's rank in
+    // tile C (at most 15, so no nibble carries into the next).
+    let ranks = (outputs << 4).wrapping_mul(0x1111_1111_1111_1111);
+    let c_tile = gather_nibble_flags(outputs);
+    let tables = fill_tables(fill);
+    let mut rest = tables.in_visit_order(c_tile);
+    while rest != 0 {
+        let (m, n) = tables.order[rest.trailing_zeros() as usize];
+        rest &= rest - 1;
+        let at = 16 * m + 4 * n;
+        let (c_index, pattern) = ((ranks >> at) as u8 & 0xF, (patterns >> at) as u8 & 0xF);
+        f(T4Code { m, n, c_index, pattern });
     }
     if sink.enabled() {
-        sink.record(obs::TraceEvent::DpgExpand { cycle: 0, segments: u32::from(rank), products });
+        sink.record(obs::TraceEvent::DpgExpand {
+            cycle: 0,
+            segments: c_tile.count_ones(),
+            products: patterns.count_ones(),
+        });
     }
+    c_tile
+}
+
+/// The sixteen K-match patterns of the T3 task `a_tile x b_tile`: nibble
+/// `(m, n)` (bits `16m + 4n`) is `row_m(A) & col_n(B)` — row `m` of A
+/// repeated across lane `m`, ANDed with column `n` of B in nibble `n` of
+/// every lane.
+pub(crate) const fn patterns(a_tile: u16, b_tile: u16) -> u64 {
+    let a_rows = rows_to_lanes(a_tile) * LANE_NIBBLES;
+    let b_cols = transpose_tile(b_tile) as u64 * EVERY_LANE;
+    a_rows & b_cols
+}
+
+/// Multiplying a 16-bit lane's low nibble by this fills the lane's four
+/// nibbles with it.
+pub(crate) const LANE_NIBBLES: u64 = 0x1111;
+
+/// Multiplying a `u16` by this copies it into all four 16-bit lanes.
+pub(crate) const EVERY_LANE: u64 = 0x0001_0001_0001_0001;
+
+/// Row `m` of a 4x4 tile mask moved to the low nibble of 16-bit lane `m`.
+const fn rows_to_lanes(tile: u16) -> u64 {
+    let x = tile as u64;
+    let x = (x | x << 24) & 0x0000_00FF_0000_00FF;
+    (x | x << 12) & 0x000F_000F_000F_000F
+}
+
+/// Bit `4p` set where nibble `p` of `x` is nonzero; every other bit clear.
+pub(crate) const fn nonzero_nibbles(x: u64) -> u64 {
+    let x = x | x >> 1;
+    (x | x >> 2) & 0x1111_1111_1111_1111
+}
+
+/// Packs the flags of [`nonzero_nibbles`] (bit `4p`) into bit `p`.
+pub(crate) const fn gather_nibble_flags(flags: u64) -> u16 {
+    let x = (flags | flags >> 3) & 0x0303_0303_0303_0303;
+    let x = (x | x >> 6) & 0x000F_000F_000F_000F;
+    let x = (x | x >> 12) & 0x0000_00FF_0000_00FF;
+    (x | x >> 24) as u16
+}
+
+/// The inverse of [`gather_nibble_flags`]: bit `p` of `bits` to bit `4p`.
+pub(crate) const fn scatter_nibble_flags(bits: u16) -> u64 {
+    let x = rows_to_lanes(bits);
+    let x = (x | x << 6) & 0x0303_0303_0303_0303;
+    (x | x << 3) & 0x1111_1111_1111_1111
 }
 
 /// Maximum distance (in queue positions) between two T4 codes that share
@@ -175,7 +263,7 @@ mod tests {
         let b: u16 = 0b1010_0101_0011_1001;
         let codes = expand_t3(a, b, FillOrder::ZShape);
         let total: u32 = codes.iter().map(|c| c.len() as u32).sum();
-        assert_eq!(total, simkit::tile_products(a, b));
+        assert_eq!(total, crate::walk_reference::tile_products(a, b));
         for c in &codes {
             assert!((1..=4).contains(&c.len()));
             assert!(!c.is_empty());

@@ -59,6 +59,8 @@ pub mod power;
 pub mod schedule;
 pub mod sdpu;
 pub mod tms;
+#[cfg(test)]
+mod walk_reference;
 
 pub use config::{t3_tradeoff, T3TradeOffRow, UniStcConfig};
 pub use dpg::FillOrder;

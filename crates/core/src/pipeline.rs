@@ -177,11 +177,18 @@ fn execute_impl(cfg: &UniStcConfig, task: &T1Task, sink: &mut impl PipeSink) -> 
     res.events.meta_words += 2 * queued as u64; // two tile bitmaps each
 
     // ---- Stage 2: DPG expansion ----
+    // Structural C, output tile `o` in 16-bit lane `o % 4` of word
+    // `o / 4`: output (r, c) is nonzero exactly when some K tile's
+    // pattern at (r, c) is, i.e. when a T4 code of some T3 task targets
+    // it.
+    let mut c_words = [0u64; 4];
     for (infl, &(a_tile, b_tile)) in queue.iter_mut().zip(&tiles[..queued]) {
-        visit_t4_codes(a_tile, b_tile, cfg.fill_order, sink.obs(), |c| {
+        let c_tile = visit_t4_codes(a_tile, b_tile, cfg.fill_order, sink.obs(), |c| {
             infl.segments[usize::from(infl.len)] = c.len();
             infl.len += 1;
         });
+        let o = usize::from(infl.output_id & 0xF);
+        c_words[o / 4] |= u64::from(c_tile) << (16 * (o % 4));
         res.events.sched_ops += u64::from(infl.len);
     }
 
@@ -308,7 +315,7 @@ fn execute_impl(cfg: &UniStcConfig, task: &T1Task, sink: &mut impl PipeSink) -> 
     // Final write-back: the accumulation buffer holds tile C partials
     // across the whole T1 task, so each structurally nonzero C element is
     // written back exactly once.
-    res.events.c_writes = task.c_nnz() as u64;
+    res.events.c_writes = c_words.iter().map(|w| u64::from(w.count_ones())).sum();
     res
 }
 
@@ -320,8 +327,8 @@ mod reference {
     use std::collections::VecDeque;
 
     use super::*;
-    use crate::dpg::expand_t3;
-    use crate::tms::{generate_t3_tasks, T3Task};
+    use crate::tms::T3Task;
+    use crate::walk_reference::{expand_t3, generate_t3_tasks};
 
     #[derive(Debug, Clone)]
     struct InFlight {

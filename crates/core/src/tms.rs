@@ -8,7 +8,12 @@
 //! study — and the paper selects outer-product ordering with an adaptive
 //! intra-layer row/column-major choice.
 
-use simkit::{tile_products, Block16};
+use simkit::{transpose_nibbles, transpose_tile, Block16};
+
+use crate::dpg::{
+    gather_nibble_flags, nonzero_nibbles, patterns, scatter_nibble_flags, EVERY_LANE,
+    LANE_NIBBLES,
+};
 
 /// One T3 task: a 4x4x4 tile multiplication.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,7 +77,10 @@ pub fn generate_t3_tasks(a: &Block16, b: &Block16, ordering: TaskOrdering) -> Ve
 /// event carrying the batch size (timestamp 0 — generation latency is
 /// hidden by the asynchronous `stc.task_gen` lifecycle, so the batch
 /// materialises at task start).
-#[allow(clippy::needless_range_loop)] // k/i/j index two parallel structures
+///
+/// Word-parallel: the presence layers come from [`presence_layers`]; each
+/// ordering is one 64-bit key word whose set bits, in ascending order,
+/// are the tasks in issue order (see [`issue_key`]).
 pub(crate) fn visit_t3_tasks(
     a: &Block16,
     b: &Block16,
@@ -80,100 +88,110 @@ pub(crate) fn visit_t3_tasks(
     sink: &mut dyn obs::TraceSink,
     mut f: impl FnMut(T3Task),
 ) {
-    let mut grid = [[[None::<T3Task>; 4]; 4]; 4]; // [k][i][j]
-    for k in 0..4usize {
-        for i in 0..4usize {
-            let a_tile = a.tile(i, k);
-            if a_tile == 0 {
-                continue;
-            }
-            for j in 0..4usize {
-                let b_tile = b.tile(k, j);
-                if b_tile == 0 {
-                    continue;
-                }
-                let products = tile_products(a_tile, b_tile);
-                if products == 0 {
-                    continue;
-                }
-                grid[k][i][j] = Some(T3Task {
-                    i: i as u8,
-                    j: j as u8,
-                    k: k as u8,
-                    a_tile,
-                    b_tile,
-                    products,
-                });
-            }
-        }
-    }
-
-    let mut count = 0u32;
-    let mut emit = |t: T3Task| {
-        count += 1;
-        f(t);
-    };
-    match ordering {
-        TaskOrdering::DotProduct => {
-            for i in 0..4 {
-                for j in 0..4 {
-                    for layer in grid.iter() {
-                        if let Some(t) = layer[i][j] {
-                            emit(t);
-                        }
-                    }
-                }
-            }
-        }
-        TaskOrdering::OuterProduct => {
-            for layer in grid.iter() {
-                // Adaptive intra-layer order: column-major when nonzero
-                // rows outnumber nonzero columns, row-major otherwise.
-                let nz_rows =
-                    (0..4).filter(|&i| (0..4).any(|j| layer[i][j].is_some())).count();
-                let nz_cols =
-                    (0..4).filter(|&j| (0..4).any(|i| layer[i][j].is_some())).count();
-                if nz_rows > nz_cols {
-                    for j in 0..4 {
-                        for row in layer.iter() {
-                            if let Some(t) = row[j] {
-                                emit(t);
-                            }
-                        }
-                    }
-                } else {
-                    for row in layer.iter() {
-                        for t in row.iter().flatten() {
-                            emit(*t);
-                        }
-                    }
-                }
-            }
-        }
-        TaskOrdering::RowRow => {
-            for i in 0..4 {
-                for layer in grid.iter() {
-                    for t in layer[i].iter().flatten() {
-                        emit(*t);
-                    }
-                }
-            }
-        }
+    let (a_tiles, b_tiles) = (a.tiles(), b.tiles());
+    let layers = presence_layers(&a_tiles, &b_tiles);
+    let (key, col_major) = issue_key(layers, ordering);
+    let mut rest = key;
+    while rest != 0 {
+        let bit = rest.trailing_zeros() as u8;
+        rest &= rest - 1;
+        let (hi, mid, lo) = (bit >> 4, bit >> 2 & 3, bit & 3);
+        let (i, j, k) = match ordering {
+            TaskOrdering::DotProduct => (hi, mid, lo),
+            TaskOrdering::RowRow => (hi, lo, mid),
+            TaskOrdering::OuterProduct if col_major >> hi & 1 == 1 => (lo, mid, hi),
+            TaskOrdering::OuterProduct => (mid, lo, hi),
+        };
+        let a_tile = a_tiles[usize::from(i * 4 + k)];
+        let b_tile = b_tiles[usize::from(k * 4 + j)];
+        f(T3Task { i, j, k, a_tile, b_tile, products: tile_products(a_tile, b_tile) });
     }
     if sink.enabled() {
-        sink.record(obs::TraceEvent::TmsGenerate { cycle: 0, t3_tasks: count });
+        sink.record(obs::TraceEvent::TmsGenerate { cycle: 0, t3_tasks: key.count_ones() });
     }
+}
+
+/// The presence layers of Fig. 8 (1) from the operands' tile masks
+/// (`tiles()` order), layer `k` in 16-bit lane `k`: bit `i * 4 + j` is
+/// set when `A(i,k) x B(k,j)` has a product, i.e. some tile-local `q`
+/// has a nonzero column `q` in `A(i,k)` and a nonzero row `q` in
+/// `B(k,j)`.
+///
+/// Per layer, lane `i` of one word holds `A(i,k)`'s nonzero columns
+/// repeated in all four nibbles, nibble `j` of the other holds
+/// `B(k,j)`'s nonzero rows in every lane; nibble `(i, j)` of their AND
+/// is nonzero exactly where the task exists.
+fn presence_layers(a_tiles: &[u16; 16], b_tiles: &[u16; 16]) -> u64 {
+    let mut layers = 0u64;
+    for k in 0..4 {
+        // Lane i: A(i, k); lane j: B(k, j).
+        let (mut a_col, mut b_row) = (0u64, 0u64);
+        for t in 0..4 {
+            a_col |= u64::from(a_tiles[t * 4 + k]) << (16 * t);
+            b_row |= u64::from(b_tiles[k * 4 + t]) << (16 * t);
+        }
+        // Low nibble of lane i: A(i, k)'s nonzero columns.
+        let a_cols = (a_col | a_col >> 4 | a_col >> 8 | a_col >> 12) & 0x000F_000F_000F_000F;
+        // Nibble j: B(k, j)'s nonzero rows.
+        let b_rows = u64::from(gather_nibble_flags(nonzero_nibbles(b_row)));
+        let matched = (a_cols * LANE_NIBBLES) & (b_rows * EVERY_LANE);
+        layers |= u64::from(gather_nibble_flags(nonzero_nibbles(matched))) << (16 * k);
+    }
+    layers
+}
+
+/// The issue-order key of `ordering` over `layers` (bit `16k + 4i + j`):
+/// a word whose set bits, ascending, are the T3 tasks in issue order,
+/// bit `16 hi + 4 mid + lo` decoding as
+///
+/// * dot product `(i, j, k)`: the layers interleaved per output;
+/// * row-row `(i, k, j)`: the 4x4 matrix of layer rows, transposed;
+/// * outer product `(k, i, j)`, or `(k, j, i)` for the layers whose bit
+///   is set in the returned column-major mask: each such layer is
+///   transposed (the adaptive intra-layer order: column-major when
+///   nonzero rows outnumber nonzero columns).
+fn issue_key(layers: u64, ordering: TaskOrdering) -> (u64, u8) {
+    match ordering {
+        TaskOrdering::DotProduct => {
+            let key = (0..4).fold(0u64, |key, k| {
+                key | scatter_nibble_flags((layers >> (16 * k)) as u16) << k
+            });
+            (key, 0)
+        }
+        TaskOrdering::RowRow => (transpose_nibbles(layers), 0),
+        TaskOrdering::OuterProduct => {
+            let (mut key, mut col_major) = (0u64, 0u8);
+            for k in 0..4 {
+                let layer = (layers >> (16 * k)) as u16;
+                let nz_rows = nonzero_nibbles(u64::from(layer)).count_ones();
+                let nz_cols = ((layer | layer >> 4 | layer >> 8 | layer >> 12) & 0xF).count_ones();
+                let ordered = if nz_rows > nz_cols {
+                    col_major |= 1 << k;
+                    transpose_tile(layer)
+                } else {
+                    layer
+                };
+                key |= u64::from(ordered) << (16 * k);
+            }
+            (key, col_major)
+        }
+    }
+}
+
+/// Intermediate products of the 4x4x4 tile multiplication `a x b`:
+/// `sum over q of nnz(col q of a) * nnz(row q of b)`, which is the number
+/// of set bits over the DPG's sixteen K-match patterns (see
+/// [`crate::dpg::patterns`]).
+fn tile_products(a: u16, b: u16) -> u32 {
+    patterns(a, b).count_ones()
 }
 
 /// The four intermediate-product bitmap layers of Fig. 8 (1): bit
 /// `i * 4 + j` of `layers[k]` marks T3 task `C(i,j) += A(i,k) x B(k,j)`
 /// as present (both tiles structurally nonzero with a nonzero product).
 pub fn layer_bitmaps(a: &Block16, b: &Block16) -> [u16; 4] {
-    let mut layers = [0u16; 4];
-    visit_t3_tasks(a, b, TaskOrdering::OuterProduct, &mut obs::NoopSink, |t| {
-        layers[t.k as usize] |= 1 << t.output_id();
-    });
-    layers
+    let layers = presence_layers(&a.tiles(), &b.tiles());
+    [0, 1, 2, 3].map(|k| (layers >> (16 * k)) as u16)
 }
 
 /// Fig. 10 metrics of one ordering on one T1 task, evaluated with
@@ -367,6 +385,24 @@ mod tests {
         }
         // Empty pair: no tasks anywhere.
         assert_eq!(layer_bitmaps(&Block16::empty(), &d), [0; 4]);
+    }
+
+    #[test]
+    fn tile_products_dense() {
+        assert_eq!(tile_products(u16::MAX, u16::MAX), 64);
+        assert_eq!(tile_products(0, u16::MAX), 0);
+        // Diagonal tile x dense tile: 4 k's, 1 x 4 each.
+        let diag = 0b1000_0100_0010_0001;
+        assert_eq!(tile_products(diag, u16::MAX), 16);
+    }
+
+    #[test]
+    fn tile_products_match_frozen_reference() {
+        for a in (0..=u16::MAX).step_by(97) {
+            for b in (0..=u16::MAX).step_by(89) {
+                assert_eq!(tile_products(a, b), crate::walk_reference::tile_products(a, b));
+            }
+        }
     }
 
     #[test]

@@ -42,6 +42,7 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
+use std::time::Duration;
 
 use analysis::{Invocation, UstcVerifier};
 use obs::MetricsRegistry;
@@ -194,6 +195,23 @@ impl JobHandle {
     /// [`JobError::ServiceStopped`] if the service shut down first.
     pub fn wait(self) -> JobResult {
         self.rx.recv().unwrap_or(Err(JobError::ServiceStopped))
+    }
+
+    /// Waits at most `timeout` for the job's result. `None` means the
+    /// time ran out: the job is still pending and the handle stays
+    /// usable, so a later [`JobHandle::wait`] or `wait_timeout` receives
+    /// the same report.
+    ///
+    /// # Errors
+    ///
+    /// As [`JobHandle::wait`]: `Some(Err(JobError::ServiceStopped))` once
+    /// the dispatcher is gone without answering.
+    pub fn wait_timeout(&self, timeout: Duration) -> Option<JobResult> {
+        match self.rx.recv_timeout(timeout) {
+            Ok(result) => Some(result),
+            Err(mpsc::RecvTimeoutError::Timeout) => None,
+            Err(mpsc::RecvTimeoutError::Disconnected) => Some(Err(JobError::ServiceStopped)),
+        }
     }
 }
 
@@ -781,6 +799,17 @@ mod tests {
 
     fn spmv(a: &Arc<CsrMatrix>) -> JobRequest {
         JobRequest::new(KernelRequest::SpMV { a: Arc::clone(a).into() })
+    }
+
+    #[test]
+    fn wait_timeout_on_a_stopped_service_is_service_stopped() {
+        let mut svc = Service::start(ServiceConfig::default());
+        svc.stop();
+        let handle = svc.submit(spmv(&csr(&[(0, 0, 1.0)])));
+        let started = std::time::Instant::now();
+        let got = handle.wait_timeout(Duration::from_secs(60));
+        assert!(matches!(got, Some(Err(JobError::ServiceStopped))), "{got:?}");
+        assert!(started.elapsed() < Duration::from_secs(30), "answered without waiting out");
     }
 
     fn run(svc: &Service, a: &Arc<CsrMatrix>) -> JobResponse {

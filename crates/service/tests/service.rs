@@ -424,6 +424,29 @@ fn shutdown_then_wait_reports_service_stopped() {
 }
 
 #[test]
+fn wait_timeout_expires_on_a_slow_job_then_the_handle_gets_its_report() {
+    // A banded SpGEMM: about a thousand dense-ish block pairs to verify,
+    // compile and simulate, far longer than the first wait allows.
+    let n: usize = 1024;
+    let band: Vec<_> = (0..n)
+        .flat_map(|i| (i.saturating_sub(24)..(i + 25).min(n)).map(move |j| (i, j, 1.0)))
+        .collect();
+    let a = csr(n, &band);
+    let bbc = BbcMatrix::from_csr(&a);
+    let svc = Service::start(ServiceConfig::default());
+    let handle =
+        svc.submit(JobRequest::new(KernelRequest::SpGEMM { a: a.clone().into(), b: a.into() }));
+    assert!(handle.wait_timeout(std::time::Duration::from_millis(1)).is_none());
+    let got = handle
+        .wait_timeout(std::time::Duration::from_secs(600))
+        .expect("answered within the second wait")
+        .expect("legal stream");
+    let engine = UniStc::new(UniStcConfig::with_precision(Precision::Fp64));
+    let expected = driver::run_spgemm(&engine, &EnergyModel::default(), &bbc, &bbc);
+    assert_eq!(got.report, expected);
+}
+
+#[test]
 fn encoding_cache_eviction_still_serves_correct_results() {
     // Capacity 1: the second matrix evicts the first; resubmitting the
     // first must re-encode and still be bit-identical.

@@ -137,6 +137,28 @@ impl Block16 {
         self.rows.iter().all(|&r| r == 0)
     }
 
+    /// The sixteen 4x4 tile masks in one pass: entry `tr * 4 + tc` is
+    /// the mask of tile `(tr, tc)`, bit `er * 4 + ec` marking tile-local
+    /// element `(er, ec)`.
+    ///
+    /// Each tile row's four row masks, packed into one word, form a 4x4
+    /// matrix of nibbles (element row x tile column); transposing it
+    /// leaves tile `tc`'s mask in 16-bit lane `tc`.
+    pub fn tiles(&self) -> [u16; 16] {
+        let mut out = [0u16; 16];
+        for (rows, tiles) in self.rows.chunks_exact(4).zip(out.chunks_exact_mut(4)) {
+            let packed = rows
+                .iter()
+                .enumerate()
+                .fold(0u64, |w, (er, &row)| w | u64::from(row) << (16 * er));
+            let by_tile = transpose_nibbles(packed);
+            for (tc, tile) in tiles.iter_mut().enumerate() {
+                *tile = (by_tile >> (16 * tc)) as u16;
+            }
+        }
+        out
+    }
+
     /// The 4x4 tile mask at tile coordinates `(tr, tc)`: bit `er * 4 + ec`
     /// marks tile-local element `(er, ec)`.
     ///
@@ -145,26 +167,16 @@ impl Block16 {
     /// Panics if `tr >= 4` or `tc >= 4`.
     pub fn tile(&self, tr: usize, tc: usize) -> u16 {
         assert!(tr < 4 && tc < 4, "tile index out of bounds");
-        let mut m = 0u16;
-        for er in 0..4 {
-            let nibble = (self.rows[tr * 4 + er] >> (tc * 4)) & 0xF;
-            m |= nibble << (er * 4);
-        }
-        m
+        self.tiles()[tr * 4 + tc]
     }
 
     /// The level-1 tile bitmap: bit `tr * 4 + tc` set when tile `(tr, tc)`
     /// holds at least one element.
     pub fn tile_bitmap(&self) -> u16 {
-        let mut m = 0u16;
-        for tr in 0..4 {
-            for tc in 0..4 {
-                if self.tile(tr, tc) != 0 {
-                    m |= 1 << (tr * 4 + tc);
-                }
-            }
-        }
-        m
+        self.tiles()
+            .iter()
+            .enumerate()
+            .fold(0, |m, (t, &tile)| m | u16::from(tile != 0) << t)
     }
 
     /// Number of intermediate products of `self x other` (16x16x16):
@@ -209,41 +221,29 @@ impl Block16 {
     }
 }
 
-/// Row `r` (0..4) of a 4x4 tile mask as a 4-bit nibble.
-///
-/// # Panics
-///
-/// Panics if `r >= 4`.
-#[inline]
-pub fn tile_row(mask: u16, r: usize) -> u16 {
-    assert!(r < 4, "tile row out of bounds");
-    (mask >> (r * 4)) & 0xF
+/// Swaps the bits of `x` selected by `mask` with the bits `shift` places
+/// above them (a delta swap; `mask` and `mask << shift` must not overlap).
+const fn delta_swap(x: u64, mask: u64, shift: u32) -> u64 {
+    let t = (x ^ (x >> shift)) & mask;
+    x ^ t ^ (t << shift)
 }
 
-/// Column `c` (0..4) of a 4x4 tile mask as a 4-bit nibble (bit `r` set when
-/// element `(r, c)` is set).
+/// The transpose of a 4x4 tile mask: bit `c * 4 + r` of the result is bit
+/// `r * 4 + c` of `mask`, so nibble `c` of the result is column `c` of the
+/// tile (bit `r` set when element `(r, c)` is set).
 ///
-/// # Panics
-///
-/// Panics if `c >= 4`.
-#[inline]
-pub fn tile_col(mask: u16, c: usize) -> u16 {
-    assert!(c < 4, "tile column out of bounds");
-    let mut m = 0u16;
-    for r in 0..4 {
-        m |= ((mask >> (r * 4 + c)) & 1) << r;
-    }
-    m
+/// Two delta swaps: the off-diagonal 2x2 blocks, then the off-diagonal
+/// elements inside every 2x2 block.
+pub const fn transpose_tile(mask: u16) -> u16 {
+    let x = delta_swap(mask as u64, 0x00CC, 6);
+    delta_swap(x, 0x0A0A, 3) as u16
 }
 
-/// Number of intermediate products of a 4x4x4 tile multiplication
-/// `A_tile x B_tile`: `sum over k of nnz(col k of a) * nnz(row k of b)`.
-pub fn tile_products(a: u16, b: u16) -> u32 {
-    let mut p = 0u32;
-    for k in 0..4 {
-        p += tile_col(a, k).count_ones() * tile_row(b, k).count_ones();
-    }
-    p
+/// The transpose of a 4x4 matrix of nibbles packed as 16-bit rows: the
+/// nibble at bits `16 * r + 4 * c` moves to bits `16 * c + 4 * r`.
+pub const fn transpose_nibbles(x: u64) -> u64 {
+    let x = delta_swap(x, 0x0000_0000_FF00_FF00, 24);
+    delta_swap(x, 0x0000_F0F0_0000_F0F0, 12)
 }
 
 #[cfg(test)]
@@ -349,24 +349,36 @@ mod tests {
     }
 
     #[test]
-    fn tile_helpers_roundtrip() {
-        let mask: u16 = 0b0110_1001_0011_1100;
-        for r in 0..4 {
-            for c in 0..4 {
-                let bit = mask >> (r * 4 + c) & 1 == 1;
-                assert_eq!(tile_row(mask, r) >> c & 1 == 1, bit);
-                assert_eq!(tile_col(mask, c) >> r & 1 == 1, bit);
+    fn tiles_match_elements() {
+        let b = Block16::from_fn(|r, c| (r * 31 + c * 7) % 5 < 2);
+        let tiles = b.tiles();
+        for (t, &tile) in tiles.iter().enumerate() {
+            let (tr, tc) = (t / 4, t % 4);
+            assert_eq!(b.tile(tr, tc), tile);
+            for er in 0..4 {
+                for ec in 0..4 {
+                    let bit = tile >> (er * 4 + ec) & 1 == 1;
+                    assert_eq!(bit, b.get(tr * 4 + er, tc * 4 + ec), "tile {t} ({er},{ec})");
+                }
             }
+            assert_eq!(b.tile_bitmap() >> t & 1 == 1, tile != 0);
         }
     }
 
     #[test]
-    fn tile_products_dense() {
-        assert_eq!(tile_products(u16::MAX, u16::MAX), 64);
-        assert_eq!(tile_products(0, u16::MAX), 0);
-        // Diagonal tile x dense tile: 4 k's, 1 x 4 each.
-        let diag = 0b1000_0100_0010_0001;
-        assert_eq!(tile_products(diag, u16::MAX), 16);
+    fn tile_helpers_roundtrip() {
+        let mask: u16 = 0b0110_1001_0011_1100;
+        let t = transpose_tile(mask);
+        let words = 0x0123_4567_89AB_CDEFu64;
+        let nt = transpose_nibbles(words);
+        for r in 0..4 {
+            for c in 0..4 {
+                assert_eq!(t >> (c * 4 + r) & 1, mask >> (r * 4 + c) & 1);
+                assert_eq!(nt >> (16 * c + 4 * r) & 0xF, words >> (16 * r + 4 * c) & 0xF);
+            }
+        }
+        assert_eq!(transpose_tile(t), mask);
+        assert_eq!(transpose_nibbles(nt), words);
     }
 
     #[test]

@@ -31,10 +31,10 @@ cargo test --workspace -q
 
 echo "== engine suites in release =="
 # Release builds wrap on integer overflow where debug builds panic, so the
-# engines' packed byte-lane arithmetic, the verifier's per-distinct-task
-# pass and their frozen-reference differentials must also pass with
-# release arithmetic.
-cargo test --release -p baselines -p uni-stc -p analysis -q
+# engines' packed byte-lane arithmetic, simkit's word-parallel tile
+# extraction, the verifier's per-distinct-task pass and their
+# frozen-reference differentials must also pass with release arithmetic.
+cargo test --release -p simkit -p baselines -p uni-stc -p analysis -q
 
 echo "== conformance sweep (fixed seed) =="
 cargo test -p conformance -q
