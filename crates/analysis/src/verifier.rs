@@ -131,52 +131,45 @@ impl BatchKind {
     }
 }
 
-/// Slots of a [`LifecycleMemo`]: it records up to half as many pairs.
-const LIFECYCLE_MEMO_SLOTS: usize = 512;
+/// The largest instruction costs of a per-task UWMMA sequence: a T1 task
+/// holds at most 64 T3 tasks and 4096 products, so its task-generation
+/// cost `t3.div_ceil(8)` is at most 8 and its numeric cost
+/// `products.div_ceil(64)` at most 64.
+const MAX_TASK_GEN_COST: usize = 8;
+const MAX_NUMERIC_COST: usize = 64;
 
-/// The UWMMA lifecycle verdicts reached in one stream, keyed by the exact
-/// `(T3 count, products)` pair that a per-task sequence is a function of,
-/// so each distinct pair is checked once. An open-addressed table on the
-/// stack: no heap allocation. Once half full it stops recording, and a
-/// new pair is checked each time it appears — the same verdict, only not
-/// memoised.
+/// The UWMMA lifecycle verdicts reached in one stream. A per-task
+/// sequence ([`Program::spmv_block`], [`Program::spgemm_block`]) is a
+/// function of its two instruction costs alone, so the verdicts sit in a
+/// table indexed by them, on the stack, and each distinct cost pair is
+/// checked once.
 struct LifecycleMemo {
-    recorded: usize,
-    /// `(T3 count, failing sequence length or 0, products)`; a T3 count
-    /// of 0 marks a free slot (trivial tasks are never checked).
-    slots: [(u32, u32, u64); LIFECYCLE_MEMO_SLOTS],
+    /// Per `[task-gen cost][numeric cost]`: `None` until checked, then the
+    /// failing sequence length, or `None` inside for a clean sequence.
+    verdicts: [[Option<Option<usize>>; MAX_NUMERIC_COST + 1]; MAX_TASK_GEN_COST + 1],
 }
 
 impl LifecycleMemo {
     fn new() -> Self {
-        LifecycleMemo { recorded: 0, slots: [(0, 0, 0); LIFECYCLE_MEMO_SLOTS] }
+        LifecycleMemo { verdicts: [[None; MAX_NUMERIC_COST + 1]; MAX_TASK_GEN_COST + 1] }
     }
 
     /// The length of the pair's UWMMA sequence if it fails the lifecycle
-    /// check, else `None`; `check` decides a pair not seen before.
+    /// check, else `None`; `check` decides a cost pair not seen before.
     fn verdict(
         &mut self,
         t3_tasks: u32,
         products: u64,
         check: impl FnOnce() -> Option<usize>,
     ) -> Option<usize> {
-        let hash = (u64::from(t3_tasks) << 32 ^ products).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let mut at = (hash >> 55) as usize % LIFECYCLE_MEMO_SLOTS;
-        while let Some(&(t3, len, p)) = self.slots.get(at).filter(|slot| slot.0 != 0) {
-            if (t3, p) == (t3_tasks, products) {
-                return (len != 0).then_some(len as usize);
-            }
-            at = (at + 1) % LIFECYCLE_MEMO_SLOTS;
+        let row = self.verdicts.get_mut(t3_tasks.div_ceil(8) as usize);
+        let numeric = usize::try_from(products.div_ceil(64)).ok();
+        let slot = row.and_then(|row| row.get_mut(numeric?));
+        match slot {
+            Some(slot) => *slot.get_or_insert_with(check),
+            // Costs beyond any T1 task's are decided, not memoised.
+            None => check(),
         }
-        let verdict = check();
-        let len = verdict.map_or(Some(0), |n| u32::try_from(n).ok());
-        if let (Some(len), Some(slot)) = (len, self.slots.get_mut(at)) {
-            if t3_tasks != 0 && self.recorded < LIFECYCLE_MEMO_SLOTS / 2 {
-                *slot = (t3_tasks, len, products);
-                self.recorded += 1;
-            }
-        }
-        verdict
     }
 }
 
@@ -1024,29 +1017,56 @@ mod tests {
         assert_eq!(checks, 1);
         assert!(v.verify_stream(inv, &stream, 2).is_clean());
 
-        // A failing verdict replays with its sequence length; a new pair
-        // is checked on its own.
+        // A failing verdict replays with its sequence length, also for a
+        // pair with the same costs; a pair with new costs is checked on
+        // its own.
         let mut memo = LifecycleMemo::new();
         assert_eq!(memo.verdict(40, 9, || Some(4)), Some(4));
         assert_eq!(memo.verdict(40, 9, || unreachable!("memoised")), Some(4));
-        assert_eq!(memo.verdict(40, 10, || None), None);
+        assert_eq!(memo.verdict(40, 10, || unreachable!("same costs")), Some(4));
+        assert_eq!(memo.verdict(40, 65, || None), None);
     }
 
     #[test]
     fn lifecycle_memo_past_capacity_still_answers_exactly() {
+        // Over every (T3 count, products) pair a T1 task can have, the
+        // block programs, and so their verdicts, depend on the two costs
+        // alone.
+        let costs = |t3: u32, products: u64| (t3.div_ceil(8), products.div_ceil(64));
+        for t3 in 1..=64u32 {
+            for products in 1..=4096u64 {
+                let (task_gen, numeric) = costs(t3, products);
+                let (t3_at, products_at) = (u64::from(task_gen) * 8, numeric * 64);
+                let spmv = Program::spmv_block(t3_at, products_at);
+                assert_eq!(Program::spmv_block(t3.into(), products), spmv);
+                let spgemm = Program::spgemm_block(t3_at, products_at);
+                assert_eq!(Program::spgemm_block(t3.into(), products), spgemm);
+            }
+        }
+
+        // A verdict failing on a third of the cost pairs: each pair is
+        // checked once, and every later pair with its costs answers the
+        // same; the memo has no capacity to run past.
+        let verdict = |(task_gen, numeric): (u32, u64)| {
+            (u64::from(task_gen) + numeric).is_multiple_of(3).then_some(4)
+        };
         let mut memo = LifecycleMemo::new();
-        let verdict = |products: u64| products.is_multiple_of(3).then_some(4);
-        for products in 1..=2 * LIFECYCLE_MEMO_SLOTS as u64 {
-            assert_eq!(memo.verdict(7, products, || verdict(products)), verdict(products));
+        let mut checks = 0;
+        for t3 in 1..=64u32 {
+            for products in 1..=4096u64 {
+                let got = memo.verdict(t3, products, || {
+                    checks += 1;
+                    verdict(costs(t3, products))
+                });
+                assert_eq!(got, verdict(costs(t3, products)), "({t3}, {products})");
+            }
         }
-        let mut rechecked = 0;
-        for products in 1..=2 * LIFECYCLE_MEMO_SLOTS as u64 {
-            let got = memo.verdict(7, products, || {
-                rechecked += 1;
-                verdict(products)
-            });
-            assert_eq!(got, verdict(products), "{products}");
+        assert_eq!(checks, MAX_TASK_GEN_COST * MAX_NUMERIC_COST);
+
+        // Costs no T1 task reaches are still answered exactly, unmemoised.
+        for _ in 0..2 {
+            assert_eq!(memo.verdict(72, 9, || Some(7)), Some(7));
+            assert_eq!(memo.verdict(1, 4097, || None), None);
         }
-        assert_eq!(rechecked, 2 * LIFECYCLE_MEMO_SLOTS - LIFECYCLE_MEMO_SLOTS / 2);
     }
 }

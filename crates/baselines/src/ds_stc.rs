@@ -66,6 +66,69 @@ impl TileEngine for DsStc {
     fn execute(&self, task: &T1Task) -> T1Result {
         let mut r = T1Result::new(self.lanes());
         let (wa, wb) = self.chunk_dims();
+        let a_cols = task.a.transpose();
+        for k in 0..16 {
+            let acol = a_cols.row_mask(k);
+            let brow = task.b.row_mask(k);
+            if acol == 0 || brow == 0 {
+                // The bitmap front-end skips empty K slices.
+                continue;
+            }
+            // Fig. 4: per cycle DS-STC forms an outer product from a
+            // *half-column of A* and a *half-row of B* — positional access
+            // windows, not perfectly gathered nonzeros. Sparsity scattered
+            // across windows causes the paper's "ineffective accesses".
+            let a_wins = window_counts(acol, wa);
+            let b_wins = window_counts(brow, wb);
+            // The A window is buffered once per K slice; the B windows are
+            // re-streamed for every A window.
+            let na = acol.count_ones() as usize;
+            let nb = brow.count_ones() as usize;
+            r.events.a_elems += na as u64;
+            r.events.b_elems += (nb * a_wins.clone().count()) as u64;
+            for ca in a_wins {
+                for cb in b_wins.clone() {
+                    r.record_cycle(ca * cb);
+                    r.useful += (ca * cb) as u64;
+                }
+            }
+            // Outer product: every partial product is scattered toward the
+            // C accumulator individually (no merge before write).
+            r.events.partial_updates += (na * nb) as u64;
+        }
+        r.events.c_writes = u64::from(task.c_nnz());
+        r.events.sched_ops = 16; // one window decision per K slice
+        r
+    }
+
+    fn network_costs(&self) -> NetworkCosts {
+        NetworkCosts {
+            a: network::crossbar_energy_per_elem(16, 8),
+            b: network::crossbar_energy_per_elem(16, 8),
+            // Scatter across the full-scale output crossbar.
+            c_partial: network::flat_network_cost(),
+            c_final: network::flat_network_cost(),
+        }
+    }
+
+    fn area_mm2(&self) -> f64 {
+        simkit::area::DS_STC_AREA_MM2
+    }
+
+    fn c_network_ports(&self) -> u64 {
+        64 * 256
+    }
+}
+
+/// The schedule as first written, one `col_mask` per K slice: the frozen
+/// reference the transposed masks must match.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    pub(super) fn execute(e: &DsStc, task: &T1Task) -> T1Result {
+        let mut r = T1Result::new(e.lanes());
+        let (wa, wb) = e.chunk_dims();
         for k in 0..16 {
             let acol = task.a.col_mask(k);
             let brow = task.b.row_mask(k);
@@ -95,27 +158,9 @@ impl TileEngine for DsStc {
             // C accumulator individually (no merge before write).
             r.events.partial_updates += (na * nb) as u64;
         }
-        r.events.c_writes = task.c_nnz() as u64;
+        r.events.c_writes = task.c_structure().nnz() as u64;
         r.events.sched_ops = 16; // one window decision per K slice
         r
-    }
-
-    fn network_costs(&self) -> NetworkCosts {
-        NetworkCosts {
-            a: network::crossbar_energy_per_elem(16, 8),
-            b: network::crossbar_energy_per_elem(16, 8),
-            // Scatter across the full-scale output crossbar.
-            c_partial: network::flat_network_cost(),
-            c_final: network::flat_network_cost(),
-        }
-    }
-
-    fn area_mm2(&self) -> f64 {
-        simkit::area::DS_STC_AREA_MM2
-    }
-
-    fn c_network_ports(&self) -> u64 {
-        64 * 256
     }
 }
 
@@ -123,6 +168,11 @@ impl TileEngine for DsStc {
 mod tests {
     use super::*;
     use simkit::Block16;
+
+    #[test]
+    fn matches_frozen_reference() {
+        crate::util::assert_matches_reference(DsStc::new, reference::execute);
+    }
 
     #[test]
     fn dense_block_runs_at_full_utilisation() {

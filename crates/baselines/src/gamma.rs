@@ -49,8 +49,9 @@ impl TileEngine for Gamma {
     fn execute(&self, task: &T1Task) -> T1Result {
         let mut r = T1Result::new(self.lanes());
         let w = self.group_width();
+        let a_cols = task.a.transpose();
         for k in 0..16 {
-            let na = task.a.col_mask(k).count_ones() as usize;
+            let na = a_cols.row_mask(k).count_ones() as usize;
             let nb = task.b.row_mask(k).count_ones() as usize;
             if na == 0 || nb == 0 {
                 continue;
@@ -68,7 +69,7 @@ impl TileEngine for Gamma {
             }
             r.events.sched_ops += 1;
         }
-        r.events.c_writes = task.c_nnz() as u64;
+        r.events.c_writes = u64::from(task.c_nnz());
         r
     }
 
@@ -90,10 +91,48 @@ impl TileEngine for Gamma {
     }
 }
 
+/// The schedule as first written, one `col_mask` per K position: the frozen
+/// reference the transposed masks must match.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    pub(super) fn execute(e: &Gamma, task: &T1Task) -> T1Result {
+        let mut r = T1Result::new(e.lanes());
+        let w = e.group_width();
+        for k in 0..16 {
+            let na = task.a.col_mask(k).count_ones() as usize;
+            let nb = task.b.row_mask(k).count_ones() as usize;
+            if na == 0 || nb == 0 {
+                continue;
+            }
+            r.events.a_elems += na as u64;
+            r.events.b_elems += nb as u64;
+            for cw in chunks(nb, w) {
+                // All 16 row lanes are held by the group whether or not
+                // their A scalar is nonzero: empty rows are not bypassed.
+                let used = na * cw;
+                r.record_cycle(used);
+                r.useful += used as u64;
+                // K = 1 per task: each product is its own partial.
+                r.events.partial_updates += used as u64;
+            }
+            r.events.sched_ops += 1;
+        }
+        r.events.c_writes = task.c_structure().nnz() as u64;
+        r
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use simkit::Block16;
+
+    #[test]
+    fn matches_frozen_reference() {
+        crate::util::assert_matches_reference(Gamma::new, reference::execute);
+    }
 
     #[test]
     fn dense_block_full_utilisation() {

@@ -188,6 +188,22 @@ mod conformance {
     }
 
     #[test]
+    fn n_cols_outside_one_to_sixteen_is_clamped_without_panic() {
+        let mut rng = Rng64::new(0x44);
+        let a = random_block(&mut rng, 96);
+        let b = random_block(&mut rng, 96);
+        for precision in [Precision::Fp64, Precision::Fp32, Precision::Fp16] {
+            for engine in all_baselines(precision) {
+                let run = |n_cols| engine.execute(&T1Task { a, b, n_cols });
+                assert_eq!(run(0), run(1), "{} n_cols = 0", engine.name());
+                for n_cols in [17, 33, usize::MAX] {
+                    assert_eq!(run(n_cols), run(16), "{} n_cols = {n_cols}", engine.name());
+                }
+            }
+        }
+    }
+
+    #[test]
     fn names_are_distinct() {
         let names: Vec<String> =
             all_baselines(Precision::Fp64).iter().map(|e| e.name().to_owned()).collect();

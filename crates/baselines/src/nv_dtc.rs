@@ -6,6 +6,7 @@
 //! on sparse inputs (the paper measures < 25 % utilisation in 84.34 % of
 //! cycles on real matrices, Fig. 5).
 
+use crate::util::nibble_counts;
 use simkit::{network, NetworkCosts, Precision, T1Result, T1Task, TileEngine};
 
 /// The dense-tensor-core baseline.
@@ -43,28 +44,30 @@ impl TileEngine for NvDtc {
 
     fn execute(&self, task: &T1Task) -> T1Result {
         let mut r = T1Result::new(self.lanes());
-        let (m0, n0, k0) = (self.box_m(), 4usize, 4usize);
-        let n_total = task.n_cols.max(1);
+        let m0 = self.box_m();
+        // `n_cols` outside its documented 1..=16 is clamped into it.
+        let n_total = task.n_cols.clamp(1, 16);
+        let n_keep = ((1u32 << n_total) - 1) as u16;
+        // Lane `w` of `b_counts[k]`: B row k's nonzeros in n-window `w`.
+        let b_counts: [u64; 16] =
+            std::array::from_fn(|k| nibble_counts(task.b.row_mask(k) & n_keep));
+        let a_cols = task.a.transpose();
+        let box_rows = ((1u32 << m0) - 1) as u16;
         // Fixed dense schedule: every box takes one cycle, sparse or not.
         for mi in (0..16).step_by(m0) {
-            for ni in (0..n_total).step_by(n0) {
-                for ki in (0..16).step_by(k0) {
-                    let mut useful = 0usize;
-                    for r_ in mi..mi + m0 {
-                        let arow = task.a.row_mask(r_);
-                        for k in ki..ki + k0 {
-                            if arow >> k & 1 == 1 {
-                                let brow = task.b.row_mask(k);
-                                for c in ni..(ni + n0).min(n_total) {
-                                    if brow >> c & 1 == 1 {
-                                        useful += 1;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    r.record_cycle(useful);
-                    r.useful += useful as u64;
+            // A box's useful products are the sum over its four K
+            // positions of (A column k in the box rows) x (B row k in the
+            // n-window); lane `w` of `k_boxes[ki]` sums the box (mi, w, ki).
+            let rows = box_rows << mi;
+            let mut k_boxes = [0u64; 4];
+            for (k, &counts) in b_counts.iter().enumerate() {
+                k_boxes[k / 4] += u64::from((a_cols.row_mask(k) & rows).count_ones()) * counts;
+            }
+            for w in 0..n_total.div_ceil(4) {
+                for &boxes in &k_boxes {
+                    let useful = boxes >> (16 * w) & 0xFFFF;
+                    r.record_cycle(useful as usize);
+                    r.useful += useful;
                 }
             }
         }
@@ -97,10 +100,55 @@ impl TileEngine for NvDtc {
     }
 }
 
+/// The schedule as first written, one bit test per (row, k, column) of
+/// every box: the frozen reference the window counts must match.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    pub(super) fn execute(e: &NvDtc, task: &T1Task) -> T1Result {
+        let mut r = T1Result::new(e.lanes());
+        let (m0, n0, k0) = (e.box_m(), 4usize, 4usize);
+        let n_total = task.n_cols.max(1);
+        for mi in (0..16).step_by(m0) {
+            for ni in (0..n_total).step_by(n0) {
+                for ki in (0..16).step_by(k0) {
+                    let mut useful = 0usize;
+                    for r_ in mi..mi + m0 {
+                        let arow = task.a.row_mask(r_);
+                        for k in ki..ki + k0 {
+                            if arow >> k & 1 == 1 {
+                                let brow = task.b.row_mask(k);
+                                for c in ni..(ni + n0).min(n_total) {
+                                    if brow >> c & 1 == 1 {
+                                        useful += 1;
+                                    }
+                                }
+                            }
+                        }
+                    }
+                    r.record_cycle(useful);
+                    r.useful += useful as u64;
+                }
+            }
+        }
+        r.events.a_elems = 256;
+        r.events.b_elems = (16 * n_total) as u64;
+        r.events.c_writes = (16 * n_total) as u64;
+        r.events.partial_updates = 0;
+        r
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use simkit::Block16;
+
+    #[test]
+    fn matches_frozen_reference() {
+        crate::util::assert_matches_reference(NvDtc::new, reference::execute);
+    }
 
     #[test]
     fn dense_task_is_64_cycles_full_util() {

@@ -12,7 +12,7 @@
 //!   sparsity of matrix A");
 //! * MV tasks have a single N column, capping utilisation at 25 % (@FP64).
 
-use crate::util::bits;
+use crate::util::lowest_bits;
 use simkit::{network, NetworkCosts, Precision, T1Result, T1Task, TileEngine};
 
 /// The row-merge sparse tensor core baseline.
@@ -56,6 +56,93 @@ impl TileEngine for RmStc {
     fn execute(&self, task: &T1Task) -> T1Result {
         let mut r = T1Result::new(self.lanes());
         let (rows_per_group, group_width) = self.window_dims();
+        let group_rows = ((1u32 << rows_per_group) - 1) as u16;
+        let a_cols = task.a.transpose();
+        for kp in 0..8 {
+            let (k0, k1) = (2 * kp, 2 * kp + 1);
+            let b0 = task.b.row_mask(k0);
+            let b1 = task.b.row_mask(k1);
+            let union = b0 | b1;
+            if union == 0 {
+                continue;
+            }
+            r.events.sched_ops += 1;
+            let (a0, a1) = (a_cols.row_mask(k0), a_cols.row_mask(k1));
+            if a0 | a1 == 0 {
+                continue; // no A scalar meets the pair: no row group runs
+            }
+            // Gathered column groups of 4 over the union of the two B rows
+            // (concatenation along N only — the Fig. 6 restriction).
+            let mut cols = union;
+            let mut b_fetched = false;
+            while cols != 0 {
+                let gmask = lowest_bits(cols, group_width);
+                cols &= !gmask;
+                let nb0 = u64::from((b0 & gmask).count_ones());
+                let nb1 = u64::from((b1 & gmask).count_ones());
+                for rlo in (0..16).step_by(rows_per_group) {
+                    // The row group's A scalars at k0, at k1, and rows
+                    // holding both.
+                    let rows = group_rows << rlo;
+                    let n0 = u64::from((a0 & rows).count_ones());
+                    let n1 = u64::from((a1 & rows).count_ones());
+                    let both = u64::from((a0 & a1 & rows).count_ones());
+                    let lanes_used = n0 * nb0 + n1 * nb1;
+                    if lanes_used == 0 {
+                        continue;
+                    }
+                    b_fetched = true;
+                    r.record_cycle(lanes_used as usize);
+                    r.useful += lanes_used;
+                    r.events.a_elems += n0 + n1;
+                    // Products on the same output element merge (<= 2,
+                    // one per k) before the write: a row with both scalars
+                    // writes every column of the group, a row with one
+                    // writes that k's B nonzeros.
+                    r.events.partial_updates += both * u64::from(gmask.count_ones())
+                        + (n0 - both) * nb0
+                        + (n1 - both) * nb1;
+                }
+            }
+            if b_fetched {
+                // B row data for this K pair is fetched once and
+                // broadcast to all scalar lanes / row groups.
+                r.events.b_elems += u64::from(b0.count_ones() + b1.count_ones());
+            }
+        }
+        r.events.c_writes = u64::from(task.c_nnz());
+        r
+    }
+
+    fn network_costs(&self) -> NetworkCosts {
+        NetworkCosts {
+            a: network::crossbar_energy_per_elem(16, 8),
+            b: network::crossbar_energy_per_elem(16, 4),
+            // Row-merged partials travel a mid-scale output network.
+            c_partial: network::crossbar_energy_per_elem(64, 64),
+            c_final: network::crossbar_energy_per_elem(64, 64),
+        }
+    }
+
+    fn area_mm2(&self) -> f64 {
+        simkit::area::RM_STC_AREA_MM2
+    }
+
+    fn c_network_ports(&self) -> u64 {
+        64 * 64
+    }
+}
+
+/// The schedule as first written, probing A bit by bit per row of every
+/// row group: the frozen reference the popcount form must match.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use crate::util::bits;
+
+    pub(super) fn execute(e: &RmStc, task: &T1Task) -> T1Result {
+        let mut r = T1Result::new(e.lanes());
+        let (rows_per_group, group_width) = e.window_dims();
         let n_groups = 16 / rows_per_group;
         for kp in 0..8 {
             let (k0, k1) = (2 * kp, 2 * kp + 1);
@@ -112,26 +199,8 @@ impl TileEngine for RmStc {
             }
             r.events.sched_ops += 1;
         }
-        r.events.c_writes = task.c_nnz() as u64;
+        r.events.c_writes = task.c_structure().nnz() as u64;
         r
-    }
-
-    fn network_costs(&self) -> NetworkCosts {
-        NetworkCosts {
-            a: network::crossbar_energy_per_elem(16, 8),
-            b: network::crossbar_energy_per_elem(16, 4),
-            // Row-merged partials travel a mid-scale output network.
-            c_partial: network::crossbar_energy_per_elem(64, 64),
-            c_final: network::crossbar_energy_per_elem(64, 64),
-        }
-    }
-
-    fn area_mm2(&self) -> f64 {
-        simkit::area::RM_STC_AREA_MM2
-    }
-
-    fn c_network_ports(&self) -> u64 {
-        64 * 64
     }
 }
 
@@ -139,6 +208,11 @@ impl TileEngine for RmStc {
 mod tests {
     use super::*;
     use simkit::Block16;
+
+    #[test]
+    fn matches_frozen_reference() {
+        crate::util::assert_matches_reference(RmStc::new, reference::execute);
+    }
 
     #[test]
     fn dense_block_runs_at_full_utilisation() {

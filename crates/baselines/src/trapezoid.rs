@@ -232,8 +232,8 @@ impl TileEngine for Trapezoid {
 }
 
 /// The schedule as first written, one heap `Vec` per row and k-window:
-/// the frozen reference the word-parallel [`Trapezoid::schedule`] must
-/// match result for result.
+/// the frozen reference the word-parallel [`Mode`] schedule must match
+/// result for result.
 #[cfg(test)]
 mod reference {
     use super::*;
@@ -299,8 +299,8 @@ mod reference {
             }
             r.events.sched_ops += 1;
         }
-        r.events.partial_updates = task.c_nnz() as u64;
-        r.events.c_writes = task.c_nnz() as u64;
+        r.events.partial_updates = task.c_structure().nnz() as u64;
+        r.events.c_writes = task.c_structure().nnz() as u64;
         r
     }
 }
@@ -394,12 +394,7 @@ mod tests {
 
     #[test]
     fn matches_frozen_reference() {
-        for p in [Precision::Fp64, Precision::Fp32, Precision::Fp16] {
-            let e = Trapezoid::new(p);
-            for task in crate::util::sample_tasks(0x7A9E_2024) {
-                assert_eq!(e.execute(&task), reference::execute(&e, &task), "{p:?} {task:?}");
-            }
-        }
+        crate::util::assert_matches_reference(Trapezoid::new, reference::execute);
     }
 
     #[test]

@@ -18,6 +18,22 @@ pub(crate) fn bits(mut mask: u16) -> impl Iterator<Item = usize> {
     })
 }
 
+/// The lowest `n` set bits of `mask` (all of them when it has fewer).
+pub(crate) fn lowest_bits(mask: u16, n: usize) -> u16 {
+    let rest = (0..n).fold(mask, |rest, _| rest & rest.wrapping_sub(1));
+    mask & !rest
+}
+
+/// The nonzero count of each nibble of `mask`, nibble `w` in the 16-bit
+/// lane `w` of the result. A lane holds at most 4, so weighted sums of
+/// such words stay in their lanes while every lane stays below 2^16.
+pub(crate) fn nibble_counts(mask: u16) -> u64 {
+    let x = u64::from(mask);
+    let spread = x & 0xF | (x & 0xF0) << 12 | (x & 0xF00) << 24 | (x & 0xF000) << 36;
+    let pairs = spread - (spread >> 1 & 0x5555_5555_5555_5555);
+    (pairs & 0x3333_3333_3333_3333) + (pairs >> 2 & 0x3333_3333_3333_3333)
+}
+
 /// Seeded task sample for differential tests: random blocks across
 /// densities as MV tasks, MM tasks and SpMM tails narrowed to every
 /// `keep_cols(1..=16)` width, plus the dense and empty corners.
@@ -44,9 +60,47 @@ pub(crate) fn sample_tasks(seed: u64) -> Vec<simkit::T1Task> {
     tasks
 }
 
+/// Asserts that `execute` equals `reference` (an engine's frozen,
+/// pre-rewrite schedule) on every [`sample_tasks`] task at FP64, FP32 and
+/// FP16: every `T1Result` field, histogram bucket for bucket.
+#[cfg(test)]
+pub(crate) fn assert_matches_reference<E: simkit::TileEngine>(
+    new: fn(simkit::Precision) -> E,
+    reference: fn(&E, &simkit::T1Task) -> simkit::T1Result,
+) {
+    use simkit::Precision;
+    for p in [Precision::Fp64, Precision::Fp32, Precision::Fp16] {
+        let e = new(p);
+        for task in sample_tasks(0x7A9E_2024) {
+            assert_eq!(e.execute(&task), reference(&e, &task), "{} {p:?} {task:?}", e.name());
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn lowest_bits_takes_the_first_n() {
+        assert_eq!(lowest_bits(0b1011_0110, 2), 0b0000_0110);
+        assert_eq!(lowest_bits(0b1011_0110, 4), 0b0011_0110);
+        assert_eq!(lowest_bits(0b1011_0110, 9), 0b1011_0110);
+        assert_eq!(lowest_bits(u16::MAX, 16), u16::MAX);
+        assert_eq!(lowest_bits(u16::MAX, 0), 0);
+        assert_eq!(lowest_bits(0, 8), 0);
+    }
+
+    #[test]
+    fn nibble_counts_matches_popcounts() {
+        for mask in (0..=u16::MAX).step_by(7).chain([u16::MAX]) {
+            let counts = nibble_counts(mask);
+            for w in 0..4 {
+                let expect = u64::from((mask >> (4 * w) & 0xF).count_ones());
+                assert_eq!(counts >> (16 * w) & 0xFFFF, expect, "{mask:#06x} nibble {w}");
+            }
+        }
+    }
 
     #[test]
     fn chunks_splits_with_remainder() {

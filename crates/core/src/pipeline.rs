@@ -242,11 +242,11 @@ fn execute_impl(cfg: &UniStcConfig, task: &T1Task, sink: &mut impl PipeSink) -> 
         let mut active_dpgs = 0u64;
         let mut stalled_dpgs = 0usize;
         let mut segments_emitted = 0u32;
-        for off in 0..n_dpg {
+        // Round robin from DPG `rr`: `rr..n_dpg`, then wrap to `0..rr`.
+        for idx in (rr..n_dpg).chain(0..rr) {
             if used >= lanes {
                 break;
             }
-            let idx = (rr + off) % n_dpg;
             let Some(slot) = slots.get_mut(idx).filter(|q| **q != IDLE) else { continue };
             let infl = &mut queue[usize::from(*slot)];
             let bit = 1u16 << infl.output_id;
@@ -308,7 +308,10 @@ fn execute_impl(cfg: &UniStcConfig, task: &T1Task, sink: &mut impl PipeSink) -> 
         let powered = if cfg.power_gating { active_dpgs } else { n_dpg as u64 };
         res.events.unit_cycles += powered;
         res.events.c_ports_cycles += powered * 256; // 16x16 net per DPG
-        rr = (rr + 1) % n_dpg;
+        rr += 1;
+        if rr == n_dpg {
+            rr = 0;
+        }
         cycle += 1;
     }
 
@@ -803,6 +806,15 @@ mod tests {
         for b in [Block16::dense(), Block16::from_vector_mask(0x5A5A), a.transpose()] {
             let t = T1Task { a, b, n_cols: 0 };
             assert_eq!(execute_t1(&cfg(), &t), reference::execute_impl(&cfg(), &t, &mut obs::NoopSink));
+        }
+    }
+
+    #[test]
+    fn n_cols_beyond_sixteen_runs_as_sixteen() {
+        let a = Block16::from_fn(|r, c| (r + 3 * c) % 4 == 0);
+        let dense = T1Task::mm(a, Block16::dense());
+        for n_cols in [17, 33, usize::MAX] {
+            assert_eq!(execute_t1(&cfg(), &T1Task { n_cols, ..dense }), execute_t1(&cfg(), &dense));
         }
     }
 }

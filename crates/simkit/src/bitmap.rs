@@ -200,13 +200,35 @@ impl Block16 {
         }
     }
 
-    /// Transposed bitmap.
+    /// Transposed bitmap: row `c` of the result is [`Block16::col_mask`]
+    /// `(c)`, so one call yields all sixteen column masks.
+    ///
+    /// The rows, packed four to a word, are transposed by swapping the
+    /// off-diagonal 8x8 blocks, then the off-diagonal 4x4, 2x2 and 1x1
+    /// blocks inside each: two delta swaps across word pairs (rows 8
+    /// and 4 apart) and two inside each word (rows 2 and 1 apart).
     pub fn transpose(&self) -> Block16 {
-        let mut out = [0u16; 16];
-        for (c, orow) in out.iter_mut().enumerate() {
-            *orow = self.col_mask(c);
+        let mut w = [0u64; 4];
+        for (r, &row) in self.rows.iter().enumerate() {
+            w[r / 4] |= u64::from(row) << (16 * (r % 4));
         }
-        Block16 { rows: out }
+        for (lo, hi, mask, shift) in [
+            (0, 2, 0x00FF_00FF_00FF_00FF, 8),
+            (1, 3, 0x00FF_00FF_00FF_00FF, 8),
+            (0, 1, 0x0F0F_0F0F_0F0F_0F0F, 4),
+            (2, 3, 0x0F0F_0F0F_0F0F_0F0F, 4),
+        ] {
+            // Columns `shift..` of the rows in `w[lo]` trade places with
+            // columns `..shift` of the rows `shift` below, in `w[hi]`.
+            let t = (w[lo] >> shift ^ w[hi]) & mask;
+            w[hi] ^= t;
+            w[lo] ^= t << shift;
+        }
+        let w = w.map(|word| {
+            let word = delta_swap(word, 0x0000_0000_CCCC_CCCC, 30);
+            delta_swap(word, 0x0000_AAAA_0000_AAAA, 15)
+        });
+        Block16 { rows: std::array::from_fn(|r| (w[r / 4] >> (16 * (r % 4))) as u16) }
     }
 
     /// Restricts the block to its first `n` columns (used to model MV and
@@ -276,6 +298,20 @@ mod tests {
                 let bit = b.get(r, c);
                 assert_eq!(b.row_mask(r) >> c & 1 == 1, bit);
                 assert_eq!(b.col_mask(c) >> r & 1 == 1, bit);
+            }
+        }
+    }
+
+    #[test]
+    fn transpose_matches_col_masks_on_seeded_blocks() {
+        let mut rng = sparse::rng::Rng64::new(0xB17_7A05);
+        for density in [0.0, 0.05, 0.3, 0.5, 0.9, 1.0] {
+            for _ in 0..32 {
+                let b = Block16::from_fn(|_, _| rng.next_bool(density));
+                let t = b.transpose();
+                for c in 0..16 {
+                    assert_eq!(t.row_mask(c), b.col_mask(c), "{b:?} column {c}");
+                }
             }
         }
     }

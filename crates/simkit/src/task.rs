@@ -72,8 +72,8 @@ pub struct T1Task {
     ///
     /// Every constructor yields 1 or 16; a narrower SpMM tail keeps 16 and
     /// narrows `b` with [`Block16::keep_cols`] instead. Engines are
-    /// specified on `1..=16` only: those that read the field treat 0 as 1,
-    /// and a value above 16 may panic.
+    /// specified on `1..=16` only: those that read the field clamp it into
+    /// that range, so 0 runs as 1 and a value above 16 as 16.
     pub n_cols: usize,
 }
 
@@ -99,9 +99,41 @@ impl T1Task {
         self.a.mul_structure(&self.b)
     }
 
-    /// Number of structurally nonzero outputs.
+    /// Number of structurally nonzero outputs: the `nnz` of
+    /// [`T1Task::c_structure`], counted without building it.
+    ///
+    /// When every B row lies in column 0 (an MV task), an A row writes
+    /// one output exactly when it meets the `x` mask, so the count is the
+    /// number of such rows. Otherwise C is the OR of the outer products
+    /// of A column k and B row k; with C's rows packed four to a word,
+    /// each K position ORs its B row into the lanes of the rows whose A
+    /// bit k is set.
     pub fn c_nnz(&self) -> u32 {
-        self.c_structure().nnz()
+        const LANE_LSB: u64 = 0x0001_0001_0001_0001;
+        let (mut x_mask, mut b_cols) = (0u16, 0u16);
+        for k in 0..16 {
+            let brow = self.b.row_mask(k);
+            x_mask |= u16::from(brow != 0) << k;
+            b_cols |= brow;
+        }
+        if b_cols <= 1 {
+            return (0..16).filter(|&r| self.a.row_mask(r) & x_mask != 0).count() as u32;
+        }
+        let mut a_words = [0u64; 4];
+        for r in 0..16 {
+            a_words[r / 4] |= u64::from(self.a.row_mask(r)) << (16 * (r % 4));
+        }
+        let mut c_words = [0u64; 4];
+        while x_mask != 0 {
+            let k = x_mask.trailing_zeros();
+            let brow = u64::from(self.b.row_mask(k as usize)) * LANE_LSB;
+            for (c, a) in c_words.iter_mut().zip(&a_words) {
+                let rows_with_k = (a >> k & LANE_LSB) * 0xFFFF;
+                *c |= rows_with_k & brow;
+            }
+            x_mask &= x_mask - 1;
+        }
+        c_words.iter().map(|w| w.count_ones()).sum()
     }
 
     /// Whether the task produces no products at all (software-level bitmap
@@ -145,6 +177,27 @@ mod tests {
         let b = Block16::from_fn(|r, _| r == 5); // B only provides k = 5
         let t = T1Task::mm(a, b);
         assert!(t.is_trivial());
+    }
+
+    #[test]
+    fn c_nnz_counts_the_output_structure() {
+        let mut rng = sparse::rng::Rng64::new(0xC_0C7);
+        for density in [0.0, 0.05, 0.2, 0.5, 1.0] {
+            for _ in 0..32 {
+                let a = Block16::from_fn(|_, _| rng.next_bool(density));
+                let b = Block16::from_fn(|_, _| rng.next_bool(density));
+                let x_mask = rng.next_u64() as u16;
+                for task in [
+                    T1Task::mm(a, b),
+                    T1Task::mm(a, b.keep_cols(1)),
+                    T1Task::mm(a, b.keep_cols(5)),
+                    T1Task::mv(a, x_mask),
+                    T1Task::mv(a, b.row_mask(0)),
+                ] {
+                    assert_eq!(task.c_nnz(), task.c_structure().nnz(), "{task:?}");
+                }
+            }
+        }
     }
 
     #[test]

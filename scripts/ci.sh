@@ -36,6 +36,14 @@ echo "== engine suites in release =="
 # frozen-reference differentials must also pass with release arithmetic.
 cargo test --release -p simkit -p baselines -p uni-stc -p analysis -q
 
+echo "== figures byte-identical =="
+# Fig. 16 and Fig. 17 print every engine's simulated utilisation,
+# performance and energy. A host-side rewrite of an engine must leave
+# them byte for byte as pinned in tests/golden/; a deliberate model
+# change re-pins them by writing the new output there.
+cargo run --release -q -p bench --bin fig16_random_util | diff -u tests/golden/fig16.txt -
+cargo run --release -q -p bench --bin fig17_kernels | diff -u tests/golden/fig17.txt -
+
 echo "== conformance sweep (fixed seed) =="
 cargo test -p conformance -q
 
