@@ -18,12 +18,6 @@
 //! `--trace <out.json>` additionally records a traced Uni-STC SpMV run on
 //! the first representative matrix and writes its Chrome trace (open in
 //! Perfetto or `chrome://tracing`).
-//! `--backend <name>` selects the `sparse::kernels` backend (scalar |
-//! bitwise, default bitwise) before collection; the choice is
-//! recorded in the document's `backend` field. Simulated cycles are
-//! backend-invariant, so comparing documents collected under different
-//! backends doubles as a cross-backend bit-identity check — only the
-//! wall-clock columns should move.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -78,27 +72,10 @@ fn parse_args() -> Args {
                     .expect("--threads must be a number")
                     .max(1)
             }
-            "--backend" => {
-                let name = it.next().expect("--backend needs a value");
-                match sparse::kernels::BackendKind::parse(&name) {
-                    Some(kind) => sparse::kernels::set_backend(kind),
-                    None => {
-                        eprintln!(
-                            "unknown backend `{name}` (available: {})",
-                            sparse::kernels::BackendKind::ALL
-                                .iter()
-                                .map(|k| k.name())
-                                .collect::<Vec<_>>()
-                                .join(", ")
-                        );
-                        std::process::exit(2);
-                    }
-                }
-            }
             "--json" | "--full" => {} // shared-mode flags, handled by the serializer
             other => {
                 eprintln!("unknown flag {other}");
-                eprintln!("usage: perf_regression [--label L] [--backend scalar|bitwise] [--compare PREV.json] [--threshold PCT] [--trace OUT.json] [--threads N] [--json]");
+                eprintln!("usage: perf_regression [--label L] [--compare PREV.json] [--threshold PCT] [--trace OUT.json] [--threads N] [--json]");
                 std::process::exit(2);
             }
         }
@@ -147,11 +124,10 @@ fn main() -> ExitCode {
     }
 
     let mut report = Report::new(format!(
-        "perf_regression — label `{}` ({} thread{}, backend `{}`)",
+        "perf_regression — label `{}` ({} thread{})",
         args.label,
         args.threads,
         if args.threads == 1 { "" } else { "s" },
-        doc.backend,
     ));
     let mut summary = Section::new(
         "corpus summary (simulated cycles, Uni-STC)",

@@ -156,7 +156,6 @@ fn run_pass(svc: &Service, loads: &[Workload]) -> (Vec<BenchEntry>, Vec<JobRespo
 fn write_doc(label: &str, entries: Vec<BenchEntry>, metrics: obs::json::Value) -> PathBuf {
     let doc = BenchDoc {
         label: label.to_owned(),
-        backend: sparse::kernels::active_kind().name().to_owned(),
         entries,
         metrics,
     };

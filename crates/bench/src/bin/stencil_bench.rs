@@ -248,7 +248,6 @@ fn eviction_sweep(threads: usize) -> (obs::MetricsRegistry, usize) {
 fn write_doc(label: &str, entries: Vec<BenchEntry>, metrics: obs::json::Value) -> PathBuf {
     let doc = BenchDoc {
         label: label.to_owned(),
-        backend: sparse::kernels::active_kind().name().to_owned(),
         entries,
         metrics,
     };

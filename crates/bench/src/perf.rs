@@ -106,10 +106,6 @@ impl BenchEntry {
 pub struct BenchDoc {
     /// Run label (becomes the `BENCH_<label>.json` filename).
     pub label: String,
-    /// The `sparse::kernels` backend active during collection
-    /// (`"unrecorded"` for documents written before the field existed —
-    /// those ran the scalar code that is now `USTC_BACKEND=scalar`).
-    pub backend: String,
     /// One entry per (matrix, engine, kernel).
     pub entries: Vec<BenchEntry>,
     /// The [`MetricsRegistry`] export of the collection run.
@@ -122,7 +118,6 @@ impl BenchDoc {
         Value::object(vec![
             ("schema", Value::from(SCHEMA)),
             ("label", Value::Str(self.label.clone())),
-            ("backend", Value::Str(self.backend.clone())),
             (
                 "entries",
                 Value::Array(self.entries.iter().map(BenchEntry::to_json).collect()),
@@ -132,6 +127,9 @@ impl BenchDoc {
     }
 
     /// Parses a document previously written by [`BenchDoc::to_json`].
+    /// Keys it does not read are ignored, such as the `backend` field
+    /// that documents written before the kernels had one implementation
+    /// carry.
     ///
     /// # Errors
     ///
@@ -150,13 +148,6 @@ impl BenchDoc {
             .and_then(Value::as_str)
             .ok_or_else(|| "document has no `label` field".to_owned())?
             .to_owned();
-        // Optional for backward compatibility: documents predating the
-        // backend dispatch layer carry no `backend` field.
-        let backend = v
-            .get("backend")
-            .and_then(Value::as_str)
-            .unwrap_or("unrecorded")
-            .to_owned();
         let entries = v
             .get("entries")
             .and_then(Value::as_array)
@@ -165,7 +156,7 @@ impl BenchDoc {
             .map(BenchEntry::from_json)
             .collect::<Result<Vec<_>, _>>()?;
         let metrics = v.get("metrics").cloned().unwrap_or(Value::Null);
-        Ok(BenchDoc { label, backend, entries, metrics })
+        Ok(BenchDoc { label, entries, metrics })
     }
 
 }
@@ -193,10 +184,8 @@ pub fn collect(label: &str) -> BenchDoc {
 /// numbers move. The metrics export records the worker count and total
 /// collection wall time under `runtime/`.
 pub fn collect_threaded(label: &str, threads: usize) -> BenchDoc {
-    let backend = sparse::kernels::active_kind();
     let em = EnergyModel::default();
     let mut reg = MetricsRegistry::new();
-    reg.set_gauge("runtime/backend_ordinal", backend as u8 as f64);
     let mut contexts: Vec<MatrixCtx> = representative_matrices()
         .into_iter()
         .map(|r| MatrixCtx::new(r.name, r.matrix, 5))
@@ -242,7 +231,6 @@ pub fn collect_threaded(label: &str, threads: usize) -> BenchDoc {
     reg.set_gauge("runtime/total_wall_ms", total_span.elapsed().as_secs_f64() * 1e3);
     BenchDoc {
         label: label.to_owned(),
-        backend: backend.name().to_owned(),
         entries,
         metrics: reg.to_json(),
     }
@@ -357,7 +345,6 @@ mod tests {
     fn doc(label: &str, entries: Vec<BenchEntry>) -> BenchDoc {
         BenchDoc {
             label: label.to_owned(),
-            backend: "bitwise".to_owned(),
             entries,
             metrics: Value::Null,
         }
@@ -373,22 +360,30 @@ mod tests {
     }
 
     #[test]
-    fn backend_field_round_trips_and_defaults() {
-        let d = doc("t", vec![entry("m1", 7)]);
-        let back = BenchDoc::from_str(&d.to_json().to_json_pretty()).expect("parses");
-        assert_eq!(back.backend, "bitwise");
-        // Documents written before the backend field existed (e.g. the
-        // committed BENCH_pr6*.json) must still parse.
-        let legacy = r#"{"schema":"ustc-bench-v1","label":"old","entries":[]}"#;
-        let parsed = BenchDoc::from_str(legacy).expect("legacy document parses");
-        assert_eq!(parsed.backend, "unrecorded");
-    }
-
-    #[test]
-    fn collect_records_active_backend() {
-        use sparse::kernels::{with_backend, BackendKind};
-        let d = with_backend(BackendKind::Scalar, || collect("backend-probe"));
-        assert_eq!(d.backend, "scalar");
+    fn committed_documents_parse_with_or_without_a_backend_key() {
+        // Every BENCH document at the repository root: those written by
+        // `perf_regression`, `service_bench` and `stencil_bench`, older
+        // ones without a `backend` key and newer ones with it.
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let (mut with_key, mut without_key) = (0, 0);
+        for dirent in std::fs::read_dir(&root).expect("read repository root") {
+            let path = dirent.expect("directory entry").path();
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or_default();
+            let Some(label) = name.strip_prefix("BENCH_").and_then(|n| n.strip_suffix(".json"))
+            else {
+                continue;
+            };
+            let text = std::fs::read_to_string(&path).expect("read BENCH document");
+            let d = BenchDoc::from_str(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(d.label, label, "{name}");
+            assert!(!d.entries.is_empty(), "{name}");
+            if text.contains("\"backend\"") {
+                with_key += 1;
+            } else {
+                without_key += 1;
+            }
+        }
+        assert!(with_key > 0 && without_key > 0, "{with_key} with, {without_key} without");
     }
 
     #[test]

@@ -1,191 +1,318 @@
-//! Differential backend-equivalence suite.
+//! Per-op kernel equivalence sweep on real operands.
 //!
-//! `sparse::kernels` ships interchangeable bit-manipulation backends
-//! (`scalar` and `bitwise`). They are *supposed* to be
-//! observationally identical: same BBC encodings, same simulator counters,
-//! same numeric results to the last ULP — the bitwise tricks only change
-//! how index math is computed, never what is computed. This module turns
-//! that contract into a sweep: for every generator regime and seed it runs
-//! the whole stack (BBC encode, all seven counter engines x four kernels,
-//! the scalar `sparse::ops` reference and the `uni_stc::kernels` dataflow)
-//! under each backend pair and demands bit-identical
-//! [`counter_signature`](simkit::driver::KernelReport::counter_signature) strings,
-//! structurally equal sparse outputs and [`Tolerance::EXACT`] numerics.
+//! Every bitmap and numeric primitive in the stack runs on
+//! `sparse::kernels::BitwiseKernels`; `ScalarKernels` is the
+//! element-at-a-time reference it was extracted from. Each op is a pure
+//! function of its arguments, so the two agree on the whole stack exactly
+//! when they agree on every argument list the stack hands them. This
+//! module builds those argument lists: for every generator regime and
+//! seed it derives the matrix and its operands the way the rest of the
+//! conformance suite does ([`sparse_vector`], [`spgemm_rhs`],
+//! [`dense_operand`]) and compares, bit for bit:
+//!
+//! * `BbcMatrix::from_csr` against the per-entry encoder, and
+//!   `decode_block` / `encode_block` on every stored block;
+//! * `block_products` and `block_mul_structure` on every `(a, b)` pair of
+//!   the four kernels' counted task streams;
+//! * `segment_dot` on every tile pair, pattern and `(m, n)` the Uni-STC
+//!   numeric dataflow (`uni_stc::kernels`) evaluates;
+//! * `dot_gather`, `axpy`, `or_into` and `collect_set_bits` on the inputs
+//!   the `sparse::ops` reference kernels give them.
 //!
 //! Failures shrink through the same ddmin delta-debugger as the rest of
 //! the conformance suite and replay with `CONFORMANCE_SEED=<n>`.
 
-use simkit::{driver, EnergyModel};
-use sparse::kernels::{with_backend, BackendKind};
-use sparse::{BbcMatrix, CsrMatrix};
+use std::fmt::Debug;
+
+use simkit::{driver, Block16, TaskStream};
+use sparse::kernels::{BitKernels, BitwiseKernels, ScalarKernels};
+use sparse::{BbcMatrix, CsrMatrix, DenseMatrix, SparseVector};
+use uni_stc::dpg::expand_t3;
+use uni_stc::tms::generate_t3_tasks;
 use uni_stc::UniStcConfig;
 
-use crate::compare::{compare_slices, Tolerance};
-use crate::differential::all_engines;
 use crate::generators::{dense_operand, dense_vector, sparse_vector, Regime};
 use crate::oracle::spgemm_rhs;
 use crate::runner::SweepConfig;
 use crate::shrink::{shrink_matrix, Counterexample};
 
-/// Everything the stack computes for one `(matrix, seed)` case under one
-/// backend, flattened into comparable channels.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Snapshot {
-    /// The BBC encoding of the input (compared structurally via
-    /// `PartialEq`, which covers bitmaps, pointers and value order).
-    pub bbc: BbcMatrix,
-    /// Labelled `KernelReport::counter_signature()` strings, one per
-    /// `(engine, kernel)` — the bit-identity oracle for the cycle models.
-    pub signatures: Vec<(String, String)>,
-    /// Labelled exact-integer channels (output structure, product counts).
-    pub ints: Vec<(String, Vec<u64>)>,
-    /// Labelled floating-point channels, compared at [`Tolerance::EXACT`].
-    pub floats: Vec<(String, Vec<f64>)>,
+/// A reference and a candidate implementation, compared op by op.
+struct Pair<'k, R, C> {
+    reference: &'k R,
+    candidate: &'k C,
 }
 
-/// Collects the full stack snapshot for `a` under the *currently active*
-/// backend, deriving operands from `seed` exactly as
-/// [`check_counters`](crate::differential::check_counters) does.
-///
-/// # Errors
-///
-/// Propagates operand-validation errors from the kernels as strings.
-pub fn snapshot(a: &CsrMatrix, seed: u64) -> Result<Snapshot, String> {
-    let bbc = BbcMatrix::from_csr(a);
-    let sx = sparse_vector(a.ncols(), seed);
-    let n_cols = 1 + (seed as usize % 21);
-    let bt = spgemm_rhs(a);
-    let bbc_b = BbcMatrix::from_csr(&bt);
-    let energy = EnergyModel::default();
-
-    let mut signatures = Vec::new();
-    for engine in all_engines() {
-        let e = engine.as_ref();
-        let runs = [
-            ("spmv", driver::run_spmv(e, &energy, &bbc)),
-            ("spmspv", driver::run_spmspv(e, &energy, &bbc, &sx)),
-            ("spmm", driver::run_spmm(e, &energy, &bbc, n_cols)),
-            ("spgemm", driver::run_spgemm(e, &energy, &bbc, &bbc_b)),
-        ];
-        for (kernel, report) in runs {
-            signatures.push((format!("{}/{kernel}", e.name()), report.counter_signature()));
-        }
-    }
-
-    let mut ints = Vec::new();
-    let mut floats = Vec::new();
-
-    // The scalar reference path (`sparse::ops`).
-    let x = dense_vector(a.ncols(), seed);
-    let y = sparse::ops::spmv(a, &x).map_err(|e| e.to_string())?;
-    floats.push(("ops/spmv".to_owned(), y));
-    let sy = sparse::ops::spmspv(a, &sx).map_err(|e| e.to_string())?;
-    ints.push(("ops/spmspv indices".to_owned(), widen(sy.indices())));
-    floats.push(("ops/spmspv values".to_owned(), sy.values().to_vec()));
-    let b = dense_operand(a.ncols(), n_cols, seed);
-    let c = sparse::ops::spmm(a, &b).map_err(|e| e.to_string())?;
-    floats.push(("ops/spmm".to_owned(), c.as_slice().to_vec()));
-    let g = sparse::ops::spgemm(a, &bt).map_err(|e| e.to_string())?;
-    ints.push((
-        "ops/spgemm row_ptr".to_owned(),
-        g.row_ptr().iter().map(|&p| p as u64).collect(),
-    ));
-    ints.push(("ops/spgemm col_idx".to_owned(), widen(g.col_idx())));
-    floats.push(("ops/spgemm values".to_owned(), g.values().to_vec()));
-
-    // The Uni-STC numeric dataflow.
-    let cfg = UniStcConfig::default();
-    let (y, s) = uni_stc::kernels::spmv(&cfg, &bbc, &x).map_err(|e| e.to_string())?;
-    ints.push(("dataflow/spmv products".to_owned(), vec![s.products]));
-    floats.push(("dataflow/spmv".to_owned(), y));
-    let (sy, s) = uni_stc::kernels::spmspv(&cfg, &bbc, &sx).map_err(|e| e.to_string())?;
-    ints.push(("dataflow/spmspv products".to_owned(), vec![s.products]));
-    ints.push(("dataflow/spmspv indices".to_owned(), widen(sy.indices())));
-    floats.push(("dataflow/spmspv values".to_owned(), sy.values().to_vec()));
-    let (c, s) = uni_stc::kernels::spmm(&cfg, &bbc, &b).map_err(|e| e.to_string())?;
-    ints.push(("dataflow/spmm products".to_owned(), vec![s.products]));
-    floats.push(("dataflow/spmm".to_owned(), c.as_slice().to_vec()));
-    let (g, s) = uni_stc::kernels::spgemm(&cfg, &bbc, &bbc_b).map_err(|e| e.to_string())?;
-    ints.push(("dataflow/spgemm products".to_owned(), vec![s.products]));
-    floats.push(("dataflow/spgemm".to_owned(), g.to_dense().as_slice().to_vec()));
-
-    Ok(Snapshot { bbc, signatures, ints, floats })
-}
-
-/// Widens a `u32` index slice into the snapshot's `u64` channel type.
-fn widen(idx: &[u32]) -> Vec<u64> {
-    idx.iter().map(|&i| u64::from(i)).collect()
-}
-
-/// Compares two snapshots channel by channel, naming the first divergence.
-///
-/// # Errors
-///
-/// Returns a message naming the channel, both backends and the mismatch.
-pub fn diff_snapshots(
-    reference: &str,
-    want: &Snapshot,
-    candidate: &str,
-    got: &Snapshot,
+/// `Ok` when `want == got`, else a message naming the op.
+fn same<T: PartialEq + Debug>(
+    what: impl FnOnce() -> String,
+    want: T,
+    got: T,
 ) -> Result<(), String> {
-    if got.bbc != want.bbc {
-        return Err(format!(
-            "backend-equivalence: BBC encoding differs between `{reference}` and `{candidate}`"
-        ));
+    if want == got {
+        Ok(())
+    } else {
+        let what = what();
+        Err(format!("backend-equivalence/{what}: reference {want:?} != candidate {got:?}"))
     }
-    for ((label, want_sig), (_, got_sig)) in want.signatures.iter().zip(&got.signatures) {
-        if got_sig != want_sig {
-            return Err(format!(
-                "backend-equivalence/{label}: counter signature differs\n  {reference}: \
-                 {want_sig}\n  {candidate}: {got_sig}"
-            ));
-        }
-    }
-    for ((label, want_ints), (_, got_ints)) in want.ints.iter().zip(&got.ints) {
-        if got_ints != want_ints {
-            return Err(format!(
-                "backend-equivalence/{label}: integer channel differs between `{reference}` \
-                 and `{candidate}` ({} vs {} entries)",
-                want_ints.len(),
-                got_ints.len()
-            ));
-        }
-    }
-    for ((label, want_vals), (_, got_vals)) in want.floats.iter().zip(&got.floats) {
-        if let Err(m) = compare_slices(got_vals, want_vals, Tolerance::EXACT) {
-            return Err(format!(
-                "backend-equivalence/{label}: `{candidate}` diverges from `{reference}`: {m}"
-            ));
-        }
-    }
-    Ok(())
 }
 
-/// Runs the full stack under `reference` and `candidate` and demands
-/// observational equality (see [`diff_snapshots`]).
+fn f64_bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+fn block_rows(b: &Block16) -> [u16; 16] {
+    std::array::from_fn(|r| b.row_mask(r))
+}
+
+/// Tile `(tk, tj)` of the 16×16 block at block coordinates `(bk, bn)` of
+/// a dense operand, zero-padded past its edges: how the dataflow reads a
+/// dense `x` (one column) or `B`.
+fn dense_tile(b: &DenseMatrix, bk: usize, bn: usize, tk: usize, tj: usize) -> [f64; 16] {
+    let mut t = [0.0; 16];
+    for er in 0..4 {
+        let r = bk * 16 + tk * 4 + er;
+        if r >= b.nrows() {
+            continue;
+        }
+        for ec in 0..4 {
+            let c = bn * 16 + tj * 4 + ec;
+            if c < b.ncols() {
+                t[er * 4 + ec] = b.row(r)[c];
+            }
+        }
+    }
+    t
+}
+
+impl<R: BitKernels, C: BitKernels> Pair<'_, R, C> {
+    /// `decode_block` and `encode_block` on every stored block.
+    fn blocks(&self, label: &str, m: &BbcMatrix) -> Result<(), String> {
+        for (i, blk) in m.blocks().enumerate() {
+            let (lv1, lv2) = (blk.bitmap_lv1, blk.bitmap_lv2);
+            same(
+                || format!("{label} decode_block #{i}"),
+                self.reference.decode_block(lv1, lv2),
+                self.candidate.decode_block(lv1, lv2),
+            )?;
+            let mut mask = [0u64; 4];
+            let mut stored = lv2.iter();
+            for t in (0..16).filter(|t| lv1 >> t & 1 == 1) {
+                let lane = stored.next().copied().unwrap_or(0);
+                mask[t / 4] |= u64::from(lane) << ((t % 4) * 16);
+            }
+            same(
+                || format!("{label} encode_block #{i}"),
+                self.reference.encode_block(&mask),
+                self.candidate.encode_block(&mask),
+            )?;
+        }
+        Ok(())
+    }
+
+    /// `block_products` and `block_mul_structure` on every distinct task.
+    fn stream(&self, label: &str, stream: &TaskStream) -> Result<(), String> {
+        for (i, (task, _)) in stream.iter().enumerate() {
+            let (a, b) = (block_rows(&task.a), block_rows(&task.b));
+            same(
+                || format!("{label} block_products task #{i}"),
+                self.reference.block_products(&a, &b),
+                self.candidate.block_products(&a, &b),
+            )?;
+            same(
+                || format!("{label} block_mul_structure task #{i}"),
+                self.reference.block_mul_structure(&a, &b),
+                self.candidate.block_mul_structure(&a, &b),
+            )?;
+        }
+        Ok(())
+    }
+
+    /// `segment_dot` on every T4 code of one dataflow T1 task, with the
+    /// A and B tiles the dataflow reads for it.
+    fn segments(
+        &self,
+        label: &str,
+        a_bits: &Block16,
+        b_bits: &Block16,
+        a_tile: impl Fn(usize, usize) -> [f64; 16],
+        b_tile: impl Fn(usize, usize) -> [f64; 16],
+    ) -> Result<(), String> {
+        let cfg = UniStcConfig::default();
+        for t3 in generate_t3_tasks(a_bits, b_bits, cfg.ordering) {
+            let (i, j, k) = (usize::from(t3.i), usize::from(t3.j), usize::from(t3.k));
+            let (at, bt) = (a_tile(i, k), b_tile(k, j));
+            for code in expand_t3(t3.a_tile, t3.b_tile, cfg.fill_order) {
+                let (p, m, n) = (code.pattern, usize::from(code.m), usize::from(code.n));
+                let (want, want_lanes) = self.reference.segment_dot(p, &at, &bt, m, n);
+                let (got, got_lanes) = self.candidate.segment_dot(p, &at, &bt, m, n);
+                let what = || format!("{label} segment_dot({p:#x}, m={m}, n={n}) tile {i}{j}{k}");
+                same(what, (want.to_bits(), want_lanes), (got.to_bits(), got_lanes))?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Every `segment_dot` of the four dataflow kernels, walking the
+    /// blocks exactly as `uni_stc::kernels` does.
+    fn dataflow(&self, ops: &Operands) -> Result<(), String> {
+        let x = DenseMatrix::from_row_major(ops.x.len(), 1, ops.x.clone());
+        let sx = DenseMatrix::from_row_major(ops.sx.dim(), 1, ops.sx.to_dense());
+        let col_blocks = ops.b.ncols().div_ceil(16);
+        for blk in ops.bbc.blocks() {
+            let a_bits = Block16::from_bbc(&blk);
+            let a_tile = |tr, tc| blk.dense_tile(tr, tc);
+            let bk = blk.block_col;
+            let mv = Block16::from_vector_mask(u16::MAX);
+            self.segments("spmv", &a_bits, &mv, a_tile, |tk, tj| dense_tile(&x, bk, 0, tk, tj))?;
+            let mask = ops.sx.segment_mask16(bk);
+            if mask != 0 {
+                let mv = Block16::from_vector_mask(mask);
+                let x_tile = |tk, tj| dense_tile(&sx, bk, 0, tk, tj);
+                self.segments("spmspv", &a_bits, &mv, a_tile, x_tile)?;
+            }
+            for cb in 0..col_blocks {
+                let b_bits = Block16::dense().keep_cols(16.min(ops.b.ncols() - cb * 16));
+                let b_tile = |tk, tj| dense_tile(&ops.b, bk, cb, tk, tj);
+                self.segments("spmm", &a_bits, &b_bits, a_tile, b_tile)?;
+            }
+            for bj in ops.bbc_b.blocks_in_row(bk) {
+                let b_blk = ops.bbc_b.block(bj);
+                let b_bits = Block16::from_bbc(&b_blk);
+                // Algorithm 2 line 13: the dataflow skips empty products.
+                if a_bits.products_with(&b_bits) != 0 {
+                    let b_tile = |tr, tc| b_blk.dense_tile(tr, tc);
+                    self.segments("spgemm", &a_bits, &b_bits, a_tile, b_tile)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The word and numeric primitives on the `sparse::ops` inputs:
+    /// `dot_gather` per SpMV row, `axpy` per SpMM row update, and the
+    /// SpMSpV touch set and the SpGEMM row overlays through `or_into`
+    /// and `collect_set_bits`.
+    fn sparse_ops(&self, ops: &Operands) -> Result<(), String> {
+        let (a, bt) = (&ops.a, &ops.bt);
+        for r in 0..a.nrows() {
+            let (cols, vals) = a.row(r);
+            same(
+                || format!("dot_gather row {r}"),
+                self.reference.dot_gather(cols, vals, &ops.x).to_bits(),
+                self.candidate.dot_gather(cols, vals, &ops.x).to_bits(),
+            )?;
+            let (mut want, mut got) = (vec![0.0; ops.b.ncols()], vec![0.0; ops.b.ncols()]);
+            for (&k, &v) in cols.iter().zip(vals) {
+                self.reference.axpy(&mut want, v, ops.b.row(k as usize));
+                self.candidate.axpy(&mut got, v, ops.b.row(k as usize));
+                same(|| format!("axpy row {r}, k {k}"), f64_bits(&want), f64_bits(&got))?;
+            }
+        }
+
+        let mut touched = vec![0u64; a.nrows().div_ceil(64)];
+        let at = a.to_csc();
+        for (col, _) in ops.sx.iter() {
+            for &r in at.col(col).0 {
+                touched[r as usize / 64] |= 1 << (r % 64);
+            }
+        }
+        self.set_bits("spmspv touched rows", &touched, a.nrows())?;
+
+        let n = bt.ncols();
+        let words = n.div_ceil(64);
+        let mut brows = vec![0u64; bt.nrows() * words];
+        for k in 0..bt.nrows() {
+            for &c in bt.row(k).0 {
+                brows[k * words + c as usize / 64] |= 1 << (c % 64);
+            }
+        }
+        for r in 0..a.nrows() {
+            let (mut want, mut got) = (vec![0u64; words], vec![0u64; words]);
+            for &k in a.row(r).0 {
+                let src = &brows[k as usize * words..(k as usize + 1) * words];
+                self.reference.or_into(&mut want, src);
+                self.candidate.or_into(&mut got, src);
+                same(|| format!("or_into row {r}, k {k}"), &want, &got)?;
+            }
+            self.set_bits(&format!("spgemm row {r}"), &want, n)?;
+        }
+        Ok(())
+    }
+
+    fn set_bits(&self, label: &str, words: &[u64], len_bits: usize) -> Result<(), String> {
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        self.reference.collect_set_bits(words, len_bits, &mut want);
+        self.candidate.collect_set_bits(words, len_bits, &mut got);
+        same(|| format!("{label} collect_set_bits"), want, got)
+    }
+}
+
+/// One case's matrix and the operands every kernel derives from its seed.
+struct Operands {
+    a: CsrMatrix,
+    bt: CsrMatrix,
+    bbc: BbcMatrix,
+    bbc_b: BbcMatrix,
+    x: Vec<f64>,
+    sx: SparseVector,
+    b: DenseMatrix,
+}
+
+impl Operands {
+    fn new(a: &CsrMatrix, seed: u64) -> Self {
+        let n_cols = 1 + (seed as usize % 21);
+        let bt = spgemm_rhs(a);
+        Operands {
+            bbc: BbcMatrix::from_csr(a),
+            bbc_b: BbcMatrix::from_csr(&bt),
+            x: dense_vector(a.ncols(), seed),
+            sx: sparse_vector(a.ncols(), seed),
+            b: dense_operand(a.ncols(), n_cols, seed),
+            a: a.clone(),
+            bt,
+        }
+    }
+}
+
+/// Compares `candidate` with `reference` on every op call the stack
+/// makes for `a` and the operands derived from `seed`, bit for bit.
 ///
 /// # Errors
 ///
-/// Returns a message naming the diverging channel and both backends.
-pub fn check_backend_pair(
+/// Returns a message naming the first diverging op and its arguments.
+pub fn check_kernels<R: BitKernels, C: BitKernels>(
     a: &CsrMatrix,
     seed: u64,
-    reference: BackendKind,
-    candidate: BackendKind,
+    reference: &R,
+    candidate: &C,
 ) -> Result<(), String> {
-    let want = with_backend(reference, || snapshot(a, seed))?;
-    let got = with_backend(candidate, || snapshot(a, seed))?;
-    diff_snapshots(reference.name(), &want, candidate.name(), &got)
+    let ops = Operands::new(a, seed);
+    let pair = Pair { reference, candidate };
+    for (label, csr, bbc) in [("A", &ops.a, &ops.bbc), ("B", &ops.bt, &ops.bbc_b)] {
+        if *bbc != BbcMatrix::from_csr_per_entry(csr) {
+            return Err(format!(
+                "backend-equivalence/{label}: from_csr differs from the per-entry encoder"
+            ));
+        }
+        pair.blocks(label, bbc)?;
+    }
+    let spmm = driver::spmm_stream(&ops.bbc, ops.b.ncols()).map_err(|e| e.to_string())?;
+    pair.stream("spmv", &driver::spmv_stream(&ops.bbc))?;
+    pair.stream("spmspv", &driver::spmspv_stream(&ops.bbc, &ops.sx))?;
+    pair.stream("spmm", &spmm)?;
+    pair.stream("spgemm", &driver::spgemm_stream(&ops.bbc, &ops.bbc_b))?;
+    pair.dataflow(&ops)?;
+    pair.sparse_ops(&ops)
 }
 
-/// The backend pairs under test: `scalar` is the reference; every other
-/// backend (`bitwise`) is a candidate.
-pub fn backend_pairs() -> Vec<(BackendKind, BackendKind)> {
-    BackendKind::ALL
-        .iter()
-        .filter(|&&k| k != BackendKind::Scalar)
-        .map(|&k| (BackendKind::Scalar, k))
-        .collect()
+/// [`check_kernels`] with the scalar reference against the kernels
+/// production code runs.
+///
+/// # Errors
+///
+/// As [`check_kernels`].
+pub fn check_case(a: &CsrMatrix, seed: u64) -> Result<(), String> {
+    check_kernels(a, seed, &ScalarKernels, &BitwiseKernels)
 }
 
 fn shrunk_failure(
@@ -205,9 +332,9 @@ fn shrunk_failure(
     })
 }
 
-/// Sweeps every generator regime x seed through every backend pair.
+/// Sweeps every generator regime x seed through [`check_case`].
 ///
-/// Returns the number of `(regime, seed, pair)` cases checked.
+/// Returns the number of `(regime, seed)` cases checked.
 ///
 /// # Errors
 ///
@@ -217,24 +344,17 @@ pub fn run_backend_sweep(
     base_seed: u64,
     cfg: &SweepConfig,
 ) -> Result<usize, Box<Counterexample>> {
-    let pairs = backend_pairs();
     let mut cases = 0usize;
     for regime in Regime::ALL {
         for s in 0..cfg.seeds_per_regime {
             let seed = base_seed.wrapping_add(s);
             let a = regime.generate(seed);
-            for &(reference, candidate) in &pairs {
-                cases += 1;
-                if let Err(detail) = check_backend_pair(&a, seed, reference, candidate) {
-                    let law = format!(
-                        "backend-equivalence {} vs {}",
-                        reference.name(),
-                        candidate.name()
-                    );
-                    return Err(shrunk_failure(regime, law, seed, detail, &a, &|m| {
-                        check_backend_pair(m, seed, reference, candidate).is_err()
-                    }));
-                }
+            cases += 1;
+            if let Err(detail) = check_case(&a, seed) {
+                let law = "backend-equivalence scalar vs bitwise".to_owned();
+                return Err(shrunk_failure(regime, law, seed, detail, &a, &|m| {
+                    check_case(m, seed).is_err()
+                }));
             }
         }
     }
@@ -251,52 +371,68 @@ mod tests {
         let cfg = SweepConfig { seeds_per_regime: 1, ..SweepConfig::default() };
         let cases = run_backend_sweep(DEFAULT_SEED, &cfg)
             .unwrap_or_else(|ce| panic!("seed {DEFAULT_SEED}:\n{ce}"));
-        assert_eq!(cases, Regime::ALL.len() * backend_pairs().len());
+        assert_eq!(cases, Regime::ALL.len());
     }
 
-    #[test]
-    fn snapshot_is_deterministic_per_backend() {
-        let a = Regime::Banded.generate(7);
-        for &kind in sparse::kernels::BackendKind::ALL {
-            let s1 = with_backend(kind, || snapshot(&a, 7)).expect("snapshot");
-            let s2 = with_backend(kind, || snapshot(&a, 7)).expect("snapshot");
-            assert_eq!(s1, s2, "snapshot under {kind} must be pure");
+    /// The bitwise kernels with every nonzero segment dot product one ULP
+    /// off: the kind of drift a reordered f64 accumulation produces.
+    struct OneUlpDot;
+
+    impl BitKernels for OneUlpDot {
+        fn rank(&self, words: &[u64], bit: usize) -> usize {
+            BitwiseKernels.rank(words, bit)
         }
-    }
-
-    #[test]
-    fn diff_catches_a_corrupted_signature() {
-        let a = Regime::BlockAligned16.generate(3);
-        let want = with_backend(BackendKind::Scalar, || snapshot(&a, 3)).expect("snapshot");
-        let mut got = want.clone();
-        got.signatures[0].1.push('!');
-        let err = diff_snapshots("scalar", &want, "sabotaged", &got)
-            .expect_err("a corrupted counter signature must be flagged");
-        assert!(err.contains("counter signature differs"), "{err}");
-        assert!(err.contains("sabotaged"), "{err}");
+        fn or_into(&self, acc: &mut [u64], src: &[u64]) {
+            BitwiseKernels.or_into(acc, src);
+        }
+        fn collect_set_bits(&self, words: &[u64], len_bits: usize, out: &mut Vec<u32>) {
+            BitwiseKernels.collect_set_bits(words, len_bits, out);
+        }
+        fn decode_block(&self, lv1: u16, lv2: &[u16]) -> [u16; 16] {
+            BitwiseKernels.decode_block(lv1, lv2)
+        }
+        fn encode_block(&self, mask: &[u64; 4]) -> sparse::kernels::BlockMeta {
+            BitwiseKernels.encode_block(mask)
+        }
+        fn block_products(&self, a: &[u16; 16], b: &[u16; 16]) -> u64 {
+            BitwiseKernels.block_products(a, b)
+        }
+        fn block_mul_structure(&self, a: &[u16; 16], b: &[u16; 16]) -> [u16; 16] {
+            BitwiseKernels.block_mul_structure(a, b)
+        }
+        fn segment_dot(
+            &self,
+            pattern: u8,
+            a_tile: &[f64; 16],
+            b_tile: &[f64; 16],
+            m: usize,
+            n: usize,
+        ) -> (f64, u32) {
+            let (sum, lanes) = BitwiseKernels.segment_dot(pattern, a_tile, b_tile, m, n);
+            let nudged = if sum == 0.0 { sum } else { f64::from_bits(sum.to_bits() ^ 1) };
+            (nudged, lanes)
+        }
+        fn dot_gather(&self, cols: &[u32], vals: &[f64], x: &[f64]) -> f64 {
+            BitwiseKernels.dot_gather(cols, vals, x)
+        }
+        fn axpy(&self, acc: &mut [f64], scale: f64, b: &[f64]) {
+            BitwiseKernels.axpy(acc, scale, b);
+        }
     }
 
     #[test]
     fn diff_catches_a_one_ulp_numeric_nudge() {
         let a = Regime::BlockAligned16.generate(3);
-        let want = with_backend(BackendKind::Scalar, || snapshot(&a, 3)).expect("snapshot");
-        let mut got = want.clone();
-        let nudged: Option<&mut f64> = got
-            .floats
-            .iter_mut()
-            .flat_map(|(_, vs)| vs.iter_mut())
-            .find(|v| **v != 0.0);
-        let v = nudged.expect("snapshot has nonzero numerics");
-        *v = f64::from_bits(v.to_bits() ^ 1);
-        let err = diff_snapshots("scalar", &want, "nudged", &got)
-            .expect_err("EXACT tolerance must flag a single-ULP change");
-        assert!(err.contains("ulps"), "{err}");
+        check_kernels(&a, 3, &ScalarKernels, &BitwiseKernels).expect("bitwise is exact");
+        let err = check_kernels(&a, 3, &ScalarKernels, &OneUlpDot)
+            .expect_err("a one-ULP segment_dot drift must be flagged");
+        assert!(err.contains("segment_dot"), "{err}");
     }
 
     #[test]
     fn failing_pair_shrinks_and_carries_the_replay_seed() {
         // An always-failing predicate exercises the shrink + replay
-        // plumbing without needing a genuinely broken backend.
+        // plumbing without needing a genuinely broken implementation.
         let regime = Regime::Banded;
         let seed = 11u64;
         let a = regime.generate(seed);

@@ -13,10 +13,10 @@
 //! 3. **Cross-engine differentials** ([`differential`]): the six baseline
 //!    cycle models, the Uni-STC engine and the numeric dataflow must all
 //!    count exactly the same useful work.
-//! 4. **Backend equivalence** ([`backend_equivalence`]): the scalar and
-//!    bit-parallel `sparse::kernels` backends must be observationally
-//!    identical — bit-identical counter signatures and EXACT-tolerance
-//!    numerics on every regime.
+//! 4. **Backend equivalence** ([`backend_equivalence`]): the bit-parallel
+//!    `sparse::kernels` implementation every call site runs must match
+//!    the scalar reference bit for bit on every op call the stack makes,
+//!    on every regime.
 //!
 //! Inputs come from structured sparsity [`generators`] (block-aligned,
 //! banded, pruning-mask, adversarial dense-row/column regimes), failures

@@ -7,6 +7,8 @@
 //! up to four partial products are pre-merged before the single write
 //! toward the accumulation buffer.
 
+use sparse::kernels::{BitKernels, BitwiseKernels};
+
 /// A per-cycle lane allocator modelling the SDPU's packing capacity.
 ///
 /// # Example
@@ -158,11 +160,10 @@ pub fn pack_segments_traced<I: IntoIterator<Item = u8>>(
 /// `a_tile[m * 4 + kk] * b_tile[kk * 4 + n]`. Returns the sum and the
 /// number of products (lanes) consumed.
 ///
-/// Dispatches through the active `sparse::kernels` backend; every
-/// backend evaluates the products in the same ascending-`kk` order, so
-/// the f64 sum is bit-identical across backends (the bitwise backend
-/// only replaces the per-bit skip test with `trailing_zeros`
-/// iteration).
+/// Runs [`BitwiseKernels::segment_dot`], which evaluates the products
+/// in the same ascending-`kk` order as the scalar reference, so the f64
+/// sum is bit-identical to it (the bitwise kernel only replaces the
+/// per-bit skip test with `trailing_zeros` iteration).
 pub fn segment_dot(
     pattern: u8,
     a_tile: &[f64; 16],
@@ -170,7 +171,7 @@ pub fn segment_dot(
     m: usize,
     n: usize,
 ) -> (f64, u32) {
-    sparse::kernels::active().segment_dot(pattern, a_tile, b_tile, m, n)
+    BitwiseKernels.segment_dot(pattern, a_tile, b_tile, m, n)
 }
 
 #[cfg(test)]

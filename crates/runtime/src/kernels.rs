@@ -21,12 +21,6 @@
 //! [`DegradedError::RetriesExhausted`](uni_stc::multi::DegradedError);
 //! injected chaos can never change the merged counters, only how long the
 //! run takes.
-//!
-//! Worker threads also inherit the process-wide `sparse::kernels`
-//! backend selection (`USTC_BACKEND` / `sparse::kernels::set_backend`)
-//! — the choice is an ambient atomic, so no per-shard plumbing exists
-//! and a sharded run under any backend folds to the same bit-identical
-//! report as the serial driver.
 
 use simkit::driver::{self, Kernel, KernelReport};
 use simkit::{CounterOverflow, EnergyModel, T1Task, TaskStream, TileEngine};
@@ -414,29 +408,6 @@ mod tests {
                 "threads={threads}"
             );
             assert_eq!(sharded.report, serial, "full report, threads={threads}");
-        }
-    }
-
-    #[test]
-    fn sharded_run_inherits_ambient_backend() {
-        // Worker threads read the process-wide backend selection; a
-        // sharded run under any backend must fold to the serial
-        // bitwise report bit for bit.
-        use sparse::kernels::{with_backend, BackendKind};
-        let a = demo_matrix(5);
-        let em = EnergyModel::default();
-        let serial = driver::run_spmv(&Ideal, &em, &a);
-        for &kind in BackendKind::ALL {
-            let sharded = with_backend(kind, || {
-                let cfg = RuntimeConfig::with_threads(4);
-                sharded(&cfg, &Ideal, Kernel::SpMV, &driver::spmv_stream(&a)).expect("no failures")
-            });
-            assert_eq!(
-                sharded.report.counter_signature(),
-                serial.counter_signature(),
-                "backend={}",
-                kind.name()
-            );
         }
     }
 

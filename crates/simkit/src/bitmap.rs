@@ -1,5 +1,6 @@
 //! 16x16 structural block bitmaps and 4x4 tile-mask helpers.
 
+use sparse::kernels::{BitKernels, BitwiseKernels};
 use sparse::BbcBlock;
 
 /// The structural bitmap of one 16x16 operand block: sixteen row masks,
@@ -182,22 +183,20 @@ impl Block16 {
     /// Number of intermediate products of `self x other` (16x16x16):
     /// `sum over k of nnz(col k of self) * nnz(row k of other)`.
     ///
-    /// Dispatches to the active kernel backend (`sparse::kernels`): the
-    /// bitwise backend packs the rows 4-per-u64 and uses SWAR popcounts
-    /// instead of the 16x16 per-bit column probe.
+    /// Runs [`BitwiseKernels::block_products`]: it packs the rows
+    /// 4-per-u64 and uses SWAR popcounts instead of the 16x16 per-bit
+    /// column probe.
     pub fn products_with(&self, other: &Block16) -> u64 {
-        sparse::kernels::active().block_products(&self.rows, &other.rows)
+        BitwiseKernels.block_products(&self.rows, &other.rows)
     }
 
     /// The structural product bitmap of `self x other`.
     ///
-    /// Dispatches to the active kernel backend: the bitwise backend
-    /// iterates only the set bits of each row (`trailing_zeros`) rather
-    /// than probing all 16 contraction indices.
+    /// Runs [`BitwiseKernels::block_mul_structure`]: it iterates only
+    /// the set bits of each row (`trailing_zeros`) rather than probing
+    /// all 16 contraction indices.
     pub fn mul_structure(&self, other: &Block16) -> Block16 {
-        Block16 {
-            rows: sparse::kernels::active().block_mul_structure(&self.rows, &other.rows),
-        }
+        Block16 { rows: BitwiseKernels.block_mul_structure(&self.rows, &other.rows) }
     }
 
     /// Transposed bitmap: row `c` of the result is [`Block16::col_mask`]

@@ -8,12 +8,9 @@
 //! surviving block pair.
 //!
 //! The bitmap algebra behind task generation (block decode,
-//! [`Block16::products_with`], [`Block16::mul_structure`]) dispatches
-//! through the process-wide `sparse::kernels` backend (`USTC_BACKEND`
-//! env / `sparse::kernels::set_backend`). Backends change only host
-//! wall-clock: every counter a driver reports — cycles, products, task
-//! counts, event traffic — is bit-identical across backends, which the
-//! conformance backend-equivalence sweep pins.
+//! [`Block16::products_with`], [`Block16::mul_structure`]) runs on
+//! `sparse::kernels::BitwiseKernels`, whose every op the conformance
+//! backend-equivalence sweep checks against the scalar reference.
 
 use sparse::{BbcMatrix, SparseVector};
 

@@ -2,59 +2,56 @@
 //!
 //! The paper stresses that BBC indexing is "offloaded to a one-time software
 //! encoding" whose cost is amortised across kernel invocations (Section
-//! IV-D / VI-B). This module is that encoder.
+//! IV-D / VI-B). This module is that encoder. It has two strategies, and
+//! [`BbcMatrix::from_csr`] picks one by the matrix's width alone:
 //!
-//! Two encoding strategies exist, selected by the active kernel backend
-//! (see [`crate::kernels`]):
-//!
-//! * **scalar** — the original per-entry path: bucket entries into
-//!   per-block vectors, sort by (tile, elem), emit.
-//! * **bitwise** — a packed path: each touched block accumulates
-//!   a 256-bit occupancy mask (4×u64, bit `tile * 16 + elem`) plus a
+//! * **packed** (the default) — each touched block accumulates a 256-bit
+//!   occupancy mask (4×u64, bit `tile * 16 + elem`) plus a
 //!   direct-indexed value scratch; metadata falls out of
-//!   [`crate::kernels::BitKernels::encode_block`] (SWAR lane extraction +
+//!   [`BitwiseKernels::encode_block`] (SWAR lane extraction +
 //!   `count_ones` prefix sums) and values are emitted by ascending
 //!   set-bit iteration — no sorting, no binary-search inserts.
+//! * **per-entry** ([`BbcMatrix::from_csr_per_entry`]) — the original
+//!   path: bucket entries into per-block vectors, sort by (tile, elem),
+//!   emit. It runs above `PACKED_BLOCK_COL_LIMIT` (8192) block
+//!   columns, where the packed scratch would be too large, and is the
+//!   reference the packed path is tested against.
 //!
 //! Both paths produce identical `BbcMatrix` contents (ascending bit
-//! order *is* the (tile, elem) sort order); the conformance
-//! backend-equivalence sweep asserts this with `PartialEq`.
+//! order *is* the (tile, elem) sort order); the tests below and the
+//! conformance backend-equivalence sweep assert this with `PartialEq`.
 
 use super::{BbcMatrix, BLOCK_DIM, TILE_DIM, TILES_PER_BLOCK};
-use crate::kernels::{self, BackendKind, BitKernels};
+use crate::kernels::{BitKernels, BitwiseKernels};
 use crate::CsrMatrix;
 
 /// The packed encoder keeps ~2 KiB of scratch per block column; above
-/// this many block columns (≈16 MiB) it falls back to the scalar path,
-/// whose scratch is proportional to the block row's nonzeros instead.
+/// this many block columns (≈16 MiB) it falls back to the per-entry
+/// path, whose scratch is proportional to the block row's nonzeros instead.
 const PACKED_BLOCK_COL_LIMIT: usize = 1 << 13;
 
 /// Bits in a block occupancy mask (16 tiles × 16 elements).
 const BLOCK_BITS: usize = TILES_PER_BLOCK * TILES_PER_BLOCK;
 
 impl BbcMatrix {
-    /// Encodes a CSR matrix into BBC form using the active kernel
-    /// backend (see [`crate::kernels::active_kind`]).
+    /// Encodes a CSR matrix into BBC form: the packed encoder, or the
+    /// per-entry one for matrices wider than 8192 block columns
+    /// (131 072 columns). Both produce identical output.
     pub fn from_csr(csr: &CsrMatrix) -> Self {
-        Self::from_csr_with(csr, kernels::active_kind())
-    }
-
-    /// Encodes a CSR matrix into BBC form with an explicit backend
-    /// choice. All backends produce identical output; they differ only
-    /// in how the per-block bitmaps and value order are derived.
-    pub fn from_csr_with(csr: &CsrMatrix, kind: BackendKind) -> Self {
-        let block_cols = csr.ncols().div_ceil(BLOCK_DIM).max(1);
-        match kind {
-            BackendKind::Scalar => Self::from_csr_scalar(csr),
-            _ if block_cols > PACKED_BLOCK_COL_LIMIT => Self::from_csr_scalar(csr),
-            kind => Self::from_csr_packed(csr, kernels::backend_for(kind)),
+        if csr.ncols().div_ceil(BLOCK_DIM) > PACKED_BLOCK_COL_LIMIT {
+            Self::from_csr_per_entry(csr)
+        } else {
+            Self::from_csr_packed(csr)
         }
     }
 
     /// The original per-entry encoder: a single pass per block row;
     /// entries are bucketed into 16x16 blocks, each block's two-level
     /// bitmap is derived, and values are re-ordered tile-by-tile.
-    fn from_csr_scalar(csr: &CsrMatrix) -> Self {
+    /// Output equals [`BbcMatrix::from_csr`], which calls this for wide
+    /// matrices; it is public as the reference the packed encoder is
+    /// checked against.
+    pub fn from_csr_per_entry(csr: &CsrMatrix) -> Self {
         let nrows = csr.nrows();
         let ncols = csr.ncols();
         let block_rows = nrows.div_ceil(BLOCK_DIM).max(1);
@@ -142,7 +139,7 @@ impl BbcMatrix {
     /// value into a direct-indexed slot; emission walks the touched
     /// columns in ascending order (a word bitset), derives metadata via
     /// `encode_block`, and streams values out by ascending set bit.
-    fn from_csr_packed(csr: &CsrMatrix, be: &dyn BitKernels) -> Self {
+    fn from_csr_packed(csr: &CsrMatrix) -> Self {
         let nrows = csr.nrows();
         let ncols = csr.ncols();
         let block_rows = nrows.div_ceil(BLOCK_DIM).max(1);
@@ -185,10 +182,10 @@ impl BbcMatrix {
             }
 
             touched_cols.clear();
-            be.collect_set_bits(&touched, block_cols, &mut touched_cols);
+            BitwiseKernels.collect_set_bits(&touched, block_cols, &mut touched_cols);
             for &bc in &touched_cols {
                 let bc = bc as usize;
-                let meta = be.encode_block(&masks[bc]);
+                let meta = BitwiseKernels.encode_block(&masks[bc]);
                 col_idx.push(bc as u32);
                 valptr_lv1.push(values.len() as u32);
                 bitmap_lv1.push(meta.lv1);
@@ -197,9 +194,9 @@ impl BbcMatrix {
                 tile_ptr.push(bitmap_lv2.len());
 
                 // Ascending (tile*16 + elem) bit order == the (tile,
-                // elem) sort order of the scalar path.
+                // elem) sort order of the per-entry path.
                 block_bits.clear();
-                be.collect_set_bits(&masks[bc], BLOCK_BITS, &mut block_bits);
+                BitwiseKernels.collect_set_bits(&masks[bc], BLOCK_BITS, &mut block_bits);
                 let base = bc * BLOCK_BITS;
                 values.extend(block_bits.iter().map(|&b| slot_vals[base + b as usize]));
 
@@ -248,9 +245,9 @@ mod tests {
     fn packed_encoder_matches_scalar_encoder() {
         for seed in 0..6 {
             let csr = sample(seed);
-            let scalar = BbcMatrix::from_csr_with(&csr, BackendKind::Scalar);
-            let bitwise = BbcMatrix::from_csr_with(&csr, BackendKind::Bitwise);
-            assert_eq!(scalar, bitwise, "seed {seed}");
+            let per_entry = BbcMatrix::from_csr_per_entry(&csr);
+            assert_eq!(per_entry, BbcMatrix::from_csr_packed(&csr), "seed {seed}");
+            assert_eq!(per_entry, BbcMatrix::from_csr(&csr), "seed {seed}");
         }
     }
 
@@ -263,9 +260,30 @@ mod tests {
             CsrMatrix::identity(17),
         ] {
             assert_eq!(
-                BbcMatrix::from_csr_with(&csr, BackendKind::Scalar),
-                BbcMatrix::from_csr_with(&csr, BackendKind::Bitwise),
+                BbcMatrix::from_csr_per_entry(&csr),
+                BbcMatrix::from_csr_packed(&csr),
             );
         }
+    }
+
+    #[test]
+    fn wide_matrix_falls_back_to_the_per_entry_encoder() {
+        // Two block columns past the packed limit, a few rows, nonzeros
+        // scattered across the whole width (both ends included).
+        let ncols = BLOCK_DIM * PACKED_BLOCK_COL_LIMIT + 17;
+        assert!(ncols.div_ceil(BLOCK_DIM) > PACKED_BLOCK_COL_LIMIT);
+        let mut rng = crate::rng::Rng64::new(0x51DE);
+        let mut coo = CooMatrix::new(5, ncols);
+        coo.push(0, 0, 1.0);
+        coo.push(4, ncols - 1, -2.0);
+        for i in 0..300 {
+            let r = (rng.next_u64() % 5) as usize;
+            let c = (rng.next_u64() % ncols as u64) as usize;
+            coo.push(r, c, i as f64 * 0.5 - 70.0);
+        }
+        let csr = CsrMatrix::try_from(coo).expect("valid wide matrix");
+        let wide = BbcMatrix::from_csr(&csr);
+        assert_eq!(wide, BbcMatrix::from_csr_packed(&csr));
+        assert_eq!(wide.nnz(), csr.nnz());
     }
 }

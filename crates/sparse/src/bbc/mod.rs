@@ -22,6 +22,7 @@ mod io;
 pub mod profile;
 mod validate;
 
+use crate::kernels::{BitKernels, BitwiseKernels};
 use crate::{CsrMatrix, StorageSize, INDEX_BYTES, VALUE_BYTES};
 
 pub use io::read_bbc;
@@ -298,12 +299,12 @@ impl BbcBlock<'_> {
     /// Expands the two-level bitmap into sixteen per-row 16-bit masks
     /// (bit `c` of `rows[r]` set means element `(r, c)` is nonzero).
     ///
-    /// Decoding runs through the active kernel backend (see
-    /// [`crate::kernels`]): the scalar backend replays the original
-    /// per-tile nibble-spread loop, the bitwise backend packs the rows
-    /// as 4×u64 and spreads each tile with one shift-or cascade.
+    /// Decoding runs through [`BitwiseKernels::decode_block`]: it packs
+    /// the rows as 4×u64 and spreads each tile with one shift-or cascade
+    /// (the scalar reference replays the original per-tile nibble-spread
+    /// loop).
     pub fn element_rows(&self) -> [u16; BLOCK_DIM] {
-        crate::kernels::active().decode_block(self.bitmap_lv1, self.bitmap_lv2)
+        BitwiseKernels.decode_block(self.bitmap_lv1, self.bitmap_lv2)
     }
 
     /// The stored value at block-local coordinates `(lr, lc)`, or `None`

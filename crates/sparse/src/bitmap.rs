@@ -1,5 +1,6 @@
 //! Flat bitmap sparse format (the paper's Fig. 1).
 
+use crate::kernels::{BitKernels, BitwiseKernels};
 use crate::{CsrMatrix, FormatError, StorageSize, VALUE_BYTES};
 
 /// A sparse matrix stored as one flat bitmask plus a packed value array
@@ -120,14 +121,15 @@ impl BitmapMatrix {
             return None;
         }
         let bit = row * self.ncols + col;
-        Some(self.values[crate::kernels::active().rank(&self.mask, bit)])
+        Some(self.values[BitwiseKernels.rank(&self.mask, bit)])
     }
 
     /// Converts back to CSR form.
     ///
-    /// Walks the mask word-at-a-time through the active kernel backend
-    /// (set bits come back in ascending order, which is exactly the
-    /// row-major value order) instead of probing every cell; the mask's
+    /// Walks the mask word-at-a-time with
+    /// [`BitwiseKernels::collect_set_bits`] (set bits come back in
+    /// ascending order, which is exactly the row-major value order)
+    /// instead of probing every cell; the mask's
     /// tail word is masked to `nrows * ncols` bits so ragged widths —
     /// total bit counts that are not a multiple of 64 — cannot leak
     /// stray positions.
@@ -140,11 +142,7 @@ impl BitmapMatrix {
     pub fn to_csr(&self) -> Result<CsrMatrix, FormatError> {
         let mut coo = crate::CooMatrix::with_capacity(self.nrows, self.ncols, self.nnz());
         let mut set_bits = Vec::with_capacity(self.nnz());
-        crate::kernels::active().collect_set_bits(
-            &self.mask,
-            self.nrows * self.ncols,
-            &mut set_bits,
-        );
+        BitwiseKernels.collect_set_bits(&self.mask, self.nrows * self.ncols, &mut set_bits);
         for (&bit, &v) in set_bits.iter().zip(self.values.iter()) {
             let bit = bit as usize;
             coo.push(bit / self.ncols, bit % self.ncols, v);
@@ -278,13 +276,26 @@ mod tests {
 
     #[test]
     fn backends_agree_on_bitmap_paths() {
-        use crate::kernels::{with_backend, BackendKind};
-        let csr = ragged_full(65);
-        for &kind in BackendKind::ALL {
-            let round = with_backend(kind, || {
-                BitmapMatrix::from_csr(&csr).to_csr().unwrap()
-            });
-            assert_eq!(round, csr, "backend={}", kind.name());
+        // `get` and `to_csr` run the bitwise rank and set-bit walk; the
+        // scalar reference must find the same positions and ranks on a
+        // ragged mask (3 x 43 = 129 bits).
+        use crate::kernels::ScalarKernels;
+        let mut coo = crate::CooMatrix::new(3, 43);
+        for i in 0..129usize {
+            if i % 3 == 0 || i % 7 == 1 {
+                coo.push(i / 43, i % 43, i as f64 - 60.5);
+            }
         }
+        let csr = CsrMatrix::try_from(coo).unwrap();
+        let bm = BitmapMatrix::from_csr(&csr);
+        let mut bits = Vec::new();
+        ScalarKernels.collect_set_bits(&bm.mask, 129, &mut bits);
+        assert_eq!(bits.len(), csr.nnz());
+        for (i, &bit) in bits.iter().enumerate() {
+            let bit = bit as usize;
+            assert_eq!(ScalarKernels.rank(&bm.mask, bit), i);
+            assert_eq!(bm.get(bit / 43, bit % 43), Some(bm.values[i]), "bit {bit}");
+        }
+        assert_eq!(bm.to_csr().unwrap(), csr);
     }
 }

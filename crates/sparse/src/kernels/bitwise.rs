@@ -1,4 +1,5 @@
-//! u64 word-at-a-time bit-trick backend (the default).
+//! u64 word-at-a-time bit-trick kernels: the implementation production
+//! code calls.
 //!
 //! Structural work runs whole-word: `count_ones` for popcount prefix
 //! sums and rank, `trailing_zeros` + `m &= m - 1` for ascending set-bit
@@ -25,15 +26,11 @@ fn tail_mask(bits: usize) -> u64 {
 /// Every 16th bit set: one unit per 16-bit lane of a packed block word.
 const LANE_LSB: u64 = 0x0001_0001_0001_0001;
 
-/// The bitwise backend (`USTC_BACKEND=bitwise`).
+/// The word-parallel kernels every production call site uses.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BitwiseKernels;
 
 impl BitKernels for BitwiseKernels {
-    fn name(&self) -> &'static str {
-        "bitwise"
-    }
-
     fn rank(&self, words: &[u64], bit: usize) -> usize {
         let bit = bit.min(words.len() * 64);
         let (full, rem) = (bit / 64, bit % 64);
@@ -42,30 +39,6 @@ impl BitKernels for BitwiseKernels {
             count += (words[full] & ((1u64 << rem) - 1)).count_ones();
         }
         count as usize
-    }
-
-    fn prefix_popcounts(&self, words: &[u64], out: &mut Vec<u32>) {
-        out.clear();
-        out.reserve(words.len() + 1);
-        let mut running = 0u32;
-        out.push(running);
-        for &w in words {
-            running += w.count_ones();
-            out.push(running);
-        }
-    }
-
-    fn and_count(&self, a: &[u64], b: &[u64], len_bits: usize) -> u64 {
-        let words = len_bits.div_ceil(64);
-        let mut count = 0u64;
-        for i in 0..words {
-            let mut and = a[i] & b[i];
-            if i == words - 1 {
-                and &= tail_mask(len_bits);
-            }
-            count += u64::from(and.count_ones());
-        }
-        count
     }
 
     fn or_into(&self, acc: &mut [u64], src: &[u64]) {

@@ -1,88 +1,40 @@
-//! Kernel backends: swappable implementations of the bitmap hot paths.
+//! The bitmap hot paths: one implementation, one reference.
 //!
 //! The BBC format is bitmaps all the way down — encode/decode of 16×16
-//! blocks, level-1/level-2 mask overlay products, popcount prefix sums
-//! for segment offsets, and the SDPU segment numeric loop. This module
-//! extracts those hot paths behind the [`BitKernels`] trait so the same
-//! structural semantics can be served by different host implementations:
+//! blocks, level-1/level-2 mask overlay products, rank and set-bit
+//! walks, and the SDPU segment numeric loop. This module gathers those
+//! primitives behind the [`BitKernels`] trait:
 //!
-//! * [`scalar`] — the element-at-a-time reference code this layer was
-//!   extracted from. Slow, obvious, and the oracle every other backend
-//!   is differentially tested against.
-//! * [`bitwise`] — u64 word-at-a-time bit tricks: whole-word AND/OR
-//!   overlays, `count_ones` prefix sums, SWAR encode/decode of a 16×16
-//!   block packed as 4×u64. The default.
-//!
-//! # Selection
-//!
-//! The active backend is a process-wide selection, read lazily from the
-//! `USTC_BACKEND` environment variable (`scalar` | `bitwise`)
-//! the first time [`active_kind`] runs, and overridable at runtime via
-//! [`set_backend`]. Unknown names warn on stderr and fall back to the
-//! default ([`BackendKind::Bitwise`]). Worker threads (e.g. the
-//! `runtime` crate's shard pool) inherit the ambient selection — no
-//! per-task plumbing is needed.
+//! * [`BitwiseKernels`] — u64 word-at-a-time bit tricks: whole-word OR
+//!   overlays, `count_ones` ranks, SWAR encode/decode of a 16×16
+//!   block packed as 4×u64. Every production call site (`bitmap`,
+//!   `bbc`, `ops`, the simulator's `Block16` algebra and the SDPU
+//!   segment dot) calls it directly, by static dispatch.
+//! * [`ScalarKernels`] — the element-at-a-time code the bitwise
+//!   kernels were extracted from. Slow, obvious, and the reference the
+//!   bitwise kernels are tested against; nothing outside tests calls it.
 //!
 //! # Equivalence contract
 //!
-//! Every backend must be *bit-identical* to the scalar reference: the
+//! [`BitwiseKernels`] must be *bit-identical* to [`ScalarKernels`]: the
 //! same structural outputs (masks, offsets, set-bit orders) and the
 //! same floating-point results. f64 addition is not associative, so
 //! numeric methods ([`BitKernels::segment_dot`],
 //! [`BitKernels::dot_gather`], [`BitKernels::axpy`]) must preserve the
 //! reference accumulation order exactly — bit tricks may only change
 //! how indices and masks are *computed*, never the order values are
-//! combined in. The contract is enforced three ways: the word-boundary
-//! differential harness here ([`differential_check`]), the
-//! `conformance::backend_equivalence` sweep (all generator regimes ×
-//! all kernels, EXACT tolerance), and the CI backend matrix.
+//! combined in. The contract is enforced twice: the word-boundary
+//! differential harness here ([`differential_check`]), and the
+//! `conformance::backend_equivalence` sweep, which compares the two on
+//! every operand each op meets for every generator regime. Each op is a
+//! pure function of its arguments, so agreement on every call site's
+//! arguments is agreement of the whole stack.
 
-pub mod bitwise;
-pub mod scalar;
+mod bitwise;
+mod scalar;
 
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Mutex, PoisonError};
-
-/// Identifier for a compiled-in kernel backend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BackendKind {
-    /// Element-at-a-time reference implementation.
-    Scalar,
-    /// u64 word-at-a-time bit-trick implementation (the default).
-    Bitwise,
-}
-
-/// The backend used when nothing is selected.
-pub const DEFAULT_BACKEND: BackendKind = BackendKind::Bitwise;
-
-impl BackendKind {
-    /// Every backend compiled into this build.
-    pub const ALL: &'static [BackendKind] = &[BackendKind::Scalar, BackendKind::Bitwise];
-
-    /// Stable lower-case name; also the accepted `USTC_BACKEND` value.
-    pub fn name(self) -> &'static str {
-        match self {
-            BackendKind::Scalar => "scalar",
-            BackendKind::Bitwise => "bitwise",
-        }
-    }
-
-    /// Parses a backend name as used by `USTC_BACKEND` and the bench
-    /// `--backend` flag. Returns `None` for unknown names.
-    pub fn parse(name: &str) -> Option<BackendKind> {
-        match name.trim().to_ascii_lowercase().as_str() {
-            "scalar" => Some(BackendKind::Scalar),
-            "bitwise" => Some(BackendKind::Bitwise),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for BackendKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
+pub use bitwise::BitwiseKernels;
+pub use scalar::ScalarKernels;
 
 /// BBC metadata for one 16×16 block, derived from its 256-bit
 /// (tile, element) occupancy mask by [`BitKernels::encode_block`].
@@ -102,28 +54,18 @@ pub struct BlockMeta {
     pub valptr: [u16; 16],
 }
 
-/// The bitmap/numeric primitives every backend implements.
+/// The bitmap/numeric primitives, implemented by [`BitwiseKernels`] and
+/// its reference [`ScalarKernels`].
 ///
 /// Structural methods operate on explicit bit widths (`len_bits`) so
 /// tail-word handling is part of the contract: bit positions at or
 /// beyond `len_bits` in the last word are ignored regardless of their
 /// stored value. Numeric methods must combine values in exactly the
 /// reference (scalar) order — see the module docs.
-pub trait BitKernels: Sync {
-    /// The backend's stable name (matches [`BackendKind::name`]).
-    fn name(&self) -> &'static str;
-
+pub trait BitKernels {
     /// Number of set bits strictly below position `bit`.
     /// `bit` may be at most `words.len() * 64`.
     fn rank(&self, words: &[u64], bit: usize) -> usize;
-
-    /// Exclusive prefix popcounts: `out[i]` = number of set bits in
-    /// `words[..i]`. `out` is cleared and filled with
-    /// `words.len() + 1` entries (the last is the total popcount).
-    fn prefix_popcounts(&self, words: &[u64], out: &mut Vec<u32>);
-
-    /// Popcount of `a & b` over the first `len_bits` bits.
-    fn and_count(&self, a: &[u64], b: &[u64], len_bits: usize) -> u64;
 
     /// ORs `src` into `acc` word-by-word (`acc[i] |= src[i]`).
     /// Panics if the slices differ in length, mirroring a zip over
@@ -175,110 +117,6 @@ pub trait BitKernels: Sync {
     /// Scaled row update `acc[j] += scale * b[j]` over
     /// `min(acc.len(), b.len())` elements.
     fn axpy(&self, acc: &mut [f64], scale: f64, b: &[f64]);
-}
-
-static SCALAR: scalar::ScalarKernels = scalar::ScalarKernels;
-static BITWISE: bitwise::BitwiseKernels = bitwise::BitwiseKernels;
-
-/// The statically-allocated implementation of `kind`.
-pub fn backend_for(kind: BackendKind) -> &'static dyn BitKernels {
-    match kind {
-        BackendKind::Scalar => &SCALAR,
-        BackendKind::Bitwise => &BITWISE,
-    }
-}
-
-/// 0 = not yet initialised; otherwise `encode_kind(kind)`.
-static ACTIVE: AtomicU8 = AtomicU8::new(0);
-
-fn encode_kind(kind: BackendKind) -> u8 {
-    match kind {
-        BackendKind::Scalar => 1,
-        BackendKind::Bitwise => 2,
-    }
-}
-
-fn decode_kind(state: u8) -> BackendKind {
-    match state {
-        1 => BackendKind::Scalar,
-        _ => BackendKind::Bitwise,
-    }
-}
-
-fn kind_from_env() -> BackendKind {
-    match std::env::var("USTC_BACKEND") {
-        Ok(value) => BackendKind::parse(&value).unwrap_or_else(|| {
-            eprintln!(
-                "USTC_BACKEND={value:?} is not an available backend \
-                 (expected one of: {}); using `{}`",
-                BackendKind::ALL
-                    .iter()
-                    .map(|k| k.name())
-                    .collect::<Vec<_>>()
-                    .join(", "),
-                DEFAULT_BACKEND.name(),
-            );
-            DEFAULT_BACKEND
-        }),
-        Err(_) => DEFAULT_BACKEND,
-    }
-}
-
-/// The currently selected backend kind. On first use this reads
-/// `USTC_BACKEND`; unknown values warn and fall back to
-/// [`DEFAULT_BACKEND`].
-pub fn active_kind() -> BackendKind {
-    match ACTIVE.load(Ordering::Relaxed) {
-        0 => {
-            let kind = kind_from_env();
-            // A racing first call may store a different freshly-parsed
-            // kind; both parse the same environment, so the result is
-            // identical either way.
-            ACTIVE.store(encode_kind(kind), Ordering::Relaxed);
-            kind
-        }
-        state => decode_kind(state),
-    }
-}
-
-/// Selects the process-wide backend (builder-API counterpart of the
-/// `USTC_BACKEND` environment variable).
-pub fn set_backend(kind: BackendKind) {
-    ACTIVE.store(encode_kind(kind), Ordering::Relaxed);
-}
-
-/// The active backend implementation. Hot paths call this once per
-/// operation, not per element.
-pub fn active() -> &'static dyn BitKernels {
-    backend_for(active_kind())
-}
-
-/// Serialises [`with_backend`] flips so concurrently running tests
-/// cannot interleave scoped selections.
-static FLIP_LOCK: Mutex<()> = Mutex::new(());
-
-struct RestoreGuard {
-    prev: BackendKind,
-}
-
-impl Drop for RestoreGuard {
-    fn drop(&mut self) {
-        set_backend(self.prev);
-    }
-}
-
-/// Runs `f` with `kind` as the active backend, restoring the previous
-/// selection afterwards (also on panic). Scoped flips are serialised
-/// process-wide by a mutex; because every backend is equivalence-tested
-/// against the scalar reference, code on other threads observing the
-/// temporary selection still computes bit-identical results.
-pub fn with_backend<R>(kind: BackendKind, f: impl FnOnce() -> R) -> R {
-    let _lock = FLIP_LOCK
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
-    let _restore = RestoreGuard { prev: active_kind() };
-    set_backend(kind);
-    f()
 }
 
 /// Bit widths exercised by [`differential_check`]: empty, single-bit,
@@ -342,18 +180,7 @@ pub fn differential_check(
                 )?;
             }
 
-            let (mut pr, mut pc) = (Vec::new(), Vec::new());
-            reference.prefix_popcounts(mask, &mut pr);
-            candidate.prefix_popcounts(mask, &mut pc);
-            check_eq(&ctx("prefix_popcounts"), &pr, &pc)?;
-
             for other in boundary_masks(len_bits, len_bits as u64 ^ 0xFACE) {
-                check_eq(
-                    &ctx("and_count"),
-                    &reference.and_count(mask, &other, len_bits),
-                    &candidate.and_count(mask, &other, len_bits),
-                )?;
-
                 let mut ar = other.clone();
                 let mut ac = other.clone();
                 reference.or_into(&mut ar, mask);
@@ -471,63 +298,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parse_round_trips_names() {
-        for &kind in BackendKind::ALL {
-            assert_eq!(BackendKind::parse(kind.name()), Some(kind));
-        }
-        assert_eq!(BackendKind::parse("Bitwise"), Some(BackendKind::Bitwise));
-        assert_eq!(BackendKind::parse(" scalar "), Some(BackendKind::Scalar));
-        assert_eq!(BackendKind::parse("quantum"), None);
-        assert_eq!(BackendKind::parse("simd"), None);
-    }
-
-    #[test]
-    fn with_backend_restores_previous_selection() {
-        let before = active_kind();
-        let inside = with_backend(BackendKind::Scalar, active_kind);
-        assert_eq!(inside, BackendKind::Scalar);
-        assert_eq!(active_kind(), before);
-    }
-
-    #[test]
-    fn with_backend_nested_flips_restore_in_order() {
-        with_backend(BackendKind::Bitwise, || {
-            assert_eq!(active_kind(), BackendKind::Bitwise);
-            // A nested flip would deadlock on a non-reentrant guard if
-            // taken on the same thread; flips are scoped per closure,
-            // so exercise sequential scopes instead.
-        });
-        with_backend(BackendKind::Scalar, || {
-            assert_eq!(active().name(), "scalar");
-        });
-    }
-
-    #[test]
     fn bitwise_matches_scalar_on_boundary_grid() {
-        differential_check(&scalar::ScalarKernels, &bitwise::BitwiseKernels)
+        differential_check(&ScalarKernels, &BitwiseKernels)
             .unwrap_or_else(|e| panic!("bitwise diverges from scalar: {e}"));
     }
 
-    /// A backend with a deliberate off-by-one in its tail-word masking:
-    /// `rank`, `and_count`, and `collect_set_bits` include one bit past
+    /// An implementation with a deliberate off-by-one in its tail-word
+    /// masking: `rank` and `collect_set_bits` include one bit past
     /// `len_bits`. Proves the differential harness catches exactly the
     /// class of bug the bitwise rewrite risks introducing.
     struct BuggyTail;
 
     impl BitKernels for BuggyTail {
-        fn name(&self) -> &'static str {
-            "buggy-tail"
-        }
         fn rank(&self, words: &[u64], bit: usize) -> usize {
             // Off-by-one: counts bits *at or below* `bit`.
             BitwiseKernels.rank(words, (bit + 1).min(words.len() * 64))
-        }
-        fn prefix_popcounts(&self, words: &[u64], out: &mut Vec<u32>) {
-            BitwiseKernels.prefix_popcounts(words, out);
-        }
-        fn and_count(&self, a: &[u64], b: &[u64], len_bits: usize) -> u64 {
-            let widened = (len_bits + 1).min(a.len() * 64);
-            BitwiseKernels.and_count(a, b, widened)
         }
         fn or_into(&self, acc: &mut [u64], src: &[u64]) {
             BitwiseKernels.or_into(acc, src);
@@ -566,14 +351,12 @@ mod tests {
         }
     }
 
-    use bitwise::BitwiseKernels;
-
     #[test]
     fn injected_tail_bug_is_caught() {
-        let err = differential_check(&scalar::ScalarKernels, &BuggyTail)
+        let err = differential_check(&ScalarKernels, &BuggyTail)
             .expect_err("the off-by-one tail bug must be detected");
         assert!(
-            err.contains("rank") || err.contains("and_count") || err.contains("collect_set_bits"),
+            err.contains("rank") || err.contains("collect_set_bits"),
             "divergence should name a tail-sensitive primitive, got: {err}"
         );
     }

@@ -1,52 +1,25 @@
-//! Element-at-a-time reference backend.
+//! Element-at-a-time reference kernels.
 //!
-//! These are the loops the bitwise backend was extracted from — each
+//! These are the loops the bitwise kernels were extracted from — each
 //! method walks bits and elements one at a time with no word-level
-//! tricks. Deliberately boring: this backend is the oracle the
-//! differential harness and the conformance backend-equivalence sweep
-//! measure every other backend against, so clarity beats speed here.
+//! tricks. Deliberately boring: they are the oracle the differential
+//! harness and the conformance backend-equivalence sweep measure
+//! [`BitwiseKernels`](super::BitwiseKernels) against, so clarity beats
+//! speed here.
 
 use super::{BitKernels, BlockMeta};
 
-/// The scalar reference backend (`USTC_BACKEND=scalar`).
+/// The scalar reference kernels (test-only; no production path calls them).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ScalarKernels;
 
 impl BitKernels for ScalarKernels {
-    fn name(&self) -> &'static str {
-        "scalar"
-    }
-
     fn rank(&self, words: &[u64], bit: usize) -> usize {
         let mut count = 0;
         for i in 0..bit.min(words.len() * 64) {
             if words[i / 64] >> (i % 64) & 1 == 1 {
                 count += 1;
             }
-        }
-        count
-    }
-
-    fn prefix_popcounts(&self, words: &[u64], out: &mut Vec<u32>) {
-        out.clear();
-        let mut running = 0u32;
-        out.push(running);
-        for &w in words {
-            let mut word = w;
-            for _ in 0..64 {
-                running += (word & 1) as u32;
-                word >>= 1;
-            }
-            out.push(running);
-        }
-    }
-
-    fn and_count(&self, a: &[u64], b: &[u64], len_bits: usize) -> u64 {
-        let mut count = 0u64;
-        for i in 0..len_bits {
-            let abit = a[i / 64] >> (i % 64) & 1;
-            let bbit = b[i / 64] >> (i % 64) & 1;
-            count += abit & bbit;
         }
         count
     }

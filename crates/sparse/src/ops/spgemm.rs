@@ -1,5 +1,6 @@
 //! Sparse matrix x sparse matrix (SpGEMM) reference kernel.
 
+use crate::kernels::{BitKernels, BitwiseKernels};
 use crate::{CsrMatrix, FormatError};
 
 use super::dim_err;
@@ -36,11 +37,10 @@ pub fn spgemm(a: &CsrMatrix, b: &CsrMatrix) -> Result<CsrMatrix, FormatError> {
         )));
     }
     // Occupancy marks live in a word bitset; emission walks set bits
-    // in ascending order through the kernel backend, replacing the old
+    // in ascending order (`collect_set_bits`), replacing the old
     // per-row touch-list sort. Accumulation order is untouched (still
     // the Gustavson visit order), so values are bit-identical to the
     // original formulation.
-    let be = crate::kernels::active();
     let n = b.ncols();
     let mut acc = vec![0.0f64; n];
     let mut mark = vec![0u64; n.div_ceil(64)];
@@ -60,7 +60,7 @@ pub fn spgemm(a: &CsrMatrix, b: &CsrMatrix) -> Result<CsrMatrix, FormatError> {
                 acc[c as usize] += av * bv;
             }
         }
-        be.collect_set_bits(&mark, n, &mut touched);
+        BitwiseKernels.collect_set_bits(&mark, n, &mut touched);
         for &c in &touched {
             col_idx.push(c);
             values.push(acc[c as usize]);
@@ -95,7 +95,6 @@ pub fn spgemm_structure(a: &CsrMatrix, b: &CsrMatrix) -> Result<CsrMatrix, Forma
     // the B-row bitsets selected by row r of A. The dense B-row table
     // costs nrows(B) x ncols(B) bits, so huge shapes fall back to the
     // per-entry mark loop.
-    let be = crate::kernels::active();
     let n = b.ncols();
     let words = n.div_ceil(64);
     let mut touched: Vec<u32> = Vec::new();
@@ -118,9 +117,9 @@ pub fn spgemm_structure(a: &CsrMatrix, b: &CsrMatrix) -> Result<CsrMatrix, Forma
             let (acols, _) = a.row(r);
             for &k in acols {
                 let k = k as usize;
-                be.or_into(&mut rowmask, &brows[k * words..(k + 1) * words]);
+                BitwiseKernels.or_into(&mut rowmask, &brows[k * words..(k + 1) * words]);
             }
-            be.collect_set_bits(&rowmask, n, &mut touched);
+            BitwiseKernels.collect_set_bits(&rowmask, n, &mut touched);
             col_idx.extend_from_slice(&touched);
             row_ptr[r + 1] = col_idx.len();
         }
@@ -135,7 +134,7 @@ pub fn spgemm_structure(a: &CsrMatrix, b: &CsrMatrix) -> Result<CsrMatrix, Forma
                     mark[c as usize / 64] |= 1u64 << (c % 64);
                 }
             }
-            be.collect_set_bits(&mark, n, &mut touched);
+            BitwiseKernels.collect_set_bits(&mark, n, &mut touched);
             for &c in &touched {
                 col_idx.push(c);
                 mark[c as usize / 64] = 0;

@@ -1,5 +1,6 @@
 //! Sparse matrix x dense matrix (SpMM) reference kernel.
 
+use crate::kernels::{BitKernels, BitwiseKernels};
 use crate::{CsrMatrix, DenseMatrix, FormatError};
 
 use super::dim_err;
@@ -34,15 +35,13 @@ pub fn spmm(a: &CsrMatrix, b: &DenseMatrix) -> Result<DenseMatrix, FormatError> 
             b.nrows()
         )));
     }
-    // Row updates run through the active kernel backend's axpy; each
-    // output element sees the same sequence of additions regardless of
-    // backend, so results are bit-identical.
-    let be = crate::kernels::active();
+    // Row updates run through `axpy`; each output element sees the
+    // same sequence of additions as the scalar reference loop.
     let mut c = DenseMatrix::zeros(a.nrows(), b.ncols());
     for r in 0..a.nrows() {
         let (cols, vals) = a.row(r);
         for (&k, &v) in cols.iter().zip(vals) {
-            be.axpy(c.row_mut(r), v, b.row(k as usize));
+            BitwiseKernels.axpy(c.row_mut(r), v, b.row(k as usize));
         }
     }
     Ok(c)

@@ -1,5 +1,6 @@
 //! Sparse matrix x sparse vector (SpMSpV) reference kernel.
 
+use crate::kernels::{BitKernels, BitwiseKernels};
 use crate::{CscMatrix, CsrMatrix, FormatError, SparseVector};
 
 use super::dim_err;
@@ -38,7 +39,6 @@ pub fn spmspv(a: &CsrMatrix, x: &SparseVector) -> Result<SparseVector, FormatErr
         )));
     }
     // Column-driven: transpose once, then accumulate the selected columns.
-    let be = crate::kernels::active();
     let at: CscMatrix = a.to_csc();
     let mut acc = vec![0.0; a.nrows()];
     // Structural touch marks as a word bitset: value-independent, so
@@ -56,7 +56,7 @@ pub fn spmspv(a: &CsrMatrix, x: &SparseVector) -> Result<SparseVector, FormatErr
         }
     }
     let mut touched = Vec::new();
-    be.collect_set_bits(&is_touched, a.nrows(), &mut touched);
+    BitwiseKernels.collect_set_bits(&is_touched, a.nrows(), &mut touched);
     let mut values = Vec::with_capacity(touched.len());
     for &r in &touched {
         // Keep exact zeros produced by cancellation out of the result only

@@ -1,5 +1,6 @@
 //! Sparse matrix x dense vector (SpMV) reference kernel.
 
+use crate::kernels::{BitKernels, BitwiseKernels};
 use crate::{CsrMatrix, FormatError};
 
 use super::dim_err;
@@ -30,14 +31,12 @@ pub fn spmv(a: &CsrMatrix, x: &[f64]) -> Result<Vec<f64>, FormatError> {
             a.ncols()
         )));
     }
-    // Per-row gathers run through the active kernel backend; every
-    // backend accumulates left to right into a single accumulator, so
-    // results are bit-identical across backends.
-    let be = crate::kernels::active();
+    // Per-row gathers accumulate left to right into a single
+    // accumulator, exactly as the scalar reference loop does.
     let mut y = vec![0.0; a.nrows()];
     for (r, yr) in y.iter_mut().enumerate() {
         let (cols, vals) = a.row(r);
-        *yr = be.dot_gather(cols, vals, x);
+        *yr = BitwiseKernels.dot_gather(cols, vals, x);
     }
     Ok(y)
 }

@@ -45,6 +45,9 @@ cargo run --release -q -p bench --bin fig16_random_util | diff -u tests/golden/f
 cargo run --release -q -p bench --bin fig17_kernels | diff -u tests/golden/fig17.txt -
 
 echo "== conformance sweep (fixed seed) =="
+# Includes the per-op kernel equivalence sweep (`backend_equivalence`):
+# every bitmap and numeric op call the stack makes on each regime,
+# scalar reference vs bitwise. The randomized smoke below reruns it.
 cargo test -p conformance -q
 
 echo "== conformance smoke (randomized seed) =="
@@ -58,14 +61,6 @@ if ! CONFORMANCE_SEED="${SMOKE_SEED}" cargo test -p conformance -q --test confor
     echo "    CONFORMANCE_SEED=${SMOKE_SEED} cargo test -p conformance" >&2
     exit 1
 fi
-
-echo "== backend matrix =="
-# Tier-1 under each sparse::kernels backend: the env knob must be able to
-# force either implementation through the whole stack, and the suites
-# (including the conformance backend-equivalence sweep) must stay green
-# under both. The default run above already covered `bitwise`.
-USTC_BACKEND=scalar cargo test --workspace -q
-USTC_BACKEND=bitwise cargo test -p sparse -p conformance -q
 
 echo "== concurrency verify =="
 # Static shard-plan/fold proofs plus the deterministic schedule explorer:
@@ -86,12 +81,11 @@ echo "== perf smoke =="
 # Runs the representative corpus across the headline engines, writes
 # BENCH_ci-smoke.json at the repo root, then re-runs and gates on >5 %
 # simulated-cycle regressions against that fresh baseline. The baseline
-# is collected under the scalar backend and the comparison run under the
-# default bitwise backend sharded over 2 threads, so the gate triples as
-# a scalar-vs-bitwise and parallel-vs-serial cycle bit-identity check
-# (simulated cycles are backend-invariant; only wall-clock may move).
+# is collected serially and the comparison run sharded over 2 threads,
+# so the gate doubles as a serial-vs-parallel cycle bit-identity check
+# (simulated cycles are thread-count-invariant; only wall-clock may move).
 cargo run --release -p bench --bin perf_regression -- \
-    --label ci-smoke --backend scalar
+    --label ci-smoke
 cargo run --release -p bench --bin perf_regression -- \
     --label ci-check --threads 2 --compare BENCH_ci-smoke.json
 

@@ -159,7 +159,6 @@ fn bench_doc_file_round_trip_and_compare_gate() {
     };
     let prev = BenchDoc {
         label: "prev".to_owned(),
-        backend: "bitwise".to_owned(),
         entries: vec![entry("m1", 1000), entry("m2", 400)],
         metrics: Value::Null,
     };
