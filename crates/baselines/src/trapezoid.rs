@@ -54,26 +54,35 @@ const MAX_ROW_CYCLES: usize = 64;
 /// into groups of `m0`, and cycle `t` of a group sums the `t`-th row-cycle
 /// of each of its rows.
 ///
-/// Every B row's per-n-window product counts are packed into one `u64`,
-/// one byte lane per window, so one add per set A bit sums a whole K
-/// window. A lane holds at most `k0 * n0 <= 32` products, so no sum
-/// carries into the next lane. Timing a mode needs only which lanes are
-/// nonzero, which the per-window `hit` masks give without any sums; only
-/// the winning mode is recorded lane by lane.
-struct Mode {
+/// The B side of the schedule depends on `n0` alone, so it is packed
+/// once per distinct `n0` ([`Windows`]) and shared by the modes that use
+/// it. Timing a mode needs only which lanes are nonzero, which the
+/// per-window `hit` masks give without any sums; only the winning mode is
+/// recorded lane by lane.
+struct Mode<'w> {
     m0: usize,
     k0: usize,
-    /// `packed[k]`: byte lane `w` counts B row `k`'s nonzeros in n-window `w`.
-    packed: [u64; 16],
-    /// `hit[w]`: the K positions whose B row has a nonzero in n-window `w`.
-    hit: [u16; 8],
+    windows: &'w Windows,
     /// The lowest K position of every k-window.
     window_lows: u16,
 }
 
-impl Mode {
+/// The B rows A reads, cut into `n0`-wide column windows.
+///
+/// Every B row's per-n-window product counts are packed into one `u64`,
+/// one byte lane per window, so one add per set A bit sums a whole K
+/// window. A lane holds at most `k0 * n0 <= 32` products, so no sum
+/// carries into the next lane.
+struct Windows {
+    /// `packed[k]`: byte lane `w` counts B row `k`'s nonzeros in n-window `w`.
+    packed: [u64; 16],
+    /// `hit[w]`: the K positions whose B row has a nonzero in n-window `w`.
+    hit: [u16; 8],
+}
+
+impl Windows {
     /// Packs the B rows in `a_cols`, the K positions A reads.
-    fn new(task: &T1Task, a_cols: u16, (m0, n0, k0): (usize, usize, usize)) -> Self {
+    fn new(task: &T1Task, a_cols: u16, n0: usize) -> Self {
         // `n_cols` outside its documented 1..=16 is clamped into it, so at
         // most 16 / n0 <= 8 windows (one byte lane each) exist.
         let n_total = task.n_cols.clamp(1, 16);
@@ -87,14 +96,21 @@ impl Mode {
                 *window_hit |= u16::from(count > 0) << k;
             }
         }
+        Windows { packed, hit }
+    }
+}
+
+impl<'w> Mode<'w> {
+    fn new(m0: usize, k0: usize, windows: &'w Windows) -> Self {
         let window_lows = (0..16).step_by(k0).fold(0, |lows, k| lows | 1 << k);
-        Mode { m0, k0, packed, hit, window_lows }
+        Mode { m0, k0, windows, window_lows }
     }
 
     /// Row-cycles of A row `arow`: per n-window, the k-windows in which
     /// `arow` meets a B row with a nonzero there.
     fn row_cycles(&self, arow: u16) -> usize {
-        self.hit
+        self.windows
+            .hit
             .iter()
             .map(|&hit| {
                 let meet = arow & hit;
@@ -127,7 +143,7 @@ impl Mode {
     fn record(&self, task: &T1Task, r: &mut T1Result) {
         let k_window = ((1u32 << self.k0) - 1) as u16;
         // K positions with no useful product add nothing to a window.
-        let useful_k = self.hit.iter().fold(0, |any, &hit| any | hit);
+        let useful_k = self.windows.hit.iter().fold(0, |any, &hit| any | hit);
         let mut group = [0u16; MAX_ROW_CYCLES];
         let (mut rows, mut longest) = (0, 0);
         for row in 0..16 {
@@ -140,7 +156,7 @@ impl Mode {
                 rest &= !ks;
                 let mut word = 0u64;
                 while ks != 0 {
-                    word += self.packed[ks.trailing_zeros() as usize];
+                    word += self.windows.packed[ks.trailing_zeros() as usize];
                     ks &= ks - 1;
                 }
                 // The nonzero lanes, in window order, are this row's next
@@ -199,7 +215,18 @@ impl TileEngine for Trapezoid {
     fn execute(&self, task: &T1Task) -> T1Result {
         // Every mode is timed; the first with the fewest cycles is run.
         let a_cols = (0..16).fold(0, |cols, row| cols | task.a.row_mask(row));
-        let modes = self.modes().map(|mode| Mode::new(task, a_cols, mode));
+        let geometries = self.modes();
+        // Modes with the same `n0` share one packing: the first of them
+        // packs it.
+        let first_with_n0 =
+            geometries.map(|(_, n0, _)| geometries.iter().position(|g| g.1 == n0).unwrap_or(0));
+        let windows: [Option<Windows>; 3] = std::array::from_fn(|i| {
+            (first_with_n0[i] == i).then(|| Windows::new(task, a_cols, geometries[i].1))
+        });
+        let modes = std::array::from_fn::<_, 3, _>(|i| {
+            let (m0, _, k0) = geometries[i];
+            Mode::new(m0, k0, windows[first_with_n0[i]].as_ref().expect("packed by its first mode"))
+        });
         let cycles = modes.each_ref().map(|m| m.cycles(task));
         let best = (0..modes.len()).min_by_key(|&i| cycles[i]).expect("at least one mode");
         let mut r = T1Result::new(self.lanes());

@@ -1,11 +1,12 @@
 //! Static checks of one T1 task's schedule, without executing it.
 //!
 //! [`check_t1`] walks the T3 tasks the TMS would generate for a T1 task
-//! and the T4 codes each DPG would expand them into, routes them the way
+//! and the T4 segment lengths each DPG would expand them into (one
+//! `dpg::segment_lengths` word per T3 task), routes them the way
 //! [`route_window`] routes an issue window, and reports whether every
 //! static invariant of that schedule holds: Tile-queue occupancy within
 //! [`TILE_QUEUE_CAP`], each T3 task's Dot-product-queue load within
-//! [`DOT_QUEUE_CAP`] and its T4 segments within 1..=[`T4_MAX_LEN`] SDPU
+//! [`DOT_QUEUE_CAP`] and its T4 segments within 1..=[`T4_MAX_LEN`](crate::T4_MAX_LEN) SDPU
 //! lanes, no output tile written twice in one run of same-K tasks, and
 //! every task routed to a DPG that exists and is powered. These are the
 //! `analysis` verifier's `USTC006`–`USTC011` checks.
@@ -15,11 +16,11 @@
 
 use simkit::Block16;
 
-use crate::dpg::visit_t4_codes;
+use crate::dpg::segment_lengths;
 use crate::pipeline::{DOT_QUEUE_CAP, TILE_QUEUE_CAP};
 use crate::power::dpgs_required;
 use crate::tms::visit_t3_tasks;
-use crate::{UniStcConfig, T4_MAX_LEN};
+use crate::UniStcConfig;
 
 /// What [`check_t1`] found for one T1 task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,11 +59,12 @@ pub fn check_t1(cfg: &UniStcConfig, a: &Block16, b: &Block16) -> T1Check {
     let mut run_k = None;
     let mut written = 0u16;
     visit_t3_tasks(a, b, cfg.ordering, &mut obs::NoopSink, |t| {
+        let segments = segment_lengths(t.a_tile, t.b_tile, cfg.fill_order);
         if let Some(slot) = t3_products.get_mut(t3_tasks) {
-            *slot = t.products;
+            *slot = segments.products();
         }
         t3_tasks += 1;
-        products += u64::from(t.products);
+        products += u64::from(segments.products());
         if run_k != Some(t.k) {
             run_k = Some(t.k);
             written = 0;
@@ -70,23 +72,68 @@ pub fn check_t1(cfg: &UniStcConfig, a: &Block16, b: &Block16) -> T1Check {
         let output = 1u16 << (t.output_id() & 0xF);
         sound &= written & output == 0;
         written |= output;
-        let mut codes = 0usize;
-        visit_t4_codes(t.a_tile, t.b_tile, cfg.fill_order, &mut obs::NoopSink, |c| {
-            codes += 1;
-            sound &= (1..=T4_MAX_LEN).contains(&usize::from(c.len()));
-        });
-        sound &= codes <= DOT_QUEUE_CAP;
+        // Present segments are nonzero nibbles, so at least one lane long.
+        sound &= segments.count() as usize <= DOT_QUEUE_CAP && segments.within_t4_max_len();
     });
     sound &= t3_tasks <= TILE_QUEUE_CAP;
     let issued = &t3_products[..t3_tasks.min(TILE_QUEUE_CAP)];
     for window in issued.chunks(cfg.n_dpg.max(1)) {
+        // Task `i` of the window goes to DPG `i % active`, so the window
+        // reaches exactly DPGs `0..min(len, active)`: all below `active`,
+        // hence powered, and all existing when `n_dpg` reaches the top one.
         let active = route_window(cfg, window);
-        for i in 0..window.len() {
-            let dpg = i % active;
-            sound &= dpg < cfg.n_dpg && !(cfg.power_gating && dpg >= active);
-        }
+        sound &= window.len().min(active) <= cfg.n_dpg;
     }
     T1Check { t3_tasks: t3_tasks as u32, products, sound }
+}
+
+/// `check_t1` as it was before the segment-length word: one T4 code at
+/// a time and one `%` per routed T3 task, over the element-by-element
+/// walk. The frozen reference the word predicates must match.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use crate::walk_reference::{visit_t3_tasks, visit_t4_codes};
+    use crate::T4_MAX_LEN;
+
+    pub(super) fn check_t1(cfg: &UniStcConfig, a: &Block16, b: &Block16) -> T1Check {
+        let mut t3_products = [0u32; TILE_QUEUE_CAP];
+        let mut t3_tasks = 0usize;
+        let mut products = 0u64;
+        let mut sound = true;
+        let mut run_k = None;
+        let mut written = 0u16;
+        visit_t3_tasks(a, b, cfg.ordering, &mut obs::NoopSink, |t| {
+            if let Some(slot) = t3_products.get_mut(t3_tasks) {
+                *slot = t.products;
+            }
+            t3_tasks += 1;
+            products += u64::from(t.products);
+            if run_k != Some(t.k) {
+                run_k = Some(t.k);
+                written = 0;
+            }
+            let output = 1u16 << (t.output_id() & 0xF);
+            sound &= written & output == 0;
+            written |= output;
+            let mut codes = 0usize;
+            visit_t4_codes(t.a_tile, t.b_tile, cfg.fill_order, &mut obs::NoopSink, |c| {
+                codes += 1;
+                sound &= (1..=T4_MAX_LEN).contains(&usize::from(c.len()));
+            });
+            sound &= codes <= DOT_QUEUE_CAP;
+        });
+        sound &= t3_tasks <= TILE_QUEUE_CAP;
+        let issued = &t3_products[..t3_tasks.min(TILE_QUEUE_CAP)];
+        for window in issued.chunks(cfg.n_dpg.max(1)) {
+            let active = route_window(cfg, window);
+            for i in 0..window.len() {
+                let dpg = i % active;
+                sound &= dpg < cfg.n_dpg && !(cfg.power_gating && dpg >= active);
+            }
+        }
+        T1Check { t3_tasks: t3_tasks as u32, products, sound }
+    }
 }
 
 #[cfg(test)]
@@ -140,6 +187,23 @@ mod tests {
         let none = UniStcConfig { n_dpg: 0, ..UniStcConfig::default() };
         assert!(!check_t1(&none, &a, &b).sound);
         assert_eq!(route_window(&none, &[64, 64]), 1);
+    }
+
+    #[test]
+    fn matches_frozen_reference() {
+        let tasks = crate::pipeline::tests::sample_tasks(0xC4EC_2026);
+        let mut cfgs = crate::pipeline::tests::sample_configs();
+        cfgs.extend([false, true].map(|power_gating| UniStcConfig {
+            n_dpg: 0,
+            power_gating,
+            ..UniStcConfig::default()
+        }));
+        for cfg in cfgs {
+            for t in &tasks {
+                let want = reference::check_t1(&cfg, &t.a, &t.b);
+                assert_eq!(check_t1(&cfg, &t.a, &t.b), want, "{cfg:?} {t:?}");
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! T4 codes fill the dot-product queue in a **Z-shaped** order that bounds
 //! every operand's broadcast range (A: 5 multipliers, B: 9).
 
-use simkit::transpose_tile;
+use simkit::{delta_swap, transpose_tile};
+
+use crate::T4_MAX_LEN;
 
 /// Fill order of the dot-product queue (Section IV-A.2, point 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -56,68 +58,103 @@ impl T4Code {
     }
 }
 
-/// A fill order as constant tables: its visit order over the 4x4 tile C,
-/// and a byte-indexed lookup per half of a row-major C-tile mask (bit
-/// `m * 4 + n`) that moves each output to its place in the visit order.
-struct FillTables {
-    order: [(u8, u8); 16],
-    to_visit: [[u16; 256]; 2],
-}
+/// The identity nibble word: nibble `p` holds `p`.
+const IDENTITY: u64 = 0xFEDC_BA98_7654_3210;
 
-impl FillTables {
-    /// The tables of visiting the 2x2 output sub-blocks of tile C in
-    /// row-major order, each in the `inner` order.
-    const fn new(inner: [(u8, u8); 4]) -> Self {
-        let mut order = [(0u8, 0u8); 16];
-        let mut place = [0u16; 16]; // place[m * 4 + n]: the visit index
-        let mut idx = 0;
-        while idx < 16 {
-            let (block, (dm, dn)) = (idx / 4, inner[idx % 4]);
-            let (m, n) = ((block / 2) as u8 * 2 + dm, (block % 2) as u8 * 2 + dn);
-            order[idx] = (m, n);
-            place[(m * 4 + n) as usize] = idx as u16;
-            idx += 1;
-        }
-        let mut to_visit = [[0u16; 256]; 2];
-        let mut byte = 0;
-        while byte < 256 {
-            let mut bit = 0;
-            while bit < 8 {
-                if byte >> bit & 1 == 1 {
-                    to_visit[0][byte] |= 1 << place[bit];
-                    to_visit[1][byte] |= 1 << place[bit + 8];
-                }
-                bit += 1;
-            }
-            byte += 1;
-        }
-        FillTables { order, to_visit }
-    }
-
-    /// The row-major C-tile mask `c_tile`, with bit `i` set when the
-    /// `i`-th position of the visit order is set.
-    fn in_visit_order(&self, c_tile: u16) -> u16 {
-        self.to_visit[0][usize::from(c_tile & 0xFF)] | self.to_visit[1][usize::from(c_tile >> 8)]
-    }
-}
-
-/// Z: left-right then next row (A row reused consecutively, B column at
-/// distance 2).
-const Z_FILL: FillTables = FillTables::new([(0, 0), (0, 1), (1, 0), (1, 1)]);
-
-/// N: top-bottom then next column.
-const N_FILL: FillTables = FillTables::new([(0, 0), (1, 0), (0, 1), (1, 1)]);
-
-const fn fill_tables(fill: FillOrder) -> &'static FillTables {
+/// Moves the nibble of output position `p = m * 4 + n` (index bits
+/// `m1 m0 n1 n0`) to its place in `fill`'s visit order. The visit walks
+/// the 2x2 output sub-blocks of tile C in row-major order, so the Z fill
+/// visits index `m1 n1 m0 n0`, which swaps index bits 2 and 1: nibbles
+/// 2, 3 trade places with 4, 5 in each half of the word. The N fill
+/// visits each sub-block column-first, `m1 n1 n0 m0`, which also swaps
+/// index bits 1 and 0: odd nibbles with the even nibbles above them, in
+/// each 2x2 sub-block.
+const fn in_fill_order(x: u64, fill: FillOrder) -> u64 {
+    let z = delta_swap(x, 0x0000_FF00_0000_FF00, 8);
     match fill {
-        FillOrder::ZShape => &Z_FILL,
-        FillOrder::NShape => &N_FILL,
+        FillOrder::ZShape => z,
+        FillOrder::NShape => delta_swap(z, 0x00F0_00F0_00F0_00F0, 4),
     }
+}
+
+/// Nibble `v`: the row-major position `m * 4 + n` of the `v`-th output
+/// that `fill` visits.
+const fn visit_positions(fill: FillOrder) -> u64 {
+    in_fill_order(IDENTITY, fill)
 }
 
 /// The output-position visit order of a fill strategy over the 4x4 tile C.
 pub fn visit_order(fill: FillOrder) -> [(u8, u8); 16] {
-    fill_tables(fill).order
+    let positions = visit_positions(fill);
+    std::array::from_fn(|v| {
+        let p = (positions >> (4 * v)) as u8 & 0xF;
+        (p / 4, p % 4)
+    })
+}
+
+/// The T4 segments one DPG expands a T3 task into, as lengths only: what
+/// the pipeline packs into SDPU lanes and what admission checks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Segments {
+    /// Nibble `v` is the length (1..=4) of the `v`-th T4 code in fill
+    /// order, 0 where that output has no code.
+    pub(crate) lengths: u64,
+    /// The structural C tile: bit `m * 4 + n` set when output `(m, n)`
+    /// has a code.
+    pub(crate) c_tile: u16,
+}
+
+impl Segments {
+    /// The segments of the task whose K-match [`patterns`] are `patterns`:
+    /// a SWAR popcount per nibble, moved into fill order.
+    const fn of(patterns: u64, fill: FillOrder) -> Self {
+        let x = patterns - (patterns >> 1 & 0x5555_5555_5555_5555);
+        let lengths = (x & 0x3333_3333_3333_3333) + (x >> 2 & 0x3333_3333_3333_3333);
+        Segments {
+            lengths: in_fill_order(lengths, fill),
+            c_tile: gather_nibble_flags(nonzero_nibbles(patterns)),
+        }
+    }
+
+    /// Number of T4 codes.
+    pub(crate) const fn count(&self) -> u32 {
+        self.c_tile.count_ones()
+    }
+
+    /// Intermediate products of the T3 task: the sum of the lengths.
+    pub(crate) const fn products(&self) -> u32 {
+        nibble_sum(self.lengths)
+    }
+
+    /// Whether no segment is longer than [`T4_MAX_LEN`] SDPU lanes.
+    ///
+    /// A nibble `v` of 8 or more has its top bit set; for `v < 8`,
+    /// `(v | 8) - (T4_MAX_LEN + 1)` keeps the top bit exactly when
+    /// `v > T4_MAX_LEN`, and never borrows from the next nibble.
+    pub(crate) const fn within_t4_max_len(&self) -> bool {
+        const HIGH: u64 = 0x8888_8888_8888_8888;
+        let bound = (T4_MAX_LEN as u64 + 1) * 0x1111_1111_1111_1111;
+        (((self.lengths | HIGH) - bound) | self.lengths) & HIGH == 0
+    }
+}
+
+/// The T4 segment lengths of the T3 task `a_tile x b_tile` in `fill`
+/// order: the lengths of the codes [`expand_t3`] returns, in a few word
+/// operations instead of one step per code.
+pub(crate) fn segment_lengths(a_tile: u16, b_tile: u16, fill: FillOrder) -> Segments {
+    Segments::of(patterns(a_tile, b_tile), fill)
+}
+
+/// The number of nonzero nibbles of `lengths`: the segments a partly
+/// emitted [`Segments::lengths`] word still holds.
+pub(crate) const fn segment_count(lengths: u64) -> u32 {
+    nonzero_nibbles(lengths).count_ones()
+}
+
+/// The sum of the sixteen nibbles of `x`.
+pub(crate) const fn nibble_sum(x: u64) -> u32 {
+    let bytes = (x & 0x0F0F_0F0F_0F0F_0F0F) + (x >> 4 & 0x0F0F_0F0F_0F0F_0F0F);
+    (bytes.wrapping_mul(0x0101_0101_0101_0101) >> 56) as u32
 }
 
 /// Expands one T3 task (tile masks `a_tile`, `b_tile`) into its T4 codes
@@ -140,8 +177,9 @@ pub fn expand_t3(a_tile: u16, b_tile: u16, fill: FillOrder) -> Vec<T4Code> {
 /// the expansion. Returns the structural C tile: bit `m * 4 + n` set when
 /// output `(m, n)` has a code.
 ///
-/// Word-parallel: one word holds all sixteen [`patterns`]; output `p`'s
-/// `c_index` is the number of nonzero pattern nibbles below nibble `p`.
+/// Walks the nonzero nibbles of the [`segment_lengths`] word, so the fill
+/// order is applied in one place; output `p`'s `c_index` is the number of
+/// nonzero pattern nibbles below nibble `p`.
 pub(crate) fn visit_t4_codes(
     a_tile: u16,
     b_tile: u16,
@@ -150,28 +188,27 @@ pub(crate) fn visit_t4_codes(
     mut f: impl FnMut(T4Code),
 ) -> u16 {
     let patterns = patterns(a_tile, b_tile);
-    let outputs = nonzero_nibbles(patterns);
+    let segments = Segments::of(patterns, fill);
     // Nibble p: the outputs before p in row-major order, i.e. p's rank in
     // tile C (at most 15, so no nibble carries into the next).
-    let ranks = (outputs << 4).wrapping_mul(0x1111_1111_1111_1111);
-    let c_tile = gather_nibble_flags(outputs);
-    let tables = fill_tables(fill);
-    let mut rest = tables.in_visit_order(c_tile);
+    let ranks = (nonzero_nibbles(patterns) << 4).wrapping_mul(0x1111_1111_1111_1111);
+    let positions = visit_positions(fill);
+    let mut rest = nonzero_nibbles(segments.lengths);
     while rest != 0 {
-        let (m, n) = tables.order[rest.trailing_zeros() as usize];
+        let p = (positions >> rest.trailing_zeros()) as u8 & 0xF;
         rest &= rest - 1;
-        let at = 16 * m + 4 * n;
+        let at = 4 * p;
         let (c_index, pattern) = ((ranks >> at) as u8 & 0xF, (patterns >> at) as u8 & 0xF);
-        f(T4Code { m, n, c_index, pattern });
+        f(T4Code { m: p / 4, n: p % 4, c_index, pattern });
     }
     if sink.enabled() {
         sink.record(obs::TraceEvent::DpgExpand {
             cycle: 0,
-            segments: c_tile.count_ones(),
-            products: patterns.count_ones(),
+            segments: segments.count(),
+            products: segments.products(),
         });
     }
-    c_tile
+    segments.c_tile
 }
 
 /// The sixteen K-match patterns of the T3 task `a_tile x b_tile`: nibble
@@ -285,6 +322,72 @@ mod tests {
         assert_eq!(c13.pattern, 0b1001);
         assert_eq!(c13.byte(), 0x49);
         assert_eq!(c13.len(), 2);
+    }
+
+    const FILLS: [FillOrder; 2] = [FillOrder::ZShape, FillOrder::NShape];
+
+    #[test]
+    fn segment_word_is_nibble_local() {
+        // Output (m, n) reads only row m of A's tile and column n of B's:
+        // every row and column nibble pair at every position, with the
+        // rest of both tiles empty and then full. Alone, its length must
+        // land in nibble v, its place in `visit_order`: this pins the fill
+        // permutation, and `visit_order` is pinned by the walk reference.
+        for fill in FILLS {
+            for (v, (m, n)) in visit_order(fill).into_iter().enumerate() {
+                for row in 0..16u16 {
+                    for col in 0..16u16 {
+                        let a_row = row << (4 * m);
+                        let b_col = simkit::transpose_tile(col << (4 * n));
+                        let len = u64::from((row & col).count_ones());
+                        let alone = segment_lengths(a_row, b_col, fill);
+                        let case = format!("{fill:?} ({m}, {n}) {row:#x} {col:#x}");
+                        assert_eq!(alone.lengths, len << (4 * v), "{case}");
+                        assert_eq!(alone.c_tile, u16::from(len > 0) << (4 * m + n), "{case}");
+                        let others_a = DENSE & !(0xF << (4 * m));
+                        let others_b = simkit::transpose_tile(DENSE & !(0xF << (4 * n)));
+                        let crowded = segment_lengths(a_row | others_a, b_col | others_b, fill);
+                        assert_eq!(crowded.lengths >> (4 * v) & 0xF, len, "{case}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn segment_word_matches_the_code_walk() {
+        let mut rng = sparse::rng::Rng64::new(0x5E6_2026);
+        for _ in 0..4096 {
+            let (a, b) = (rng.next_u64() as u16, rng.next_u64() as u16 & rng.next_u64() as u16);
+            for fill in FILLS {
+                let codes = crate::walk_reference::expand_t3(a, b, fill);
+                let segments = segment_lengths(a, b, fill);
+                let mut rest = segments.lengths;
+                for c in &codes {
+                    assert_ne!(rest, 0);
+                    let at = rest.trailing_zeros() & !3;
+                    assert_eq!((rest >> at) as u8 & 0xF, c.len(), "{a:#x} {b:#x} {fill:?}");
+                    rest &= !(0xF << at);
+                }
+                assert_eq!(rest, 0);
+                assert_eq!(segments.count() as usize, codes.len());
+                assert_eq!(segments.products(), crate::walk_reference::tile_products(a, b));
+                assert!(segments.within_t4_max_len());
+            }
+        }
+    }
+
+    #[test]
+    fn within_t4_max_len_bounds_every_nibble() {
+        for at in 0..16 {
+            for len in 0..16u64 {
+                let segments = Segments { lengths: len << (4 * at), c_tile: 0 };
+                let want = len <= crate::T4_MAX_LEN as u64;
+                assert_eq!(segments.within_t4_max_len(), want, "nibble {at} = {len}");
+            }
+        }
+        assert!(Segments { lengths: 0x4444_4444_4444_4444, c_tile: u16::MAX }.within_t4_max_len());
+        assert!(!Segments { lengths: u64::MAX, c_tile: u16::MAX }.within_t4_max_len());
     }
 
     #[test]

@@ -19,7 +19,7 @@
 
 use simkit::{T1Result, T1Task};
 
-use crate::dpg::visit_t4_codes;
+use crate::dpg::{nibble_sum, segment_count, segment_lengths};
 use crate::tms::visit_t3_tasks;
 use crate::UniStcConfig;
 
@@ -34,21 +34,14 @@ pub const DOT_QUEUE_CAP: usize = 16;
 /// A DPG slot holding no T3 task.
 const IDLE: u8 = u8::MAX;
 
-/// A T3 task on the Tile queue or a DPG: its output-tile id and its T4
-/// segment lengths in fill order, of which `segments[head..len]` remain.
+/// A T3 task on the Tile queue or a DPG: its output-tile id and the
+/// lengths of its T4 segments not yet emitted, in fill order (a
+/// [`Segments::lengths`](crate::dpg::Segments::lengths) word whose
+/// emitted nibbles are cleared).
 #[derive(Debug, Clone, Copy, Default)]
 struct InFlight {
     output_id: u8,
-    head: u8,
-    len: u8,
-    segments: [u8; DOT_QUEUE_CAP],
-}
-
-impl InFlight {
-    /// The segment lengths not yet emitted.
-    fn remaining(&self) -> &[u8] {
-        &self.segments[usize::from(self.head)..usize::from(self.len)]
-    }
+    lengths: u64,
 }
 
 /// One cycle of the pipeline's execution, as recorded by
@@ -148,15 +141,19 @@ fn execute_impl(cfg: &UniStcConfig, task: &T1Task, sink: &mut impl PipeSink) -> 
     let lanes = cfg.lanes();
     let mut res = T1Result::new(lanes);
 
-    // ---- Stage 1: TMS, straight into the Tile queue ----
+    // ---- Stages 1 and 2: TMS, each T3 task expanded by its DPG ----
     // Reuse-aware operand fetch accounting: within one K layer the
     // outer-product ordering executes same-tile tasks back to back, so each
     // distinct A(i,k) / B(k,j) tile is fetched once per layer (Fig. 8 (2)).
+    // Structural C, output tile `o` in 16-bit lane `o % 4` of word
+    // `o / 4`: output (r, c) is nonzero exactly when some K tile's
+    // pattern at (r, c) is, i.e. when a T4 code of some T3 task targets
+    // it.
     let mut seen_a = [[false; 4]; 4]; // [k][i]
     let mut seen_b = [[false; 4]; 4]; // [k][j]
     let mut queue = [InFlight::default(); TILE_QUEUE_CAP];
-    let mut tiles = [(0u16, 0u16); TILE_QUEUE_CAP];
     let mut queued = 0usize;
+    let mut c_words = [0u64; 4];
     visit_t3_tasks(&task.a, &task.b, cfg.ordering, sink.obs(), |t| {
         if !seen_a[t.k as usize][t.i as usize] {
             seen_a[t.k as usize][t.i as usize] = true;
@@ -166,8 +163,11 @@ fn execute_impl(cfg: &UniStcConfig, task: &T1Task, sink: &mut impl PipeSink) -> 
             seen_b[t.k as usize][t.j as usize] = true;
             res.events.b_elems += t.b_tile.count_ones() as u64;
         }
-        queue[queued].output_id = t.output_id();
-        tiles[queued] = (t.a_tile, t.b_tile);
+        let segments = segment_lengths(t.a_tile, t.b_tile, cfg.fill_order);
+        let o = usize::from(t.output_id());
+        c_words[o / 4] |= u64::from(segments.c_tile) << (16 * (o % 4));
+        res.events.sched_ops += u64::from(segments.count());
+        queue[queued] = InFlight { output_id: t.output_id(), lengths: segments.lengths };
         queued += 1;
     });
     if queued == 0 {
@@ -175,21 +175,15 @@ fn execute_impl(cfg: &UniStcConfig, task: &T1Task, sink: &mut impl PipeSink) -> 
     }
     res.events.sched_ops += queued as u64;
     res.events.meta_words += 2 * queued as u64; // two tile bitmaps each
-
-    // ---- Stage 2: DPG expansion ----
-    // Structural C, output tile `o` in 16-bit lane `o % 4` of word
-    // `o / 4`: output (r, c) is nonzero exactly when some K tile's
-    // pattern at (r, c) is, i.e. when a T4 code of some T3 task targets
-    // it.
-    let mut c_words = [0u64; 4];
-    for (infl, &(a_tile, b_tile)) in queue.iter_mut().zip(&tiles[..queued]) {
-        let c_tile = visit_t4_codes(a_tile, b_tile, cfg.fill_order, sink.obs(), |c| {
-            infl.segments[usize::from(infl.len)] = c.len();
-            infl.len += 1;
-        });
-        let o = usize::from(infl.output_id & 0xF);
-        c_words[o / 4] |= u64::from(c_tile) << (16 * (o % 4));
-        res.events.sched_ops += u64::from(infl.len);
+    if sink.obs().enabled() {
+        // One expansion event per T3 task, after the TMS batch event.
+        for infl in &queue[..queued] {
+            sink.obs().record(obs::TraceEvent::DpgExpand {
+                cycle: 0,
+                segments: segment_count(infl.lengths),
+                products: nibble_sum(infl.lengths),
+            });
+        }
     }
 
     // ---- Stage 3: SDPU execution with round-robin DPG arbitration ----
@@ -228,7 +222,7 @@ fn execute_impl(cfg: &UniStcConfig, task: &T1Task, sink: &mut impl PipeSink) -> 
             let dot: u32 = slots
                 .iter()
                 .filter(|&&q| q != IDLE)
-                .map(|&q| queue[usize::from(q)].remaining().len() as u32)
+                .map(|&q| segment_count(queue[usize::from(q)].lengths))
                 .sum();
             sink.obs().record(obs::TraceEvent::QueueDepth {
                 cycle,
@@ -257,12 +251,14 @@ fn execute_impl(cfg: &UniStcConfig, task: &T1Task, sink: &mut impl PipeSink) -> 
                 continue;
             }
             let mut emitted = 0usize;
-            while let Some(&len) = infl.remaining().first() {
-                let len = len as usize;
+            // The next segment is the lowest nonzero nibble.
+            while infl.lengths != 0 {
+                let at = infl.lengths.trailing_zeros() & !3;
+                let len = (infl.lengths >> at & 0xF) as usize;
                 if used + len > lanes || emitted + len > emit_cap {
                     break;
                 }
-                infl.head += 1;
+                infl.lengths &= !(0xF << at);
                 used += len;
                 emitted += len;
                 segments_emitted += 1;
@@ -273,7 +269,7 @@ fn execute_impl(cfg: &UniStcConfig, task: &T1Task, sink: &mut impl PipeSink) -> 
                 active_dpgs += 1;
                 outputs_claimed |= bit;
             }
-            if infl.remaining().is_empty() {
+            if infl.lengths == 0 {
                 *slot = IDLE;
             }
         }
@@ -531,7 +527,7 @@ mod reference {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::{FillOrder, TaskOrdering};
     use simkit::{Block16, Precision};
@@ -737,7 +733,7 @@ mod tests {
 
     /// Seeded random blocks across densities as MV tasks, MM tasks and
     /// SpMM tails narrowed to every `keep_cols(1..=16)` width.
-    fn sample_tasks(seed: u64) -> Vec<T1Task> {
+    pub(crate) fn sample_tasks(seed: u64) -> Vec<T1Task> {
         let mut rng = sparse::rng::Rng64::new(seed);
         let mut block = |p: f64| Block16::from_fn(|_, _| rng.next_bool(p));
         let mut tasks = vec![T1Task::mm(Block16::dense(), Block16::dense())];
@@ -756,7 +752,7 @@ mod tests {
 
     /// Every precision, DPG count (past the Tile queue's 64 too),
     /// ordering, fill order and gating mode.
-    fn sample_configs() -> Vec<UniStcConfig> {
+    pub(crate) fn sample_configs() -> Vec<UniStcConfig> {
         let mut cfgs: Vec<UniStcConfig> = [Precision::Fp64, Precision::Fp32, Precision::Fp16]
             .into_iter()
             .map(UniStcConfig::with_precision)

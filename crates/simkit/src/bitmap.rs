@@ -244,7 +244,7 @@ impl Block16 {
 
 /// Swaps the bits of `x` selected by `mask` with the bits `shift` places
 /// above them (a delta swap; `mask` and `mask << shift` must not overlap).
-const fn delta_swap(x: u64, mask: u64, shift: u32) -> u64 {
+pub const fn delta_swap(x: u64, mask: u64, shift: u32) -> u64 {
     let t = (x ^ (x >> shift)) & mask;
     x ^ t ^ (t << shift)
 }

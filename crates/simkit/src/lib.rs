@@ -66,7 +66,7 @@ mod result;
 mod stream;
 mod task;
 
-pub use bitmap::{transpose_nibbles, transpose_tile, Block16};
+pub use bitmap::{delta_swap, transpose_nibbles, transpose_tile, Block16};
 pub use driver::{StreamVerifier, VerifyError};
 pub use energy::{EnergyBreakdown, EnergyModel, NetworkCosts};
 pub use engine::{Precision, TileEngine};

@@ -138,8 +138,17 @@ impl T1Task {
 
     /// Whether the task produces no products at all (software-level bitmap
     /// check; such tasks are never issued — Algorithm 2 line 13).
+    ///
+    /// A product needs some K position where A has a nonzero column and B
+    /// a nonzero row, so the task is trivial exactly when the OR of A's
+    /// rows misses every nonzero row of B: no product is counted.
     pub fn is_trivial(&self) -> bool {
-        self.products() == 0
+        let (mut a_cols, mut b_rows) = (0u16, 0u16);
+        for k in 0..16 {
+            a_cols |= self.a.row_mask(k);
+            b_rows |= u16::from(self.b.row_mask(k) != 0) << k;
+        }
+        a_cols & b_rows == 0
     }
 }
 
@@ -177,6 +186,35 @@ mod tests {
         let b = Block16::from_fn(|r, _| r == 5); // B only provides k = 5
         let t = T1Task::mm(a, b);
         assert!(t.is_trivial());
+    }
+
+    #[test]
+    fn is_trivial_is_products_zero() {
+        let mut rng = sparse::rng::Rng64::new(0x7_21A1);
+        let mut blocks = vec![Block16::empty(), Block16::dense(), Block16::from_fn(|r, c| r == c)];
+        for density in [0.01, 0.03, 0.1, 0.3] {
+            for _ in 0..24 {
+                blocks.push(Block16::from_fn(|_, _| rng.next_bool(density)));
+            }
+        }
+        let mut seen = [false; 2];
+        for a in &blocks {
+            for b in &blocks {
+                let x_mask = rng.next_u64() as u16;
+                let mut tasks = vec![
+                    T1Task::mm(*a, *b),
+                    T1Task::mv(*a, x_mask),
+                    T1Task::mv(*a, b.row_mask(3)),
+                    T1Task { a: *a, b: *b, n_cols: 0 },
+                ];
+                tasks.extend((1..=16).map(|width| T1Task::mm(*a, b.keep_cols(width))));
+                for task in tasks {
+                    assert_eq!(task.is_trivial(), task.products() == 0, "{task:?}");
+                    seen[usize::from(task.is_trivial())] = true;
+                }
+            }
+        }
+        assert_eq!(seen, [true, true], "both verdicts are sampled");
     }
 
     #[test]
