@@ -13,10 +13,10 @@
 
 use std::path::PathBuf;
 
-use simkit::driver::{Kernel, KernelReport};
+use simkit::driver::{Invocation, Kernel, KernelReport};
 use simkit::{EventCounts, UtilHistogram};
 use sparse::{BbcField, BbcMatrix, CooMatrix, CsrMatrix};
-use uni_stc::compiler::compile_spmv;
+use uni_stc::compiler::compile;
 use uni_stc::isa::{Program, Uwmma};
 use uni_stc::tms::T3Task;
 use uni_stc::UniStcConfig;
@@ -108,11 +108,11 @@ pub fn seeded_suite() -> Vec<(&'static str, Report)> {
     // USTC012: one flipped metadata bit, caught before any model walk.
     let mut corrupt = seeded_matrix(32);
     corrupt.flip_bit(BbcField::BitmapLv2, 0, 3);
-    suite.push(("corrupt-metadata", v.verify_spmv(&corrupt, 2)));
+    suite.push(("corrupt-metadata", v.verify(Invocation::SpMV(&corrupt), 2)));
 
     // USTC013: a stream whose numeric cost disagrees with the metadata.
     let a = seeded_matrix(48);
-    let kernel = compile_spmv(&cfg, &a, 2);
+    let kernel = compile(&cfg, Invocation::SpMV(&a), 2).expect("SpMV compiles");
     let mut tampered = kernel.clone();
     let mut rebuilt = Program::new();
     for (i, instr) in tampered.warps[0].program.instructions().iter().enumerate() {
@@ -122,7 +122,7 @@ pub fn seeded_suite() -> Vec<(&'static str, Report)> {
     suite.push(("cost-mismatch", v.verify_spmv_against(&a, &tampered)));
 
     // Clean control: a real compiled SpMV stream verifies clean end-to-end.
-    suite.push(("clean-spmv", v.verify_spmv(&seeded_matrix(64), 4)));
+    suite.push(("clean-spmv", v.verify(Invocation::SpMV(&seeded_matrix(64)), 4)));
 
     // USTC014 + USTC015 + USTC016: one plan that overlaps (3..6 after
     // 0..4), leaves tasks 6..8 uncovered, and carries an empty shard and

@@ -52,6 +52,4 @@ pub use concurrency::{
 pub use diag::{Code, Diagnostic, Report, Severity, Span};
 pub use model::{StreamModel, T1Node, T3Node, DOT_QUEUE_CAP, TILE_QUEUE_CAP};
 pub use schedule::{explore, Exploration, ModelBug, ModelConfig, Violation};
-pub use verifier::{
-    spgemm_shape_message, spmspv_shape_message, Invocation, UstcVerifier, Verifier,
-};
+pub use verifier::{UstcVerifier, Verifier};

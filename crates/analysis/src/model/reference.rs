@@ -7,13 +7,14 @@
 use simkit::driver::{Kernel, StreamVerifier, VerifyError};
 use simkit::Block16;
 use sparse::{BbcMatrix, SparseVector};
-use uni_stc::compiler::{compile_spgemm, compile_spmv};
+use simkit::driver::Invocation;
+use uni_stc::compiler::compile;
 use uni_stc::tms::generate_t3_tasks;
 use uni_stc::UniStcConfig;
 
 use crate::diag::{Code, Diagnostic, Report, Span};
 use crate::model::{route_tasks, StreamModel, T1Node};
-use crate::verifier::{spgemm_shape_message, spmspv_shape_message, to_result, Verifier};
+use crate::verifier::{to_result, Verifier};
 use crate::UstcVerifier;
 
 fn push_node(
@@ -97,7 +98,9 @@ pub(crate) fn verify_spmv(v: &Verifier, a: &BbcMatrix, n_warps: usize) -> Report
         return report;
     }
     report.merge(v.verify_model(&spmv(v.config(), a)));
-    report.merge(v.verify_kernel(&compile_spmv(v.config(), a, n_warps.max(1))));
+    if let Some(kernel) = compile(v.config(), Invocation::SpMV(a), n_warps.max(1)) {
+        report.merge(v.verify_kernel(&kernel));
+    }
     report
 }
 
@@ -107,7 +110,12 @@ pub(crate) fn verify_spmspv(v: &Verifier, a: &BbcMatrix, x: &SparseVector) -> Re
         report.push(Diagnostic::new(
             Code::CorruptMetadata,
             Span::none(),
-            spmspv_shape_message(a, x),
+            format!(
+                "SpMSpV operand shapes do not conform: x has length {} but A is {}x{}",
+                x.dim(),
+                a.nrows(),
+                a.ncols()
+            ),
         ));
     }
     if report.has_errors() {
@@ -133,14 +141,22 @@ pub(crate) fn verify_spgemm(v: &Verifier, a: &BbcMatrix, b: &BbcMatrix, n_warps:
         report.push(Diagnostic::new(
             Code::CorruptMetadata,
             Span::none(),
-            spgemm_shape_message(a, b),
+            format!(
+                "SpGEMM block grids do not conform ({}x{} blocks vs {}x{})",
+                a.block_rows(),
+                a.block_cols(),
+                b.block_rows(),
+                b.block_cols()
+            ),
         ));
     }
     if report.has_errors() {
         return report;
     }
     report.merge(v.verify_model(&spgemm(v.config(), a, b)));
-    report.merge(v.verify_kernel(&compile_spgemm(v.config(), a, b, n_warps.max(1))));
+    if let Some(kernel) = compile(v.config(), Invocation::SpGEMM(a, b), n_warps.max(1)) {
+        report.merge(v.verify_kernel(&kernel));
+    }
     report
 }
 
@@ -268,23 +284,25 @@ mod tests {
             for (name, a, x, b) in &ops {
                 let what = format!("{name} {cfg:?}");
                 let old = verify_spmv(&v, a, 3);
-                assert_agrees(&format!("spmv {what}"), &v.verify_spmv(a, 3), &old);
+                assert_agrees(&format!("spmv {what}"), &v.verify(Invocation::SpMV(a), 3), &old);
                 assert_verdict(
                     &format!("spmv {what}"),
                     u.verify_spmv(a),
                     verify_spmv(&v, a, warps),
                 );
                 let old = verify_spmspv(&v, a, x);
-                assert_agrees(&format!("spmspv {what}"), &v.verify_spmspv(a, x), &old);
+                let new = v.verify(Invocation::SpMSpV(a, x), 1);
+                assert_agrees(&format!("spmspv {what}"), &new, &old);
                 assert_verdict(&format!("spmspv {what}"), u.verify_spmspv(a, x), old);
                 for n_cols in N_COLS {
                     let old = verify_spmm(&v, a, n_cols);
                     let w = format!("spmm {n_cols} {what}");
-                    assert_agrees(&w, &v.verify_spmm(a, n_cols), &old);
+                    assert_agrees(&w, &v.verify(Invocation::SpMM(a, n_cols), 1), &old);
                     assert_verdict(&w, u.verify_spmm(a, n_cols), old);
                 }
                 let old = verify_spgemm(&v, a, b, 3);
-                assert_agrees(&format!("spgemm {what}"), &v.verify_spgemm(a, b, 3), &old);
+                let new = v.verify(Invocation::SpGEMM(a, b), 3);
+                assert_agrees(&format!("spgemm {what}"), &new, &old);
                 let old = verify_spgemm(&v, a, b, warps);
                 assert_verdict(&format!("spgemm {what}"), u.verify_spgemm(a, b), old);
             }
@@ -302,7 +320,8 @@ mod tests {
                 let mut bad = a.clone();
                 bad.flip_bit(BbcField::BitmapLv2, 0, 3);
                 let what = format!("corrupt {name}");
-                assert_agrees(&what, &v.verify_spmv(&bad, warps), &verify_spmv(&v, &bad, warps));
+                let new = v.verify(Invocation::SpMV(&bad), warps);
+                assert_agrees(&what, &new, &verify_spmv(&v, &bad, warps));
                 assert_verdict(&what, u.verify_spmv(&bad), verify_spmv(&v, &bad, warps));
                 assert_verdict(&what, u.verify_spmspv(&bad, &x), verify_spmspv(&v, &bad, &x));
                 assert_verdict(&what, u.verify_spmm(&bad, 40), verify_spmm(&v, &bad, 40));
@@ -321,13 +340,14 @@ mod tests {
             let dim = a.ncols().checked_sub(1).unwrap_or(1);
             let short = SparseVector::try_new(dim, Vec::new(), Vec::new()).expect("empty vector");
             let what = format!("short x {name}");
-            assert_agrees(&what, &v.verify_spmspv(&a, &short), &verify_spmspv(&v, &a, &short));
+            let new = v.verify(Invocation::SpMSpV(&a, &short), 1);
+            assert_agrees(&what, &new, &verify_spmspv(&v, &a, &short));
             assert_verdict(&what, u.verify_spmspv(&a, &short), verify_spmspv(&v, &a, &short));
             // A times A conforms only when A's block grid is square.
             if a.block_cols() != a.block_rows() {
                 let what = format!("non-conforming {name}");
                 let old = verify_spgemm(&v, &a, &a, warps);
-                assert_agrees(&what, &v.verify_spgemm(&a, &a, warps), &old);
+                assert_agrees(&what, &v.verify(Invocation::SpGEMM(&a, &a), warps), &old);
                 assert_verdict(&what, u.verify_spgemm(&a, &a), old);
             }
         }

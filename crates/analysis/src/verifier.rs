@@ -19,11 +19,11 @@
 //! A kernel invocation ([`Invocation`]) is checked over its counted
 //! [`TaskStream`], once per distinct T1 task: see [`Verifier::verify`].
 
-use simkit::driver;
-use simkit::{Block16, CounterOverflow, T1Task, TaskStream};
+use simkit::driver::Invocation;
+use simkit::{T1Task, TaskStream};
 use sparse::{BbcMatrix, SparseVector};
 use uni_stc::check::check_t1;
-use uni_stc::compiler::{compile_spgemm, compile_spmv, CompiledKernel};
+use uni_stc::compiler::{block_program, compile, CompiledKernel};
 use uni_stc::dpg::expand_t3;
 use uni_stc::isa::{Instruction, Program, Uwmma};
 use uni_stc::tms::generate_t3_tasks;
@@ -32,87 +32,15 @@ use uni_stc::{UniStcConfig, T4_MAX_LEN};
 use crate::diag::{Code, Diagnostic, Report, Span};
 use crate::model::{active_dpgs, route_tasks, StreamModel, T3Node, DOT_QUEUE_CAP, TILE_QUEUE_CAP};
 
-/// The operands of one kernel invocation: everything that fixes its T1
-/// task stream.
-#[derive(Debug, Clone, Copy)]
-pub enum Invocation<'a> {
-    /// SpMV (`y = A x`, dense `x`).
-    SpMV(&'a BbcMatrix),
-    /// SpMSpV (`y = A x`, sparse `x`).
-    SpMSpV(&'a BbcMatrix, &'a SparseVector),
-    /// SpMM (`C = A B`, dense `B` with this many columns).
-    SpMM(&'a BbcMatrix, usize),
-    /// SpGEMM (`C = A B`, both sparse).
-    SpGEMM(&'a BbcMatrix, &'a BbcMatrix),
-}
-
-impl Invocation<'_> {
-    /// The counted stream the serial driver runs (`driver::<kernel>_stream`).
-    ///
-    /// # Errors
-    ///
-    /// [`CounterOverflow`] if the stream stands for more than `u64::MAX`
-    /// tasks (SpMM only).
-    ///
-    /// # Panics
-    ///
-    /// If SpGEMM block grids do not conform, as [`driver::spgemm_stream`];
-    /// [`Verifier::verify_operands`] rejects those first.
-    pub fn stream(&self) -> Result<TaskStream, CounterOverflow> {
-        match *self {
-            Invocation::SpMV(a) => Ok(driver::spmv_stream(a)),
-            Invocation::SpMSpV(a, x) => Ok(driver::spmspv_stream(a, x)),
-            Invocation::SpMM(a, n_cols) => driver::spmm_stream(a, n_cols),
-            Invocation::SpGEMM(a, b) => Ok(driver::spgemm_stream(a, b)),
-        }
-    }
-
-    /// The stored block of `A` at which `task` first appears in the issue
-    /// order. Every kernel issues its tasks in ascending A-block order, so
-    /// this is the first block whose tasks include `task`. Spans only: a
-    /// linear search, run for a task that failed a check.
-    fn first_block(&self, task: &T1Task) -> Option<usize> {
-        let a = match *self {
-            Invocation::SpMV(a)
-            | Invocation::SpMSpV(a, _)
-            | Invocation::SpMM(a, _)
-            | Invocation::SpGEMM(a, _) => a,
-        };
-        (0..a.block_count()).find(|&bi| {
-            let blk = a.block(bi);
-            let bits = Block16::from_bbc(&blk);
-            bits == task.a
-                && match *self {
-                    // Every block's tasks are a function of its bitmap.
-                    Invocation::SpMV(_) | Invocation::SpMM(..) => true,
-                    Invocation::SpMSpV(_, x) => {
-                        T1Task::mv(bits, x.segment_mask16(blk.block_col)) == *task
-                    }
-                    Invocation::SpGEMM(_, b) => b
-                        .blocks_in_row(blk.block_col)
-                        .any(|bj| Block16::from_bbc(&b.block(bj)) == task.b),
-                }
-        })
-    }
-
-    /// The UWMMA sequence the compiler emits for one non-trivial T1 task
-    /// of this kernel; `None` for the kernels it cannot compile.
-    fn block_program(&self, t3_tasks: u32, products: u64) -> Option<Program> {
-        match self {
-            Invocation::SpMV(_) => Some(Program::spmv_block(t3_tasks.into(), products)),
-            Invocation::SpGEMM(..) => Some(Program::spgemm_block(t3_tasks.into(), products)),
-            Invocation::SpMSpV(..) | Invocation::SpMM(..) => None,
-        }
-    }
-
-    /// The compiled per-warp streams, for the kernels the compiler covers.
-    fn compile(&self, cfg: &UniStcConfig, n_warps: usize) -> Option<CompiledKernel> {
-        match *self {
-            Invocation::SpMV(a) => Some(compile_spmv(cfg, a, n_warps.max(1))),
-            Invocation::SpGEMM(a, b) => Some(compile_spgemm(cfg, a, b, n_warps.max(1))),
-            Invocation::SpMSpV(..) | Invocation::SpMM(..) => None,
-        }
-    }
+/// The stored block of `A` at which `task` first appears in the issue
+/// order: the first block whose walk issues it. Spans only: a linear
+/// search, run for a task that failed a check.
+fn first_block(inv: Invocation<'_>, task: &T1Task) -> Option<usize> {
+    (0..inv.a().block_count()).find(|&bi| {
+        let mut issued = false;
+        inv.visit_block(bi, |t, _| issued |= t == *task);
+        issued
+    })
 }
 
 /// Task-batch kind tracked by the lifecycle walk.
@@ -440,37 +368,17 @@ impl Verifier {
     }
 
     /// The operand checks of an invocation (`USTC012`): BBC metadata of
-    /// every matrix, and for SpMSpV and SpGEMM the operand shapes. An `x`
-    /// whose length is not `a.ncols()` would mask blocks against segments
-    /// `x` does not have; non-conforming SpGEMM block grids
-    /// (`a.block_cols() != b.block_rows()`) cannot be walked at all.
+    /// every matrix, then the walk's shape precondition
+    /// ([`Invocation::check_shape`]).
     pub fn verify_operands(&self, inv: Invocation<'_>) -> Report {
-        match inv {
-            Invocation::SpMV(a) | Invocation::SpMM(a, _) => self.verify_matrix(a),
-            Invocation::SpMSpV(a, x) => {
-                let mut report = self.verify_matrix(a);
-                if x.dim() != a.ncols() {
-                    report.push(Diagnostic::new(
-                        Code::CorruptMetadata,
-                        Span::none(),
-                        spmspv_shape_message(a, x),
-                    ));
-                }
-                report
-            }
-            Invocation::SpGEMM(a, b) => {
-                let mut report = self.verify_matrix(a);
-                report.merge(self.verify_matrix(b));
-                if a.block_cols() != b.block_rows() {
-                    report.push(Diagnostic::new(
-                        Code::CorruptMetadata,
-                        Span::none(),
-                        spgemm_shape_message(a, b),
-                    ));
-                }
-                report
-            }
+        let mut report = self.verify_matrix(inv.a());
+        if let Invocation::SpGEMM(_, b) = inv {
+            report.merge(self.verify_matrix(b));
         }
+        if let Err(message) = inv.check_shape() {
+            report.push(Diagnostic::new(Code::CorruptMetadata, Span::none(), message));
+        }
+        report
     }
 
     /// Checks an invocation's counted task stream, which must be the one
@@ -506,11 +414,11 @@ impl Verifier {
             }
             if !check.sound {
                 let tasks = generate_t3_tasks(&task.a, &task.b, self.cfg.ordering);
-                let block = inv.first_block(task).unwrap_or(0);
+                let block = first_block(inv, task).unwrap_or(0);
                 self.check_node(&mut report, block, &route_tasks(&self.cfg, &tasks));
             }
             let failing = lifecycle.verdict(check.t3_tasks, check.products, || {
-                let program = inv.block_program(check.t3_tasks, check.products)?;
+                let program = block_program(inv.kernel())?(check.t3_tasks.into(), check.products);
                 let clean = self.program_report(None, &program).is_clean();
                 (!clean).then(|| program.instructions().len())
             });
@@ -520,7 +428,7 @@ impl Verifier {
         }
         if let Some(block_len) = failing_len {
             // Only now is the kernel compiled, to locate the findings.
-            if let Some(kernel) = inv.compile(&self.cfg, n_warps) {
+            if let Some(kernel) = compile(&self.cfg, inv, n_warps.max(1)) {
                 report.merge(self.kernel_report_once(&kernel, block_len));
             }
         }
@@ -574,26 +482,6 @@ impl Verifier {
         report
     }
 
-    /// [`Verifier::verify`] of an SpMV invocation.
-    pub fn verify_spmv(&self, a: &BbcMatrix, n_warps: usize) -> Report {
-        self.verify(Invocation::SpMV(a), n_warps)
-    }
-
-    /// [`Verifier::verify`] of an SpMSpV invocation.
-    pub fn verify_spmspv(&self, a: &BbcMatrix, x: &SparseVector) -> Report {
-        self.verify(Invocation::SpMSpV(a, x), 1)
-    }
-
-    /// [`Verifier::verify`] of an SpMM invocation.
-    pub fn verify_spmm(&self, a: &BbcMatrix, n_cols: usize) -> Report {
-        self.verify(Invocation::SpMM(a, n_cols), 1)
-    }
-
-    /// [`Verifier::verify`] of an SpGEMM invocation.
-    pub fn verify_spgemm(&self, a: &BbcMatrix, b: &BbcMatrix, n_warps: usize) -> Report {
-        self.verify(Invocation::SpGEMM(a, b), n_warps)
-    }
-
     /// Diffs a caller-supplied SpMV kernel against the stream the verifier
     /// recompiles from the matrix metadata (`USTC013`), on top of the full
     /// SpMV check.
@@ -603,34 +491,11 @@ impl Verifier {
         if report.has_errors() {
             return report;
         }
-        let expected = compile_spmv(&self.cfg, a, kernel.warps.len().max(1));
-        report.merge(diff_kernels(&expected, kernel));
+        if let Some(expected) = compile(&self.cfg, Invocation::SpMV(a), kernel.warps.len().max(1)) {
+            report.merge(diff_kernels(&expected, kernel));
+        }
         report
     }
-}
-
-/// The `USTC012` message for an SpMSpV whose `x` does not match the
-/// operator's column count; shared by the verifier and the service's
-/// always-on shape gate.
-pub fn spmspv_shape_message(a: &BbcMatrix, x: &SparseVector) -> String {
-    format!(
-        "SpMSpV operand shapes do not conform: x has length {} but A is {}x{}",
-        x.dim(),
-        a.nrows(),
-        a.ncols()
-    )
-}
-
-/// The `USTC012` message for an SpGEMM whose block grids do not conform;
-/// shared by the verifier and the service's always-on shape gate.
-pub fn spgemm_shape_message(a: &BbcMatrix, b: &BbcMatrix) -> String {
-    format!(
-        "SpGEMM block grids do not conform ({}x{} blocks vs {}x{})",
-        a.block_rows(),
-        a.block_cols(),
-        b.block_rows(),
-        b.block_cols()
-    )
 }
 
 /// Emits one `USTC013` per warp whose stream diverges from the expected
@@ -875,8 +740,8 @@ mod tests {
         assert!(v.verify_model(&reference::spmv(&cfg, &a)).is_clean());
         assert!(v.verify_model(&reference::spmm(&cfg, &a, 40)).is_clean());
         assert!(v.verify_model(&reference::spgemm(&cfg, &a, &a)).is_clean());
-        assert!(v.verify_spmv(&a, 4).is_clean());
-        assert!(v.verify_spgemm(&a, &a, 4).is_clean());
+        assert!(v.verify(Invocation::SpMV(&a), 4).is_clean());
+        assert!(v.verify(Invocation::SpGEMM(&a, &a), 4).is_clean());
     }
 
     #[test]
@@ -888,8 +753,8 @@ mod tests {
         let cfg = UniStcConfig { n_dpg: 0, ..UniStcConfig::default() };
         let v = Verifier::new(cfg);
         let a = bbc(64, (0..64).map(|i| (i, i)));
-        assert_eq!(driver::spmm_stream(&a, 40).map(|s| s.len()), Ok(2));
-        let r = v.verify_spmm(&a, 40);
+        assert_eq!(Invocation::SpMM(&a, 40).stream().map(|s| s.len()), Ok(2));
+        let r = v.verify(Invocation::SpMM(&a, 40), 1);
         assert!(r.diagnostics().iter().all(|d| d.code == Code::DpgRouteOutOfRange));
         let blocks: Vec<_> = r.diagnostics().iter().map(|d| d.span.block).collect();
         assert_eq!(blocks, vec![Some(0); 16 + 8], "one finding per T3 task of block 0");
@@ -897,7 +762,7 @@ mod tests {
         // Under SpMSpV the first block that issues the task is the first
         // whose `x` segment is nonzero.
         let x = SparseVector::try_new(64, vec![40], vec![1.0]).unwrap();
-        let r = v.verify_spmspv(&a, &x);
+        let r = v.verify(Invocation::SpMSpV(&a, &x), 1);
         assert_eq!(r.first_error().map(|d| d.span.block), Some(Some(2)));
     }
 
@@ -908,7 +773,7 @@ mod tests {
         let cfg = UniStcConfig::default();
         let v = Verifier::new(cfg);
         let a = bbc(64, (0..64).map(|i| (i, i)));
-        let mut kernel = compile_spmv(&cfg, &a, 2);
+        let mut kernel = compile(&cfg, Invocation::SpMV(&a), 2).unwrap();
         for w in &mut kernel.warps {
             let mut rebuilt = Program::new();
             for instr in w.program.instructions() {
@@ -969,10 +834,10 @@ mod tests {
         let a = bbc(32, (0..32).map(|i| (i, i)));
         let mut bad = a.clone();
         bad.flip_bit(sparse::BbcField::BitmapLv2, 0, 3);
-        let r = v.verify_spmv(&bad, 2);
+        let r = v.verify(Invocation::SpMV(&bad), 2);
         assert!(r.has_code(Code::CorruptMetadata));
         assert!(r.has_errors());
-        assert!(v.verify_spmv(&a, 2).is_clean());
+        assert!(v.verify(Invocation::SpMV(&a), 2).is_clean());
     }
 
     #[test]
@@ -980,7 +845,7 @@ mod tests {
         let cfg = UniStcConfig::default();
         let v = Verifier::new(cfg);
         let a = bbc(48, (0..48).map(|i| (i, (i * 3) % 48)));
-        let kernel = compile_spmv(&cfg, &a, 2);
+        let kernel = compile(&cfg, Invocation::SpMV(&a), 2).unwrap();
         assert!(v.verify_spmv_against(&a, &kernel).is_clean());
         let mut tampered = kernel.clone();
         let program = &mut tampered.warps[0].program;

@@ -6,7 +6,7 @@
 
 use analysis::{Code, StreamModel, T1Node, T3Node, UstcVerifier, Verifier};
 use conformance::generators::{sparse_vector, Regime};
-use simkit::driver::Kernel;
+use simkit::driver::{Invocation, Kernel};
 use simkit::fault::FaultPlan;
 use simkit::{driver, EnergyModel, StreamVerifier};
 use sparse::{BbcField, BbcMatrix, CooMatrix, CsrMatrix};
@@ -89,10 +89,10 @@ fn every_conformance_regime_verifies_clean() {
         let x = sparse_vector(a_csr.ncols(), SEED);
         let b = BbcMatrix::from_csr(&a_csr.transpose());
         for (kernel, r) in [
-            ("spmv", v.verify_spmv(&a, 4)),
-            ("spmspv", v.verify_spmspv(&a, &x)),
-            ("spmm", v.verify_spmm(&a, 20)),
-            ("spgemm", v.verify_spgemm(&a, &b, 4)),
+            ("spmv", v.verify(Invocation::SpMV(&a), 4)),
+            ("spmspv", v.verify(Invocation::SpMSpV(&a, &x), 1)),
+            ("spmm", v.verify(Invocation::SpMM(&a, 20), 1)),
+            ("spgemm", v.verify(Invocation::SpGEMM(&a, &b), 4)),
         ] {
             assert!(
                 r.is_clean(),
@@ -112,7 +112,7 @@ fn driver_gate_passes_clean_streams_unchanged() {
     let verifier = UstcVerifier::new(UniStcConfig::default());
     verifier.verify_spmv(&a).expect("clean stream must pass the gate");
     let rep = driver::run_spmv(&engine, &energy, &a);
-    let stream = driver::spmv_stream(&a);
+    let stream = Invocation::SpMV(&a).stream().expect("fits");
     let counted = driver::run_stream(&engine, &energy, Kernel::SpMV, &stream).expect("fits");
     assert_eq!(rep.counter_signature(), counted.counter_signature());
 }
@@ -163,12 +163,12 @@ fn nonconforming_spgemm_grids_are_ustc012() {
     // outer-product walk cannot represent the stream.
     let a = bbc(32, (0..32).map(|i| (i, i)));
     let b = bbc(64, (0..64).map(|i| (i, i)));
-    let r = Verifier::new(UniStcConfig::default()).verify_spgemm(&a, &b, 4);
+    let r = Verifier::new(UniStcConfig::default()).verify(Invocation::SpGEMM(&a, &b), 4);
     let codes: Vec<&str> = r.diagnostics().iter().map(|d| d.code.as_str()).collect();
     assert_eq!(codes, vec!["USTC012"]);
     let message = &r.diagnostics()[0].message;
     assert_eq!(message, "SpGEMM block grids do not conform (2x2 blocks vs 4x4)");
-    assert_eq!(*message, analysis::spgemm_shape_message(&a, &b));
+    assert_eq!(Invocation::SpGEMM(&a, &b).check_shape().as_ref(), Err(message));
     let err = UstcVerifier::new(UniStcConfig::default())
         .verify_spgemm(&a, &b)
         .expect_err("the adapter rejects what the verifier flags");
@@ -179,7 +179,7 @@ fn nonconforming_spgemm_grids_are_ustc012() {
 fn compiled_kernel_verify_bridges_to_stable_codes() {
     let cfg = UniStcConfig::default();
     let a = bbc(64, (0..64).map(|i| (i, (i * 3) % 64)));
-    let kernel = uni_stc::compiler::compile_spmv(&cfg, &a, 2);
+    let kernel = uni_stc::compiler::compile(&cfg, Invocation::SpMV(&a), 2).expect("compiles");
     assert!(kernel.verify().is_ok());
     // The analysis verifier agrees, and resolves spans into the listings.
     let v = Verifier::new(cfg);
@@ -209,7 +209,7 @@ fn engine_reference_drive_matches_verifier_verdict() {
     let cfg = UniStcConfig::default();
     let v = Verifier::new(cfg);
     let a = bbc(96, (0..96).flat_map(|i| [(i, i), (i, (i * 11) % 96)]));
-    let kernel = uni_stc::compiler::compile_spmv(&cfg, &a, 3);
+    let kernel = uni_stc::compiler::compile(&cfg, Invocation::SpMV(&a), 3).expect("compiles");
     assert!(v.verify_kernel(&kernel).is_clean());
     assert!(kernel.run().is_ok());
     let mut bad = Program::new();

@@ -14,7 +14,7 @@
 
 use bench::output::{Report, Section};
 use bench::{headline_engines, threads_arg, MatrixCtx, KERNELS};
-use simkit::driver::{self, Kernel};
+use simkit::driver::{self, Invocation, Kernel};
 use simkit::metrics::{geomean, Comparison};
 use simkit::{EnergyModel, Precision};
 use workloads::dlmc::{layers, DnnModel};
@@ -119,11 +119,12 @@ fn main() {
                 // Weight x dense activation block (dense inference), or
                 // conv treated as SpGEMM: sparse weight x sparse
                 // activation matrix.
-                let stream = match kernel {
-                    Kernel::SpMM => driver::spmm_stream(&w_bbc, layer.batch_cols)
-                        .expect("layer widths keep every counter far below 2^64"),
-                    _ => driver::spgemm_stream(&w_bbc, &act_bbc),
+                let inv = match kernel {
+                    Kernel::SpMM => Invocation::SpMM(&w_bbc, layer.batch_cols),
+                    _ => Invocation::SpGEMM(&w_bbc, &act_bbc),
                 };
+                let stream =
+                    inv.stream().expect("layer widths keep every counter far below 2^64");
                 let cfg = runtime::RuntimeConfig::with_threads(threads);
                 let plan = runtime::ShardPlan::contiguous(stream.len(), threads);
                 let run = |e: &(dyn simkit::TileEngine + Sync)| {

@@ -12,8 +12,8 @@ pub mod output;
 pub mod perf;
 
 use baselines::{DsStc, Gamma, NvDtc, RmStc, Sigma, Trapezoid};
-use simkit::driver::{self, Kernel, KernelReport};
-use simkit::{CounterOverflow, EnergyModel, Precision, TaskStream, TileEngine};
+use simkit::driver::{self, Invocation, Kernel, KernelReport};
+use simkit::{EnergyModel, Precision, TileEngine};
 use sparse::{BbcMatrix, CsrMatrix, SparseVector};
 use uni_stc::{UniStc, UniStcConfig};
 
@@ -71,21 +71,23 @@ impl MatrixCtx {
         MatrixCtx { name: name.into(), csr, bbc, x_sparse }
     }
 
-    /// The counted task stream of `kernel` on this matrix: the one
-    /// operand builder [`MatrixCtx::run`] and [`MatrixCtx::run_sharded`]
-    /// share.
-    fn stream(&self, kernel: Kernel) -> Result<TaskStream, CounterOverflow> {
+    /// The invocation of `kernel` on this matrix, the one operand choice
+    /// [`MatrixCtx::run`] and [`MatrixCtx::run_sharded`] share: `x` is
+    /// the 50 %-sparse vector, `B` has [`SPMM_N_COLS`] dense columns, and
+    /// SpGEMM squares the matrix.
+    fn invocation(&self, kernel: Kernel) -> Invocation<'_> {
         match kernel {
-            Kernel::SpMV => Ok(driver::spmv_stream(&self.bbc)),
-            Kernel::SpMSpV => Ok(driver::spmspv_stream(&self.bbc, &self.x_sparse)),
-            Kernel::SpMM => driver::spmm_stream(&self.bbc, SPMM_N_COLS),
-            Kernel::SpGEMM => Ok(driver::spgemm_stream(&self.bbc, &self.bbc)),
+            Kernel::SpMV => Invocation::SpMV(&self.bbc),
+            Kernel::SpMSpV => Invocation::SpMSpV(&self.bbc, &self.x_sparse),
+            Kernel::SpMM => Invocation::SpMM(&self.bbc, SPMM_N_COLS),
+            Kernel::SpGEMM => Invocation::SpGEMM(&self.bbc, &self.bbc),
         }
     }
 
     /// Runs one kernel on one engine through the serial driver.
     pub fn run(&self, engine: &dyn TileEngine, em: &EnergyModel, kernel: Kernel) -> KernelReport {
-        self.stream(kernel)
+        self.invocation(kernel)
+            .stream()
             .and_then(|stream| driver::run_stream(engine, em, kernel, &stream))
             .expect("a 64-column SpMM keeps every counter far below 2^64")
     }
@@ -108,7 +110,8 @@ impl MatrixCtx {
         em: &EnergyModel,
         kernel: Kernel,
     ) -> Result<runtime::ShardedRun, runtime::PlannedRunError> {
-        let stream = self.stream(kernel).map_err(runtime::PlannedRunError::Overflow)?;
+        let stream =
+            self.invocation(kernel).stream().map_err(runtime::PlannedRunError::Overflow)?;
         let plan = runtime::ShardPlan::contiguous(stream.len(), cfg.threads);
         runtime::run_stream_planned(cfg, &plan, engine, em, kernel, &stream)
     }

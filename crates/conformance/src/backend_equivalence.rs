@@ -24,7 +24,8 @@
 
 use std::fmt::Debug;
 
-use simkit::{driver, Block16, TaskStream};
+use simkit::driver::Invocation;
+use simkit::{Block16, TaskStream};
 use sparse::kernels::{BitKernels, BitwiseKernels, ScalarKernels};
 use sparse::{BbcMatrix, CsrMatrix, DenseMatrix, SparseVector};
 use uni_stc::dpg::expand_t3;
@@ -296,11 +297,15 @@ pub fn check_kernels<R: BitKernels, C: BitKernels>(
         }
         pair.blocks(label, bbc)?;
     }
-    let spmm = driver::spmm_stream(&ops.bbc, ops.b.ncols()).map_err(|e| e.to_string())?;
-    pair.stream("spmv", &driver::spmv_stream(&ops.bbc))?;
-    pair.stream("spmspv", &driver::spmspv_stream(&ops.bbc, &ops.sx))?;
-    pair.stream("spmm", &spmm)?;
-    pair.stream("spgemm", &driver::spgemm_stream(&ops.bbc, &ops.bbc_b))?;
+    for inv in [
+        Invocation::SpMV(&ops.bbc),
+        Invocation::SpMSpV(&ops.bbc, &ops.sx),
+        Invocation::SpMM(&ops.bbc, ops.b.ncols()),
+        Invocation::SpGEMM(&ops.bbc, &ops.bbc_b),
+    ] {
+        let stream = inv.stream().map_err(|e| e.to_string())?;
+        pair.stream(&inv.kernel().to_string().to_lowercase(), &stream)?;
+    }
     pair.dataflow(&ops)?;
     pair.sparse_ops(&ops)
 }

@@ -7,8 +7,8 @@
 //! produce for Uni-STC's UWMMA extension (Section IV-F: "Integrating the
 //! UWMMA instruction set ... necessitates compiler modifications").
 
+use simkit::driver::{Invocation, Kernel};
 use simkit::Block16;
-use sparse::BbcMatrix;
 
 use crate::isa::{Lifecycle, LifecycleError, Program, ProgramStats, Uwmma};
 use crate::schedule::balance_warps;
@@ -120,78 +120,61 @@ fn t1_costs(cfg: &UniStcConfig, a: &Block16, b: &Block16) -> Option<(u64, u64)> 
     Some((t3.len() as u64, products))
 }
 
-/// Compiles SpMV (dense `x`) into per-warp UWMMA streams.
+/// The UWMMA sequence builder for one non-trivial T1 task of `kernel`,
+/// called with the task's T3 count and products: Algorithm 1's for SpMV
+/// and Algorithm 2's for SpGEMM. `None` for SpMSpV and SpMM, which have
+/// no compiled sequence.
+pub fn block_program(kernel: Kernel) -> Option<fn(u64, u64) -> Program> {
+    match kernel {
+        Kernel::SpMV => Some(Program::spmv_block),
+        Kernel::SpGEMM => Some(Program::spgemm_block),
+        Kernel::SpMSpV | Kernel::SpMM => None,
+    }
+}
+
+/// Compiles an invocation into per-warp UWMMA streams: the stored blocks
+/// of `A` under the static warp balancing, each block's T1 tasks in the
+/// walk's issue order ([`Invocation::visit_block`]), one
+/// [`block_program`] sequence per non-trivial task (the bitmap check of
+/// Algorithm 2 line 13 drops the trivial ones). `None` for the kernels
+/// without a sequence.
 ///
 /// # Panics
 ///
-/// Panics if `n_warps == 0`.
-pub fn compile_spmv(cfg: &UniStcConfig, a: &BbcMatrix, n_warps: usize) -> CompiledKernel {
-    let ranges = balance_warps(a, n_warps);
+/// Panics if `n_warps == 0`, or for SpGEMM if the block grids do not
+/// conform.
+pub fn compile(cfg: &UniStcConfig, inv: Invocation<'_>, n_warps: usize) -> Option<CompiledKernel> {
+    let program = block_program(inv.kernel())?;
+    let ranges = balance_warps(inv.a(), n_warps);
     let n = ranges.iter().map(|r| r.warp).max().map_or(0, |w| w + 1);
     let mut programs: Vec<Program> = vec![Program::new(); n];
     for range in &ranges {
         for bi in range.start..range.end {
-            let bits = Block16::from_bbc(&a.block(bi));
-            let x = Block16::from_vector_mask(u16::MAX);
-            if let Some((t3, products)) = t1_costs(cfg, &bits, &x) {
-                for instr in Program::spmv_block(t3, products).instructions() {
-                    programs[range.warp].push(instr.op, instr.cost);
-                }
-            }
-        }
-    }
-    CompiledKernel {
-        warps: programs
-            .into_iter()
-            .enumerate()
-            .map(|(warp, program)| WarpProgram { warp, program })
-            .collect(),
-    }
-}
-
-/// Compiles SpGEMM (`C = A B`) into per-warp UWMMA streams (Algorithm 2's
-/// block-level outer product, with the line-13 bitmap check).
-///
-/// # Panics
-///
-/// Panics if `n_warps == 0` or the block grids do not conform.
-pub fn compile_spgemm(
-    cfg: &UniStcConfig,
-    a: &BbcMatrix,
-    b: &BbcMatrix,
-    n_warps: usize,
-) -> CompiledKernel {
-    assert_eq!(a.block_cols(), b.block_rows(), "block grids do not conform");
-    let ranges = balance_warps(a, n_warps);
-    let n = ranges.iter().map(|r| r.warp).max().map_or(0, |w| w + 1);
-    let mut programs: Vec<Program> = vec![Program::new(); n];
-    for range in &ranges {
-        for ai in range.start..range.end {
-            let a_blk = a.block(ai);
-            let a_bits = Block16::from_bbc(&a_blk);
-            for bj in b.blocks_in_row(a_blk.block_col) {
-                let b_bits = Block16::from_bbc(&b.block(bj));
-                if let Some((t3, products)) = t1_costs(cfg, &a_bits, &b_bits) {
-                    for instr in Program::spgemm_block(t3, products).instructions() {
-                        programs[range.warp].push(instr.op, instr.cost);
+            inv.visit_block(bi, |task, count| {
+                if let Some((t3, products)) = t1_costs(cfg, &task.a, &task.b) {
+                    let block = program(t3, products);
+                    for _ in 0..count {
+                        for instr in block.instructions() {
+                            programs[range.warp].push(instr.op, instr.cost);
+                        }
                     }
                 }
-            }
+            });
         }
     }
-    CompiledKernel {
+    Some(CompiledKernel {
         warps: programs
             .into_iter()
             .enumerate()
             .map(|(warp, program)| WarpProgram { warp, program })
             .collect(),
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparse::{CooMatrix, CsrMatrix};
+    use sparse::{BbcMatrix, CooMatrix, CsrMatrix};
 
     fn bbc(n: usize, entries: impl IntoIterator<Item = (usize, usize)>) -> BbcMatrix {
         let mut coo = CooMatrix::new(n, n);
@@ -205,7 +188,7 @@ mod tests {
     fn spmv_compiles_four_instructions_per_block() {
         let a = bbc(64, (0..64).map(|i| (i, i)));
         let cfg = UniStcConfig::default();
-        let k = compile_spmv(&cfg, &a, 2);
+        let k = compile(&cfg, Invocation::SpMV(&a), 2).unwrap();
         assert_eq!(k.warps.len(), 2);
         assert_eq!(k.total_instructions(), 4 * a.block_count());
         // Every stream executes legally.
@@ -217,8 +200,8 @@ mod tests {
     fn makespan_below_serial_sum() {
         let a = bbc(128, (0..128).flat_map(|i| [(i, i), (i, (i * 5) % 128)]));
         let cfg = UniStcConfig::default();
-        let k1 = compile_spmv(&cfg, &a, 1);
-        let k4 = compile_spmv(&cfg, &a, 4);
+        let k1 = compile(&cfg, Invocation::SpMV(&a), 1).unwrap();
+        let k4 = compile(&cfg, Invocation::SpMV(&a), 4).unwrap();
         let serial = k1.makespan().unwrap();
         let parallel = k4.makespan().unwrap();
         assert!(parallel < serial, "parallel {parallel} vs serial {serial}");
@@ -232,16 +215,20 @@ mod tests {
         let a = bbc(16, [(0, 0)]);
         let b = bbc(16, [(5, 0)]);
         let cfg = UniStcConfig::default();
-        let k = compile_spgemm(&cfg, &a, &b, 1);
+        let k = compile(&cfg, Invocation::SpGEMM(&a, &b), 1).unwrap();
         assert_eq!(k.total_instructions(), 0);
         assert_eq!(k.makespan().unwrap(), 0);
+        // SpMSpV and SpMM have no UWMMA sequence to compile.
+        let x = sparse::SparseVector::try_new(16, vec![0], vec![1.0]).unwrap();
+        assert!(compile(&cfg, Invocation::SpMSpV(&a, &x), 1).is_none());
+        assert!(compile(&cfg, Invocation::SpMM(&a, 16), 1).is_none());
     }
 
     #[test]
     fn spgemm_program_listing_shows_mm_opcodes() {
         let a = bbc(32, (0..32).map(|i| (i, (i * 3) % 32)));
         let cfg = UniStcConfig::default();
-        let k = compile_spgemm(&cfg, &a, &a, 1);
+        let k = compile(&cfg, Invocation::SpGEMM(&a, &a), 1).unwrap();
         assert!(k.total_instructions() > 0);
         let listing = k.warps[0].program.listing();
         assert!(listing.contains("stc.task_gen.mm"));
@@ -254,7 +241,7 @@ mod tests {
     fn verify_agrees_with_run() {
         let a = bbc(64, (0..64).map(|i| (i, (i * 3) % 64)));
         let cfg = UniStcConfig::default();
-        let k = compile_spmv(&cfg, &a, 2);
+        let k = compile(&cfg, Invocation::SpMV(&a), 2).unwrap();
         assert!(k.verify().is_ok());
         assert!(k.run().is_ok());
         // Tamper one warp into an illegal stream: numeric with no batch.
@@ -276,8 +263,8 @@ mod tests {
         let sparse_m = bbc(32, (0..8).map(|i| (i, i)));
         let dense_m = bbc(32, (0..32).flat_map(|r| (0..32).map(move |c| (r, c))));
         let cfg = UniStcConfig::default();
-        let s = compile_spmv(&cfg, &sparse_m, 1).makespan().unwrap();
-        let d = compile_spmv(&cfg, &dense_m, 1).makespan().unwrap();
+        let s = compile(&cfg, Invocation::SpMV(&sparse_m), 1).unwrap().makespan().unwrap();
+        let d = compile(&cfg, Invocation::SpMV(&dense_m), 1).unwrap().makespan().unwrap();
         assert!(d > s, "dense {d} vs sparse {s}");
     }
 }

@@ -19,8 +19,9 @@
 //! order — never in unit-completion order — so a degraded run is bitwise
 //! identical to the fault-free reference.
 
+use simkit::driver::{Invocation, Kernel};
 use simkit::fault::FaultPlan;
-use simkit::{driver::Kernel, Block16, EventCounts, T1Task, TileEngine};
+use simkit::{EventCounts, TileEngine};
 use sparse::BbcMatrix;
 
 use crate::schedule::{balance_warps, warp_loads};
@@ -107,39 +108,6 @@ impl std::fmt::Display for DegradedError {
 
 impl std::error::Error for DegradedError {}
 
-/// Cycles one engine spends on one stored block under `kernel`.
-fn block_cycles(
-    engine: &dyn TileEngine,
-    bits: Block16,
-    kernel: Kernel,
-    n_cols: usize,
-) -> u64 {
-    match kernel {
-        Kernel::SpMV => {
-            let t = T1Task::mv(bits, u16::MAX);
-            if t.is_trivial() {
-                0
-            } else {
-                engine.execute(&t).cycles
-            }
-        }
-        _ => {
-            let col_blocks = n_cols.div_ceil(16).max(1);
-            (0..col_blocks)
-                .map(|cb| {
-                    let width = 16.min(n_cols - cb * 16).max(1);
-                    let t = T1Task::mm(bits, Block16::dense().keep_cols(width));
-                    if t.is_trivial() {
-                        0
-                    } else {
-                        engine.execute(&t).cycles
-                    }
-                })
-                .sum()
-        }
-    }
-}
-
 /// Replays SpMV (dense `x`) or SpMM over `n_units` parallel units with the
 /// static warp balancing of Section V-A.
 ///
@@ -176,7 +144,7 @@ fn plan_degraded(
     a: &BbcMatrix,
     n_units: usize,
     plans: &[FaultPlan],
-) -> Result<(Vec<crate::schedule::WarpRange>, DegradedState), DegradedError> {
+) -> Result<DegradedState, DegradedError> {
     assert!(n_units > 0, "need at least one unit");
     let ranges = balance_warps(a, n_units);
     let n_warps = warp_loads(&ranges).len();
@@ -222,7 +190,7 @@ fn plan_degraded(
             };
         }
     }
-    Ok((ranges, DegradedState { unit_src, faulty, assignment, events, n_warps }))
+    Ok(DegradedState { unit_src, faulty, assignment, events, n_warps })
 }
 
 /// [`parallel_kernel`] under per-unit fault injection.
@@ -254,32 +222,15 @@ pub fn parallel_kernel_degraded(
         matches!(kernel, Kernel::SpMV | Kernel::SpMM),
         "parallel replay supports SpMV and SpMM"
     );
-    let (_, state) = plan_degraded(a, n_units, plans)?;
-    let mut unit_cycles = vec![0u64; state.n_warps.max(1)];
-    let mut serial_cycles = 0u64;
-    let mut retried_blocks = 0u64;
-    for (bi, &(w, requeued)) in state.assignment.iter().enumerate() {
-        // Requeued blocks re-fetch pristine data; a healthy unit executes
-        // from its own (possibly silently damaged) copy. Either way the
-        // validated structure is identical, so the task geometry is too.
-        let src = if requeued { a } else { state.unit_src[w].as_ref().unwrap_or(a) };
-        let bits = Block16::from_bbc(&src.block(bi));
-        let cycles = block_cycles(engine, bits, kernel, n_cols);
-        unit_cycles[w] += cycles;
-        serial_cycles += cycles;
-        if requeued {
-            retried_blocks += 1;
-        }
-    }
-    let makespan = unit_cycles.iter().copied().max().unwrap_or(0);
-    Ok(MultiUnitReport {
-        unit_cycles,
-        makespan,
-        serial_cycles,
-        faulty_units: (0..state.n_warps).filter(|&w| state.faulty[w]).collect(),
-        retried_blocks,
-        events: state.events,
-    })
+    let spmm = kernel == Kernel::SpMM;
+    replay(
+        engine,
+        a,
+        n_units,
+        plans,
+        |src| if spmm { Invocation::SpMM(src, n_cols) } else { Invocation::SpMV(src) },
+        |_, _| {},
+    )
 }
 
 /// Numeric SpMV (`y = A x`) over `n_units` degraded units.
@@ -306,34 +257,57 @@ pub fn degraded_spmv(
     plans: &[FaultPlan],
 ) -> Result<(Vec<f64>, MultiUnitReport), DegradedError> {
     assert_eq!(x.len(), a.ncols(), "x length must match a.ncols()");
-    let (_, state) = plan_degraded(a, n_units, plans)?;
+    let mut y = vec![0.0f64; a.nrows()];
+    let report = replay(engine, a, n_units, plans, |src| Invocation::SpMV(src), |src, bi| {
+        for (r, c, v) in src.block(bi).iter() {
+            y[r] += v * x[c];
+        }
+    })?;
+    Ok((y, report))
+}
+
+/// The per-block loop of a degraded run. Every stored block runs on the
+/// unit it is assigned to: a requeued block from the pristine source,
+/// which the unit re-fetches, and any other from the unit's own copy,
+/// possibly silently damaged. Either copy passed validation, so the task
+/// geometry is the same. `visit(src, bi)` sees each block in
+/// stored-block-index order, on the copy it ran from; the block's cycles
+/// are the engine's over the tasks its walk issues
+/// ([`Invocation::visit_block`]).
+fn replay(
+    engine: &dyn TileEngine,
+    a: &BbcMatrix,
+    n_units: usize,
+    plans: &[FaultPlan],
+    invocation: impl Fn(&BbcMatrix) -> Invocation<'_>,
+    mut visit: impl FnMut(&BbcMatrix, usize),
+) -> Result<MultiUnitReport, DegradedError> {
+    let state = plan_degraded(a, n_units, plans)?;
     let mut unit_cycles = vec![0u64; state.n_warps.max(1)];
     let mut serial_cycles = 0u64;
     let mut retried_blocks = 0u64;
-    let mut y = vec![0.0f64; a.nrows()];
     for (bi, &(w, requeued)) in state.assignment.iter().enumerate() {
         let src = if requeued { a } else { state.unit_src[w].as_ref().unwrap_or(a) };
-        let blk = src.block(bi);
-        for (r, c, v) in blk.iter() {
-            y[r] += v * x[c];
-        }
-        let cycles = block_cycles(engine, Block16::from_bbc(&blk), Kernel::SpMV, 1);
+        visit(src, bi);
+        let mut cycles = 0;
+        invocation(src).visit_block(bi, |task, count| {
+            if !task.is_trivial() {
+                cycles += engine.execute(&task).cycles * count;
+            }
+        });
         unit_cycles[w] += cycles;
         serial_cycles += cycles;
-        if requeued {
-            retried_blocks += 1;
-        }
+        retried_blocks += u64::from(requeued);
     }
     let makespan = unit_cycles.iter().copied().max().unwrap_or(0);
-    let report = MultiUnitReport {
+    Ok(MultiUnitReport {
         unit_cycles,
         makespan,
         serial_cycles,
         faulty_units: (0..state.n_warps).filter(|&w| state.faulty[w]).collect(),
         retried_blocks,
         events: state.events,
-    };
-    Ok((y, report))
+    })
 }
 
 #[cfg(test)]
@@ -387,6 +361,20 @@ mod tests {
         let rep = parallel_kernel(&UniStc::default(), &a, Kernel::SpMM, 64, 4);
         assert!(rep.makespan > 0);
         assert!(rep.speedup() > 1.0);
+    }
+
+    #[test]
+    fn serial_cycles_equal_the_driver_at_every_width() {
+        // A zero-column B issues no tasks, so it costs no cycles.
+        let a = bbc(64, (0..64).map(|i| (i, (i * 3) % 64)));
+        let (uni, em) = (UniStc::default(), simkit::EnergyModel::default());
+        let spmv = parallel_kernel(&uni, &a, Kernel::SpMV, 1, 4);
+        assert_eq!(spmv.serial_cycles, simkit::driver::run_spmv(&uni, &em, &a).cycles);
+        for n_cols in [0, 1, 15, 16, 17, 64] {
+            let rep = parallel_kernel(&uni, &a, Kernel::SpMM, n_cols, 4);
+            let serial = simkit::driver::run_spmm(&uni, &em, &a, n_cols).cycles;
+            assert_eq!(rep.serial_cycles, serial, "n_cols={n_cols}");
+        }
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! factor of 1) therefore reproduces the serial report **bit for bit** —
 //! the conformance golden counter snapshots pin this.
 //! [`run_stream_planned`] is that parallel executor; a kernel's stream
-//! comes from `driver::<kernel>_stream`, and
+//! comes from the driver's one walk
+//! ([`Invocation::stream`](simkit::driver::Invocation::stream)), and
 //! [`ShardPlan::contiguous`] splits it.
 //!
 //! The shards execute on the [`pool`], so they inherit its
@@ -335,8 +336,13 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simkit::driver::Invocation;
     use simkit::{NetworkCosts, T1Result};
     use sparse::{BbcMatrix, SparseVector};
+
+    fn spmv_stream(a: &BbcMatrix) -> TaskStream {
+        Invocation::SpMV(a).stream().expect("one task per block")
+    }
 
     /// The reference engine from the driver tests: perfect packing.
     struct Ideal;
@@ -398,7 +404,7 @@ mod tests {
         let a = demo_matrix(1);
         let em = EnergyModel::default();
         let serial = driver::run_spmv(&Ideal, &em, &a);
-        let stream = driver::spmv_stream(&a);
+        let stream = spmv_stream(&a);
         for threads in [1, 2, 8] {
             let cfg = RuntimeConfig::with_threads(threads);
             let sharded = sharded(&cfg, &Ideal, Kernel::SpMV, &stream).expect("no failures");
@@ -419,12 +425,13 @@ mod tests {
         let em = EnergyModel::default();
         let cfg = RuntimeConfig::with_threads(4);
         let cases = [
-            (driver::run_spmv(&Ideal, &em, &a), driver::spmv_stream(&a)),
-            (driver::run_spmspv(&Ideal, &em, &a, &x), driver::spmspv_stream(&a, &x)),
-            (driver::run_spmm(&Ideal, &em, &a, 40), driver::spmm_stream(&a, 40).expect("fits")),
-            (driver::run_spgemm(&Ideal, &em, &a, &b), driver::spgemm_stream(&a, &b)),
+            (driver::run_spmv(&Ideal, &em, &a), Invocation::SpMV(&a)),
+            (driver::run_spmspv(&Ideal, &em, &a, &x), Invocation::SpMSpV(&a, &x)),
+            (driver::run_spmm(&Ideal, &em, &a, 40), Invocation::SpMM(&a, 40)),
+            (driver::run_spgemm(&Ideal, &em, &a, &b), Invocation::SpGEMM(&a, &b)),
         ];
-        for (serial, stream) in cases {
+        for (serial, inv) in cases {
+            let stream = inv.stream().expect("fits");
             let run = sharded(&cfg, &Ideal, serial.kernel, &stream).expect("no failures");
             assert_eq!(serial.counter_signature(), run.report.counter_signature());
         }
@@ -451,7 +458,7 @@ mod tests {
             backoff: crate::pool::Backoff::none(),
             ..RuntimeConfig::with_threads(2).with_chaos(chaos)
         };
-        let sharded = sharded(&cfg, &Ideal, Kernel::SpMV, &driver::spmv_stream(&a))
+        let sharded = sharded(&cfg, &Ideal, Kernel::SpMV, &spmv_stream(&a))
             .expect("chaos is survivable");
         assert_eq!(sharded.report, serial);
     }
@@ -479,7 +486,7 @@ mod tests {
             backoff: crate::pool::Backoff::none(),
             ..RuntimeConfig::with_threads(2)
         };
-        match sharded(&cfg, &Grenade, Kernel::SpMV, &driver::spmv_stream(&a)) {
+        match sharded(&cfg, &Grenade, Kernel::SpMV, &spmv_stream(&a)) {
             Err(PlannedRunError::Execution(DegradedError::RetriesExhausted { attempts, .. })) => {
                 assert_eq!(attempts, 2, "first try + one retry");
             }
@@ -492,7 +499,7 @@ mod tests {
         use workloads::stencil::{lower, GridShape, Ordering, StencilKind};
         let a = lower(StencilKind::Star5, GridShape::D2 { nx: 40, ny: 40 }, Ordering::Tiled16).bbc;
         let em = EnergyModel::default();
-        let stream = driver::spmv_stream(&a);
+        let stream = spmv_stream(&a);
         assert!(stream.len() * 4 < a.block_count(), "stencil blocks repeat");
         let serial = driver::run_spmv(&Ideal, &em, &a);
         for threads in [1, 2, 8] {
@@ -514,7 +521,7 @@ mod tests {
     fn planned_stream_reports_overflow() {
         let a = demo_matrix(8);
         let em = EnergyModel::default();
-        let stream = driver::spmm_stream(&a, usize::MAX / 64).expect("under 2^64 tasks");
+        let stream = Invocation::SpMM(&a, usize::MAX / 64).stream().expect("under 2^64 tasks");
         let cfg = RuntimeConfig::with_threads(2);
         let plan = ShardPlan::contiguous(stream.len(), 2);
         let err = run_stream_planned(&cfg, &plan, &Ideal, &em, Kernel::SpMM, &stream)

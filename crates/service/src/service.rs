@@ -28,7 +28,8 @@
 //!   [`ShardPlan::verify_before_run`] before any worker spawns.
 //!   Non-conforming SpGEMM grids and SpMSpV vectors whose length is not
 //!   the operator's column count are rejected (`USTC012`) even with
-//!   admission off, because the task compiler cannot represent them. A
+//!   admission off, by the task walk's own shape check
+//!   ([`Invocation::check_shape`]). A
 //!   request whose exact report would overflow a `u64` counter (an SpMM
 //!   with an astronomically wide `B`) is rejected with `USTC017`: the
 //!   counted fold cannot represent it.
@@ -44,12 +45,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
-use analysis::{Invocation, UstcVerifier};
+use analysis::UstcVerifier;
 use obs::MetricsRegistry;
 use runtime::{run_stream_planned, PlannedRunError, RuntimeConfig, ShardPlan, ShardPlanError};
-use simkit::driver::{self, Kernel, VerifyError};
+use simkit::driver::{Invocation, VerifyError};
 use simkit::{CounterOverflow, EnergyModel, Precision, TaskStream, TileEngine};
-use sparse::{BbcMatrix, CsrMatrix};
+use sparse::{BbcMatrix, CsrMatrix, SparseVector};
 use uni_stc::{UniStc, UniStcConfig};
 
 use crate::cache::{CacheStats, Outcome, SharedCache};
@@ -122,16 +123,34 @@ enum StreamKey {
 struct Prepared {
     engine: String,
     key: StreamKey,
-    kernel: Kernel,
     encoding_cached: bool,
-    a: Arc<BbcMatrix>,
-    b: Option<Arc<BbcMatrix>>,
+    operands: Operands,
     /// A detected fingerprint collision: the job runs alone, past every
     /// cache.
     collided: bool,
     /// The stream admission built and verified, for the stream cache to
     /// hold on a miss instead of building it again.
     stream: Option<Built>,
+}
+
+/// A request's operands with its matrices resolved to BBC encodings: what
+/// the job's [`Invocation`] borrows.
+enum Operands {
+    SpMV(Arc<BbcMatrix>),
+    SpMSpV(Arc<BbcMatrix>, Arc<SparseVector>),
+    SpMM(Arc<BbcMatrix>, usize),
+    SpGEMM(Arc<BbcMatrix>, Arc<BbcMatrix>),
+}
+
+impl Operands {
+    fn invocation(&self) -> Invocation<'_> {
+        match self {
+            Operands::SpMV(a) => Invocation::SpMV(a),
+            Operands::SpMSpV(a, x) => Invocation::SpMSpV(a, x),
+            Operands::SpMM(a, n_cols) => Invocation::SpMM(a, *n_cols),
+            Operands::SpGEMM(a, b) => Invocation::SpGEMM(a, b),
+        }
+    }
 }
 
 /// A compiled counted stream, or the overflow that makes its report
@@ -486,7 +505,7 @@ fn execute(
     let batch_size = members.len();
     let admitted = members[0].0.stream.take();
     let (first, first_job) = &members[0];
-    let (kernel, engine_name) = (first.kernel, first.engine.clone());
+    let (kernel, engine_name) = (first.operands.invocation().kernel(), first.engine.clone());
     let Some(engine) = engines.get(&engine_name) else {
         // Unreachable: `prepare` validated the name. Answer anyway.
         for (_, job) in members {
@@ -500,7 +519,7 @@ fn execute(
         &shared.streams,
         &first.key,
         |ids, (held, _)| ids.same_request(held, sources),
-        || (sources.clone(), admitted.unwrap_or_else(|| compile(first, sources))),
+        || (sources.clone(), admitted.unwrap_or_else(|| first.operands.invocation().stream())),
     );
     shared
         .metrics()
@@ -698,82 +717,42 @@ fn prepare(
     }
     let mut job = Lookups { ids, collided: false };
     let sources = &req.kernel;
-    let (key, a, b, encoding_cached, stream) = match sources {
+    let (key, operands, encoding_cached) = match sources {
         KernelRequest::SpMV { a } => {
             let (a, fp, hit) = resolve(a, shared, &mut job);
-            let key = StreamKey::Spmv { a: fp };
-            let built = admit(verifier, shared, &mut job, &key, sources, Invocation::SpMV(&a))?;
-            (key, a, None, hit, built)
+            (StreamKey::Spmv { a: fp }, Operands::SpMV(a), hit)
         }
         KernelRequest::SpMSpV { a, x } => {
             let (a, fp, hit) = resolve(a, shared, &mut job);
             let key = StreamKey::Spmspv { a: fp, x: job.ids.vector(x) };
-            let inv = Invocation::SpMSpV(&a, x);
-            let built = admit(verifier, shared, &mut job, &key, sources, inv)?;
-            // Like the SpGEMM grid gate below, this holds with admission
-            // off: a mismatched `x` would silently mask blocks.
-            if x.dim() != a.ncols() {
-                return Err(JobError::Rejected {
-                    code: "USTC012".to_owned(),
-                    message: analysis::spmspv_shape_message(&a, x),
-                });
-            }
-            (key, a, None, hit, built)
+            (key, Operands::SpMSpV(a, Arc::clone(x)), hit)
         }
         KernelRequest::SpMM { a, n_cols } => {
             let (a, fp, hit) = resolve(a, shared, &mut job);
-            let key = StreamKey::Spmm { a: fp, n_cols: *n_cols };
-            let inv = Invocation::SpMM(&a, *n_cols);
-            let built = admit(verifier, shared, &mut job, &key, sources, inv)?;
-            (key, a, None, hit, built)
+            (StreamKey::Spmm { a: fp, n_cols: *n_cols }, Operands::SpMM(a, *n_cols), hit)
         }
         KernelRequest::SpGEMM { a, b } => {
             let (a, fp_a, hit_a) = resolve(a, shared, &mut job);
             let (b, fp_b, hit_b) = resolve(b, shared, &mut job);
-            let key = StreamKey::Spgemm { a: fp_a, b: fp_b };
-            let inv = Invocation::SpGEMM(&a, &b);
-            let built = admit(verifier, shared, &mut job, &key, sources, inv)?;
-            // The task compiler cannot represent a non-conforming grid
-            // (it would panic), so this gate holds even with admission
-            // off — the same `USTC012` the verifier reports.
-            if a.block_cols() != b.block_rows() {
-                return Err(JobError::Rejected {
-                    code: "USTC012".to_owned(),
-                    message: analysis::spgemm_shape_message(&a, &b),
-                });
-            }
-            (key, a, Some(b), hit_a && hit_b, built)
+            (StreamKey::Spgemm { a: fp_a, b: fp_b }, Operands::SpGEMM(a, b), hit_a && hit_b)
         }
     };
-    Ok(Prepared {
-        engine,
-        key,
-        kernel: sources.kernel(),
-        encoding_cached,
-        a,
-        b,
-        collided: job.collided,
-        stream,
-    })
-}
-
-/// Compiles the counted task stream for an admitted job — exactly the
-/// stream the serial driver would run, so caching it preserves
-/// bit-identity.
-fn compile(p: &Prepared, req: &KernelRequest) -> Built {
-    match (req, &p.b) {
-        (KernelRequest::SpMV { .. }, _) => Ok(driver::spmv_stream(&p.a)),
-        (KernelRequest::SpMSpV { x, .. }, _) => Ok(driver::spmspv_stream(&p.a, x)),
-        (KernelRequest::SpMM { n_cols, .. }, _) => driver::spmm_stream(&p.a, *n_cols),
-        (KernelRequest::SpGEMM { .. }, Some(b)) => Ok(driver::spgemm_stream(&p.a, b)),
-        (KernelRequest::SpGEMM { .. }, None) => Ok(TaskStream::default()),
-    }
+    let inv = operands.invocation();
+    let stream = admit(verifier, shared, &mut job, &key, sources, inv)?;
+    // The walk's shape check holds even with admission off: the walk
+    // cannot represent non-conforming SpGEMM grids, and an `x` of the
+    // wrong length would silently mask blocks. Admission reports the
+    // same `USTC012` first.
+    inv.check_shape()
+        .map_err(|message| JobError::Rejected { code: "USTC012".to_owned(), message })?;
+    Ok(Prepared { engine, key, encoding_cached, operands, collided: job.collided, stream })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::identity::tests::degenerate;
+    use simkit::driver;
     use sparse::CooMatrix;
 
     /// A service whose operand fingerprints all collide, so only

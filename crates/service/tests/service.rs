@@ -211,18 +211,32 @@ fn admission_verdicts_are_memoized_per_fingerprint() {
 #[test]
 fn admission_off_still_rejects_nonconforming_spgemm() {
     // 32x32 (2x2 blocks) times 64x64 (4x4 blocks): the grids do not
-    // conform, so the task compiler cannot even represent the stream.
+    // conform, so the task walk cannot even represent the stream. One
+    // shape check answers with admission on and off alike; admission
+    // renders it as a diagnostic around the same message.
     let a = diag_csr(32);
     let b = diag_csr(64);
-    let cfg = ServiceConfig { admission: false, ..ServiceConfig::default() };
-    let svc = Service::start(cfg);
-    let err = svc
-        .submit(JobRequest::new(KernelRequest::SpGEMM { a: a.into(), b: b.into() }))
-        .wait()
-        .expect_err("non-conforming grids must be rejected even without admission");
-    match err {
-        JobError::Rejected { code, .. } => assert_eq!(code, "USTC012"),
-        other => panic!("expected Rejected, got {other:?}"),
+    let (bbc_a, bbc_b) = (BbcMatrix::from_csr(&a), BbcMatrix::from_csr(&b));
+    let shape = driver::Invocation::SpGEMM(&bbc_a, &bbc_b).check_shape().unwrap_err();
+    assert_eq!(shape, "SpGEMM block grids do not conform (2x2 blocks vs 4x4)");
+    for admission in [true, false] {
+        let svc = Service::start(ServiceConfig { admission, ..ServiceConfig::default() });
+        let err = svc
+            .submit(JobRequest::new(KernelRequest::SpGEMM {
+                a: a.clone().into(),
+                b: b.clone().into(),
+            }))
+            .wait()
+            .expect_err("non-conforming grids must be rejected even without admission");
+        match err {
+            JobError::Rejected { code, message } => {
+                assert_eq!(code, "USTC012", "admission={admission}");
+                assert!(message.contains(&shape), "admission={admission}: {message}");
+            }
+            other => panic!("admission={admission}: expected Rejected, got {other:?}"),
+        }
+        let m = svc.shutdown();
+        assert_eq!(m.counter("service/jobs_rejected"), 1, "admission={admission}");
     }
 }
 
@@ -304,7 +318,8 @@ fn wide_spmm_under_admission_is_answered_promptly() {
             .submit(JobRequest::new(KernelRequest::SpMM { a: a.clone().into(), n_cols }))
             .wait();
         assert!(started.elapsed().as_secs_f64() < 1.0, "n_cols {n_cols}: {:?}", started.elapsed());
-        let expected = driver::spmm_stream(&bbc, n_cols)
+        let expected = driver::Invocation::SpMM(&bbc, n_cols)
+            .stream()
             .and_then(|s| driver::run_stream(&engine, &em, driver::Kernel::SpMM, &s));
         match (got, expected) {
             (Ok(got), Ok(expected)) => assert_eq!(got.report, expected, "n_cols {n_cols}"),

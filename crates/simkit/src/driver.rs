@@ -5,7 +5,8 @@
 //! (SpMV / SpMSpV) and 2 (SpMM / SpGEMM): the software level enumerates the
 //! nonzero 16x16 blocks via the BBC outer CSR, performs the top-level
 //! bitmap check (Algorithm 2 line 13) and issues one UWMMA T1 task per
-//! surviving block pair.
+//! surviving block pair. That walk is written once, as [`Invocation`];
+//! the `run_<kernel>` and `<kernel>_tasks` entry points compose it.
 //!
 //! The bitmap algebra behind task generation (block decode,
 //! [`Block16::products_with`], [`Block16::mul_structure`]) runs on
@@ -15,6 +16,7 @@
 use sparse::{BbcMatrix, SparseVector};
 
 use crate::result::add_scaled;
+use crate::stream::StreamBuilder;
 use crate::{
     Block16, CounterOverflow, EnergyBreakdown, EnergyModel, EventCounts, T1Result, T1Task,
     TaskStream, TileEngine, UtilHistogram,
@@ -320,7 +322,7 @@ fn empty_report(
 ///
 /// Panics if building or running the stream overflows a report counter.
 /// Only an SpMM whose `n_cols` is near `usize::MAX / 16` can get there;
-/// the fallible path is [`spmm_stream`] plus [`run_stream`].
+/// the fallible path is [`Invocation::stream`] plus [`run_stream`].
 fn fitted(
     engine: &dyn TileEngine,
     energy_model: &EnergyModel,
@@ -337,32 +339,181 @@ fn fitted(
     run.unwrap_or_else(|_| empty_report(engine, energy_model, kernel))
 }
 
-/// The T1 task stream of an SpMV invocation, in stored-block order: one MV
-/// task per stored 16x16 block of `A`.
+/// The operands of one kernel invocation: everything that fixes its T1
+/// task stream.
 ///
-/// This is the task list [`run_spmv`] executes (in counted form,
-/// [`spmv_stream`]); materialising it lets a scheduler shard the same
-/// tasks across workers and still merge a bit-identical [`KernelReport`].
-pub fn spmv_tasks(a: &BbcMatrix) -> Vec<T1Task> {
-    spmv_iter(a).collect()
+/// Its walk is the software level of Algorithms 1 and 2: the stored
+/// 16x16 blocks of `A` in storage (row-major) order, each issuing its T1
+/// tasks ([`Invocation::visit_block`]). It is the one place that knows
+/// which tasks, with which counts, a kernel issues. The counted stream
+/// ([`Invocation::stream`]), the task list ([`Invocation::tasks`]), the
+/// verifier, the UWMMA compiler, multi-unit replay and the service all
+/// read it.
+#[derive(Debug, Clone, Copy)]
+pub enum Invocation<'a> {
+    /// SpMV (`y = A x`, dense `x`): one MV task per stored block.
+    SpMV(&'a BbcMatrix),
+    /// SpMSpV (`y = A x`, sparse `x`): one MV task per stored block whose
+    /// 16-element `x` segment holds at least one nonzero.
+    SpMSpV(&'a BbcMatrix, &'a SparseVector),
+    /// SpMM (`C = A B`, dense `B` with this many columns):
+    /// `ceil(n_cols / 16)` MM tasks per stored block, each against a dense
+    /// B block. A zero-column `B` is a degenerate but valid request: it
+    /// issues no tasks.
+    SpMM(&'a BbcMatrix, usize),
+    /// SpGEMM (`C = A B`, both sparse): for every stored `A(i, k)`, one MM
+    /// task per stored `B(k, j)`, in B-row order. The engine-side bitmap
+    /// check (Algorithm 2 line 13) drops the trivial pairs.
+    SpGEMM(&'a BbcMatrix, &'a BbcMatrix),
 }
 
-/// [`spmv_tasks`] in counted form.
-pub fn spmv_stream(a: &BbcMatrix) -> TaskStream {
-    spmv_iter(a).collect()
+impl<'a> Invocation<'a> {
+    /// The kernel this invocation runs.
+    pub fn kernel(&self) -> Kernel {
+        match self {
+            Invocation::SpMV(_) => Kernel::SpMV,
+            Invocation::SpMSpV(..) => Kernel::SpMSpV,
+            Invocation::SpMM(..) => Kernel::SpMM,
+            Invocation::SpGEMM(..) => Kernel::SpGEMM,
+        }
+    }
+
+    /// The sparse matrix `A` whose stored blocks the walk visits.
+    pub fn a(&self) -> &'a BbcMatrix {
+        match *self {
+            Invocation::SpMV(a)
+            | Invocation::SpMSpV(a, _)
+            | Invocation::SpMM(a, _)
+            | Invocation::SpGEMM(a, _) => a,
+        }
+    }
+
+    /// The walk's shape precondition. SpGEMM needs conforming block grids
+    /// (`a.block_cols() == b.block_rows()`): otherwise `B` has no block row
+    /// for some block column of `A`, and the walk panics. SpMSpV needs
+    /// `x.dim() == a.ncols()`: an `x` of another length would mask blocks
+    /// against segments `x` does not have. SpMV and SpMM always conform.
+    ///
+    /// # Errors
+    ///
+    /// The message of the `USTC012` rejection that the verifier and the
+    /// service report.
+    pub fn check_shape(&self) -> Result<(), String> {
+        match *self {
+            Invocation::SpMSpV(a, x) if x.dim() != a.ncols() => Err(format!(
+                "SpMSpV operand shapes do not conform: x has length {} but A is {}x{}",
+                x.dim(),
+                a.nrows(),
+                a.ncols()
+            )),
+            Invocation::SpGEMM(a, b) if a.block_cols() != b.block_rows() => Err(format!(
+                "SpGEMM block grids do not conform ({}x{} blocks vs {}x{})",
+                a.block_rows(),
+                a.block_cols(),
+                b.block_rows(),
+                b.block_cols()
+            )),
+            _ => Ok(()),
+        }
+    }
+
+    /// Calls `f(task, count)` on the T1 tasks that stored block `bi` of
+    /// `A` issues, in issue order. Every count is at least 1: an SpMM
+    /// block issues its full-width B blocks as one entry and the narrower
+    /// tail as a second, so a visit costs the same at any `n_cols`; every
+    /// other task has count 1. Trivial tasks are not filtered out: the
+    /// engine-side bitmap check drops them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bi >= a.block_count()`, or for SpGEMM if the block grids
+    /// do not conform ([`Invocation::check_shape`]).
+    pub fn visit_block(&self, bi: usize, mut f: impl FnMut(T1Task, u64)) {
+        let blk = self.a().block(bi);
+        match *self {
+            Invocation::SpMV(_) => f(T1Task::mv(Block16::from_bbc(&blk), u16::MAX), 1),
+            Invocation::SpMSpV(_, x) => {
+                let mask = x.segment_mask16(blk.block_col);
+                if mask != 0 {
+                    f(T1Task::mv(Block16::from_bbc(&blk), mask), 1);
+                }
+            }
+            Invocation::SpMM(_, n_cols) => {
+                let a_bits = Block16::from_bbc(&blk);
+                let (full, tail) = (n_cols / 16, n_cols % 16);
+                if full > 0 {
+                    f(T1Task::mm(a_bits, Block16::dense()), full as u64);
+                }
+                if tail > 0 {
+                    f(T1Task::mm(a_bits, Block16::dense().keep_cols(tail)), 1);
+                }
+            }
+            Invocation::SpGEMM(a, b) => {
+                assert_eq!(a.block_cols(), b.block_rows(), "SpGEMM block grids do not conform");
+                let a_bits = Block16::from_bbc(&blk);
+                for bj in b.blocks_in_row(blk.block_col) {
+                    f(T1Task::mm(a_bits, Block16::from_bbc(&b.block(bj))), 1);
+                }
+            }
+        }
+    }
+
+    /// The invocation's counted stream: each distinct T1 task once, at its
+    /// first appearance in issue order, with its multiplicity. This is the
+    /// stream [`run_stream`] executes, the verifier checks and the service
+    /// caches; it is built without materialising the task list, in
+    /// O(blocks) host memory for any `n_cols`.
+    ///
+    /// # Errors
+    ///
+    /// [`CounterOverflow`] if the stream stands for more than `u64::MAX`
+    /// tasks (SpMM only).
+    ///
+    /// # Panics
+    ///
+    /// As [`Invocation::visit_block`], for non-conforming SpGEMM grids.
+    pub fn stream(&self) -> Result<TaskStream, CounterOverflow> {
+        let mut stream = StreamBuilder::default();
+        let mut built = Ok(());
+        for bi in 0..self.a().block_count() {
+            self.visit_block(bi, |task, count| {
+                built = built.and_then(|()| stream.push(task, count));
+            });
+        }
+        built.map(|()| stream.finish())
+    }
+
+    /// The invocation's T1 tasks one by one, in issue order: the
+    /// expansion of [`Invocation::stream`], which lets a scheduler shard
+    /// the same tasks across workers and feeds the ordered traced path.
+    ///
+    /// # Panics
+    ///
+    /// As [`Invocation::stream`].
+    pub fn tasks(&self) -> Vec<T1Task> {
+        let mut tasks = Vec::new();
+        for bi in 0..self.a().block_count() {
+            self.visit_block(bi, |task, count| {
+                tasks.extend(std::iter::repeat_n(task, count as usize));
+            });
+        }
+        tasks
+    }
 }
 
-fn spmv_iter(a: &BbcMatrix) -> impl Iterator<Item = T1Task> + '_ {
-    a.blocks().map(|blk| T1Task::mv(Block16::from_bbc(&blk), u16::MAX))
-}
-
-/// SpMV (`y = A x`, dense `x`): one MV task per stored 16x16 block of `A`.
+/// SpMV (`y = A x`, dense `x`): the counted stream of
+/// [`Invocation::SpMV`].
 pub fn run_spmv(
     engine: &dyn TileEngine,
     energy_model: &EnergyModel,
     a: &BbcMatrix,
 ) -> KernelReport {
-    fitted(engine, energy_model, Kernel::SpMV, Ok(spmv_stream(a)))
+    fitted(engine, energy_model, Kernel::SpMV, Invocation::SpMV(a).stream())
+}
+
+/// The tasks of [`Invocation::SpMV`] ([`Invocation::tasks`]).
+pub fn spmv_tasks(a: &BbcMatrix) -> Vec<T1Task> {
+    Invocation::SpMV(a).tasks()
 }
 
 /// SpMV under a fault plan: injects bit flips into a copy of `a`, checks
@@ -388,108 +539,46 @@ pub fn run_spmv_faulted(
     rep
 }
 
-/// SpMSpV (`y = A x`, sparse `x`): one MV task per stored block whose
-/// 16-element x-segment holds at least one nonzero.
+/// SpMSpV (`y = A x`, sparse `x`): the counted stream of
+/// [`Invocation::SpMSpV`].
 pub fn run_spmspv(
     engine: &dyn TileEngine,
     energy_model: &EnergyModel,
     a: &BbcMatrix,
     x: &SparseVector,
 ) -> KernelReport {
-    fitted(engine, energy_model, Kernel::SpMSpV, Ok(spmspv_stream(a, x)))
+    fitted(engine, energy_model, Kernel::SpMSpV, Invocation::SpMSpV(a, x).stream())
 }
 
-/// The T1 task stream of an SpMSpV invocation (see [`spmv_tasks`]): stored
-/// blocks whose 16-element x-segment holds at least one nonzero.
+/// The tasks of [`Invocation::SpMSpV`] ([`Invocation::tasks`]).
 pub fn spmspv_tasks(a: &BbcMatrix, x: &SparseVector) -> Vec<T1Task> {
-    spmspv_iter(a, x).collect()
+    Invocation::SpMSpV(a, x).tasks()
 }
 
-/// [`spmspv_tasks`] in counted form.
-pub fn spmspv_stream(a: &BbcMatrix, x: &SparseVector) -> TaskStream {
-    spmspv_iter(a, x).collect()
-}
-
-fn spmspv_iter<'a>(a: &'a BbcMatrix, x: &'a SparseVector) -> impl Iterator<Item = T1Task> + 'a {
-    a.blocks().filter_map(|blk| {
-        let mask = x.segment_mask16(blk.block_col);
-        if mask == 0 {
-            None
-        } else {
-            Some(T1Task::mv(Block16::from_bbc(&blk), mask))
-        }
-    })
-}
-
-/// SpMM (`C = A B`, dense `B` with `n_cols` columns): `ceil(n_cols / 16)`
-/// MM tasks per stored block of `A`, each against a dense B block.
-///
-/// A zero-column `B` is a degenerate but valid request (the product has
-/// zero columns): the report simply carries no tasks, matching the numeric
-/// dataflow's treatment of an empty `B`.
+/// SpMM (`C = A B`, dense `B` with `n_cols` columns): the counted stream
+/// of [`Invocation::SpMM`].
 ///
 /// # Panics
 ///
 /// Panics if a report counter overflows `u64` (an `n_cols` in the order
-/// of `usize::MAX / 16`); [`spmm_stream`] with [`run_stream`] reports it
-/// as an error instead.
+/// of `usize::MAX / 16`); [`Invocation::stream`] with [`run_stream`]
+/// reports it as an error instead.
 pub fn run_spmm(
     engine: &dyn TileEngine,
     energy_model: &EnergyModel,
     a: &BbcMatrix,
     n_cols: usize,
 ) -> KernelReport {
-    fitted(engine, energy_model, Kernel::SpMM, spmm_stream(a, n_cols))
+    fitted(engine, energy_model, Kernel::SpMM, Invocation::SpMM(a, n_cols).stream())
 }
 
-/// The T1 task stream of an SpMM invocation (see [`spmv_tasks`]):
-/// `ceil(n_cols / 16)` MM tasks per stored block of `A`. Empty when
-/// `n_cols == 0`.
+/// The tasks of [`Invocation::SpMM`] ([`Invocation::tasks`]).
 pub fn spmm_tasks(a: &BbcMatrix, n_cols: usize) -> Vec<T1Task> {
-    let (col_blocks, tail) = spmm_col_blocks(n_cols);
-    a.blocks()
-        .flat_map(move |blk| {
-            let a_bits = Block16::from_bbc(&blk);
-            (0..col_blocks).map(move |cb| {
-                let width = if cb + 1 == col_blocks { tail } else { 16 };
-                T1Task::mm(a_bits, Block16::dense().keep_cols(width))
-            })
-        })
-        .collect()
+    Invocation::SpMM(a, n_cols).tasks()
 }
 
-/// [`spmm_tasks`] in counted form, built without materialising the task
-/// list: at most two entries per stored block of `A` (full-width B blocks
-/// and the narrower tail), so host memory is O(blocks) for any `n_cols`.
-///
-/// # Errors
-///
-/// [`CounterOverflow`] if the stream stands for more than `u64::MAX`
-/// tasks.
-pub fn spmm_stream(a: &BbcMatrix, n_cols: usize) -> Result<TaskStream, CounterOverflow> {
-    let (col_blocks, tail) = spmm_col_blocks(n_cols);
-    let full = if tail == 16 { col_blocks } else { col_blocks.saturating_sub(1) };
-    let tail_count = u64::from(tail < 16 && col_blocks > 0);
-    TaskStream::try_from_counted(a.blocks().flat_map(|blk| {
-        let a_bits = Block16::from_bbc(&blk);
-        [
-            (T1Task::mm(a_bits, Block16::dense()), full as u64),
-            (T1Task::mm(a_bits, Block16::dense().keep_cols(tail)), tail_count),
-        ]
-    }))
-}
-
-/// `(ceil(n_cols / 16), width of the last column block)`; `(0, 0)` for
-/// `n_cols == 0`.
-fn spmm_col_blocks(n_cols: usize) -> (usize, usize) {
-    let col_blocks = n_cols.div_ceil(16);
-    (col_blocks, n_cols - col_blocks.saturating_sub(1) * 16)
-}
-
-/// SpGEMM (`C = A B`, both sparse): the block-level outer-product walk of
-/// Algorithm 2 — for every stored `A(i, k)` and every stored `B(k, j)`,
-/// issue one MM task (the top-level bitmap product check drops trivial
-/// pairs).
+/// SpGEMM (`C = A B`, both sparse): the counted stream of
+/// [`Invocation::SpGEMM`].
 ///
 /// # Panics
 ///
@@ -501,47 +590,16 @@ pub fn run_spgemm(
     a: &BbcMatrix,
     b: &BbcMatrix,
 ) -> KernelReport {
-    fitted(engine, energy_model, Kernel::SpGEMM, Ok(spgemm_stream(a, b)))
+    fitted(engine, energy_model, Kernel::SpGEMM, Invocation::SpGEMM(a, b).stream())
 }
 
-/// The T1 task stream of an SpGEMM invocation (see [`spmv_tasks`]): the
-/// block-level outer-product walk of Algorithm 2.
+/// The tasks of [`Invocation::SpGEMM`] ([`Invocation::tasks`]).
 ///
 /// # Panics
 ///
-/// Panics if the block grids do not conform (`a.block_cols() !=
-/// b.block_rows()`).
+/// Panics if the block grids do not conform.
 pub fn spgemm_tasks(a: &BbcMatrix, b: &BbcMatrix) -> Vec<T1Task> {
-    spgemm_iter(a, b).collect()
-}
-
-/// [`spgemm_tasks`] in counted form, built without materialising the task
-/// list.
-///
-/// # Panics
-///
-/// As [`spgemm_tasks`].
-pub fn spgemm_stream(a: &BbcMatrix, b: &BbcMatrix) -> TaskStream {
-    spgemm_iter(a, b).collect()
-}
-
-fn spgemm_iter<'a>(a: &'a BbcMatrix, b: &'a BbcMatrix) -> impl Iterator<Item = T1Task> + 'a {
-    assert_eq!(
-        a.block_cols(),
-        b.block_rows(),
-        "SpGEMM block grids do not conform"
-    );
-    (0..a.block_rows()).flat_map(move |bi| {
-        a.blocks_in_row(bi).flat_map(move |ai| {
-            let a_blk = a.block(ai);
-            let a_bits = Block16::from_bbc(&a_blk);
-            let k = a_blk.block_col;
-            b.blocks_in_row(k).map(move |bj| {
-                let b_blk = b.block(bj);
-                T1Task::mm(a_bits, Block16::from_bbc(&b_blk))
-            })
-        })
-    })
+    Invocation::SpGEMM(a, b).tasks()
 }
 
 #[cfg(test)]
@@ -737,12 +795,13 @@ mod tests {
         let x = SparseVector::try_new(112, vec![0, 16, 32, 48, 96], vec![1.0; 5]).unwrap();
         let em = EnergyModel::default();
         let cases = [
-            (Kernel::SpMV, spmv_tasks(&a), spmv_stream(&a)),
-            (Kernel::SpMSpV, spmspv_tasks(&a, &x), spmspv_stream(&a, &x)),
-            (Kernel::SpMM, spmm_tasks(&a, 40), spmm_stream(&a, 40).unwrap()),
-            (Kernel::SpGEMM, spgemm_tasks(&a, &a), spgemm_stream(&a, &a)),
+            Invocation::SpMV(&a),
+            Invocation::SpMSpV(&a, &x),
+            Invocation::SpMM(&a, 40),
+            Invocation::SpGEMM(&a, &a),
         ];
-        for (kernel, tasks, stream) in cases {
+        for inv in cases {
+            let (kernel, tasks, stream) = (inv.kernel(), inv.tasks(), inv.stream().unwrap());
             assert_eq!(stream, TaskStream::from(&tasks[..]), "{kernel}");
             assert!(stream.len() < tasks.len(), "{kernel}: patterns repeat");
             let counted = run_stream(&Ideal, &em, kernel, &stream).unwrap();
@@ -754,10 +813,73 @@ mod tests {
     fn spmm_stream_matches_the_task_list_at_every_width() {
         let a = bbc_from(&[(0, 0), (0, 1), (20, 20), (40, 3)], 48);
         for n_cols in [0, 1, 15, 16, 17, 32, 33, 100] {
-            let stream = spmm_stream(&a, n_cols).unwrap();
-            assert_eq!(stream, TaskStream::from(&spmm_tasks(&a, n_cols)[..]), "n_cols={n_cols}");
+            let inv = Invocation::SpMM(&a, n_cols);
+            let stream = inv.stream().unwrap();
+            assert_eq!(stream, TaskStream::from(&inv.tasks()[..]), "n_cols={n_cols}");
             assert!(stream.len() <= 2 * a.block_count(), "n_cols={n_cols}");
         }
+    }
+
+    /// A block holding the single entry `(r, c)`.
+    fn one(r: usize, c: usize) -> Block16 {
+        Block16::from_fn(|i, j| (i, j) == (r, c))
+    }
+
+    #[test]
+    fn every_kernel_issues_its_tasks_in_the_pinned_order() {
+        // Stored blocks in issue order: A(0,0) = p, A(0,2) = p, A(1,1) = q,
+        // A(2,0) = p, A(2,1) = q.
+        let a = bbc_from(&[(0, 0), (0, 32), (17, 17), (32, 0), (33, 17)], 48);
+        let (p, q) = (one(0, 0), one(1, 1));
+        let stream = |inv: Invocation<'_>| inv.stream().unwrap().to_vec();
+
+        // Repeats merge at their first appearance.
+        let dense_x = |bits| T1Task::mv(bits, u16::MAX);
+        assert_eq!(stream(Invocation::SpMV(&a)), [(dense_x(p), 3), (dense_x(q), 2)]);
+
+        // x is nonzero at 0 and 17 only: A(0,2) meets an empty segment
+        // and issues nothing.
+        let x = SparseVector::try_new(48, vec![0, 17], vec![1.0, 1.0]).unwrap();
+        let (px, qx) = (T1Task::mv(p, 0b01), T1Task::mv(q, 0b10));
+        assert_eq!(Invocation::SpMSpV(&a, &x).tasks(), [px, qx, px, qx]);
+        assert_eq!(stream(Invocation::SpMSpV(&a, &x)), [(px, 2), (qx, 2)]);
+
+        // SpMM: full-width B blocks, then the tail, per A block.
+        let mm = |bits, width| T1Task::mm(bits, Block16::dense().keep_cols(width));
+        assert_eq!(stream(Invocation::SpMM(&a, 0)), []);
+        assert_eq!(stream(Invocation::SpMM(&a, 16)), [(mm(p, 16), 3), (mm(q, 16), 2)]);
+        assert_eq!(
+            Invocation::SpMM(&a, 17).tasks(),
+            [mm(p, 16), mm(p, 1), mm(p, 16), mm(p, 1), mm(q, 16), mm(q, 1)]
+                .into_iter()
+                .chain([mm(p, 16), mm(p, 1), mm(q, 16), mm(q, 1)])
+                .collect::<Vec<_>>()
+        );
+        assert_eq!(
+            stream(Invocation::SpMM(&a, 17)),
+            [(mm(p, 16), 3), (mm(p, 1), 3), (mm(q, 16), 2), (mm(q, 1), 2)]
+        );
+        assert_eq!(
+            stream(Invocation::SpMM(&a, 40)),
+            [(mm(p, 16), 6), (mm(p, 8), 3), (mm(q, 16), 4), (mm(q, 8), 2)]
+        );
+
+        // SpGEMM: A blocks row-major, each against its B row in order.
+        // B(0,0) = r1, B(0,1) = r2, B(1,0) = r3, B(2,2) = r4.
+        let b = bbc_from(&[(2, 2), (3, 19), (20, 4), (37, 37)], 48);
+        let (r1, r2, r3, r4) = (one(2, 2), one(3, 3), one(4, 4), one(5, 5));
+        let pair = T1Task::mm;
+        assert_eq!(
+            Invocation::SpGEMM(&a, &b).tasks(),
+            [pair(p, r1), pair(p, r2), pair(p, r4), pair(q, r3)]
+                .into_iter()
+                .chain([pair(p, r1), pair(p, r2), pair(q, r3)])
+                .collect::<Vec<_>>()
+        );
+        assert_eq!(
+            stream(Invocation::SpGEMM(&a, &b)),
+            [(pair(p, r1), 2), (pair(p, r2), 2), (pair(p, r4), 1), (pair(q, r3), 2)]
+        );
     }
 
     #[test]
@@ -765,7 +887,7 @@ mod tests {
         let n_cols = usize::MAX / 2;
         let a = bbc_from(&[(0, 0)], 16);
         // Two entries (full width and tail) stand for ~2^59 tasks.
-        let stream = spmm_stream(&a, n_cols).unwrap();
+        let stream = Invocation::SpMM(&a, n_cols).stream().unwrap();
         assert_eq!(stream.len(), 2);
         assert_eq!(stream.total(), n_cols.div_ceil(16) as u64);
         let err = run_stream(&Ideal, &EnergyModel::default(), Kernel::SpMM, &stream).unwrap_err();
@@ -773,7 +895,7 @@ mod tests {
 
         // 64 blocks of one pattern: the multiplicities alone pass 2^64.
         let wide: Vec<(usize, usize)> = (0..64).map(|b| (16 * b, 16 * b)).collect();
-        let err = spmm_stream(&bbc_from(&wide, 1024), n_cols).unwrap_err();
+        let err = Invocation::SpMM(&bbc_from(&wide, 1024), n_cols).stream().unwrap_err();
         assert_eq!(err.counter, "t1_tasks");
     }
 

@@ -40,44 +40,53 @@ pub struct TaskStream {
 }
 
 impl TaskStream {
-    /// Collapses `(task, count)` pairs into counted form: equal tasks merge
-    /// by adding their counts, zero counts are dropped, and entries keep
-    /// the order in which their task first appeared.
-    ///
-    /// # Errors
-    ///
-    /// [`CounterOverflow`] (`"t1_tasks"`) if the counts add up past
-    /// `u64::MAX`.
-    pub fn try_from_counted<I>(pairs: I) -> Result<Self, CounterOverflow>
-    where
-        I: IntoIterator<Item = (T1Task, u64)>,
-    {
-        let overflow = CounterOverflow { counter: "t1_tasks" };
-        // Keyed by packed bitmaps: equal exactly when the tasks are, and
-        // compared in a few word steps rather than 32 row steps.
-        let mut index: BTreeMap<([u128; 2], [u128; 2], usize), usize> = BTreeMap::new();
-        let mut stream = TaskStream::default();
-        for (task, count) in pairs {
-            if count == 0 {
-                continue;
-            }
-            stream.total = stream.total.checked_add(count).ok_or(overflow)?;
-            match index.entry((task.a.packed(), task.b.packed(), task.n_cols)) {
-                // Cannot overflow: a multiplicity is at most the total.
-                Entry::Occupied(slot) => stream.entries[*slot.get()].1 += count,
-                Entry::Vacant(slot) => {
-                    slot.insert(stream.entries.len());
-                    stream.entries.push((task, count));
-                }
-            }
-        }
-        Ok(stream)
-    }
-
     /// Number of T1 tasks the stream stands for (the sum of all
     /// multiplicities), trivial ones included.
     pub fn total(&self) -> u64 {
         self.total
+    }
+}
+
+/// Collapses `(task, count)` pairs, pushed one at a time, into counted
+/// form: equal tasks merge by adding their counts, zero counts are
+/// dropped, and entries keep the order in which their task first
+/// appeared.
+#[derive(Default)]
+pub(crate) struct StreamBuilder {
+    /// Keyed by packed bitmaps: equal exactly when the tasks are, and
+    /// compared in a few word steps rather than 32 row steps.
+    index: BTreeMap<([u128; 2], [u128; 2], usize), usize>,
+    stream: TaskStream,
+}
+
+impl StreamBuilder {
+    /// Adds `count` copies of `task`.
+    ///
+    /// # Errors
+    ///
+    /// [`CounterOverflow`] (`"t1_tasks"`) if the counts add up past
+    /// `u64::MAX`; the stream is then unchanged.
+    pub(crate) fn push(&mut self, task: T1Task, count: u64) -> Result<(), CounterOverflow> {
+        if count == 0 {
+            return Ok(());
+        }
+        let stream = &mut self.stream;
+        stream.total =
+            stream.total.checked_add(count).ok_or(CounterOverflow { counter: "t1_tasks" })?;
+        match self.index.entry((task.a.packed(), task.b.packed(), task.n_cols)) {
+            // Cannot overflow: a multiplicity is at most the total.
+            Entry::Occupied(slot) => stream.entries[*slot.get()].1 += count,
+            Entry::Vacant(slot) => {
+                slot.insert(stream.entries.len());
+                stream.entries.push((task, count));
+            }
+        }
+        Ok(())
+    }
+
+    /// The stream built so far.
+    pub(crate) fn finish(self) -> TaskStream {
+        self.stream
     }
 }
 
@@ -91,9 +100,16 @@ impl std::ops::Deref for TaskStream {
 
 impl FromIterator<T1Task> for TaskStream {
     fn from_iter<I: IntoIterator<Item = T1Task>>(tasks: I) -> Self {
-        // Unit counts: the total can only overflow after 2^64 items, so
-        // the error branch is unreachable for any iterator that ends.
-        Self::try_from_counted(tasks.into_iter().map(|t| (t, 1))).unwrap_or_default()
+        let mut stream = StreamBuilder::default();
+        for task in tasks {
+            // Unit counts: the total can only overflow after 2^64 items,
+            // so the error branch is unreachable for any iterator that
+            // ends.
+            if stream.push(task, 1).is_err() {
+                break;
+            }
+        }
+        stream.finish()
     }
 }
 
@@ -123,7 +139,9 @@ mod tests {
 
     #[test]
     fn empty_and_zero_counts() {
-        let stream = TaskStream::try_from_counted([(mv(1), 0)]).unwrap();
+        let mut stream = StreamBuilder::default();
+        stream.push(mv(1), 0).unwrap();
+        let stream = stream.finish();
         assert!(stream.is_empty());
         assert_eq!(stream.total(), 0);
         assert_eq!(TaskStream::from(&[][..]), TaskStream::default());
@@ -131,9 +149,12 @@ mod tests {
 
     #[test]
     fn total_overflow_is_an_error() {
-        let err = TaskStream::try_from_counted([(mv(1), u64::MAX), (mv(2), 1)]).unwrap_err();
+        let mut stream = StreamBuilder::default();
+        stream.push(mv(1), u64::MAX - 1).unwrap();
+        stream.push(mv(1), 1).unwrap();
+        let err = stream.push(mv(2), 1).unwrap_err();
         assert_eq!(err.counter, "t1_tasks");
-        let max = TaskStream::try_from_counted([(mv(1), u64::MAX - 1), (mv(1), 1)]).unwrap();
-        assert_eq!(&max[..], &[(mv(1), u64::MAX)]);
+        // The overflowing push left the stream as it was.
+        assert_eq!(&stream.finish()[..], &[(mv(1), u64::MAX)]);
     }
 }

@@ -102,22 +102,17 @@ pub fn representative_matrices() -> Vec<Representative> {
 /// of a matrix — the quantity Table VII calls `#inter-prod/blk`.
 pub fn inter_products_per_block(a: &CsrMatrix) -> f64 {
     let bbc = sparse::BbcMatrix::from_csr(a);
+    let square = simkit::driver::Invocation::SpGEMM(&bbc, &bbc);
     let mut products = 0u64;
     let mut tasks = 0u64;
-    for bi in 0..bbc.block_rows() {
-        for ai in bbc.blocks_in_row(bi) {
-            let a_blk = bbc.block(ai);
-            let a_bits = simkit::Block16::from_bbc(&a_blk);
-            for bj in bbc.blocks_in_row(a_blk.block_col) {
-                let b_blk = bbc.block(bj);
-                let b_bits = simkit::Block16::from_bbc(&b_blk);
-                let p = a_bits.products_with(&b_bits);
-                if p > 0 {
-                    products += p;
-                    tasks += 1;
-                }
+    for bi in 0..bbc.block_count() {
+        square.visit_block(bi, |task, count| {
+            let p = task.products();
+            if p > 0 {
+                products += p * count;
+                tasks += count;
             }
-        }
+        });
     }
     if tasks == 0 {
         0.0

@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use bench::{headline_engines, MatrixCtx, KERNELS};
 use runtime::{Backoff, ChaosPlan, PlannedRunError, RuntimeConfig, ShardPlan, TaskOutcome};
-use simkit::driver;
+use simkit::driver::{self, Invocation};
 use simkit::{EnergyModel, Precision};
 use uni_stc::multi::DegradedError;
 use uni_stc::{UniStc, UniStcConfig};
@@ -288,12 +288,13 @@ fn two_thread_conformance_smoke() {
         let bbc_b = BbcMatrix::from_csr(&bt);
         let engine = UniStc::new(UniStcConfig::with_precision(Precision::Fp64));
         let cases = [
-            (driver::run_spmv(&engine, &em, &bbc), driver::spmv_stream(&bbc)),
-            (driver::run_spmspv(&engine, &em, &bbc, &sx), driver::spmspv_stream(&bbc, &sx)),
-            (driver::run_spmm(&engine, &em, &bbc, 20), driver::spmm_stream(&bbc, 20).expect("fit")),
-            (driver::run_spgemm(&engine, &em, &bbc, &bbc_b), driver::spgemm_stream(&bbc, &bbc_b)),
+            (driver::run_spmv(&engine, &em, &bbc), Invocation::SpMV(&bbc)),
+            (driver::run_spmspv(&engine, &em, &bbc, &sx), Invocation::SpMSpV(&bbc, &sx)),
+            (driver::run_spmm(&engine, &em, &bbc, 20), Invocation::SpMM(&bbc, 20)),
+            (driver::run_spgemm(&engine, &em, &bbc, &bbc_b), Invocation::SpGEMM(&bbc, &bbc_b)),
         ];
-        for (s, stream) in cases {
+        for (s, inv) in cases {
+            let stream = inv.stream().expect("fits");
             // The service's parallel path: a contiguous plan over the
             // counted stream's distinct entries.
             let plan = ShardPlan::contiguous(stream.len(), cfg.threads);
