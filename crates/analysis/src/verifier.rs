@@ -38,7 +38,7 @@ use crate::model::{active_dpgs, route_tasks, StreamModel, T3Node, DOT_QUEUE_CAP,
 fn first_block(inv: Invocation<'_>, task: &T1Task) -> Option<usize> {
     (0..inv.a().block_count()).find(|&bi| {
         let mut issued = false;
-        inv.visit_block(bi, |t, _| issued |= t == *task);
+        inv.visit_block(bi, |t, _, _| issued |= t == *task);
         issued
     })
 }

@@ -15,7 +15,8 @@
 //! * `block_products` and `block_mul_structure` on every `(a, b)` pair of
 //!   the four kernels' counted task streams;
 //! * `segment_dot` on every tile pair, pattern and `(m, n)` the Uni-STC
-//!   numeric dataflow (`uni_stc::kernels`) evaluates;
+//!   numeric dataflow evaluates, on the tasks and tiles its walk
+//!   (`uni_stc::kernels::walk`) hands it;
 //! * `dot_gather`, `axpy`, `or_into` and `collect_set_bits` on the inputs
 //!   the `sparse::ops` reference kernels give them.
 //!
@@ -29,6 +30,7 @@ use simkit::{Block16, TaskStream};
 use sparse::kernels::{BitKernels, BitwiseKernels, ScalarKernels};
 use sparse::{BbcMatrix, CsrMatrix, DenseMatrix, SparseVector};
 use uni_stc::dpg::expand_t3;
+use uni_stc::kernels::{self, NumericTask};
 use uni_stc::tms::generate_t3_tasks;
 use uni_stc::UniStcConfig;
 
@@ -63,26 +65,6 @@ fn f64_bits(v: &[f64]) -> Vec<u64> {
 
 fn block_rows(b: &Block16) -> [u16; 16] {
     std::array::from_fn(|r| b.row_mask(r))
-}
-
-/// Tile `(tk, tj)` of the 16×16 block at block coordinates `(bk, bn)` of
-/// a dense operand, zero-padded past its edges: how the dataflow reads a
-/// dense `x` (one column) or `B`.
-fn dense_tile(b: &DenseMatrix, bk: usize, bn: usize, tk: usize, tj: usize) -> [f64; 16] {
-    let mut t = [0.0; 16];
-    for er in 0..4 {
-        let r = bk * 16 + tk * 4 + er;
-        if r >= b.nrows() {
-            continue;
-        }
-        for ec in 0..4 {
-            let c = bn * 16 + tj * 4 + ec;
-            if c < b.ncols() {
-                t[er * 4 + ec] = b.row(r)[c];
-            }
-        }
-    }
-    t
 }
 
 impl<R: BitKernels, C: BitKernels> Pair<'_, R, C> {
@@ -130,18 +112,11 @@ impl<R: BitKernels, C: BitKernels> Pair<'_, R, C> {
 
     /// `segment_dot` on every T4 code of one dataflow T1 task, with the
     /// A and B tiles the dataflow reads for it.
-    fn segments(
-        &self,
-        label: &str,
-        a_bits: &Block16,
-        b_bits: &Block16,
-        a_tile: impl Fn(usize, usize) -> [f64; 16],
-        b_tile: impl Fn(usize, usize) -> [f64; 16],
-    ) -> Result<(), String> {
+    fn segments(&self, label: &str, t: &NumericTask<'_>) -> Result<(), String> {
         let cfg = UniStcConfig::default();
-        for t3 in generate_t3_tasks(a_bits, b_bits, cfg.ordering) {
+        for t3 in generate_t3_tasks(&t.task.a, &t.task.b, cfg.ordering) {
             let (i, j, k) = (usize::from(t3.i), usize::from(t3.j), usize::from(t3.k));
-            let (at, bt) = (a_tile(i, k), b_tile(k, j));
+            let (at, bt) = (t.a_tile(i, k), t.b_tile(k, j));
             for code in expand_t3(t3.a_tile, t3.b_tile, cfg.fill_order) {
                 let (p, m, n) = (code.pattern, usize::from(code.m), usize::from(code.n));
                 let (want, want_lanes) = self.reference.segment_dot(p, &at, &bt, m, n);
@@ -153,40 +128,16 @@ impl<R: BitKernels, C: BitKernels> Pair<'_, R, C> {
         Ok(())
     }
 
-    /// Every `segment_dot` of the four dataflow kernels, walking the
-    /// blocks exactly as `uni_stc::kernels` does.
-    fn dataflow(&self, ops: &Operands) -> Result<(), String> {
-        let x = DenseMatrix::from_row_major(ops.x.len(), 1, ops.x.clone());
-        let sx = DenseMatrix::from_row_major(ops.sx.dim(), 1, ops.sx.to_dense());
-        let col_blocks = ops.b.ncols().div_ceil(16);
-        for blk in ops.bbc.blocks() {
-            let a_bits = Block16::from_bbc(&blk);
-            let a_tile = |tr, tc| blk.dense_tile(tr, tc);
-            let bk = blk.block_col;
-            let mv = Block16::from_vector_mask(u16::MAX);
-            self.segments("spmv", &a_bits, &mv, a_tile, |tk, tj| dense_tile(&x, bk, 0, tk, tj))?;
-            let mask = ops.sx.segment_mask16(bk);
-            if mask != 0 {
-                let mv = Block16::from_vector_mask(mask);
-                let x_tile = |tk, tj| dense_tile(&sx, bk, 0, tk, tj);
-                self.segments("spmspv", &a_bits, &mv, a_tile, x_tile)?;
+    /// Every `segment_dot` the numeric dataflow evaluates for `inv`, on
+    /// the tasks and tiles its walk (`uni_stc::kernels::walk`) hands it.
+    fn dataflow(&self, label: &str, inv: Invocation<'_>, dense: &[f64]) -> Result<(), String> {
+        let mut first = Ok(());
+        kernels::walk(inv, dense, |t| {
+            if first.is_ok() {
+                first = self.segments(label, t);
             }
-            for cb in 0..col_blocks {
-                let b_bits = Block16::dense().keep_cols(16.min(ops.b.ncols() - cb * 16));
-                let b_tile = |tk, tj| dense_tile(&ops.b, bk, cb, tk, tj);
-                self.segments("spmm", &a_bits, &b_bits, a_tile, b_tile)?;
-            }
-            for bj in ops.bbc_b.blocks_in_row(bk) {
-                let b_blk = ops.bbc_b.block(bj);
-                let b_bits = Block16::from_bbc(&b_blk);
-                // Algorithm 2 line 13: the dataflow skips empty products.
-                if a_bits.products_with(&b_bits) != 0 {
-                    let b_tile = |tr, tc| b_blk.dense_tile(tr, tc);
-                    self.segments("spgemm", &a_bits, &b_bits, a_tile, b_tile)?;
-                }
-            }
-        }
-        Ok(())
+        });
+        first
     }
 
     /// The word and numeric primitives on the `sparse::ops` inputs:
@@ -297,16 +248,18 @@ pub fn check_kernels<R: BitKernels, C: BitKernels>(
         }
         pair.blocks(label, bbc)?;
     }
-    for inv in [
-        Invocation::SpMV(&ops.bbc),
-        Invocation::SpMSpV(&ops.bbc, &ops.sx),
-        Invocation::SpMM(&ops.bbc, ops.b.ncols()),
-        Invocation::SpGEMM(&ops.bbc, &ops.bbc_b),
+    let sx = ops.sx.to_dense();
+    for (inv, dense) in [
+        (Invocation::SpMV(&ops.bbc), &ops.x[..]),
+        (Invocation::SpMSpV(&ops.bbc, &ops.sx), &sx[..]),
+        (Invocation::SpMM(&ops.bbc, ops.b.ncols()), ops.b.as_slice()),
+        (Invocation::SpGEMM(&ops.bbc, &ops.bbc_b), &[][..]),
     ] {
+        let label = inv.kernel().to_string().to_lowercase();
         let stream = inv.stream().map_err(|e| e.to_string())?;
-        pair.stream(&inv.kernel().to_string().to_lowercase(), &stream)?;
+        pair.stream(&label, &stream)?;
+        pair.dataflow(&label, inv, dense)?;
     }
-    pair.dataflow(&ops)?;
     pair.sparse_ops(&ops)
 }
 

@@ -150,7 +150,7 @@ pub fn compile(cfg: &UniStcConfig, inv: Invocation<'_>, n_warps: usize) -> Optio
     let mut programs: Vec<Program> = vec![Program::new(); n];
     for range in &ranges {
         for bi in range.start..range.end {
-            inv.visit_block(bi, |task, count| {
+            inv.visit_block(bi, |task, count, _| {
                 if let Some((t3, products)) = t1_costs(cfg, &task.a, &task.b) {
                     let block = program(t3, products);
                     for _ in 0..count {

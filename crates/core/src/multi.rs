@@ -290,7 +290,7 @@ fn replay(
         let src = if requeued { a } else { state.unit_src[w].as_ref().unwrap_or(a) };
         visit(src, bi);
         let mut cycles = 0;
-        invocation(src).visit_block(bi, |task, count| {
+        invocation(src).visit_block(bi, |task, count, _| {
             if !task.is_trivial() {
                 cycles += engine.execute(&task).cycles * count;
             }

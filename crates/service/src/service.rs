@@ -27,9 +27,10 @@
 //!   shard plan is additionally proven legal by
 //!   [`ShardPlan::verify_before_run`] before any worker spawns.
 //!   Non-conforming SpGEMM grids and SpMSpV vectors whose length is not
-//!   the operator's column count are rejected (`USTC012`) even with
-//!   admission off, by the task walk's own shape check
-//!   ([`Invocation::check_shape`]). A
+//!   the operator's column count are rejected (`USTC012`) before
+//!   admission, with or without it, by the task walk's own shape check
+//!   ([`Invocation::check_shape`]): one bare message in both modes, and
+//!   no admission-cache lookup. A
 //!   request whose exact report would overflow a `u64` counter (an SpMM
 //!   with an astronomically wide `B`) is rejected with `USTC017`: the
 //!   counted fold cannot represent it.
@@ -738,13 +739,14 @@ fn prepare(
         }
     };
     let inv = operands.invocation();
-    let stream = admit(verifier, shared, &mut job, &key, sources, inv)?;
-    // The walk's shape check holds even with admission off: the walk
-    // cannot represent non-conforming SpGEMM grids, and an `x` of the
-    // wrong length would silently mask blocks. Admission reports the
-    // same `USTC012` first.
+    // The walk's shape check runs before admission, so a shape mismatch
+    // is answered with the same bare `USTC012` message whether admission
+    // is on or off, and never reaches the admission cache: the walk
+    // panics on non-conforming SpGEMM grids and on an `x` of the wrong
+    // length.
     inv.check_shape()
         .map_err(|message| JobError::Rejected { code: "USTC012".to_owned(), message })?;
+    let stream = admit(verifier, shared, &mut job, &key, sources, inv)?;
     Ok(Prepared { engine, key, encoding_cached, operands, collided: job.collided, stream })
 }
 

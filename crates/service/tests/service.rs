@@ -212,8 +212,8 @@ fn admission_verdicts_are_memoized_per_fingerprint() {
 fn admission_off_still_rejects_nonconforming_spgemm() {
     // 32x32 (2x2 blocks) times 64x64 (4x4 blocks): the grids do not
     // conform, so the task walk cannot even represent the stream. One
-    // shape check answers with admission on and off alike; admission
-    // renders it as a diagnostic around the same message.
+    // shape check, ahead of admission, answers with the same message
+    // with admission on and off alike.
     let a = diag_csr(32);
     let b = diag_csr(64);
     let (bbc_a, bbc_b) = (BbcMatrix::from_csr(&a), BbcMatrix::from_csr(&b));
@@ -231,7 +231,7 @@ fn admission_off_still_rejects_nonconforming_spgemm() {
         match err {
             JobError::Rejected { code, message } => {
                 assert_eq!(code, "USTC012", "admission={admission}");
-                assert!(message.contains(&shape), "admission={admission}: {message}");
+                assert_eq!(message, shape, "admission={admission}");
             }
             other => panic!("admission={admission}: expected Rejected, got {other:?}"),
         }
@@ -242,8 +242,10 @@ fn admission_off_still_rejects_nonconforming_spgemm() {
 
 #[test]
 fn spmspv_shape_mismatch_is_rejected_with_and_without_admission() {
-    // x of length 3 against a 1024-column operator: the stream would
-    // mask 63 of 64 block columns against segments x does not have.
+    // x of length 3 against a 1024-column operator: the walk would mask
+    // 63 of 64 block columns against segments x does not have. The shape
+    // check answers ahead of admission, so the admission cache is never
+    // consulted.
     let a = diag_csr(1024);
     let x = Arc::new(SparseVector::try_new(3, vec![0, 2], vec![1.0, -1.0]).expect("sorted"));
     for admission in [true, false] {
@@ -258,13 +260,18 @@ fn spmspv_shape_mismatch_is_rejected_with_and_without_admission() {
         match err {
             JobError::Rejected { code, message } => {
                 assert_eq!(code, "USTC012", "admission={admission}");
-                assert!(message.contains("length 3"), "admission={admission}: {message}");
+                assert_eq!(
+                    message,
+                    "SpMSpV operand shapes do not conform: x has length 3 but A is 1024x1024",
+                    "admission={admission}"
+                );
             }
             other => panic!("admission={admission}: expected Rejected, got {other:?}"),
         }
         let m = svc.shutdown();
         assert_eq!(m.counter("service/jobs_rejected"), 1, "admission={admission}");
         assert_eq!(m.counter("service/jobs_completed"), 0, "admission={admission}");
+        assert_eq!(m.counter("service/admission_cache_misses"), 0, "admission={admission}");
     }
 }
 

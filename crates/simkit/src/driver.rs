@@ -345,9 +345,10 @@ fn fitted(
 /// Its walk is the software level of Algorithms 1 and 2: the stored
 /// 16x16 blocks of `A` in storage (row-major) order, each issuing its T1
 /// tasks ([`Invocation::visit_block`]). It is the one place that knows
-/// which tasks, with which counts, a kernel issues. The counted stream
-/// ([`Invocation::stream`]), the task list ([`Invocation::tasks`]), the
-/// verifier, the UWMMA compiler, multi-unit replay and the service all
+/// which tasks, with which counts, a kernel issues, and which B block
+/// each reads. The counted stream ([`Invocation::stream`]), the task list
+/// ([`Invocation::tasks`]), the verifier, the UWMMA compiler, multi-unit
+/// replay, the service and the numeric dataflow (`uni_stc::kernels`) all
 /// read it.
 #[derive(Debug, Clone, Copy)]
 pub enum Invocation<'a> {
@@ -392,7 +393,8 @@ impl<'a> Invocation<'a> {
     /// (`a.block_cols() == b.block_rows()`): otherwise `B` has no block row
     /// for some block column of `A`, and the walk panics. SpMSpV needs
     /// `x.dim() == a.ncols()`: an `x` of another length would mask blocks
-    /// against segments `x` does not have. SpMV and SpMM always conform.
+    /// against segments `x` does not have, so the walk panics on it too.
+    /// SpMV and SpMM always conform.
     ///
     /// # Errors
     ///
@@ -417,42 +419,51 @@ impl<'a> Invocation<'a> {
         }
     }
 
-    /// Calls `f(task, count)` on the T1 tasks that stored block `bi` of
-    /// `A` issues, in issue order. Every count is at least 1: an SpMM
-    /// block issues its full-width B blocks as one entry and the narrower
-    /// tail as a second, so a visit costs the same at any `n_cols`; every
-    /// other task has count 1. Trivial tasks are not filtered out: the
-    /// engine-side bitmap check drops them.
+    /// Calls `f(task, count, b_block)` on the T1 tasks that stored block
+    /// `bi` of `A` issues, in issue order. Every count is at least 1: an
+    /// SpMM block issues its full-width B blocks as one entry and the
+    /// narrower tail as a second, so a visit costs the same at any
+    /// `n_cols`; every other task has count 1. Trivial tasks are not
+    /// filtered out: the engine-side bitmap check drops them.
+    ///
+    /// `b_block` names the B operand block the entry reads: for SpMV and
+    /// SpMSpV the `x` segment (the A block's column); for SpMM the first
+    /// of the entry's `count` consecutive 16-column blocks of `B` (0 for
+    /// the full-width entry, `n_cols / 16` for the tail); for SpGEMM the
+    /// stored block index of `B`.
     ///
     /// # Panics
     ///
-    /// Panics if `bi >= a.block_count()`, or for SpGEMM if the block grids
-    /// do not conform ([`Invocation::check_shape`]).
-    pub fn visit_block(&self, bi: usize, mut f: impl FnMut(T1Task, u64)) {
+    /// Panics if `bi >= a.block_count()`, or if the operand shapes do not
+    /// conform ([`Invocation::check_shape`]).
+    pub fn visit_block(&self, bi: usize, mut f: impl FnMut(T1Task, u64, usize)) {
         let blk = self.a().block(bi);
         match *self {
-            Invocation::SpMV(_) => f(T1Task::mv(Block16::from_bbc(&blk), u16::MAX), 1),
-            Invocation::SpMSpV(_, x) => {
+            Invocation::SpMV(_) => {
+                f(T1Task::mv(Block16::from_bbc(&blk), u16::MAX), 1, blk.block_col);
+            }
+            Invocation::SpMSpV(a, x) => {
+                assert_eq!(x.dim(), a.ncols(), "SpMSpV operand shapes do not conform");
                 let mask = x.segment_mask16(blk.block_col);
                 if mask != 0 {
-                    f(T1Task::mv(Block16::from_bbc(&blk), mask), 1);
+                    f(T1Task::mv(Block16::from_bbc(&blk), mask), 1, blk.block_col);
                 }
             }
             Invocation::SpMM(_, n_cols) => {
                 let a_bits = Block16::from_bbc(&blk);
                 let (full, tail) = (n_cols / 16, n_cols % 16);
                 if full > 0 {
-                    f(T1Task::mm(a_bits, Block16::dense()), full as u64);
+                    f(T1Task::mm(a_bits, Block16::dense()), full as u64, 0);
                 }
                 if tail > 0 {
-                    f(T1Task::mm(a_bits, Block16::dense().keep_cols(tail)), 1);
+                    f(T1Task::mm(a_bits, Block16::dense().keep_cols(tail)), 1, full);
                 }
             }
             Invocation::SpGEMM(a, b) => {
                 assert_eq!(a.block_cols(), b.block_rows(), "SpGEMM block grids do not conform");
                 let a_bits = Block16::from_bbc(&blk);
                 for bj in b.blocks_in_row(blk.block_col) {
-                    f(T1Task::mm(a_bits, Block16::from_bbc(&b.block(bj))), 1);
+                    f(T1Task::mm(a_bits, Block16::from_bbc(&b.block(bj))), 1, bj);
                 }
             }
         }
@@ -471,12 +482,13 @@ impl<'a> Invocation<'a> {
     ///
     /// # Panics
     ///
-    /// As [`Invocation::visit_block`], for non-conforming SpGEMM grids.
+    /// As [`Invocation::visit_block`], for operand shapes that do not
+    /// conform.
     pub fn stream(&self) -> Result<TaskStream, CounterOverflow> {
         let mut stream = StreamBuilder::default();
         let mut built = Ok(());
         for bi in 0..self.a().block_count() {
-            self.visit_block(bi, |task, count| {
+            self.visit_block(bi, |task, count, _| {
                 built = built.and_then(|()| stream.push(task, count));
             });
         }
@@ -493,7 +505,7 @@ impl<'a> Invocation<'a> {
     pub fn tasks(&self) -> Vec<T1Task> {
         let mut tasks = Vec::new();
         for bi in 0..self.a().block_count() {
-            self.visit_block(bi, |task, count| {
+            self.visit_block(bi, |task, count, _| {
                 tasks.extend(std::iter::repeat_n(task, count as usize));
             });
         }
@@ -541,6 +553,10 @@ pub fn run_spmv_faulted(
 
 /// SpMSpV (`y = A x`, sparse `x`): the counted stream of
 /// [`Invocation::SpMSpV`].
+///
+/// # Panics
+///
+/// Panics if `x.dim() != a.ncols()` ([`Invocation::check_shape`]).
 pub fn run_spmspv(
     engine: &dyn TileEngine,
     energy_model: &EnergyModel,
@@ -551,6 +567,10 @@ pub fn run_spmspv(
 }
 
 /// The tasks of [`Invocation::SpMSpV`] ([`Invocation::tasks`]).
+///
+/// # Panics
+///
+/// Panics if `x.dim() != a.ncols()` ([`Invocation::check_shape`]).
 pub fn spmspv_tasks(a: &BbcMatrix, x: &SparseVector) -> Vec<T1Task> {
     Invocation::SpMSpV(a, x).tasks()
 }
@@ -832,10 +852,20 @@ mod tests {
         let a = bbc_from(&[(0, 0), (0, 32), (17, 17), (32, 0), (33, 17)], 48);
         let (p, q) = (one(0, 0), one(1, 1));
         let stream = |inv: Invocation<'_>| inv.stream().unwrap().to_vec();
+        // The `(count, b_block)` of every entry of the walk, in issue order.
+        let b_blocks = |inv: Invocation<'_>| {
+            let mut entries = Vec::new();
+            for bi in 0..inv.a().block_count() {
+                inv.visit_block(bi, |_, count, b| entries.push((count, b)));
+            }
+            entries
+        };
 
         // Repeats merge at their first appearance.
         let dense_x = |bits| T1Task::mv(bits, u16::MAX);
         assert_eq!(stream(Invocation::SpMV(&a)), [(dense_x(p), 3), (dense_x(q), 2)]);
+        // Each block reads the x segment of its own block column.
+        assert_eq!(b_blocks(Invocation::SpMV(&a)), [(1, 0), (1, 2), (1, 1), (1, 0), (1, 1)]);
 
         // x is nonzero at 0 and 17 only: A(0,2) meets an empty segment
         // and issues nothing.
@@ -843,6 +873,7 @@ mod tests {
         let (px, qx) = (T1Task::mv(p, 0b01), T1Task::mv(q, 0b10));
         assert_eq!(Invocation::SpMSpV(&a, &x).tasks(), [px, qx, px, qx]);
         assert_eq!(stream(Invocation::SpMSpV(&a, &x)), [(px, 2), (qx, 2)]);
+        assert_eq!(b_blocks(Invocation::SpMSpV(&a, &x)), [(1, 0), (1, 1), (1, 0), (1, 1)]);
 
         // SpMM: full-width B blocks, then the tail, per A block.
         let mm = |bits, width| T1Task::mm(bits, Block16::dense().keep_cols(width));
@@ -863,6 +894,12 @@ mod tests {
             stream(Invocation::SpMM(&a, 40)),
             [(mm(p, 16), 6), (mm(p, 8), 3), (mm(q, 16), 4), (mm(q, 8), 2)]
         );
+        // The full-width entry starts at B column block 0, the tail at
+        // `n_cols / 16`.
+        assert_eq!(b_blocks(Invocation::SpMM(&a, 0)), []);
+        assert_eq!(b_blocks(Invocation::SpMM(&a, 16)), [(1, 0); 5]);
+        assert_eq!(b_blocks(Invocation::SpMM(&a, 17)), [(1, 0), (1, 1)].repeat(5));
+        assert_eq!(b_blocks(Invocation::SpMM(&a, 40)), [(2, 0), (1, 2)].repeat(5));
 
         // SpGEMM: A blocks row-major, each against its B row in order.
         // B(0,0) = r1, B(0,1) = r2, B(1,0) = r3, B(2,2) = r4.
@@ -880,6 +917,22 @@ mod tests {
             stream(Invocation::SpGEMM(&a, &b)),
             [(pair(p, r1), 2), (pair(p, r2), 2), (pair(p, r4), 1), (pair(q, r3), 2)]
         );
+        // B's stored block indices: B(0,0) = 0, B(0,1) = 1, B(1,0) = 2,
+        // B(2,2) = 3.
+        assert_eq!(
+            b_blocks(Invocation::SpGEMM(&a, &b)),
+            [(1, 0), (1, 1), (1, 3), (1, 2), (1, 0), (1, 1), (1, 2)]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "SpMSpV operand shapes do not conform")]
+    fn spmspv_with_a_short_x_panics() {
+        // x covers segment 0 only: the block in column 1 would be masked
+        // against a segment x does not have.
+        let a = bbc_from(&[(0, 0), (20, 20)], 32);
+        let x = SparseVector::try_new(16, vec![0], vec![1.0]).unwrap();
+        run_spmspv(&Ideal, &EnergyModel::default(), &a, &x);
     }
 
     #[test]

@@ -106,7 +106,7 @@ pub fn inter_products_per_block(a: &CsrMatrix) -> f64 {
     let mut products = 0u64;
     let mut tasks = 0u64;
     for bi in 0..bbc.block_count() {
-        square.visit_block(bi, |task, count| {
+        square.visit_block(bi, |task, count, _| {
             let p = task.products();
             if p > 0 {
                 products += p * count;

@@ -41,14 +41,16 @@ echo "== figures byte-identical =="
 # performance and energy; the Uni-STC ablation covers T3 orderings, both
 # DPG fill orders, power gating and the DPG count; Fig. 14 is the 8x8x8
 # case study; roofline runs all four kernels through bench::MatrixCtx and
-# is the one binary that drives uni_stc::multi. A host-side rewrite of an
-# engine must leave them byte for byte as pinned in tests/golden/; a
-# deliberate model change re-pins them by writing the new output there.
+# is the one binary that drives uni_stc::multi; validate_dataflow runs the
+# numeric dataflow (uni_stc::kernels) on the corpus. A host-side rewrite
+# of an engine must leave them byte for byte as pinned in tests/golden/;
+# a deliberate model change re-pins them by writing the new output there.
 cargo run --release -q -p bench --bin fig16_random_util | diff -u tests/golden/fig16.txt -
 cargo run --release -q -p bench --bin fig17_kernels | diff -u tests/golden/fig17.txt -
 cargo run --release -q -p bench --bin ablation_uni_stc | diff -u tests/golden/ablation_uni_stc.txt -
 cargo run --release -q -p bench --bin fig14_case_study | diff -u tests/golden/fig14_case_study.txt -
 cargo run --release -q -p bench --bin roofline | diff -u tests/golden/roofline.txt -
+cargo run --release -q -p bench --bin validate_dataflow | diff -u tests/golden/validate_dataflow.txt -
 
 echo "== conformance sweep (fixed seed) =="
 # Includes the per-op kernel equivalence sweep (`backend_equivalence`):
