@@ -309,8 +309,8 @@ pub fn verify_scaling(
 }
 
 /// [`verify_scaling`] over the real pair: the runtime's shard fold and
-/// [`KernelReport::try_merge_scaled`], the scaling `driver::run_stream`
-/// applies to each distinct task.
+/// [`KernelReport::try_merge_scaled`], whose checked adds
+/// `driver::run_stream` applies to each distinct task.
 pub fn verify_runtime_scaling(seed: &KernelReport, single: &KernelReport, times: u64) -> Report {
     verify_scaling(seed, single, times, &fold_once, &KernelReport::try_merge_scaled)
 }
@@ -436,8 +436,7 @@ mod tests {
             let mut no_util = next.clone();
             no_util.util = UtilHistogram::new(next.util.lanes());
             acc.try_merge_scaled(&no_util, times)?;
-            acc.util.merge(&next.util);
-            Ok(())
+            acc.util.try_merge_scaled(&next.util, 1)
         };
         let r = verify_scaling(&seed, &single, 5, &fold_once, &forgets_util);
         assert!(r.has_code(Code::NonCommutativeFold), "{}", r.render_human());

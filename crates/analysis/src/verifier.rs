@@ -549,22 +549,15 @@ fn diff_kernels(expected: &CompiledKernel, actual: &CompiledKernel) -> Report {
 #[derive(Debug, Clone)]
 pub struct UstcVerifier {
     verifier: Verifier,
-    n_warps: usize,
 }
 
 impl UstcVerifier {
-    /// Default warp count the adapter compiles kernels with.
+    /// The warp count the adapter compiles kernels with.
     pub const DEFAULT_WARPS: usize = 4;
 
     /// An adapter over the given configuration.
     pub fn new(cfg: UniStcConfig) -> Self {
-        UstcVerifier { verifier: Verifier::new(cfg), n_warps: Self::DEFAULT_WARPS }
-    }
-
-    /// Overrides the warp count used for kernel compilation checks.
-    pub fn with_warps(mut self, n_warps: usize) -> Self {
-        self.n_warps = n_warps.max(1);
-        self
+        UstcVerifier { verifier: Verifier::new(cfg) }
     }
 
     /// The wrapped verifier.
@@ -589,11 +582,11 @@ impl UstcVerifier {
         inv: Invocation<'_>,
         stream: &TaskStream,
     ) -> Result<(), simkit::driver::VerifyError> {
-        to_result(self.verifier.verify_stream(inv, stream, self.n_warps))
+        to_result(self.verifier.verify_stream(inv, stream, Self::DEFAULT_WARPS))
     }
 
     fn verify(&self, inv: Invocation<'_>) -> Result<(), simkit::driver::VerifyError> {
-        to_result(self.verifier.verify(inv, self.n_warps))
+        to_result(self.verifier.verify(inv, Self::DEFAULT_WARPS))
     }
 }
 

@@ -227,7 +227,13 @@ impl TileEngine for Trapezoid {
             let (m0, _, k0) = geometries[i];
             Mode::new(m0, k0, windows[first_with_n0[i]].as_ref().expect("packed by its first mode"))
         });
-        let cycles = modes.each_ref().map(|m| m.cycles(task));
+        // Equal geometries time equally (TrIP and TrGT at FP32): each
+        // distinct one is timed once, by its first mode.
+        let mut cycles = [0; 3];
+        for i in 0..cycles.len() {
+            let first = geometries.iter().position(|g| *g == geometries[i]).unwrap_or(i);
+            cycles[i] = if first == i { modes[i].cycles(task) } else { cycles[first] };
+        }
         let best = (0..modes.len()).min_by_key(|&i| cycles[i]).expect("at least one mode");
         let mut r = T1Result::new(self.lanes());
         modes[best].record(task, &mut r);

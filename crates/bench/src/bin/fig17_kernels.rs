@@ -126,13 +126,12 @@ fn main() {
                 let stream =
                     inv.stream().expect("layer widths keep every counter far below 2^64");
                 let cfg = runtime::RuntimeConfig::with_threads(threads);
-                let plan = runtime::ShardPlan::contiguous(stream.len(), threads);
                 let run = |e: &(dyn simkit::TileEngine + Sync)| {
                     if threads <= 1 {
                         driver::run_stream(e, &em, kernel, &stream)
                             .expect("layer widths keep every counter far below 2^64")
                     } else {
-                        runtime::run_stream_planned(&cfg, &plan, e, &em, kernel, &stream)
+                        runtime::run_stream_planned(&cfg, e, &em, kernel, &stream)
                             .expect("production engines never fail a shard")
                             .report
                     }

@@ -26,7 +26,7 @@ use std::str::FromStr;
 use bench::output::{Report, Section};
 use bench::perf::{self, BenchDoc};
 use bench::MatrixCtx;
-use simkit::driver::{run_tasks_traced, spmv_tasks, Kernel};
+use simkit::driver::{run_traced, Invocation};
 use simkit::{EnergyModel, Precision};
 use uni_stc::{UniStc, UniStcConfig};
 use workloads::representative::representative_matrices;
@@ -100,7 +100,7 @@ fn write_chrome_trace(path: &Path) {
     let engine = UniStc::new(UniStcConfig::with_precision(Precision::Fp64));
     let mut events: Vec<obs::TraceEvent> = Vec::new();
     let em = EnergyModel::default();
-    let report = run_tasks_traced(&engine, &em, Kernel::SpMV, spmv_tasks(&ctx.bbc), &mut events);
+    let report = run_traced(&engine, &em, Invocation::SpMV(&ctx.bbc), &mut events);
     std::fs::write(path, obs::chrome::export_pretty(&events)).expect("write chrome trace");
     eprintln!(
         "wrote {} ({} events, {} cycles on {})",

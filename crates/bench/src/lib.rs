@@ -112,8 +112,7 @@ impl MatrixCtx {
     ) -> Result<runtime::ShardedRun, runtime::PlannedRunError> {
         let stream =
             self.invocation(kernel).stream().map_err(runtime::PlannedRunError::Overflow)?;
-        let plan = runtime::ShardPlan::contiguous(stream.len(), cfg.threads);
-        runtime::run_stream_planned(cfg, &plan, engine, em, kernel, &stream)
+        runtime::run_stream_planned(cfg, engine, em, kernel, &stream)
     }
 
     /// Runs one kernel on `threads` workers — the serial driver at 1

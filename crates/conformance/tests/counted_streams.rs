@@ -7,28 +7,42 @@
 use conformance::differential::all_engines;
 use conformance::generators::{sparse_vector, Regime};
 use conformance::oracle::spgemm_rhs;
-use runtime::{run_stream_planned, RuntimeConfig, ShardPlan};
-use simkit::driver::{self, Kernel, KernelReport};
-use simkit::{EnergyModel, T1Task, TaskStream, TileEngine};
-use sparse::BbcMatrix;
+use runtime::{run_stream_planned, RuntimeConfig};
+use simkit::driver::{self, Invocation, KernelReport};
+use simkit::{EnergyModel, TileEngine};
+use sparse::{BbcMatrix, SparseVector};
 use workloads::representative::representative_matrices;
 
 /// Seeds per regime; the Empty regime rotates its four shapes over them.
 const SEEDS: u64 = 6;
 
-/// The four kernels' task lists on `a`, with operands derived from `seed`
-/// as the differential sweep derives them.
-fn kernel_tasks(a: &sparse::CsrMatrix, seed: u64) -> Vec<(Kernel, Vec<T1Task>)> {
-    let bbc = BbcMatrix::from_csr(a);
-    let x = sparse_vector(a.ncols(), seed);
-    let n_cols = 1 + (seed as usize % 21);
-    let b = BbcMatrix::from_csr(&spgemm_rhs(a));
-    vec![
-        (Kernel::SpMV, driver::spmv_tasks(&bbc)),
-        (Kernel::SpMSpV, driver::spmspv_tasks(&bbc, &x)),
-        (Kernel::SpMM, driver::spmm_tasks(&bbc, n_cols)),
-        (Kernel::SpGEMM, driver::spgemm_tasks(&bbc, &b)),
-    ]
+/// The four kernels' operands on `a`, derived from `seed` as the
+/// differential sweep derives them.
+struct Operands {
+    a: BbcMatrix,
+    x: SparseVector,
+    n_cols: usize,
+    b: BbcMatrix,
+}
+
+impl Operands {
+    fn new(a: &sparse::CsrMatrix, seed: u64) -> Self {
+        Operands {
+            a: BbcMatrix::from_csr(a),
+            x: sparse_vector(a.ncols(), seed),
+            n_cols: 1 + (seed as usize % 21),
+            b: BbcMatrix::from_csr(&spgemm_rhs(a)),
+        }
+    }
+
+    fn invocations(&self) -> [Invocation<'_>; 4] {
+        [
+            Invocation::SpMV(&self.a),
+            Invocation::SpMSpV(&self.a, &self.x),
+            Invocation::SpMM(&self.a, self.n_cols),
+            Invocation::SpGEMM(&self.a, &self.b),
+        ]
+    }
 }
 
 /// Asserts `counted` equals `ordered` field for field, energy bits
@@ -41,27 +55,25 @@ fn assert_identical(counted: &KernelReport, ordered: &KernelReport, ctx: &str) {
     assert_eq!(bits(counted), bits(ordered), "{ctx}: energy bits");
 }
 
-/// Runs `tasks` three ways on `engine` — ordered, counted, and counted
-/// over a contiguous 2-thread shard plan — and compares, with `sink`
+/// Runs `inv` three ways on `engine` — ordered, counted, and counted
+/// over the runtime's 2-thread shard plan — and compares, with `sink`
 /// recording the ordered run.
 fn check(
     engine: &(dyn TileEngine + Sync),
-    kernel: Kernel,
-    tasks: &[T1Task],
+    inv: Invocation<'_>,
     sink: &mut dyn obs::TraceSink,
     ctx: &str,
 ) {
     let em = EnergyModel::default();
     assert!(sink.enabled(), "the ordered path needs an enabled sink");
-    let ordered = driver::run_tasks_traced(engine, &em, kernel, tasks.iter().copied(), sink);
-    let stream = TaskStream::from(tasks);
-    assert_eq!(stream.total(), tasks.len() as u64, "{ctx}");
-    let counted = driver::run_stream(engine, &em, kernel, &stream)
+    let ordered = driver::run_traced(engine, &em, inv, sink);
+    let stream = inv.stream().unwrap_or_else(|e| panic!("{ctx}: {e}"));
+    assert_eq!(stream.total(), inv.tasks().len() as u64, "{ctx}");
+    let counted = driver::run_stream(engine, &em, inv.kernel(), &stream)
         .unwrap_or_else(|e| panic!("{ctx}: {e}"));
     assert_identical(&counted, &ordered, ctx);
     let cfg = RuntimeConfig::with_threads(2);
-    let plan = ShardPlan::contiguous(stream.len(), cfg.threads);
-    let sharded = run_stream_planned(&cfg, &plan, engine, &em, kernel, &stream)
+    let sharded = run_stream_planned(&cfg, engine, &em, inv.kernel(), &stream)
         .unwrap_or_else(|e| panic!("{ctx}: {e}"));
     assert_identical(&sharded.report, &ordered, &format!("{ctx} (2 threads)"));
 }
@@ -72,12 +84,13 @@ fn counted_streams_match_the_ordered_path_on_every_regime() {
     assert_eq!(engines.len(), 7);
     for regime in Regime::ALL {
         for seed in 0..SEEDS {
-            let a = regime.generate(seed);
-            for (kernel, tasks) in kernel_tasks(&a, seed) {
+            let operands = Operands::new(&regime.generate(seed), seed);
+            for inv in operands.invocations() {
                 for engine in &engines {
                     let mut trace: Vec<obs::TraceEvent> = Vec::new();
+                    let kernel = inv.kernel();
                     let ctx = format!("{} seed {seed} {kernel} {}", regime.name(), engine.name());
-                    check(engine.as_ref(), kernel, &tasks, &mut trace, &ctx);
+                    check(engine.as_ref(), inv, &mut trace, &ctx);
                 }
             }
         }
@@ -91,10 +104,11 @@ fn representative_analogues_without_repeats_stay_bit_identical() {
         .into_iter()
         .filter(|r| ["consph", "cant", "pdb1HYS", "pwtk"].contains(&r.name))
     {
-        let tasks = driver::spmv_tasks(&BbcMatrix::from_csr(&rep.matrix));
+        let a = BbcMatrix::from_csr(&rep.matrix);
+        let inv = Invocation::SpMV(&a);
         assert_eq!(
-            TaskStream::from(&tasks[..]).len(),
-            tasks.len(),
+            inv.stream().expect("one task per block").len(),
+            a.block_count(),
             "{}: every task distinct, so counting saves nothing",
             rep.name
         );
@@ -102,7 +116,7 @@ fn representative_analogues_without_repeats_stay_bit_identical() {
             // A one-slot ring keeps the ordered run's trace memory flat.
             let mut ring = obs::RingSink::new(1);
             let ctx = format!("{} SpMV {}", rep.name, engine.name());
-            check(engine.as_ref(), Kernel::SpMV, &tasks, &mut ring, &ctx);
+            check(engine.as_ref(), inv, &mut ring, &ctx);
         }
     }
 }

@@ -8,11 +8,10 @@
 //! UWMMA instruction set ... necessitates compiler modifications").
 
 use simkit::driver::{Invocation, Kernel};
-use simkit::Block16;
 
+use crate::check::check_t1;
 use crate::isa::{Lifecycle, LifecycleError, Program, ProgramStats, Uwmma};
 use crate::schedule::balance_warps;
-use crate::tms::generate_t3_tasks;
 use crate::UniStcConfig;
 
 /// One warp's compiled instruction stream.
@@ -111,15 +110,6 @@ impl std::fmt::Display for WarpDiagnostic {
     }
 }
 
-fn t1_costs(cfg: &UniStcConfig, a: &Block16, b: &Block16) -> Option<(u64, u64)> {
-    let t3 = generate_t3_tasks(a, b, cfg.ordering);
-    if t3.is_empty() {
-        return None;
-    }
-    let products: u64 = t3.iter().map(|t| t.products as u64).sum();
-    Some((t3.len() as u64, products))
-}
-
 /// The UWMMA sequence builder for one non-trivial T1 task of `kernel`,
 /// called with the task's T3 count and products: Algorithm 1's for SpMV
 /// and Algorithm 2's for SpGEMM. `None` for SpMSpV and SpMM, which have
@@ -151,8 +141,9 @@ pub fn compile(cfg: &UniStcConfig, inv: Invocation<'_>, n_warps: usize) -> Optio
     for range in &ranges {
         for bi in range.start..range.end {
             inv.visit_block(bi, |task, count, _| {
-                if let Some((t3, products)) = t1_costs(cfg, &task.a, &task.b) {
-                    let block = program(t3, products);
+                let t1 = check_t1(cfg, &task.a, &task.b);
+                if t1.t3_tasks > 0 {
+                    let block = program(u64::from(t1.t3_tasks), t1.products);
                     for _ in 0..count {
                         for instr in block.instructions() {
                             programs[range.warp].push(instr.op, instr.cost);

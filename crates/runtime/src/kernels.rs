@@ -11,10 +11,12 @@
 //! reports in shard order ([`KernelReport::try_merge_scaled`] with a
 //! factor of 1) therefore reproduces the serial report **bit for bit** —
 //! the conformance golden counter snapshots pin this.
-//! [`run_stream_planned`] is that parallel executor; a kernel's stream
-//! comes from the driver's one walk
-//! ([`Invocation::stream`](simkit::driver::Invocation::stream)), and
-//! [`ShardPlan::contiguous`] splits it.
+//! [`run_stream_planned`] is that parallel executor: it takes a kernel's
+//! stream from the driver's one walk
+//! ([`Invocation::stream`](simkit::driver::Invocation::stream)) and splits
+//! it itself with [`ShardPlan::contiguous`], a plan legal by construction.
+//! [`run_tasks_planned`] is the one entry point that takes a caller's
+//! plan, and it proves that plan legal before any worker spawns.
 //!
 //! The shards execute on the [`pool`], so they inherit its
 //! resilience: a shard whose execution panics is retried and, past the
@@ -38,8 +40,6 @@ pub struct ShardedRun {
     pub stats: pool::RunStats,
     /// Present iff the pool fell below quorum and finished serially.
     pub degraded: Option<pool::DegradedReport>,
-    /// Scheduler lifecycle trace (µs timestamps since the run started).
-    pub trace: Vec<obs::TraceEvent>,
 }
 
 /// Why a [`ShardPlan`] is illegal to execute.
@@ -119,7 +119,7 @@ pub struct ShardPlan {
 impl ShardPlan {
     /// Contiguous chunks targeting ~4 shards per worker, so steals have
     /// something to rebalance without shrinking shards into scheduling
-    /// overhead. The plan the service and the bench harness run.
+    /// overhead. The plan [`run_stream_planned`] builds for itself.
     pub fn contiguous(tasks: usize, threads: usize) -> Self {
         let chunk = (tasks / (threads.max(1) * 4)).max(1);
         let mut shards = Vec::new();
@@ -248,26 +248,27 @@ pub fn run_tasks_planned(
     })
 }
 
-/// Runs a counted [`TaskStream`] sharded across the pool. `plan` covers
-/// the stream's *distinct entries* (`stream.len()`), not the tasks they
-/// stand for; it is verified before any worker is spawned, exactly as in
-/// [`run_tasks_planned`]. The merged report is bit-identical to
-/// [`driver::run_stream`] over the whole stream.
+/// Runs a counted [`TaskStream`] sharded across the pool under the
+/// contiguous plan over its *distinct entries*
+/// (`ShardPlan::contiguous(stream.len(), cfg.threads)`), not the tasks
+/// they stand for. That plan is legal by construction, so the run is
+/// never [`PlannedRunError::Rejected`]. The merged report is
+/// bit-identical to [`driver::run_stream`] over the whole stream.
 ///
 /// # Errors
 ///
-/// As [`run_tasks_planned`], plus [`PlannedRunError::Overflow`] when a
-/// report counter would exceed `u64::MAX`.
+/// [`PlannedRunError::Execution`] when a shard failed intrinsically past
+/// the retry budget; [`PlannedRunError::Overflow`] when a report counter
+/// would exceed `u64::MAX`.
 pub fn run_stream_planned(
     cfg: &RuntimeConfig,
-    plan: &ShardPlan,
     engine: &(dyn TileEngine + Sync),
     energy_model: &EnergyModel,
     kernel: Kernel,
     stream: &TaskStream,
 ) -> Result<ShardedRun, PlannedRunError> {
-    verify_plan_for(plan, stream.len())?;
-    run_shards(cfg, plan, engine, energy_model, kernel, |range| {
+    let plan = ShardPlan::contiguous(stream.len(), cfg.threads);
+    run_shards(cfg, &plan, engine, energy_model, kernel, |range| {
         driver::run_stream(engine, energy_model, kernel, &stream[range])
     })
 }
@@ -290,8 +291,8 @@ fn verify_plan_for(plan: &ShardPlan, len: usize) -> Result<(), PlannedRunError> 
     plan.verify_before_run().map_err(PlannedRunError::Rejected)
 }
 
-/// Executes an already-verified plan: one pool task per shard, fold in
-/// shard order, energy recomputed once from the merged events.
+/// Executes a legal plan: one pool task per shard, fold in shard order,
+/// energy recomputed once from the merged events.
 fn run_shards<F>(
     cfg: &RuntimeConfig,
     plan: &ShardPlan,
@@ -304,11 +305,7 @@ where
     F: Fn(std::ops::Range<usize>) -> Result<KernelReport, CounterOverflow> + Sync,
 {
     let run = pool::run(cfg, plan.shards(), |_, range| Ok(run_shard(range.clone())));
-    // Seed the accumulator with the empty-stream report so the engine
-    // name, kernel tag, lane count and zero counters match the serial
-    // driver even when there are no tasks at all.
-    let mut report =
-        driver::run_stream(engine, energy_model, kernel, &[]).map_err(PlannedRunError::Overflow)?;
+    let mut report = KernelReport::start(engine, kernel);
     for (index, outcome) in run.outcomes.iter().enumerate() {
         match outcome {
             TaskOutcome::Done(shard) => shard
@@ -324,12 +321,10 @@ where
             }
         }
     }
-    report.energy = energy_model.energy(&report.events, &engine.network_costs());
     Ok(ShardedRun {
-        report,
+        report: report.finish(engine, energy_model),
         stats: run.stats,
         degraded: run.degraded,
-        trace: run.trace,
     })
 }
 
@@ -387,18 +382,6 @@ mod tests {
         SparseVector::try_new(dim, idx, vals).expect("indices sorted by construction")
     }
 
-    /// The parallel path the service runs: a contiguous plan over the
-    /// stream's distinct entries, then [`run_stream_planned`].
-    fn sharded(
-        cfg: &RuntimeConfig,
-        engine: &(dyn TileEngine + Sync),
-        kernel: Kernel,
-        stream: &TaskStream,
-    ) -> Result<ShardedRun, PlannedRunError> {
-        let plan = ShardPlan::contiguous(stream.len(), cfg.threads);
-        run_stream_planned(cfg, &plan, engine, &EnergyModel::default(), kernel, stream)
-    }
-
     #[test]
     fn sharded_spmv_matches_serial_bit_for_bit() {
         let a = demo_matrix(1);
@@ -407,7 +390,8 @@ mod tests {
         let stream = spmv_stream(&a);
         for threads in [1, 2, 8] {
             let cfg = RuntimeConfig::with_threads(threads);
-            let sharded = sharded(&cfg, &Ideal, Kernel::SpMV, &stream).expect("no failures");
+            let sharded =
+                run_stream_planned(&cfg, &Ideal, &em, Kernel::SpMV, &stream).expect("no failures");
             assert_eq!(
                 sharded.report.counter_signature(),
                 serial.counter_signature(),
@@ -432,7 +416,8 @@ mod tests {
         ];
         for (serial, inv) in cases {
             let stream = inv.stream().expect("fits");
-            let run = sharded(&cfg, &Ideal, serial.kernel, &stream).expect("no failures");
+            let run =
+                run_stream_planned(&cfg, &Ideal, &em, serial.kernel, &stream).expect("no failures");
             assert_eq!(serial.counter_signature(), run.report.counter_signature());
         }
     }
@@ -441,8 +426,8 @@ mod tests {
     fn empty_stream_matches_serial() {
         let em = EnergyModel::default();
         let cfg = RuntimeConfig::with_threads(2);
-        let sharded =
-            sharded(&cfg, &Ideal, Kernel::SpMM, &TaskStream::default()).expect("empty");
+        let sharded = run_stream_planned(&cfg, &Ideal, &em, Kernel::SpMM, &TaskStream::default())
+            .expect("empty");
         let serial = driver::run_stream(&Ideal, &em, Kernel::SpMM, &[]).expect("no counters");
         assert_eq!(sharded.report, serial);
         assert_eq!(sharded.report.t1_tasks, 0);
@@ -458,7 +443,7 @@ mod tests {
             backoff: crate::pool::Backoff::none(),
             ..RuntimeConfig::with_threads(2).with_chaos(chaos)
         };
-        let sharded = sharded(&cfg, &Ideal, Kernel::SpMV, &spmv_stream(&a))
+        let sharded = run_stream_planned(&cfg, &Ideal, &em, Kernel::SpMV, &spmv_stream(&a))
             .expect("chaos is survivable");
         assert_eq!(sharded.report, serial);
     }
@@ -486,7 +471,8 @@ mod tests {
             backoff: crate::pool::Backoff::none(),
             ..RuntimeConfig::with_threads(2)
         };
-        match sharded(&cfg, &Grenade, Kernel::SpMV, &spmv_stream(&a)) {
+        let em = EnergyModel::default();
+        match run_stream_planned(&cfg, &Grenade, &em, Kernel::SpMV, &spmv_stream(&a)) {
             Err(PlannedRunError::Execution(DegradedError::RetriesExhausted { attempts, .. })) => {
                 assert_eq!(attempts, 2, "first try + one retry");
             }
@@ -504,17 +490,10 @@ mod tests {
         let serial = driver::run_spmv(&Ideal, &em, &a);
         for threads in [1, 2, 8] {
             let cfg = RuntimeConfig::with_threads(threads);
-            let plan = ShardPlan::contiguous(stream.len(), threads);
-            let run = run_stream_planned(&cfg, &plan, &Ideal, &em, Kernel::SpMV, &stream)
-                .expect("legal plan executes");
+            let run = run_stream_planned(&cfg, &Ideal, &em, Kernel::SpMV, &stream)
+                .expect("the runtime's own plan executes");
             assert_eq!(run.report, serial, "threads={threads}");
         }
-        // A plan sized for the expanded task list is stale for the stream.
-        let cfg = RuntimeConfig::with_threads(2);
-        let stale = ShardPlan::contiguous(a.block_count(), 2);
-        let err = run_stream_planned(&cfg, &stale, &Ideal, &em, Kernel::SpMV, &stream)
-            .expect_err("plan covers entries, not tasks");
-        assert!(matches!(err, PlannedRunError::Rejected(_)), "{err}");
     }
 
     #[test]
@@ -523,8 +502,7 @@ mod tests {
         let em = EnergyModel::default();
         let stream = Invocation::SpMM(&a, usize::MAX / 64).stream().expect("under 2^64 tasks");
         let cfg = RuntimeConfig::with_threads(2);
-        let plan = ShardPlan::contiguous(stream.len(), 2);
-        let err = run_stream_planned(&cfg, &plan, &Ideal, &em, Kernel::SpMM, &stream)
+        let err = run_stream_planned(&cfg, &Ideal, &em, Kernel::SpMM, &stream)
             .expect_err("36 meta words per task pass 2^64");
         assert!(matches!(err, PlannedRunError::Overflow(_)), "{err}");
     }

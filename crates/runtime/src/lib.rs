@@ -20,8 +20,9 @@
 //!   crashes, stalls and transient task failures, so the resilience
 //!   paths above are exercised by fixed-seed tests rather than trusted.
 //! * [`kernels`] — sharded kernel execution: a counted
-//!   `simkit::TaskStream` split over its distinct entries
-//!   ([`run_stream_planned`]), each shard run through the untouched serial
+//!   `simkit::TaskStream` split over its distinct entries under a
+//!   contiguous plan the runtime builds itself ([`run_stream_planned`]),
+//!   each shard run through the untouched serial
 //!   driver, and the shard reports folded into a
 //!   [`simkit::driver::KernelReport`] that is bit-identical to the serial
 //!   one (every counter is an order-independent sum; energy is recomputed

@@ -24,11 +24,11 @@
 //!   of being simulated. Admission checks the operands, then builds the
 //!   counted stream and verifies it once per distinct T1 task; on a
 //!   stream-cache miss that same stream is the one cached and run. The
-//!   shard plan is additionally proven legal by
-//!   [`ShardPlan::verify_before_run`] before any worker spawns.
-//!   Non-conforming SpGEMM grids and SpMSpV vectors whose length is not
-//!   the operator's column count are rejected (`USTC012`) before
-//!   admission, with or without it, by the task walk's own shape check
+//!   runtime shards it under its own contiguous plan, legal by
+//!   construction, so no plan is checked here. Non-conforming SpGEMM
+//!   grids and SpMSpV vectors whose length is not the operator's column
+//!   count are rejected (`USTC012`) before admission, with or without
+//!   it, by the task walk's own shape check
 //!   ([`Invocation::check_shape`]): one bare message in both modes, and
 //!   no admission-cache lookup. A
 //!   request whose exact report would overflow a `u64` counter (an SpMM
@@ -48,7 +48,7 @@ use std::time::Duration;
 
 use analysis::UstcVerifier;
 use obs::MetricsRegistry;
-use runtime::{run_stream_planned, PlannedRunError, RuntimeConfig, ShardPlan, ShardPlanError};
+use runtime::{run_stream_planned, PlannedRunError, RuntimeConfig};
 use simkit::driver::{Invocation, VerifyError};
 use simkit::{CounterOverflow, EnergyModel, Precision, TaskStream, TileEngine};
 use sparse::{BbcMatrix, CsrMatrix, SparseVector};
@@ -532,8 +532,7 @@ fn execute(
                 m.inc_counter("service/sim_tasks_total", stream.total());
                 m.inc_counter("service/sim_tasks_distinct", stream.len() as u64);
             }
-            let plan = ShardPlan::contiguous(stream.len(), cfg.exec.threads);
-            run_stream_planned(&cfg.exec, &plan, engine.as_ref(), em, kernel, stream)
+            run_stream_planned(&cfg.exec, engine.as_ref(), em, kernel, stream)
         }
         Err(overflow) => Err(PlannedRunError::Overflow(*overflow)),
     };
@@ -544,15 +543,14 @@ fn execute(
         .map(|(p, job)| (p.encoding_cached, job.submitted, job.reply))
         .collect();
     let result = run.map_err(|e| match e {
-        PlannedRunError::Rejected(p) => {
-            JobError::Rejected { code: shard_plan_code(&p).to_owned(), message: p.to_string() }
-        }
-        PlannedRunError::Execution(d) => JobError::Execution(d.to_string()),
         // The counted fold cannot represent the exact report.
         PlannedRunError::Overflow(o) => JobError::Rejected {
             code: "USTC017".to_owned(),
             message: format!("{kernel} on {engine_name}: {o}"),
         },
+        PlannedRunError::Execution(d) => JobError::Execution(d.to_string()),
+        // The runtime plans the shards itself and never rejects its plan.
+        rejected @ PlannedRunError::Rejected(_) => JobError::Execution(rejected.to_string()),
     });
     {
         let mut m = shared.metrics();
@@ -598,16 +596,6 @@ fn answer(job: QueuedJob, result: JobResult) {
     let QueuedJob { request, reply, .. } = job;
     drop(request);
     let _ = reply.send(result);
-}
-
-/// The `analysis::concurrency` diagnostic code for a shard-plan
-/// violation: overlap `USTC014`, gap `USTC015`, malformed `USTC016`.
-fn shard_plan_code(e: &ShardPlanError) -> &'static str {
-    match e {
-        ShardPlanError::Overlap { .. } => "USTC014",
-        ShardPlanError::Gap { .. } => "USTC015",
-        ShardPlanError::EmptyShard { .. } | ShardPlanError::OutOfRange { .. } => "USTC016",
-    }
 }
 
 /// One job's access to the caches: confirmed lookups until a collision

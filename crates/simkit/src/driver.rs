@@ -137,8 +137,9 @@ impl KernelReport {
     /// energy is recomputed once from the merged events.
     ///
     /// With `times == 1` this is the fold the runtime applies to shard
-    /// reports; with the multiplicity of a distinct task it is the scaling
-    /// [`run_stream`] applies. Scaling once equals folding `times` times
+    /// reports. [`run_stream`] scales a distinct task's result by its
+    /// multiplicity with the same checked adds, counter for counter.
+    /// Scaling once equals folding `times` times
     /// (`analysis::concurrency::verify_scaling` checks it).
     ///
     /// # Errors
@@ -155,6 +156,56 @@ impl KernelReport {
         self.t1_tasks = add_scaled(self.t1_tasks, other.t1_tasks, times, "t1_tasks")?;
         self.util.try_merge_scaled(&other.util, times)?;
         self.events.try_add_scaled(&other.events, times)
+    }
+
+    /// The report every run starts from: the engine's name, the kernel
+    /// tag, a histogram over the engine's lanes and zero counters.
+    /// Runners add tasks ([`run_stream`]) or shard reports
+    /// ([`KernelReport::try_merge_scaled`]) to it, then
+    /// [`finish`](KernelReport::finish) it.
+    pub fn start(engine: &dyn TileEngine, kernel: Kernel) -> Self {
+        KernelReport {
+            engine: engine.name().to_owned(),
+            kernel,
+            cycles: 0,
+            useful: 0,
+            t1_tasks: 0,
+            util: UtilHistogram::new(engine.lanes()),
+            events: EventCounts::default(),
+            energy: EnergyBreakdown::default(),
+        }
+    }
+
+    /// The report with its energy computed, once, from the merged events
+    /// under the engine's network costs: every runner's last step.
+    pub fn finish(mut self, engine: &dyn TileEngine, energy_model: &EnergyModel) -> Self {
+        self.energy = energy_model.energy(&self.events, &engine.network_costs());
+        self
+    }
+
+    /// Adds `times` copies of one non-trivial task's engine result, with
+    /// the driver's per-task fix-ups: the Meta Buffer traffic of issuing
+    /// the task, and the static output-network scale of engines without
+    /// dynamic gating. Every counter is checked. This is the one per-task
+    /// step of the counted and the traced runner.
+    fn try_add_task(
+        &mut self,
+        engine: &dyn TileEngine,
+        r: &T1Result,
+        times: u64,
+    ) -> Result<(), CounterOverflow> {
+        let mut events = r.events;
+        events.meta_words = add_scaled(events.meta_words, META_WORDS_PER_TASK, 1, "meta_words")?;
+        if events.c_ports_cycles == 0 {
+            // Engines without dynamic gating pay their static network scale.
+            events.c_ports_cycles =
+                add_scaled(0, r.cycles, engine.c_network_ports(), "c_ports_cycles")?;
+        }
+        self.cycles = add_scaled(self.cycles, r.cycles, times, "cycles")?;
+        self.useful = add_scaled(self.useful, r.useful, times, "useful")?;
+        self.t1_tasks = add_scaled(self.t1_tasks, 1, times, "t1_tasks")?;
+        self.util.try_merge_scaled(&r.util, times)?;
+        self.events.try_add_scaled(&events, times)
     }
 
     /// A stable one-line signature of the report's deterministic counters,
@@ -178,79 +229,73 @@ impl KernelReport {
     }
 }
 
-/// Runs a stream of T1 tasks through an engine in order, streaming
-/// [`obs::TraceEvent`]s into `sink` as the stream executes. Trivial tasks
-/// (zero intermediate products) are filtered out by the software-level
-/// bitmap check and never reach the engine.
+/// Runs an invocation through an engine task by task, in issue order,
+/// streaming [`obs::TraceEvent`]s into `sink` as the stream executes.
+/// Trivial tasks (zero intermediate products) are filtered out by the
+/// software-level bitmap check and never reach the engine.
 ///
-/// The driver maintains a global cycle cursor (tasks retire back-to-back,
-/// matching the synchronous UWMMA lifecycle the cycle totals assume) and
-/// re-bases each task's task-local engine trace onto it, bracketing it with
-/// [`TaskIssue`](obs::TraceEvent::TaskIssue) /
-/// [`TaskRetire`](obs::TraceEvent::TaskRetire) markers. This ordered,
-/// task-by-task path runs only when the sink is enabled, because it needs
-/// a timestamp per task. With a disabled sink ([`obs::NoopSink`]) the
-/// stream is collapsed into a [`TaskStream`] and runs counted
-/// ([`run_stream`]); every field of the report is an integer sum (energy
-/// is computed once from the summed events), so reports are bit-identical
-/// whether or not a trace is attached.
+/// With an enabled sink the runner visits the walk's blocks in order
+/// ([`Invocation::visit_block`]) and issues each entry `count` times
+/// without building the task list. It keeps a global cycle cursor (tasks
+/// retire back-to-back, matching the synchronous UWMMA lifecycle the
+/// cycle totals assume) and re-bases each task's task-local engine trace
+/// onto it, bracketing it with [`TaskIssue`](obs::TraceEvent::TaskIssue) /
+/// [`TaskRetire`](obs::TraceEvent::TaskRetire) markers. With a disabled
+/// sink ([`obs::NoopSink`]) it runs the counted stream, exactly as
+/// `run_<kernel>`. Both paths add each task through the same checked step
+/// and compute energy once from the summed events, so reports are
+/// bit-identical whether or not a trace is attached.
 ///
 /// # Panics
 ///
-/// Panics if a report counter overflows `u64`. That takes upwards of
-/// 2^40 tasks, far more than any task list holds or an iterator yields in
-/// practice; [`run_stream`] reports it as an error instead.
-pub fn run_tasks_traced<I>(
+/// Panics if a report counter overflows `u64`, or if the operand shapes
+/// do not conform ([`Invocation::check_shape`]); [`Invocation::stream`]
+/// plus [`run_stream`] reports an overflow as an error instead.
+pub fn run_traced(
     engine: &dyn TileEngine,
     energy_model: &EnergyModel,
-    kernel: Kernel,
-    tasks: I,
+    inv: Invocation<'_>,
     sink: &mut dyn obs::TraceSink,
-) -> KernelReport
-where
-    I: IntoIterator<Item = T1Task>,
-{
+) -> KernelReport {
+    let kernel = inv.kernel();
     if !sink.enabled() {
-        let stream: TaskStream = tasks.into_iter().collect();
-        return fitted(engine, energy_model, kernel, Ok(stream));
+        return run_counted(engine, energy_model, inv);
     }
-    let mut report = empty_report(engine, energy_model, kernel);
-    for task in tasks {
-        if task.is_trivial() {
-            continue;
-        }
-        sink.record(obs::TraceEvent::TaskIssue {
-            task: report.t1_tasks,
-            cycle: report.cycles,
-            products: task.products(),
+    let mut report = KernelReport::start(engine, kernel);
+    for bi in 0..inv.a().block_count() {
+        inv.visit_block(bi, |task, count, _| {
+            if task.is_trivial() {
+                return;
+            }
+            for _ in 0..count {
+                let (issued, start) = (report.t1_tasks, report.cycles);
+                sink.record(obs::TraceEvent::TaskIssue {
+                    task: issued,
+                    cycle: start,
+                    products: task.products(),
+                });
+                let r = engine.execute_traced(&task, &mut obs::OffsetSink::new(sink, start));
+                assert_fits(kernel, engine, &report.try_add_task(engine, &r, 1));
+                sink.record(obs::TraceEvent::TaskRetire {
+                    task: issued,
+                    cycle: report.cycles,
+                    cycles: r.cycles,
+                    useful: r.useful,
+                });
+            }
         });
-        let shifted = &mut obs::OffsetSink::new(sink, report.cycles);
-        let r = fix_up(engine, engine.execute_traced(&task, shifted));
-        report.cycles += r.cycles;
-        report.useful += r.useful;
-        sink.record(obs::TraceEvent::TaskRetire {
-            task: report.t1_tasks,
-            cycle: report.cycles,
-            cycles: r.cycles,
-            useful: r.useful,
-        });
-        report.t1_tasks += 1;
-        report.util.merge(&r.util);
-        report.events += r.events;
     }
-    report.energy = energy_model.energy(&report.events, &engine.network_costs());
-    report
+    report.finish(engine, energy_model)
 }
 
 /// Executes a counted task stream: each non-trivial distinct task runs
 /// once and its result is added `multiplicity` times, with checked
-/// arithmetic ([`KernelReport::try_merge_scaled`]). Energy is computed
-/// once from the merged events.
+/// arithmetic. Energy is computed once from the merged events.
 ///
 /// Takes the `(task, multiplicity)` slice a [`TaskStream`] dereferences
 /// to, so `&stream` and a shard `&stream[range]` both work. The report is
-/// bit-identical to [`run_tasks_traced`] over the expanded task list with
-/// any sink (DESIGN.md §17).
+/// bit-identical to [`run_traced`] over the same invocation with any sink
+/// (DESIGN.md §17).
 ///
 /// # Errors
 ///
@@ -262,81 +307,43 @@ pub fn run_stream(
     kernel: Kernel,
     stream: &[(T1Task, u64)],
 ) -> Result<KernelReport, CounterOverflow> {
-    let mut report = empty_report(engine, energy_model, kernel);
+    let mut report = KernelReport::start(engine, kernel);
     for (task, times) in stream {
-        if task.is_trivial() {
-            continue;
+        if !task.is_trivial() {
+            report.try_add_task(engine, &engine.execute(task), *times)?;
         }
-        let r = fix_up(engine, engine.execute(task));
-        let single = KernelReport {
-            engine: String::new(),
-            kernel,
-            cycles: r.cycles,
-            useful: r.useful,
-            t1_tasks: 1,
-            util: r.util,
-            events: r.events,
-            energy: EnergyBreakdown::default(),
-        };
-        report.try_merge_scaled(&single, *times)?;
     }
-    report.energy = energy_model.energy(&report.events, &engine.network_costs());
-    Ok(report)
+    Ok(report.finish(engine, energy_model))
 }
 
-/// The driver's per-task fix-ups to an engine result: the Meta Buffer
-/// traffic of issuing the task, and the static output-network scale of
-/// engines without dynamic gating.
-fn fix_up(engine: &dyn TileEngine, mut r: T1Result) -> T1Result {
-    r.events.meta_words += META_WORDS_PER_TASK;
-    if r.events.c_ports_cycles == 0 {
-        // Engines without dynamic gating pay their static network scale.
-        r.events.c_ports_cycles = r.cycles * engine.c_network_ports();
-    }
-    r
+/// Panics with the overflow `run` carries, naming the kernel and the
+/// engine: how the infallible runners end on an unrepresentable report.
+fn assert_fits<T>(kernel: Kernel, engine: &dyn TileEngine, run: &Result<T, CounterOverflow>) {
+    let overflow = run.as_ref().err();
+    assert!(
+        overflow.is_none(),
+        "{kernel} on {}: {}",
+        engine.name(),
+        overflow.map_or_else(String::new, ToString::to_string)
+    );
 }
 
-/// The report of an empty stream: the engine's name, the kernel tag, zero
-/// counters and the energy of zero events.
-fn empty_report(
-    engine: &dyn TileEngine,
-    energy_model: &EnergyModel,
-    kernel: Kernel,
-) -> KernelReport {
-    let events = EventCounts::default();
-    KernelReport {
-        engine: engine.name().to_owned(),
-        kernel,
-        cycles: 0,
-        useful: 0,
-        t1_tasks: 0,
-        util: UtilHistogram::new(engine.lanes()),
-        events,
-        energy: energy_model.energy(&events, &engine.network_costs()),
-    }
-}
-
-/// Runs a counted stream for the infallible `run_*` entry points.
+/// Runs an invocation's counted stream for the infallible entry points.
 ///
 /// # Panics
 ///
 /// Panics if building or running the stream overflows a report counter.
 /// Only an SpMM whose `n_cols` is near `usize::MAX / 16` can get there;
 /// the fallible path is [`Invocation::stream`] plus [`run_stream`].
-fn fitted(
+fn run_counted(
     engine: &dyn TileEngine,
     energy_model: &EnergyModel,
-    kernel: Kernel,
-    stream: Result<TaskStream, CounterOverflow>,
+    inv: Invocation<'_>,
 ) -> KernelReport {
-    let run = stream.and_then(|s| run_stream(engine, energy_model, kernel, &s));
-    assert!(
-        run.is_ok(),
-        "{kernel} on {}: {}",
-        engine.name(),
-        run.as_ref().map_or_else(ToString::to_string, |_| String::new())
-    );
-    run.unwrap_or_else(|_| empty_report(engine, energy_model, kernel))
+    let kernel = inv.kernel();
+    let run = inv.stream().and_then(|s| run_stream(engine, energy_model, kernel, &s));
+    assert_fits(kernel, engine, &run);
+    run.unwrap_or_else(|_| KernelReport::start(engine, kernel))
 }
 
 /// The operands of one kernel invocation: everything that fixes its T1
@@ -496,8 +503,9 @@ impl<'a> Invocation<'a> {
     }
 
     /// The invocation's T1 tasks one by one, in issue order: the
-    /// expansion of [`Invocation::stream`], which lets a scheduler shard
-    /// the same tasks across workers and feeds the ordered traced path.
+    /// expansion of [`Invocation::stream`], for a caller that shards the
+    /// task list itself (`runtime::run_tasks_planned`) or checks a stream
+    /// against it.
     ///
     /// # Panics
     ///
@@ -520,7 +528,7 @@ pub fn run_spmv(
     energy_model: &EnergyModel,
     a: &BbcMatrix,
 ) -> KernelReport {
-    fitted(engine, energy_model, Kernel::SpMV, Invocation::SpMV(a).stream())
+    run_counted(engine, energy_model, Invocation::SpMV(a))
 }
 
 /// The tasks of [`Invocation::SpMV`] ([`Invocation::tasks`]).
@@ -563,7 +571,7 @@ pub fn run_spmspv(
     a: &BbcMatrix,
     x: &SparseVector,
 ) -> KernelReport {
-    fitted(engine, energy_model, Kernel::SpMSpV, Invocation::SpMSpV(a, x).stream())
+    run_counted(engine, energy_model, Invocation::SpMSpV(a, x))
 }
 
 /// The tasks of [`Invocation::SpMSpV`] ([`Invocation::tasks`]).
@@ -589,7 +597,7 @@ pub fn run_spmm(
     a: &BbcMatrix,
     n_cols: usize,
 ) -> KernelReport {
-    fitted(engine, energy_model, Kernel::SpMM, Invocation::SpMM(a, n_cols).stream())
+    run_counted(engine, energy_model, Invocation::SpMM(a, n_cols))
 }
 
 /// The tasks of [`Invocation::SpMM`] ([`Invocation::tasks`]).
@@ -610,7 +618,7 @@ pub fn run_spgemm(
     a: &BbcMatrix,
     b: &BbcMatrix,
 ) -> KernelReport {
-    fitted(engine, energy_model, Kernel::SpGEMM, Invocation::SpGEMM(a, b).stream())
+    run_counted(engine, energy_model, Invocation::SpGEMM(a, b))
 }
 
 /// The tasks of [`Invocation::SpGEMM`] ([`Invocation::tasks`]).
@@ -763,7 +771,7 @@ mod tests {
         let a = bbc_from(&[(0, 0), (20, 20), (40, 0)], 48);
         let mut trace: Vec<obs::TraceEvent> = Vec::new();
         let em = EnergyModel::default();
-        let rep = run_tasks_traced(&Ideal, &em, Kernel::SpMV, spmv_tasks(&a), &mut trace);
+        let rep = run_traced(&Ideal, &em, Invocation::SpMV(&a), &mut trace);
         let issues = trace
             .iter()
             .filter(|e| matches!(e, obs::TraceEvent::TaskIssue { .. }))
@@ -789,16 +797,49 @@ mod tests {
         let plain = run_spmv(&Ideal, &EnergyModel::default(), &a);
         let em = EnergyModel::default();
         let noop = &mut obs::NoopSink;
-        let traced = run_tasks_traced(&Ideal, &em, Kernel::SpMV, spmv_tasks(&a), noop);
+        let traced = run_traced(&Ideal, &em, Invocation::SpMV(&a), noop);
         assert_eq!(plain, traced);
     }
 
     /// Every task of the ordered path, with a recording sink.
-    fn ordered(kernel: Kernel, tasks: Vec<T1Task>) -> KernelReport {
+    fn ordered(inv: Invocation<'_>) -> KernelReport {
         let mut trace: Vec<obs::TraceEvent> = Vec::new();
-        let rep = run_tasks_traced(&Ideal, &EnergyModel::default(), kernel, tasks, &mut trace);
+        let rep = run_traced(&Ideal, &EnergyModel::default(), inv, &mut trace);
         assert!(!trace.is_empty() || rep.t1_tasks == 0);
         rep
+    }
+
+    /// An engine whose every task takes half of the `u64` cycle range,
+    /// with a one-port output network so that only `cycles` can overflow.
+    struct Huge;
+
+    impl TileEngine for Huge {
+        fn name(&self) -> &str {
+            "huge"
+        }
+        fn lanes(&self) -> usize {
+            64
+        }
+        fn execute(&self, _task: &T1Task) -> T1Result {
+            T1Result { cycles: u64::MAX / 2 + 1, ..T1Result::new(64) }
+        }
+        fn network_costs(&self) -> NetworkCosts {
+            NetworkCosts::flat()
+        }
+        fn c_network_ports(&self) -> u64 {
+            1
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "SpMV on huge: report counter `cycles` overflows u64")]
+    fn traced_run_panics_on_overflow_instead_of_wrapping() {
+        // Two distinct blocks: the second task's cycles pass 2^64.
+        let a = bbc_from(&[(0, 0), (20, 20)], 32);
+        let (inv, em) = (Invocation::SpMV(&a), EnergyModel::default());
+        let err = run_stream(&Huge, &em, Kernel::SpMV, &inv.stream().unwrap()).unwrap_err();
+        assert_eq!(err, CounterOverflow { counter: "cycles" });
+        run_traced(&Huge, &em, inv, &mut Vec::<obs::TraceEvent>::new());
     }
 
     #[test]
@@ -825,7 +866,7 @@ mod tests {
             assert_eq!(stream, TaskStream::from(&tasks[..]), "{kernel}");
             assert!(stream.len() < tasks.len(), "{kernel}: patterns repeat");
             let counted = run_stream(&Ideal, &em, kernel, &stream).unwrap();
-            assert_eq!(counted, ordered(kernel, tasks), "{kernel}");
+            assert_eq!(counted, ordered(inv), "{kernel}");
         }
     }
 

@@ -60,7 +60,7 @@ impl std::fmt::Display for Precision {
 /// distinct task** and the result is scaled by the task's multiplicity.
 /// An engine that counts its calls, or keeps state across them, would
 /// report different totals counted than ordered. Only a traced run
-/// ([`driver::run_tasks_traced`](crate::driver::run_tasks_traced) with an
+/// ([`driver::run_traced`](crate::driver::run_traced) with an
 /// enabled sink) still calls the engine once per task, in stream order.
 ///
 /// The trait is object-safe: kernel drivers take `&dyn TileEngine`.

@@ -1,8 +1,6 @@
 //! Per-task and aggregated execution results: cycles, lane occupancy and
 //! hardware event counts.
 
-use std::ops::AddAssign;
-
 /// Histogram of MAC-lane occupancy: `counts[l]` is the number of cycles in
 /// which exactly `l` lanes carried useful products.
 ///
@@ -82,22 +80,10 @@ impl UtilHistogram {
         ]
     }
 
-    /// Merges another histogram of the same lane count into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lane counts differ.
-    pub fn merge(&mut self, other: &UtilHistogram) {
-        assert_eq!(self.lanes, other.lanes, "cannot merge histograms of different lane counts");
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-    }
-
-    /// Merges `times` copies of `other` into this histogram with checked
-    /// arithmetic: exactly `times` calls of [`UtilHistogram::merge`], or
-    /// an error where one of them would overflow a bucket. On error the
-    /// histogram is partially merged and must be discarded.
+    /// Merges `times` copies of `other`, a histogram of the same lane
+    /// count, into this one with checked arithmetic: every bucket gains
+    /// `times` times `other`'s count, or an error names the overflow. On
+    /// error the histogram is partially merged and must be discarded.
     ///
     /// # Errors
     ///
@@ -114,7 +100,7 @@ impl UtilHistogram {
         assert_eq!(self.lanes, other.lanes, "cannot merge histograms of different lane counts");
         // One overflow check after the loop, not one early exit per bucket,
         // and no multiply for the common factor of 1: the loop stays
-        // branch-free and vectorises like `merge`.
+        // branch-free and vectorises.
         let mut overflowed = false;
         for (a, &b) in self.counts.iter_mut().zip(&other.counts) {
             let (scaled, o1) = if times == 1 { (b, false) } else { b.overflowing_mul(times) };
@@ -194,27 +180,10 @@ pub struct EventCounts {
     pub faults_uncorrected: u64,
 }
 
-impl AddAssign for EventCounts {
-    fn add_assign(&mut self, o: EventCounts) {
-        self.a_elems += o.a_elems;
-        self.b_elems += o.b_elems;
-        self.partial_updates += o.partial_updates;
-        self.c_writes += o.c_writes;
-        self.meta_words += o.meta_words;
-        self.sched_ops += o.sched_ops;
-        self.unit_cycles += o.unit_cycles;
-        self.mac_issued += o.mac_issued;
-        self.c_ports_cycles += o.c_ports_cycles;
-        self.faults_injected += o.faults_injected;
-        self.faults_detected += o.faults_detected;
-        self.faults_uncorrected += o.faults_uncorrected;
-    }
-}
-
 impl EventCounts {
-    /// Adds `times` copies of `o` with checked arithmetic: exactly `times`
-    /// `+=` steps, or an error where one would overflow a field. On error
-    /// the counts are partially updated and must be discarded.
+    /// Adds `times` copies of `o` field by field with checked arithmetic,
+    /// or an error where a field would overflow. On error the counts are
+    /// partially updated and must be discarded.
     ///
     /// # Errors
     ///
@@ -335,7 +304,7 @@ mod tests {
         a.record(8);
         let mut b = UtilHistogram::new(8);
         b.record(4);
-        a.merge(&b);
+        a.try_merge_scaled(&b, 1).unwrap();
         assert_eq!(a.cycles(), 2);
         assert_eq!(a.useful_ops(), 12);
     }
@@ -344,7 +313,7 @@ mod tests {
     #[should_panic(expected = "different lane counts")]
     fn merge_rejects_mismatched_lanes() {
         let mut a = UtilHistogram::new(8);
-        a.merge(&UtilHistogram::new(4));
+        let _ = a.try_merge_scaled(&UtilHistogram::new(4), 1);
     }
 
     #[test]
@@ -354,7 +323,7 @@ mod tests {
         one.record(3);
         let mut folded = UtilHistogram::new(8);
         for _ in 0..5 {
-            folded.merge(&one);
+            folded.try_merge_scaled(&one, 1).unwrap();
         }
         let mut scaled = UtilHistogram::new(8);
         scaled.try_merge_scaled(&one, 5).unwrap();
@@ -364,7 +333,7 @@ mod tests {
             EventCounts { a_elems: 3, mac_issued: 64, faults_detected: 1, ..Default::default() };
         let mut folded = EventCounts::default();
         for _ in 0..7 {
-            folded += e;
+            folded.try_add_scaled(&e, 1).unwrap();
         }
         let mut scaled = EventCounts::default();
         scaled.try_add_scaled(&e, 7).unwrap();
@@ -387,10 +356,10 @@ mod tests {
     }
 
     #[test]
-    fn events_add_assign() {
+    fn events_add_field_wise() {
         let mut a = EventCounts { a_elems: 1, c_writes: 2, ..Default::default() };
         let b = EventCounts { a_elems: 10, mac_issued: 5, ..Default::default() };
-        a += b;
+        a.try_add_scaled(&b, 1).unwrap();
         assert_eq!(a.a_elems, 11);
         assert_eq!(a.c_writes, 2);
         assert_eq!(a.mac_issued, 5);

@@ -10,7 +10,7 @@
 //! microsecond equals one simulated cycle. Without an output path, the
 //! example prints an event-count summary instead.
 
-use simkit::driver::{run_tasks_traced, spmv_tasks, Kernel};
+use simkit::driver::{run_traced, Invocation};
 use simkit::{EnergyModel, Precision};
 use uni_stc::{UniStc, UniStcConfig};
 use workloads::representative::representative_matrices;
@@ -27,7 +27,7 @@ fn main() {
     // events is plenty for the representative matrices.
     let mut ring = obs::RingSink::new(1 << 20);
     let em = EnergyModel::default();
-    let report = run_tasks_traced(&engine, &em, Kernel::SpMV, spmv_tasks(&bbc), &mut ring);
+    let report = run_traced(&engine, &em, Invocation::SpMV(&bbc), &mut ring);
 
     println!(
         "{}: SpMV on {} — {} cycles, {} T1 tasks, utilisation {:.3}",

@@ -10,7 +10,7 @@
 use std::time::Duration;
 
 use bench::{headline_engines, MatrixCtx, KERNELS};
-use runtime::{Backoff, ChaosPlan, PlannedRunError, RuntimeConfig, ShardPlan, TaskOutcome};
+use runtime::{Backoff, ChaosPlan, PlannedRunError, RuntimeConfig, TaskOutcome};
 use simkit::driver::{self, Invocation};
 use simkit::{EnergyModel, Precision};
 use uni_stc::multi::DegradedError;
@@ -295,10 +295,9 @@ fn two_thread_conformance_smoke() {
         ];
         for (s, inv) in cases {
             let stream = inv.stream().expect("fits");
-            // The service's parallel path: a contiguous plan over the
-            // counted stream's distinct entries.
-            let plan = ShardPlan::contiguous(stream.len(), cfg.threads);
-            let p = runtime::run_stream_planned(&cfg, &plan, &engine, &em, s.kernel, &stream)
+            // The service's parallel path: the runtime shards the counted
+            // stream's distinct entries.
+            let p = runtime::run_stream_planned(&cfg, &engine, &em, s.kernel, &stream)
                 .unwrap_or_else(|e| panic!("{}: {e}", s.kernel));
             assert_eq!(
                 s.counter_signature(),
