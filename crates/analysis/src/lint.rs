@@ -201,7 +201,6 @@ const RULES: &[Rule] = &[
             "conformance/src/generators.rs",
             "conformance/src/golden.rs",
             "core/src/kernels.rs",
-            "core/src/multi.rs",
             "core/src/schedule.rs",
             "sparse/src/bbc/build.rs",
             "sparse/src/bbc/mod.rs",

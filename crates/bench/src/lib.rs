@@ -99,8 +99,7 @@ impl MatrixCtx {
     ///
     /// # Errors
     ///
-    /// Returns [`runtime::PlannedRunError::Execution`] carrying
-    /// [`uni_stc::multi::DegradedError::RetriesExhausted`] if a shard
+    /// Returns [`runtime::ShardedRunError::RetriesExhausted`] if a shard
     /// failed intrinsically past the retry budget (only possible with a
     /// panicking engine).
     pub fn run_sharded(
@@ -109,9 +108,9 @@ impl MatrixCtx {
         engine: &(dyn TileEngine + Sync),
         em: &EnergyModel,
         kernel: Kernel,
-    ) -> Result<runtime::ShardedRun, runtime::PlannedRunError> {
+    ) -> Result<runtime::ShardedRun, runtime::ShardedRunError> {
         let stream =
-            self.invocation(kernel).stream().map_err(runtime::PlannedRunError::Overflow)?;
+            self.invocation(kernel).stream().map_err(runtime::ShardedRunError::Overflow)?;
         runtime::run_stream_planned(cfg, engine, em, kernel, &stream)
     }
 

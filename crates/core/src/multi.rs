@@ -2,7 +2,9 @@
 //! 108 SMs). This module replays a kernel over `n_units` parallel units
 //! using the warp-level static load balancing of [`crate::schedule`]: each
 //! unit owns one warp quota of stored blocks, and the kernel finishes when
-//! the slowest unit does (the makespan).
+//! the slowest unit does (the makespan). A unit's cycles are its blocks'
+//! counted stream run through the driver's checked fold, so a count past
+//! `u64::MAX` is a [`DegradedError::Overflow`], never a wrapped makespan.
 //!
 //! # Degraded mode
 //!
@@ -13,15 +15,16 @@
 //! cannot repair its buffers locally — and is taken offline. Its block
 //! ranges are requeued exactly once onto the surviving units, which
 //! re-fetch the affected blocks from the pristine source (protected global
-//! memory). When every unit is lost the run returns [`DegradedError`]
-//! instead of panicking. [`degraded_spmv`] additionally produces the
-//! numeric result: partial contributions are reduced in stored-block-index
-//! order — never in unit-completion order — so a degraded run is bitwise
-//! identical to the fault-free reference.
+//! memory). When every unit is lost the run returns
+//! [`DegradedError::NoHealthyUnits`] instead of panicking.
+//! [`degraded_spmv`] additionally produces the numeric result: partial
+//! contributions are reduced in stored-block-index order — never in
+//! unit-completion order — so a degraded run is bitwise identical to the
+//! fault-free reference.
 
-use simkit::driver::{Invocation, Kernel};
+use simkit::driver::{self, Invocation, Kernel};
 use simkit::fault::FaultPlan;
-use simkit::{EventCounts, TileEngine};
+use simkit::{CounterOverflow, EnergyModel, EventCounts, TileEngine};
 use sparse::BbcMatrix;
 
 use crate::schedule::{balance_warps, warp_loads};
@@ -79,18 +82,9 @@ pub enum DegradedError {
         /// Number of units lost.
         faulty: usize,
     },
-    /// A task kept failing intrinsically (panicking or returning an error
-    /// on every attempt) until its bounded retry budget ran out. Used by
-    /// the `runtime` crate's supervised scheduler: infrastructure faults
-    /// (worker crashes, stalls, injected flakes) are drained onto the
-    /// supervisor instead, so this variant always points at the task
-    /// itself.
-    RetriesExhausted {
-        /// Index of the failing task within the sharded stream.
-        task: u64,
-        /// Attempts made before giving up (initial try + retries).
-        attempts: u32,
-    },
+    /// A task or cycle count would exceed `u64::MAX` (an SpMM with
+    /// `n_cols` near `usize::MAX / 16`): the report is not representable.
+    Overflow(CounterOverflow),
 }
 
 impl std::fmt::Display for DegradedError {
@@ -99,9 +93,7 @@ impl std::fmt::Display for DegradedError {
             DegradedError::NoHealthyUnits { faulty } => {
                 write!(f, "all {faulty} units lost to uncorrected faults")
             }
-            DegradedError::RetriesExhausted { task, attempts } => {
-                write!(f, "task {task} failed on all {attempts} attempts; retry budget exhausted")
-            }
+            DegradedError::Overflow(e) => write!(f, "multi-unit replay failed: {e}"),
         }
     }
 }
@@ -110,6 +102,11 @@ impl std::error::Error for DegradedError {}
 
 /// Replays SpMV (dense `x`) or SpMM over `n_units` parallel units with the
 /// static warp balancing of Section V-A.
+///
+/// # Errors
+///
+/// [`DegradedError::Overflow`] if a cycle or task count would exceed
+/// `u64::MAX`.
 ///
 /// # Panics
 ///
@@ -121,31 +118,95 @@ pub fn parallel_kernel(
     kernel: Kernel,
     n_cols: usize,
     n_units: usize,
-) -> MultiUnitReport {
+) -> Result<MultiUnitReport, DegradedError> {
     parallel_kernel_degraded(engine, a, kernel, n_cols, n_units, &[])
-        .expect("no fault plans, so no unit can be lost")
 }
 
-/// Internal state of one degraded run: per-unit health, sources and the
-/// block-to-unit assignment after requeueing.
-struct DegradedState {
-    /// Per-warp local copy when the unit's plan left undetected damage
-    /// (`None` = the pristine source is representative).
-    unit_src: Vec<Option<BbcMatrix>>,
-    /// Warps taken offline.
-    faulty: Vec<bool>,
-    /// For every stored block: `(executing_warp, requeued)`.
-    assignment: Vec<(usize, bool)>,
-    events: EventCounts,
-    n_warps: usize,
-}
-
-fn plan_degraded(
+/// [`parallel_kernel`] under per-unit fault injection.
+///
+/// `plans[w]` corrupts the local operand copy of unit `w` (missing entries
+/// inject nothing). Units whose copy fails validation are taken offline and
+/// their blocks are requeued once onto the surviving units, which re-fetch
+/// them from the pristine source; the requeue is visible as
+/// [`MultiUnitReport::faulty_units`] / [`MultiUnitReport::retried_blocks`]
+/// and in the report's fault counters.
+///
+/// # Errors
+///
+/// Returns [`DegradedError::NoHealthyUnits`] when there is work but every
+/// unit was lost, and [`DegradedError::Overflow`] if a cycle or task count
+/// would exceed `u64::MAX`.
+///
+/// # Panics
+///
+/// Panics if `n_units == 0` or `kernel` is not SpMV / SpMM.
+pub fn parallel_kernel_degraded(
+    engine: &dyn TileEngine,
     a: &BbcMatrix,
+    kernel: Kernel,
+    n_cols: usize,
     n_units: usize,
     plans: &[FaultPlan],
-) -> Result<DegradedState, DegradedError> {
+) -> Result<MultiUnitReport, DegradedError> {
+    assert!(
+        matches!(kernel, Kernel::SpMV | Kernel::SpMM),
+        "parallel replay supports SpMV and SpMM"
+    );
+    let inv =
+        if kernel == Kernel::SpMM { Invocation::SpMM(a, n_cols) } else { Invocation::SpMV(a) };
+    replay(engine, inv, n_units, plans, |_, _| {})
+}
+
+/// Numeric SpMV (`y = A x`) over `n_units` degraded units.
+///
+/// Every stored block's contribution is computed from the copy of the unit
+/// that executed it (pristine for requeued blocks) and reduced **in
+/// stored-block-index order**, independent of the unit assignment — so as
+/// long as no *undetected* fault reaches a value, the degraded result is
+/// bitwise identical to the fault-free reference.
+///
+/// # Errors
+///
+/// Returns [`DegradedError::NoHealthyUnits`] when there is work but every
+/// unit was lost, and [`DegradedError::Overflow`] if a cycle or task count
+/// would exceed `u64::MAX`.
+///
+/// # Panics
+///
+/// Panics if `n_units == 0` or `x.len() != a.ncols()`.
+pub fn degraded_spmv(
+    engine: &dyn TileEngine,
+    a: &BbcMatrix,
+    x: &[f64],
+    n_units: usize,
+    plans: &[FaultPlan],
+) -> Result<(Vec<f64>, MultiUnitReport), DegradedError> {
+    assert_eq!(x.len(), a.ncols(), "x length must match a.ncols()");
+    let mut y = vec![0.0f64; a.nrows()];
+    let report = replay(engine, Invocation::SpMV(a), n_units, plans, |src, bi| {
+        for (r, c, v) in src.block(bi).iter() {
+            y[r] += v * x[c];
+        }
+    })?;
+    Ok((y, report))
+}
+
+/// The replay behind every entry point. Each unit's blocks, requeued ones
+/// included, run as one counted stream ([`Invocation::stream_of`]) through
+/// the checked [`driver::run_stream`], so each distinct task executes once
+/// per unit. Tasks come from the pristine operand of `inv`: a unit copy
+/// that passed validation differs from it only in values. `visit(src, bi)`
+/// sees each block in stored-block-index order, on the copy its unit read:
+/// the pristine source if requeued, else the unit's possibly damaged copy.
+fn replay(
+    engine: &dyn TileEngine,
+    inv: Invocation<'_>,
+    n_units: usize,
+    plans: &[FaultPlan],
+    mut visit: impl FnMut(&BbcMatrix, usize),
+) -> Result<MultiUnitReport, DegradedError> {
     assert!(n_units > 0, "need at least one unit");
+    let a = inv.a();
     let ranges = balance_warps(a, n_units);
     let n_warps = warp_loads(&ranges).len();
     let slots = n_warps.max(1);
@@ -175,138 +236,40 @@ fn plan_degraded(
     }
 
     // One requeue round: blocks of faulty warps move round-robin onto the
-    // healthy warps. The assignment is per stored block so the numeric
-    // reduction below can stay in block-index order.
-    let mut assignment = vec![(0usize, false); a.block_count()];
-    let mut rr = 0usize;
-    for range in &ranges {
-        for slot in assignment.iter_mut().take(range.end).skip(range.start) {
-            *slot = if faulty[range.warp] {
-                let w = healthy[rr % healthy.len()];
-                rr += 1;
-                (w, true)
-            } else {
-                (range.warp, false)
-            };
-        }
-    }
-    Ok(DegradedState { unit_src, faulty, assignment, events, n_warps })
-}
-
-/// [`parallel_kernel`] under per-unit fault injection.
-///
-/// `plans[w]` corrupts the local operand copy of unit `w` (missing entries
-/// inject nothing). Units whose copy fails validation are taken offline and
-/// their blocks are requeued once onto the surviving units, which re-fetch
-/// them from the pristine source; the requeue is visible as
-/// [`MultiUnitReport::faulty_units`] / [`MultiUnitReport::retried_blocks`]
-/// and in the report's fault counters.
-///
-/// # Errors
-///
-/// Returns [`DegradedError::NoHealthyUnits`] when there is work but every
-/// unit was lost.
-///
-/// # Panics
-///
-/// Panics if `n_units == 0` or `kernel` is not SpMV / SpMM.
-pub fn parallel_kernel_degraded(
-    engine: &dyn TileEngine,
-    a: &BbcMatrix,
-    kernel: Kernel,
-    n_cols: usize,
-    n_units: usize,
-    plans: &[FaultPlan],
-) -> Result<MultiUnitReport, DegradedError> {
-    assert!(
-        matches!(kernel, Kernel::SpMV | Kernel::SpMM),
-        "parallel replay supports SpMV and SpMM"
-    );
-    let spmm = kernel == Kernel::SpMM;
-    replay(
-        engine,
-        a,
-        n_units,
-        plans,
-        |src| if spmm { Invocation::SpMM(src, n_cols) } else { Invocation::SpMV(src) },
-        |_, _| {},
-    )
-}
-
-/// Numeric SpMV (`y = A x`) over `n_units` degraded units.
-///
-/// Every stored block's contribution is computed from the copy of the unit
-/// that executed it (pristine for requeued blocks) and reduced **in
-/// stored-block-index order**, independent of the unit assignment — so as
-/// long as no *undetected* fault reaches a value, the degraded result is
-/// bitwise identical to the fault-free reference.
-///
-/// # Errors
-///
-/// Returns [`DegradedError::NoHealthyUnits`] when there is work but every
-/// unit was lost.
-///
-/// # Panics
-///
-/// Panics if `n_units == 0` or `x.len() != a.ncols()`.
-pub fn degraded_spmv(
-    engine: &dyn TileEngine,
-    a: &BbcMatrix,
-    x: &[f64],
-    n_units: usize,
-    plans: &[FaultPlan],
-) -> Result<(Vec<f64>, MultiUnitReport), DegradedError> {
-    assert_eq!(x.len(), a.ncols(), "x length must match a.ncols()");
-    let mut y = vec![0.0f64; a.nrows()];
-    let report = replay(engine, a, n_units, plans, |src| Invocation::SpMV(src), |src, bi| {
-        for (r, c, v) in src.block(bi).iter() {
-            y[r] += v * x[c];
-        }
-    })?;
-    Ok((y, report))
-}
-
-/// The per-block loop of a degraded run. Every stored block runs on the
-/// unit it is assigned to: a requeued block from the pristine source,
-/// which the unit re-fetches, and any other from the unit's own copy,
-/// possibly silently damaged. Either copy passed validation, so the task
-/// geometry is the same. `visit(src, bi)` sees each block in
-/// stored-block-index order, on the copy it ran from; the block's cycles
-/// are the engine's over the tasks its walk issues
-/// ([`Invocation::visit_block`]).
-fn replay(
-    engine: &dyn TileEngine,
-    a: &BbcMatrix,
-    n_units: usize,
-    plans: &[FaultPlan],
-    invocation: impl Fn(&BbcMatrix) -> Invocation<'_>,
-    mut visit: impl FnMut(&BbcMatrix, usize),
-) -> Result<MultiUnitReport, DegradedError> {
-    let state = plan_degraded(a, n_units, plans)?;
-    let mut unit_cycles = vec![0u64; state.n_warps.max(1)];
-    let mut serial_cycles = 0u64;
+    // healthy warps. The ranges run in stored-block-index order.
+    let mut unit_blocks = vec![Vec::new(); slots];
     let mut retried_blocks = 0u64;
-    for (bi, &(w, requeued)) in state.assignment.iter().enumerate() {
-        let src = if requeued { a } else { state.unit_src[w].as_ref().unwrap_or(a) };
-        visit(src, bi);
-        let mut cycles = 0;
-        invocation(src).visit_block(bi, |task, count, _| {
-            if !task.is_trivial() {
-                cycles += engine.execute(&task).cycles * count;
-            }
-        });
-        unit_cycles[w] += cycles;
-        serial_cycles += cycles;
-        retried_blocks += u64::from(requeued);
+    for range in &ranges {
+        for bi in range.start..range.end {
+            let (w, src) = if faulty[range.warp] {
+                let w = healthy[retried_blocks as usize % healthy.len()];
+                retried_blocks += 1;
+                (w, a)
+            } else {
+                (range.warp, unit_src[range.warp].as_ref().unwrap_or(a))
+            };
+            visit(src, bi);
+            unit_blocks[w].push(bi);
+        }
     }
+    let (kernel, em) = (inv.kernel(), EnergyModel::default());
+    let unit_cycles = unit_blocks
+        .into_iter()
+        .map(|blocks| Ok(driver::run_stream(engine, &em, kernel, &inv.stream_of(blocks)?)?.cycles))
+        .collect::<Result<Vec<u64>, CounterOverflow>>()
+        .map_err(DegradedError::Overflow)?;
+    let serial_cycles = unit_cycles
+        .iter()
+        .try_fold(0u64, |sum, &cycles| sum.checked_add(cycles))
+        .ok_or(DegradedError::Overflow(CounterOverflow { counter: "cycles" }))?;
     let makespan = unit_cycles.iter().copied().max().unwrap_or(0);
     Ok(MultiUnitReport {
         unit_cycles,
         makespan,
         serial_cycles,
-        faulty_units: (0..state.n_warps).filter(|&w| state.faulty[w]).collect(),
+        faulty_units: (0..n_warps).filter(|&w| faulty[w]).collect(),
         retried_blocks,
-        events: state.events,
+        events,
     })
 }
 
@@ -329,7 +292,7 @@ mod tests {
         let a = bbc(256, (0..256).map(|i| (i, (i * 11) % 256)));
         let uni = UniStc::default();
         for n_units in [1usize, 2, 4, 8] {
-            let rep = parallel_kernel(&uni, &a, Kernel::SpMV, 1, n_units);
+            let rep = parallel_kernel(&uni, &a, Kernel::SpMV, 1, n_units).unwrap();
             assert!(rep.makespan <= rep.serial_cycles);
             assert!(rep.makespan * n_units as u64 >= rep.serial_cycles);
             assert!(rep.speedup() >= 1.0);
@@ -342,7 +305,7 @@ mod tests {
     #[test]
     fn one_unit_equals_serial() {
         let a = bbc(128, (0..128).map(|i| (i, i)));
-        let rep = parallel_kernel(&UniStc::default(), &a, Kernel::SpMV, 1, 1);
+        let rep = parallel_kernel(&UniStc::default(), &a, Kernel::SpMV, 1, 1).unwrap();
         assert_eq!(rep.makespan, rep.serial_cycles);
         assert!((rep.speedup() - 1.0).abs() < 1e-12);
     }
@@ -351,14 +314,14 @@ mod tests {
     fn balanced_work_scales_nearly_linearly() {
         // 32 identical diagonal blocks across 8 units.
         let a = bbc(512, (0..512).map(|i| (i, i)));
-        let rep = parallel_kernel(&UniStc::default(), &a, Kernel::SpMV, 1, 8);
+        let rep = parallel_kernel(&UniStc::default(), &a, Kernel::SpMV, 1, 8).unwrap();
         assert!(rep.efficiency() > 0.9, "efficiency {}", rep.efficiency());
     }
 
     #[test]
     fn spmm_replay_works() {
         let a = bbc(64, (0..64).map(|i| (i, (i * 3) % 64)));
-        let rep = parallel_kernel(&UniStc::default(), &a, Kernel::SpMM, 64, 4);
+        let rep = parallel_kernel(&UniStc::default(), &a, Kernel::SpMM, 64, 4).unwrap();
         assert!(rep.makespan > 0);
         assert!(rep.speedup() > 1.0);
     }
@@ -368,10 +331,10 @@ mod tests {
         // A zero-column B issues no tasks, so it costs no cycles.
         let a = bbc(64, (0..64).map(|i| (i, (i * 3) % 64)));
         let (uni, em) = (UniStc::default(), simkit::EnergyModel::default());
-        let spmv = parallel_kernel(&uni, &a, Kernel::SpMV, 1, 4);
+        let spmv = parallel_kernel(&uni, &a, Kernel::SpMV, 1, 4).unwrap();
         assert_eq!(spmv.serial_cycles, simkit::driver::run_spmv(&uni, &em, &a).cycles);
         for n_cols in [0, 1, 15, 16, 17, 64] {
-            let rep = parallel_kernel(&uni, &a, Kernel::SpMM, n_cols, 4);
+            let rep = parallel_kernel(&uni, &a, Kernel::SpMM, n_cols, 4).unwrap();
             let serial = simkit::driver::run_spmm(&uni, &em, &a, n_cols).cycles;
             assert_eq!(rep.serial_cycles, serial, "n_cols={n_cols}");
         }
@@ -381,7 +344,7 @@ mod tests {
     #[should_panic(expected = "SpMV and SpMM")]
     fn spgemm_rejected() {
         let a = bbc(16, [(0, 0)]);
-        parallel_kernel(&UniStc::default(), &a, Kernel::SpGEMM, 1, 2);
+        parallel_kernel(&UniStc::default(), &a, Kernel::SpGEMM, 1, 2).unwrap();
     }
 
     #[test]
@@ -398,7 +361,7 @@ mod tests {
         assert_eq!(rep.events.faults_detected, rep.events.faults_injected);
         assert_eq!(rep.events.faults_uncorrected, rep.events.faults_detected);
         // The same total work is still performed.
-        let clean = parallel_kernel(&UniStc::default(), &a, Kernel::SpMV, 1, 4);
+        let clean = parallel_kernel(&UniStc::default(), &a, Kernel::SpMV, 1, 4).unwrap();
         assert_eq!(rep.serial_cycles, clean.serial_cycles);
     }
 
@@ -418,15 +381,55 @@ mod tests {
     fn degraded_error_implements_error_and_display() {
         let errs = [
             DegradedError::NoHealthyUnits { faulty: 4 },
-            DegradedError::RetriesExhausted { task: 17, attempts: 3 },
+            DegradedError::Overflow(CounterOverflow { counter: "cycles" }),
         ];
         for err in errs {
             let dyn_err: &dyn std::error::Error = &err;
             assert!(!dyn_err.to_string().is_empty());
         }
-        let msg = DegradedError::RetriesExhausted { task: 17, attempts: 3 }.to_string();
-        assert!(msg.contains("task 17"), "{msg}");
-        assert!(msg.contains("3 attempts"), "{msg}");
+        let msg = DegradedError::Overflow(CounterOverflow { counter: "cycles" }).to_string();
+        assert!(msg.contains("`cycles` overflows u64"), "{msg}");
+    }
+
+    #[test]
+    fn huge_spmm_replay_overflows_as_a_typed_error() {
+        // 64 identical single-entry blocks: each unit's ~2^59 tasks per
+        // block, over 32 blocks, pass 2^64.
+        let a = bbc(1024, (0..64).map(|b| (16 * b, 16 * b)));
+        let uni = UniStc::default();
+        let n_cols = usize::MAX / 2;
+        let want = DegradedError::Overflow(CounterOverflow { counter: "t1_tasks" });
+        let degraded = parallel_kernel_degraded(&uni, &a, Kernel::SpMM, n_cols, 2, &[]);
+        assert_eq!(degraded, Err(want.clone()));
+        assert_eq!(parallel_kernel(&uni, &a, Kernel::SpMM, n_cols, 2), Err(want));
+    }
+
+    #[test]
+    fn each_unit_executes_a_distinct_task_once() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        /// Uni-STC, counting its `execute` calls.
+        struct Counting(UniStc, AtomicU64);
+        impl TileEngine for Counting {
+            fn name(&self) -> &str {
+                self.0.name()
+            }
+            fn lanes(&self) -> usize {
+                self.0.lanes()
+            }
+            fn execute(&self, task: &simkit::T1Task) -> simkit::T1Result {
+                self.1.fetch_add(1, Ordering::Relaxed);
+                self.0.execute(task)
+            }
+            fn network_costs(&self) -> simkit::NetworkCosts {
+                self.0.network_costs()
+            }
+        }
+        // 32 identical diagonal blocks across 4 units.
+        let a = bbc(512, (0..512).map(|i| (i, i)));
+        let counting = Counting(UniStc::default(), AtomicU64::new(0));
+        let rep = parallel_kernel(&counting, &a, Kernel::SpMV, 1, 4).unwrap();
+        assert!(counting.1.load(Ordering::Relaxed) <= 4, "one distinct task per unit");
+        assert_eq!(rep, parallel_kernel(&UniStc::default(), &a, Kernel::SpMV, 1, 4).unwrap());
     }
 
     #[test]

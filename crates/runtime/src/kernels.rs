@@ -14,20 +14,20 @@
 //! [`run_stream_planned`] is that parallel executor: it takes a kernel's
 //! stream from the driver's one walk
 //! ([`Invocation::stream`](simkit::driver::Invocation::stream)) and splits
-//! it itself with [`ShardPlan::contiguous`], a plan legal by construction.
-//! [`run_tasks_planned`] is the one entry point that takes a caller's
-//! plan, and it proves that plan legal before any worker spawns.
+//! it itself with [`ShardPlan::contiguous`], a plan legal by construction
+//! (one shard on a single worker), so it fails only as
+//! [`ShardedRunError`] says. [`run_tasks_planned`] is the one entry point
+//! that takes a caller's plan, and it proves that plan legal before any
+//! worker spawns; only it can answer [`PlannedRunError::Rejected`].
 //!
 //! The shards execute on the [`pool`], so they inherit its
 //! resilience: a shard whose execution panics is retried and, past the
-//! budget, surfaces as [`PlannedRunError::Execution`] carrying
-//! [`DegradedError::RetriesExhausted`](uni_stc::multi::DegradedError);
-//! injected chaos can never change the merged counters, only how long the
-//! run takes.
+//! budget, surfaces as [`ShardedRunError::RetriesExhausted`]; injected
+//! chaos can never change the merged counters, only how long the run
+//! takes.
 
 use simkit::driver::{self, Kernel, KernelReport};
 use simkit::{CounterOverflow, EnergyModel, T1Task, TaskStream, TileEngine};
-use uni_stc::multi::DegradedError;
 
 use crate::pool::{self, RuntimeConfig, TaskOutcome};
 
@@ -119,9 +119,10 @@ pub struct ShardPlan {
 impl ShardPlan {
     /// Contiguous chunks targeting ~4 shards per worker, so steals have
     /// something to rebalance without shrinking shards into scheduling
-    /// overhead. The plan [`run_stream_planned`] builds for itself.
+    /// overhead, and one shard at `threads <= 1`, where nobody steals.
+    /// The plan [`run_stream_planned`] builds for itself.
     pub fn contiguous(tasks: usize, threads: usize) -> Self {
-        let chunk = (tasks / (threads.max(1) * 4)).max(1);
+        let chunk = if threads <= 1 { tasks } else { tasks / (threads * 4) }.max(1);
         let mut shards = Vec::new();
         let mut start = 0;
         while start < tasks {
@@ -160,18 +161,20 @@ impl ShardPlan {
     ///
     /// Returns the first [`ShardPlanError`] the plan violates.
     pub fn verify_before_run(&self) -> Result<(), ShardPlanError> {
+        self.verify_for(self.tasks)
+    }
+
+    /// [`ShardPlan::verify_before_run`] against a `tasks`-long stream. A
+    /// plan sized for another stream that passes still leaves a gap.
+    fn verify_for(&self, tasks: usize) -> Result<(), ShardPlanError> {
         // `owner[i]` = 1 + index of the shard that claimed task i.
-        let mut owner = vec![0usize; self.tasks];
+        let mut owner = vec![0usize; tasks];
         for (s, range) in self.shards.iter().enumerate() {
             if range.start >= range.end {
                 return Err(ShardPlanError::EmptyShard { shard: s });
             }
-            if range.end > self.tasks {
-                return Err(ShardPlanError::OutOfRange {
-                    shard: s,
-                    end: range.end,
-                    tasks: self.tasks,
-                });
+            if range.end > tasks {
+                return Err(ShardPlanError::OutOfRange { shard: s, end: range.end, tasks });
             }
             for task in range.clone() {
                 if owner[task] != 0 {
@@ -184,33 +187,59 @@ impl ShardPlan {
                 owner[task] = s + 1;
             }
         }
-        if let Some(task) = owner.iter().position(|&o| o == 0) {
-            return Err(ShardPlanError::Gap { task });
+        match owner.iter().position(|&o| o == 0) {
+            Some(task) => Err(ShardPlanError::Gap { task }),
+            None if tasks != self.tasks => Err(ShardPlanError::Gap { task: self.tasks.min(tasks) }),
+            None => Ok(()),
         }
-        Ok(())
     }
 }
 
-/// Why a planned run produced no merged report.
+/// Why a sharded run produced no merged report.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ShardedRunError {
+    /// A shard failed intrinsically (its engine panicked) on every attempt
+    /// of its retry budget. Injected chaos is drained onto the supervisor
+    /// instead, so this always points at the shard's own work.
+    RetriesExhausted {
+        /// Index of the failing shard in the plan.
+        shard: usize,
+        /// Attempts made before giving up (initial try + retries).
+        attempts: u32,
+    },
+    /// A merged report counter would exceed `u64::MAX`; the exact report
+    /// is not representable.
+    Overflow(CounterOverflow),
+}
+
+impl std::fmt::Display for ShardedRunError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ShardedRunError::RetriesExhausted { shard, attempts } => {
+                write!(f, "shard {shard} failed on all {attempts} attempts; retry budget exhausted")
+            }
+            ShardedRunError::Overflow(e) => write!(f, "sharded run failed: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for ShardedRunError {}
+
+/// Why a run under a caller's plan produced no merged report.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlannedRunError {
     /// The plan failed [`ShardPlan::verify_before_run`]; no worker was
     /// spawned and no task executed.
     Rejected(ShardPlanError),
-    /// The plan was legal but a shard kept failing intrinsically past the
-    /// retry budget.
-    Execution(DegradedError),
-    /// A merged report counter would exceed `u64::MAX`; the exact report
-    /// is not representable.
-    Overflow(CounterOverflow),
+    /// The plan was legal but its run failed.
+    Run(ShardedRunError),
 }
 
 impl std::fmt::Display for PlannedRunError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PlannedRunError::Rejected(e) => write!(f, "shard plan rejected: {e}"),
-            PlannedRunError::Execution(e) => write!(f, "planned run failed: {e}"),
-            PlannedRunError::Overflow(e) => write!(f, "planned run failed: {e}"),
+            PlannedRunError::Run(e) => e.fmt(f),
         }
     }
 }
@@ -232,8 +261,8 @@ impl std::error::Error for PlannedRunError {}
 /// # Errors
 ///
 /// [`PlannedRunError::Rejected`] when the plan fails
-/// [`ShardPlan::verify_before_run`]; [`PlannedRunError::Execution`] when
-/// a shard failed intrinsically past the retry budget.
+/// [`ShardPlan::verify_before_run`]; [`PlannedRunError::Run`] when the
+/// run fails as [`run_stream_planned`] can.
 pub fn run_tasks_planned(
     cfg: &RuntimeConfig,
     plan: &ShardPlan,
@@ -242,53 +271,36 @@ pub fn run_tasks_planned(
     kernel: Kernel,
     tasks: &[T1Task],
 ) -> Result<ShardedRun, PlannedRunError> {
-    verify_plan_for(plan, tasks.len())?;
+    plan.verify_for(tasks.len()).map_err(PlannedRunError::Rejected)?;
     run_shards(cfg, plan, engine, energy_model, kernel, |range| {
         driver::run_stream(engine, energy_model, kernel, &TaskStream::from(&tasks[range]))
     })
+    .map_err(PlannedRunError::Run)
 }
 
 /// Runs a counted [`TaskStream`] sharded across the pool under the
 /// contiguous plan over its *distinct entries*
 /// (`ShardPlan::contiguous(stream.len(), cfg.threads)`), not the tasks
-/// they stand for. That plan is legal by construction, so the run is
-/// never [`PlannedRunError::Rejected`]. The merged report is
+/// they stand for: one shard at `cfg.threads <= 1`. That plan is legal by
+/// construction, so nothing here can reject it. The merged report is
 /// bit-identical to [`driver::run_stream`] over the whole stream.
 ///
 /// # Errors
 ///
-/// [`PlannedRunError::Execution`] when a shard failed intrinsically past
-/// the retry budget; [`PlannedRunError::Overflow`] when a report counter
-/// would exceed `u64::MAX`.
+/// [`ShardedRunError::RetriesExhausted`] when a shard failed
+/// intrinsically past the retry budget; [`ShardedRunError::Overflow`]
+/// when a report counter would exceed `u64::MAX`.
 pub fn run_stream_planned(
     cfg: &RuntimeConfig,
     engine: &(dyn TileEngine + Sync),
     energy_model: &EnergyModel,
     kernel: Kernel,
     stream: &TaskStream,
-) -> Result<ShardedRun, PlannedRunError> {
+) -> Result<ShardedRun, ShardedRunError> {
     let plan = ShardPlan::contiguous(stream.len(), cfg.threads);
     run_shards(cfg, &plan, engine, energy_model, kernel, |range| {
         driver::run_stream(engine, energy_model, kernel, &stream[range])
     })
-}
-
-/// Proves `plan` legal for a stream of `len` entries.
-fn verify_plan_for(plan: &ShardPlan, len: usize) -> Result<(), PlannedRunError> {
-    if plan.tasks() != len {
-        // A plan for the wrong stream length is a coverage violation of
-        // one kind or the other; surface it through the same gate.
-        let stale = ShardPlan::from_ranges(len, plan.shards().to_vec());
-        return match stale.verify_before_run() {
-            Err(e) => Err(PlannedRunError::Rejected(e)),
-            // Every shard fits inside the (longer) actual stream: the
-            // plan still leaves the tail uncovered.
-            Ok(()) => Err(PlannedRunError::Rejected(ShardPlanError::Gap {
-                task: plan.tasks().min(len),
-            })),
-        };
-    }
-    plan.verify_before_run().map_err(PlannedRunError::Rejected)
 }
 
 /// Executes a legal plan: one pool task per shard, fold in shard order,
@@ -300,24 +312,21 @@ fn run_shards<F>(
     energy_model: &EnergyModel,
     kernel: Kernel,
     run_shard: F,
-) -> Result<ShardedRun, PlannedRunError>
+) -> Result<ShardedRun, ShardedRunError>
 where
     F: Fn(std::ops::Range<usize>) -> Result<KernelReport, CounterOverflow> + Sync,
 {
     let run = pool::run(cfg, plan.shards(), |_, range| Ok(run_shard(range.clone())));
     let mut report = KernelReport::start(engine, kernel);
-    for (index, outcome) in run.outcomes.iter().enumerate() {
+    for (shard, outcome) in run.outcomes.iter().enumerate() {
         match outcome {
-            TaskOutcome::Done(shard) => shard
+            TaskOutcome::Done(result) => result
                 .as_ref()
                 .map_err(|e| *e)
-                .and_then(|shard| report.try_merge_scaled(shard, 1))
-                .map_err(PlannedRunError::Overflow)?,
+                .and_then(|result| report.try_merge_scaled(result, 1))
+                .map_err(ShardedRunError::Overflow)?,
             TaskOutcome::Failed { attempts, .. } => {
-                return Err(PlannedRunError::Execution(DegradedError::RetriesExhausted {
-                    task: index as u64,
-                    attempts: *attempts,
-                }))
+                return Err(ShardedRunError::RetriesExhausted { shard, attempts: *attempts })
             }
         }
     }
@@ -473,8 +482,11 @@ mod tests {
         };
         let em = EnergyModel::default();
         match run_stream_planned(&cfg, &Grenade, &em, Kernel::SpMV, &spmv_stream(&a)) {
-            Err(PlannedRunError::Execution(DegradedError::RetriesExhausted { attempts, .. })) => {
+            Err(e @ ShardedRunError::RetriesExhausted { shard, attempts }) => {
                 assert_eq!(attempts, 2, "first try + one retry");
+                // Every shard fails; the fold stops at the first, in plan order.
+                assert_eq!(shard, 0);
+                assert!(e.to_string().starts_with("shard 0 failed on all 2 attempts"), "{e}");
             }
             other => panic!("expected RetriesExhausted, got {other:?}"),
         }
@@ -504,13 +516,13 @@ mod tests {
         let cfg = RuntimeConfig::with_threads(2);
         let err = run_stream_planned(&cfg, &Ideal, &em, Kernel::SpMM, &stream)
             .expect_err("36 meta words per task pass 2^64");
-        assert!(matches!(err, PlannedRunError::Overflow(_)), "{err}");
+        assert!(matches!(err, ShardedRunError::Overflow(_)), "{err}");
     }
 
     #[test]
     fn shard_len_scales_with_threads() {
         let first_len = |tasks, threads| ShardPlan::contiguous(tasks, threads).shards()[0].len();
-        assert_eq!(first_len(100, 1), 25);
+        assert_eq!(first_len(100, 1), 100, "one worker, one shard");
         assert_eq!(first_len(1000, 8), 31);
         assert_eq!(first_len(3, 8), 1);
         assert!(ShardPlan::contiguous(0, 4).shards().is_empty());

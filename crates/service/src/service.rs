@@ -48,7 +48,7 @@ use std::time::Duration;
 
 use analysis::UstcVerifier;
 use obs::MetricsRegistry;
-use runtime::{run_stream_planned, PlannedRunError, RuntimeConfig};
+use runtime::{run_stream_planned, RuntimeConfig, ShardedRunError};
 use simkit::driver::{Invocation, VerifyError};
 use simkit::{CounterOverflow, EnergyModel, Precision, TaskStream, TileEngine};
 use sparse::{BbcMatrix, CsrMatrix, SparseVector};
@@ -534,7 +534,7 @@ fn execute(
             }
             run_stream_planned(&cfg.exec, engine.as_ref(), em, kernel, stream)
         }
-        Err(overflow) => Err(PlannedRunError::Overflow(*overflow)),
+        Err(overflow) => Err(ShardedRunError::Overflow(*overflow)),
     };
     // Release every reference to the clients' operands before replying.
     drop(stream);
@@ -544,13 +544,13 @@ fn execute(
         .collect();
     let result = run.map_err(|e| match e {
         // The counted fold cannot represent the exact report.
-        PlannedRunError::Overflow(o) => JobError::Rejected {
+        ShardedRunError::Overflow(o) => JobError::Rejected {
             code: "USTC017".to_owned(),
             message: format!("{kernel} on {engine_name}: {o}"),
         },
-        PlannedRunError::Execution(d) => JobError::Execution(d.to_string()),
-        // The runtime plans the shards itself and never rejects its plan.
-        rejected @ PlannedRunError::Rejected(_) => JobError::Execution(rejected.to_string()),
+        failed @ ShardedRunError::RetriesExhausted { .. } => {
+            JobError::Execution(failed.to_string())
+        }
     });
     {
         let mut m = shared.metrics();

@@ -492,9 +492,19 @@ impl<'a> Invocation<'a> {
     /// As [`Invocation::visit_block`], for operand shapes that do not
     /// conform.
     pub fn stream(&self) -> Result<TaskStream, CounterOverflow> {
+        self.stream_of(0..self.a().block_count())
+    }
+
+    /// [`Invocation::stream`] over the stored blocks `blocks` only, in the
+    /// order given (the blocks one multi-unit replay unit owns). Errors
+    /// and panics as `stream`, and panics on a block index out of range.
+    pub fn stream_of(
+        &self,
+        blocks: impl IntoIterator<Item = usize>,
+    ) -> Result<TaskStream, CounterOverflow> {
         let mut stream = StreamBuilder::default();
         let mut built = Ok(());
-        for bi in 0..self.a().block_count() {
+        for bi in blocks {
             self.visit_block(bi, |task, count, _| {
                 built = built.and_then(|()| stream.push(task, count));
             });

@@ -33,8 +33,9 @@ echo "== engine suites in release =="
 # Release builds wrap on integer overflow where debug builds panic, so the
 # engines' packed byte-lane arithmetic, simkit's word-parallel tile
 # extraction, the verifier's per-distinct-task pass, the runtime's checked
-# shard fold and their frozen-reference differentials must also pass with
-# release arithmetic.
+# shard fold, multi-unit replay's checked counted fold (uni_stc::multi)
+# and their frozen-reference differentials must also pass with release
+# arithmetic.
 cargo test --release -p simkit -p baselines -p uni-stc -p analysis -p runtime -q
 
 echo "== figures byte-identical =="

@@ -10,10 +10,9 @@
 use std::time::Duration;
 
 use bench::{headline_engines, MatrixCtx, KERNELS};
-use runtime::{Backoff, ChaosPlan, PlannedRunError, RuntimeConfig, TaskOutcome};
+use runtime::{Backoff, ChaosPlan, RuntimeConfig, ShardedRunError, TaskOutcome};
 use simkit::driver::{self, Invocation};
 use simkit::{EnergyModel, Precision};
-use uni_stc::multi::DegradedError;
 use uni_stc::{UniStc, UniStcConfig};
 use workloads::representative::representative_matrices;
 
@@ -148,7 +147,7 @@ fn panicking_engine_fails_the_kernel_not_the_process() {
     let cfg = fast(RuntimeConfig { max_retries: 1, ..RuntimeConfig::with_threads(2) });
     let em = EnergyModel::default();
     match ctx.run_sharded(&cfg, &Grenade, &em, driver::Kernel::SpMV) {
-        Err(PlannedRunError::Execution(DegradedError::RetriesExhausted { attempts, .. })) => {
+        Err(ShardedRunError::RetriesExhausted { attempts, .. }) => {
             assert_eq!(attempts, 2, "first try + one retry");
         }
         other => panic!("expected RetriesExhausted, got {other:?}"),
