@@ -196,7 +196,6 @@ const RULES: &[Rule] = &[
         check: has_expect,
         allow: &[
             "analysis/src/golden.rs",
-            "baselines/src/trapezoid.rs",
             "bench/src/lib.rs",
             "conformance/src/generators.rs",
             "conformance/src/golden.rs",

@@ -16,28 +16,33 @@
 //! under every mode and the best is kept, matching the paper's
 //! "best-performing configuration" methodology.
 
-use crate::util::bits;
+use crate::util::{bits, lowest_bits, nibble_counts};
 use simkit::{network, NetworkCosts, Precision, T1Result, T1Task, TileEngine};
 
 /// The Trapezoid baseline (performance comparison only, as in the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Trapezoid {
     precision: Precision,
+    /// TrIP, TrGT and TrGS at this precision (Table VI).
+    modes: [Geometry; 3],
+    /// `timed_by[i]`: the first mode with mode `i`'s geometry. Equal
+    /// geometries (TrIP and TrGT at FP32) time equally, so each distinct
+    /// one is timed once.
+    timed_by: [usize; 3],
 }
 
 impl Trapezoid {
     /// Creates the engine at the given precision.
     pub fn new(precision: Precision) -> Self {
-        Trapezoid { precision }
-    }
-
-    /// The `(m0, n0, k0)` geometries of TrIP / TrGT / TrGS (Table VI).
-    fn modes(&self) -> [(usize, usize, usize); 3] {
-        match self.precision {
+        let modes = match precision {
             Precision::Fp64 => [(16, 2, 2), (16, 4, 1), (8, 4, 2)],
             Precision::Fp32 => [(16, 4, 2), (16, 4, 2), (8, 4, 4)],
             Precision::Fp16 => [(16, 4, 4), (16, 8, 2), (8, 8, 4)],
         }
+        .map(|(m0, n0, k0)| Geometry { m0, n0, k0 });
+        let timed_by =
+            std::array::from_fn(|i| modes.iter().position(|g| *g == modes[i]).unwrap_or(i));
+        Trapezoid { precision, modes, timed_by }
     }
 }
 
@@ -45,7 +50,11 @@ impl Trapezoid {
 /// 64 for every Table VI geometry (`k0 * n0 >= 4`).
 const MAX_ROW_CYCLES: usize = 64;
 
-/// One mode `(m0, n0, k0)` over one task, in word-parallel form.
+/// The low bit of each 16-bit lane of a `u64`: four A rows to a word.
+const LANE_LSB: u64 = 0x0001_0001_0001_0001;
+
+/// One mode's rigid T3 geometry: `m0` PE rows per group, each taking a
+/// `k0`-wide K window against an `n0`-wide B-column window per cycle.
 ///
 /// Each PE row runs one row-cycle per positional `k0`-wide K window x
 /// `n0`-wide B-column window quantum that holds a useful product (the
@@ -53,148 +62,207 @@ const MAX_ROW_CYCLES: usize = 64;
 /// lanes, like the other fixed-shape designs). Nonempty rows are compacted
 /// into groups of `m0`, and cycle `t` of a group sums the `t`-th row-cycle
 /// of each of its rows.
-///
-/// The B side of the schedule depends on `n0` alone, so it is packed
-/// once per distinct `n0` ([`Windows`]) and shared by the modes that use
-/// it. Timing a mode needs only which lanes are nonzero, which the
-/// per-window `hit` masks give without any sums; only the winning mode is
-/// recorded lane by lane.
-struct Mode<'w> {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Geometry {
     m0: usize,
+    n0: usize,
     k0: usize,
-    windows: &'w Windows,
-    /// The lowest K position of every k-window.
-    window_lows: u16,
 }
 
-/// The B rows A reads, cut into `n0`-wide column windows.
-///
-/// Every B row's per-n-window product counts are packed into one `u64`,
-/// one byte lane per window, so one add per set A bit sums a whole K
-/// window. A lane holds at most `k0 * n0 <= 32` products, so no sum
-/// carries into the next lane.
-struct Windows {
-    /// `packed[k]`: byte lane `w` counts B row `k`'s nonzeros in n-window `w`.
-    packed: [u64; 16],
-    /// `hit[w]`: the K positions whose B row has a nonzero in n-window `w`.
-    hit: [u16; 8],
+/// One task as every mode reads it.
+struct Operands {
+    /// `n_cols` clamped into `1..=16`: columns past it hold no product.
+    n_total: usize,
+    a_rows: [u16; 16],
+    /// A's rows four to a word, row `r` in 16-bit lane `r % 4` of word
+    /// `r / 4`.
+    a_words: [u64; 4],
+    /// B's rows, cut to the first `n_total` columns.
+    b_rows: [u16; 16],
+    /// B's columns (the first `n_total`), as K masks.
+    b_cols: [u16; 16],
+    /// The K positions whose B row holds a product.
+    useful_k: u16,
+    /// The A rows with a useful product: the rows every mode schedules.
+    live: u16,
+    /// The task's products within the first `n_total` columns.
+    products: u64,
 }
 
-impl Windows {
-    /// Packs the B rows in `a_cols`, the K positions A reads.
-    fn new(task: &T1Task, a_cols: u16, n0: usize) -> Self {
-        // `n_cols` outside its documented 1..=16 is clamped into it, so at
-        // most 16 / n0 <= 8 windows (one byte lane each) exist.
+impl Operands {
+    fn new(task: &T1Task) -> Self {
         let n_total = task.n_cols.clamp(1, 16);
-        let (mut packed, mut hit) = ([0u64; 16], [0u16; 8]);
-        for k in bits(a_cols) {
-            let brow = u32::from(task.b.row_mask(k));
-            for (w, window_hit) in hit.iter_mut().enumerate().take(n_total.div_ceil(n0)) {
-                let n_lo = w * n0;
-                let count = (brow & ((1u32 << n0.min(n_total - n_lo)) - 1) << n_lo).count_ones();
-                packed[k] |= u64::from(count) << (8 * w);
-                *window_hit |= u16::from(count > 0) << k;
-            }
+        let b = task.b.keep_cols(n_total);
+        let b_rows: [u16; 16] = std::array::from_fn(|k| b.row_mask(k));
+        let b_cols = b.transpose();
+        let a_rows: [u16; 16] = std::array::from_fn(|row| task.a.row_mask(row));
+        let useful_k = (0..16).fold(0, |any, k| any | u16::from(b_rows[k] != 0) << k);
+        let live = (0..16).fold(0, |live, r| live | u16::from(a_rows[r] & useful_k != 0) << r);
+        Operands {
+            n_total,
+            a_rows,
+            a_words: std::array::from_fn(|q| {
+                (0..4).fold(0, |word, i| word | u64::from(a_rows[4 * q + i]) << (16 * i))
+            }),
+            b_rows,
+            b_cols: std::array::from_fn(|c| b_cols.row_mask(c)),
+            useful_k,
+            live,
+            products: task.a.products_with(&b),
         }
-        Windows { packed, hit }
+    }
+
+    /// The live rows compacted into groups of `m0`, in row order, each as
+    /// the range of row indices it spans (rows in a range but outside
+    /// `live` have no row-cycles).
+    fn groups(&self, m0: usize) -> impl Iterator<Item = std::ops::Range<usize>> {
+        let (mut rest, mut from) = (self.live, 0);
+        std::iter::from_fn(move || {
+            let group = lowest_bits(rest, m0);
+            rest &= !group;
+            let to = 16 - group.leading_zeros() as usize;
+            let range = from..to;
+            from = to;
+            (group != 0).then_some(range)
+        })
     }
 }
 
-impl<'w> Mode<'w> {
-    fn new(m0: usize, k0: usize, windows: &'w Windows) -> Self {
-        let window_lows = (0..16).step_by(k0).fold(0, |lows, k| lows | 1 << k);
-        Mode { m0, k0, windows, window_lows }
-    }
-
-    /// Row-cycles of A row `arow`: per n-window, the k-windows in which
-    /// `arow` meets a B row with a nonzero there.
-    fn row_cycles(&self, arow: u16) -> usize {
-        self.windows
-            .hit
-            .iter()
-            .map(|&hit| {
-                let meet = arow & hit;
-                // Fold each k-window onto its lowest bit.
-                let any = (1..self.k0).fold(meet, |any, s| any | meet >> s);
-                (any & self.window_lows).count_ones() as usize
-            })
-            .sum()
-    }
-
-    /// Cycles of the whole mode: each group lasts as long as its longest row.
-    fn cycles(&self, task: &T1Task) -> usize {
-        let (mut total, mut rows, mut longest) = (0, 0, 0);
-        for row in 0..16 {
-            let len = self.row_cycles(task.a.row_mask(row));
-            if len == 0 {
-                continue;
+impl Geometry {
+    /// Folds each `k0`-wide K window of every 16-bit lane of `x` onto the
+    /// window's lowest bit, clearing every other bit: bit `k` of a lane
+    /// is set when the window starting at `k` meets the lane.
+    fn fold(&self, x: u64) -> u64 {
+        match self.k0 {
+            1 => x,
+            2 => (x | x >> 1) & (0x5555 * LANE_LSB),
+            4 => {
+                let pairs = x | x >> 1;
+                (pairs | pairs >> 2) & (0x1111 * LANE_LSB)
             }
-            longest = longest.max(len);
-            rows += 1;
-            if rows == self.m0 {
-                total += longest;
-                (rows, longest) = (0, 0);
-            }
+            k0 => (1..k0).fold(x, |any, s| any | x >> s) & (window_lows(k0) * LANE_LSB),
         }
-        total + longest
     }
 
-    /// Records the mode's cycles, useful products and fetches into `r`.
-    fn record(&self, task: &T1Task, r: &mut T1Result) {
-        let k_window = ((1u32 << self.k0) - 1) as u16;
-        // K positions with no useful product add nothing to a window.
-        let useful_k = self.windows.hit.iter().fold(0, |any, &hit| any | hit);
-        let mut group = [0u16; MAX_ROW_CYCLES];
-        let (mut rows, mut longest) = (0, 0);
-        for row in 0..16 {
-            let arow = task.a.row_mask(row);
-            let mut len = 0;
-            let mut rest = arow & useful_k;
-            while rest != 0 {
-                let k_lo = rest.trailing_zeros() as usize / self.k0 * self.k0;
-                let mut ks = rest & k_window << k_lo;
-                rest &= !ks;
-                let mut word = 0u64;
-                while ks != 0 {
-                    word += self.windows.packed[ks.trailing_zeros() as usize];
-                    ks &= ks - 1;
-                }
-                // The nonzero lanes, in window order, are this row's next
-                // row-cycles.
-                while word != 0 {
-                    let shift = word.trailing_zeros() / 8 * 8;
-                    group[len] += (word >> shift & 0xFF) as u16;
-                    word &= !(0xFF << shift);
-                    len += 1;
-                }
-            }
-            if len == 0 {
-                continue;
-            }
-            r.events.a_elems += u64::from(arow.count_ones());
-            longest = longest.max(len);
-            rows += 1;
-            if rows == self.m0 {
-                close_group(r, &mut group[..longest]);
-                (rows, longest) = (0, 0);
-            }
+    /// Row-cycles of every A row: per n-window `w`, the k-windows in which
+    /// the row meets `hit[w]`, the K positions whose B row has a nonzero
+    /// in that window. All sixteen rows are counted at once, four to a
+    /// word.
+    ///
+    /// A folded window keeps one bit per k-window, on every `k0`-th
+    /// position, so the folds of `k0` n-windows, shifted by `0..k0`, fill
+    /// one word without overlap, and one SWAR popcount counts them all.
+    fn lens(&self, ops: &Operands) -> [u8; 16] {
+        let mut hit = [0u16; 8];
+        for c in 0..ops.n_total {
+            hit[c / self.n0] |= ops.b_cols[c];
         }
-        if rows > 0 {
-            close_group(r, &mut group[..longest]);
+        let hit = &hit[..ops.n_total.div_ceil(self.n0)];
+        let words = ops.a_words.map(|rows| {
+            let mut bytes = 0;
+            for windows in hit.chunks(self.k0) {
+                let mut slots = 0;
+                for (s, &h) in windows.iter().enumerate() {
+                    slots |= self.fold(rows & (u64::from(h) * LANE_LSB)) << s;
+                }
+                // At most 64 row-cycles per lane, so no byte carries.
+                bytes += byte_popcounts(slots);
+            }
+            // Each lane's two byte counts, summed into its low byte.
+            (bytes + (bytes << 8)) >> 8
+        });
+        std::array::from_fn(|row| (words[row / 4] >> (16 * (row % 4))) as u8)
+    }
+
+    /// Cycles of the whole mode: each group lasts as long as its longest
+    /// row.
+    fn cycles(&self, ops: &Operands, lens: &[u8; 16]) -> usize {
+        ops.groups(self.m0).map(|rows| usize::from(longest(&lens[rows]))).sum()
+    }
+
+    /// Records the mode's cycles and scheduling decisions into `r`, given
+    /// its per-row cycle counts `lens`: cycle `t` of a group sums the
+    /// `t`-th row-cycle of each of its rows.
+    ///
+    /// A row's row-cycles are the nonzero lanes of its k-windows' summed
+    /// [`window_counts`], in (k-window, n-window) order, so each adds into
+    /// the row's next cycle of the group; a zero lane adds 0 to the cycle
+    /// the next nonzero lane fills.
+    fn record(&self, ops: &Operands, lens: &[u8; 16], r: &mut T1Result) {
+        let lanes = r.util.lanes();
+        let n_windows = ops.n_total.div_ceil(self.n0);
+        let (lane_bits, lane_mask) = (4 * self.n0, (1u64 << (4 * self.n0)) - 1);
+        let counts: [u64; 16] = std::array::from_fn(|k| match n_windows {
+            // One window holds every product of the row.
+            1 => u64::from(ops.b_rows[k].count_ones()),
+            _ => window_counts(ops.b_rows[k], self.n0),
+        });
+        let lows = window_lows(self.k0) as u16;
+        // `+ 1`: a row's zero lanes after its last row-cycle add 0 there.
+        let mut sums = [0u16; MAX_ROW_CYCLES + 1];
+        for rows in ops.groups(self.m0) {
+            let group_cycles = usize::from(longest(&lens[rows.clone()]));
+            for &arow in &ops.a_rows[rows] {
+                let mut len = 0;
+                let mut k_windows = self.fold(u64::from(arow & ops.useful_k)) as u16 & lows;
+                while k_windows != 0 {
+                    let k_lo = k_windows.trailing_zeros() as usize;
+                    k_windows &= k_windows - 1;
+                    let word: u64 = (k_lo..k_lo + self.k0)
+                        .map(|k| counts[k] & 0u64.wrapping_sub(u64::from(arow >> k & 1)))
+                        .sum();
+                    for w in 0..n_windows {
+                        let used = word >> (lane_bits * w) & lane_mask;
+                        sums[len] += used as u16;
+                        len += usize::from(used != 0);
+                    }
+                }
+            }
+            for used in &mut sums[..group_cycles] {
+                r.record_cycle(usize::from(*used).min(lanes));
+                *used = 0;
+            }
+            r.events.sched_ops += 1;
         }
     }
 }
 
-/// Records one row group's cycles (one scheduling decision) and clears
-/// its accumulator.
-fn close_group(r: &mut T1Result, group: &mut [u16]) {
-    let lanes = r.util.lanes();
-    for used in group.iter_mut() {
-        r.record_cycle(usize::from(*used).min(lanes));
-        r.useful += u64::from(*used);
-        *used = 0;
+/// The longest row-cycle count among `lens` (0 for none).
+fn longest(lens: &[u8]) -> u8 {
+    lens.iter().copied().max().unwrap_or(0)
+}
+
+/// The lowest K position of every `k0`-wide k-window.
+fn window_lows(k0: usize) -> u64 {
+    (0..16).step_by(k0).fold(0, |lows, k| lows | 1 << k)
+}
+
+/// The popcount of each byte of `x`, in that byte.
+fn byte_popcounts(x: u64) -> u64 {
+    let pairs = x - (x >> 1 & 0x5555_5555_5555_5555);
+    let nibbles = (pairs & 0x3333_3333_3333_3333) + (pairs >> 2 & 0x3333_3333_3333_3333);
+    (nibbles + (nibbles >> 4)) & 0x0F0F_0F0F_0F0F_0F0F
+}
+
+/// The nonzeros of a B row in each `n0`-wide column window, window `w`
+/// in the `4 * n0`-bit lane `w` of the result. A lane also holds a
+/// k-window's sum of them: at most `k0 * n0 <= 32` products.
+fn window_counts(brow: u16, n0: usize) -> u64 {
+    match n0 {
+        2 => {
+            let pairs = u64::from(brow - (brow >> 1 & 0x5555));
+            // Nibble `i` (windows 2i and 2i + 1) to 16-bit lane `i`, then
+            // each window's 2-bit count to its own byte.
+            let lanes =
+                pairs & 0xF | (pairs & 0xF0) << 12 | (pairs & 0xF00) << 24 | (pairs & 0xF000) << 36;
+            lanes & (0x3 * LANE_LSB) | (lanes & (0xC * LANE_LSB)) << 6
+        }
+        4 => nibble_counts(brow),
+        _ => (0..16 / n0).fold(0, |lanes, w| {
+            let window = brow >> (w * n0) & ((1u32 << n0) - 1) as u16;
+            lanes | u64::from(window.count_ones()) << (4 * n0 * w)
+        }),
     }
-    r.events.sched_ops += 1;
 }
 
 impl Default for Trapezoid {
@@ -213,32 +281,27 @@ impl TileEngine for Trapezoid {
     }
 
     fn execute(&self, task: &T1Task) -> T1Result {
+        let ops = Operands::new(task);
         // Every mode is timed; the first with the fewest cycles is run.
-        let a_cols = (0..16).fold(0, |cols, row| cols | task.a.row_mask(row));
-        let geometries = self.modes();
-        // Modes with the same `n0` share one packing: the first of them
-        // packs it.
-        let first_with_n0 =
-            geometries.map(|(_, n0, _)| geometries.iter().position(|g| g.1 == n0).unwrap_or(0));
-        let windows: [Option<Windows>; 3] = std::array::from_fn(|i| {
-            (first_with_n0[i] == i).then(|| Windows::new(task, a_cols, geometries[i].1))
-        });
-        let modes = std::array::from_fn::<_, 3, _>(|i| {
-            let (m0, _, k0) = geometries[i];
-            Mode::new(m0, k0, windows[first_with_n0[i]].as_ref().expect("packed by its first mode"))
-        });
-        // Equal geometries time equally (TrIP and TrGT at FP32): each
-        // distinct one is timed once, by its first mode.
-        let mut cycles = [0; 3];
-        for i in 0..cycles.len() {
-            let first = geometries.iter().position(|g| *g == geometries[i]).unwrap_or(i);
-            cycles[i] = if first == i { modes[i].cycles(task) } else { cycles[first] };
+        let mut lens = [[0u8; 16]; 3];
+        let mut cycles = [0usize; 3];
+        for (i, g) in self.modes.iter().enumerate() {
+            let first = self.timed_by[i];
+            if first == i {
+                lens[i] = g.lens(&ops);
+                cycles[i] = g.cycles(&ops, &lens[i]);
+            } else {
+                (lens[i], cycles[i]) = (lens[first], cycles[first]);
+            }
         }
-        let best = (0..modes.len()).min_by_key(|&i| cycles[i]).expect("at least one mode");
+        let best = (0..3).min_by_key(|&i| cycles[i]).unwrap_or(0);
         let mut r = T1Result::new(self.lanes());
-        modes[best].record(task, &mut r);
-        // Every useful product streams its B element into a PE row.
+        self.modes[best].record(&ops, &lens[best], &mut r);
+        // Every product within the columns is useful, and streams its B
+        // element into a PE row; a live row fetches its whole A row.
+        r.useful = ops.products;
         r.events.b_elems = r.useful;
+        r.events.a_elems = bits(ops.live).map(|row| u64::from(ops.a_rows[row].count_ones())).sum();
         // Dot products accumulate inside the PE rows: one partial per
         // structurally nonzero output.
         r.events.partial_updates = u64::from(task.c_nnz());
@@ -271,6 +334,13 @@ impl TileEngine for Trapezoid {
 mod reference {
     use super::*;
 
+    impl Trapezoid {
+        /// The `(m0, n0, k0)` geometries of TrIP / TrGT / TrGS (Table VI).
+        pub(super) fn modes(&self) -> [(usize, usize, usize); 3] {
+            self.modes.map(|g| (g.m0, g.n0, g.k0))
+        }
+    }
+
     pub(super) fn execute(e: &Trapezoid, task: &T1Task) -> T1Result {
         e.modes()
             .iter()
@@ -281,7 +351,6 @@ mod reference {
 
     fn run_mode(lanes: usize, task: &T1Task, m0: usize, n0: usize, k0: usize) -> T1Result {
         let mut r = T1Result::new(lanes);
-        let n_total = task.n_cols.max(1);
         let mut rows: Vec<Vec<usize>> = Vec::new();
         let mut row_nnz: Vec<usize> = Vec::new();
         for row in 0..16 {
@@ -289,30 +358,7 @@ mod reference {
             if arow == 0 {
                 continue;
             }
-            let mut sched = Vec::new();
-            for k0_lo in (0..16).step_by(k0) {
-                let kwin: Vec<usize> =
-                    (k0_lo..k0_lo + k0).filter(|&k| arow >> k & 1 == 1).collect();
-                if kwin.is_empty() {
-                    continue;
-                }
-                let union: u16 =
-                    kwin.iter().map(|&k| task.b.row_mask(k)).fold(0, |a, m| a | m);
-                if union == 0 {
-                    continue;
-                }
-                for n_lo in (0..n_total).step_by(n0) {
-                    let width = n0.min(n_total - n_lo);
-                    let gmask = (((1u32 << width) - 1) as u16) << n_lo;
-                    let useful: usize = kwin
-                        .iter()
-                        .map(|&k| (task.b.row_mask(k) & gmask).count_ones() as usize)
-                        .sum();
-                    if useful > 0 {
-                        sched.push(useful);
-                    }
-                }
-            }
+            let sched = row_schedule(arow, task, n0, k0);
             if !sched.is_empty() {
                 rows.push(sched);
                 row_nnz.push(arow.count_ones() as usize);
@@ -335,6 +381,36 @@ mod reference {
         r.events.partial_updates = task.c_structure().nnz() as u64;
         r.events.c_writes = task.c_structure().nnz() as u64;
         r
+    }
+
+    /// The row-cycles of A row `arow`, in schedule order.
+    pub(super) fn row_schedule(arow: u16, task: &T1Task, n0: usize, k0: usize) -> Vec<usize> {
+        let n_total = task.n_cols.max(1);
+        let mut sched = Vec::new();
+        for k0_lo in (0..16).step_by(k0) {
+            let kwin: Vec<usize> =
+                (k0_lo..k0_lo + k0).filter(|&k| arow >> k & 1 == 1).collect();
+            if kwin.is_empty() {
+                continue;
+            }
+            let union: u16 =
+                kwin.iter().map(|&k| task.b.row_mask(k)).fold(0, |a, m| a | m);
+            if union == 0 {
+                continue;
+            }
+            for n_lo in (0..n_total).step_by(n0) {
+                let width = n0.min(n_total - n_lo);
+                let gmask = (((1u32 << width) - 1) as u16) << n_lo;
+                let useful: usize = kwin
+                    .iter()
+                    .map(|&k| (task.b.row_mask(k) & gmask).count_ones() as usize)
+                    .sum();
+                if useful > 0 {
+                    sched.push(useful);
+                }
+            }
+        }
+        sched
     }
 }
 
@@ -421,6 +497,10 @@ mod tests {
                 assert!(row_cycles <= MAX_ROW_CYCLES, "{p:?} {m0}x{n0}x{k0}");
                 // One byte lane per n-window, and no lane can carry.
                 assert!(16usize.div_ceil(n0) <= 8 && k0 * n0 <= 0xFF);
+                // `window_counts`: 16 / n0 lanes of 4 * n0 bits fill one
+                // `u64`, and a k-window's sum fits its lane; a group's
+                // cycle sum fits the `u16` accumulator.
+                assert!(k0 * n0 < 1 << (4 * n0) && m0 * k0 * n0 <= usize::from(u16::MAX));
             }
         }
     }
@@ -428,6 +508,41 @@ mod tests {
     #[test]
     fn matches_frozen_reference() {
         crate::util::assert_matches_reference(Trapezoid::new, reference::execute);
+    }
+
+    #[test]
+    fn row_cycles_match_the_reference_schedule_for_every_row_mask() {
+        let mut rng = sparse::rng::Rng64::new(0x7A9E_0027);
+        let sparse_b = Block16::from_fn(|_, _| rng.next_bool(0.3));
+        let b_sides = [
+            T1Task::mm(Block16::empty(), Block16::dense()),
+            T1Task::mm(Block16::empty(), sparse_b),
+            T1Task::mm(Block16::empty(), Block16::dense().keep_cols(5)),
+            T1Task::mv(Block16::empty(), 0x5A5A),
+        ];
+        // Every mode of every precision; a row's length depends on `n0`
+        // and `k0` alone, so each such pair is checked once.
+        let mut modes: Vec<Geometry> = [Precision::Fp64, Precision::Fp32, Precision::Fp16]
+            .into_iter()
+            .flat_map(|p| Trapezoid::new(p).modes)
+            .collect();
+        modes.sort_by_key(|g| (g.n0, g.k0));
+        modes.dedup_by_key(|g| (g.n0, g.k0));
+        for g in modes {
+            for side in b_sides {
+                // Sixteen A row masks per task, every mask once.
+                for first in (0..=u16::MAX).step_by(16) {
+                    let rows = std::array::from_fn(|r| first + r as u16);
+                    let task = T1Task { a: Block16::from_rows(rows), ..side };
+                    let lens = g.lens(&Operands::new(&task));
+                    for (row, &arow) in rows.iter().enumerate() {
+                        let got = usize::from(lens[row]);
+                        let want = reference::row_schedule(arow, &task, g.n0, g.k0).len();
+                        assert_eq!(got, want, "{g:?} {arow:#06x} {task:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -36,7 +36,8 @@ pub(crate) fn nibble_counts(mask: u16) -> u64 {
 
 /// Seeded task sample for differential tests: random blocks across
 /// densities as MV tasks, MM tasks and SpMM tails narrowed to every
-/// `keep_cols(1..=16)` width, plus the dense and empty corners.
+/// `keep_cols(1..=16)` width, plus the dense and empty corners and the
+/// structured A blocks the workloads produce ([`structured_tasks`]).
 #[cfg(test)]
 pub(crate) fn sample_tasks(seed: u64) -> Vec<simkit::T1Task> {
     use simkit::{Block16, T1Task};
@@ -55,6 +56,31 @@ pub(crate) fn sample_tasks(seed: u64) -> Vec<simkit::T1Task> {
                 tasks.push(T1Task::mm(a, b));
                 tasks.push(T1Task::mm(a, b.keep_cols(width)));
             }
+        }
+    }
+    tasks.extend(structured_tasks(&mut rng));
+    tasks
+}
+
+/// Banded A blocks of half-width 0 (the diagonal) to 3, an arrow (row
+/// and column 0), a dense 8x8 sub-block, one row and one column: each as
+/// an MV task against a full and two half-dense `x` masks, and as MM
+/// tasks against dense B, its every `keep_cols` tail and sparse B.
+#[cfg(test)]
+pub(crate) fn structured_tasks(rng: &mut sparse::rng::Rng64) -> Vec<simkit::T1Task> {
+    use simkit::{Block16, T1Task};
+    let mut shapes: Vec<Block16> =
+        (0..4).map(|h| Block16::from_fn(|r, c| r.abs_diff(c) <= h)).collect();
+    shapes.push(Block16::from_fn(|r, c| r == 0 || c == 0));
+    shapes.push(Block16::from_fn(|r, c| (4..12).contains(&r) && (4..12).contains(&c)));
+    shapes.push(Block16::from_fn(|r, _| r == 5));
+    shapes.push(Block16::from_fn(|_, c| c == 11));
+    let mut tasks = Vec::new();
+    for a in shapes {
+        tasks.extend([u16::MAX, 0x5555, 0x00FF].map(|x| T1Task::mv(a, x)));
+        tasks.extend((1..=16).map(|width| T1Task::mm(a, Block16::dense().keep_cols(width))));
+        for p in [0.1, 0.3] {
+            tasks.push(T1Task::mm(a, Block16::from_fn(|_, _| rng.next_bool(p))));
         }
     }
     tasks

@@ -252,6 +252,9 @@ fn replay(
             unit_blocks[w].push(bi);
         }
     }
+    // Only `visit` reads the units' damaged copies: none outlives it into
+    // the per-unit runs below.
+    drop(unit_src);
     let (kernel, em) = (inv.kernel(), EnergyModel::default());
     let unit_cycles = unit_blocks
         .into_iter()

@@ -250,21 +250,13 @@ fn execute_impl(cfg: &UniStcConfig, task: &T1Task, sink: &mut impl PipeSink) -> 
                 stalled_dpgs += 1;
                 continue;
             }
-            let mut emitted = 0usize;
-            // The next segment is the lowest nonzero nibble.
-            while infl.lengths != 0 {
-                let at = infl.lengths.trailing_zeros() & !3;
-                let len = (infl.lengths >> at & 0xF) as usize;
-                if used + len > lanes || emitted + len > emit_cap {
-                    break;
-                }
-                infl.lengths &= !(0xF << at);
-                used += len;
-                emitted += len;
-                segments_emitted += 1;
-                // One pre-merged partial write per segment (SDPU merge).
-                res.events.partial_updates += 1;
-            }
+            // The DPG emits its segments in order until the first that
+            // does not fit the cycle's free lanes or its emit bandwidth.
+            let (emitted, segments) = emit_prefix(&mut infl.lengths, (lanes - used).min(emit_cap));
+            used += emitted;
+            segments_emitted += segments;
+            // One pre-merged partial write per segment (SDPU merge).
+            res.events.partial_updates += u64::from(segments);
             if emitted > 0 {
                 active_dpgs += 1;
                 outputs_claimed |= bit;
@@ -316,6 +308,41 @@ fn execute_impl(cfg: &UniStcConfig, task: &T1Task, sink: &mut impl PipeSink) -> 
     // written back exactly once.
     res.events.c_writes = c_words.iter().map(|w| u64::from(w.count_ones())).sum();
     res
+}
+
+/// Emits the longest prefix of the segments in `lengths` (a
+/// [`Segments::lengths`](crate::dpg::Segments::lengths) word, lowest
+/// nibble first) whose lengths sum to at most `budget` lanes: clears
+/// those nibbles and returns their lane sum and segment count.
+///
+/// The nibbles are widened to the sixteen bytes of a `u128`, and one
+/// multiply turns byte `p` into the sum of nibbles `0..=p`. A segment is
+/// at most [`T4_MAX_LEN`](crate::T4_MAX_LEN) = 4 lanes, so no sum exceeds
+/// 64 (nor 127 for any nibble below 8). The sums never fall, so the cut
+/// is the first byte whose sum exceeds the budget, found by one SWAR
+/// compare: with both sides below 128, `(sum | 0x80) - (budget + 1)`
+/// keeps the byte's top bit exactly when `sum > budget`, and never
+/// borrows from the next byte. Zero nibbles (segments already emitted)
+/// add nothing to the sums, so they fall on either side of the cut
+/// without moving it.
+fn emit_prefix(lengths: &mut u64, budget: usize) -> (usize, u32) {
+    const BYTE_LSB: u128 = u128::MAX / 0xFF;
+    const HIGH: u128 = 0x80 * BYTE_LSB;
+    debug_assert!(*lengths & 0x8888_8888_8888_8888 == 0, "a segment of 8 or more lanes");
+    let mut bytes = u128::from(*lengths);
+    bytes = (bytes | bytes << 32) & 0x0000_0000_FFFF_FFFF_0000_0000_FFFF_FFFF;
+    bytes = (bytes | bytes << 16) & 0x0000_FFFF_0000_FFFF_0000_FFFF_0000_FFFF;
+    bytes = (bytes | bytes << 8) & 0x00FF_00FF_00FF_00FF_00FF_00FF_00FF_00FF;
+    bytes = (bytes | bytes << 4) & (0x0F * BYTE_LSB);
+    let sums = bytes.wrapping_mul(BYTE_LSB);
+    // A budget of 126 or more fits every segment.
+    let bound = budget.min(126) as u128 + 1;
+    let over = ((sums | HIGH) - bound * BYTE_LSB) & HIGH;
+    // The nibbles below the first byte over budget (all when none is).
+    let below = u64::MAX.checked_shl(over.trailing_zeros() / 8 * 4).map_or(u64::MAX, |cut| !cut);
+    let emitted = *lengths & below;
+    *lengths &= !below;
+    (nibble_sum(emitted) as usize, segment_count(emitted))
 }
 
 /// The pipeline as first written, with heap `VecDeque` queues: the frozen
@@ -732,7 +759,11 @@ pub(crate) mod tests {
     }
 
     /// Seeded random blocks across densities as MV tasks, MM tasks and
-    /// SpMM tails narrowed to every `keep_cols(1..=16)` width.
+    /// SpMM tails narrowed to every `keep_cols(1..=16)` width, plus the
+    /// structured A blocks the workloads produce: bands of half-width 0
+    /// (the diagonal) to 3, an arrow, a dense 8x8 sub-block, one row and
+    /// one column, against full and half-dense `x` masks, dense B, its
+    /// `keep_cols` tails and sparse B.
     pub(crate) fn sample_tasks(seed: u64) -> Vec<T1Task> {
         let mut rng = sparse::rng::Rng64::new(seed);
         let mut block = |p: f64| Block16::from_fn(|_, _| rng.next_bool(p));
@@ -747,6 +778,19 @@ pub(crate) mod tests {
                 }
             }
         }
+        let mut shapes: Vec<Block16> =
+            (0..4).map(|h| Block16::from_fn(|r, c| r.abs_diff(c) <= h)).collect();
+        shapes.push(Block16::from_fn(|r, c| r == 0 || c == 0));
+        shapes.push(Block16::from_fn(|r, c| (4..12).contains(&r) && (4..12).contains(&c)));
+        shapes.push(Block16::from_fn(|r, _| r == 5));
+        shapes.push(Block16::from_fn(|_, c| c == 11));
+        for a in shapes {
+            tasks.extend([u16::MAX, 0x5555, 0x00FF].map(|x| T1Task::mv(a, x)));
+            tasks.extend((1..=16).map(|width| T1Task::mm(a, Block16::dense().keep_cols(width))));
+            for p in [0.1, 0.3] {
+                tasks.push(T1Task::mm(a, Block16::from_fn(|_, _| rng.next_bool(p))));
+            }
+        }
         tasks
     }
 
@@ -757,13 +801,59 @@ pub(crate) mod tests {
             .into_iter()
             .map(UniStcConfig::with_precision)
             .collect();
-        cfgs.extend([1, 3, 4, 16, 70].map(UniStcConfig::with_dpgs));
+        cfgs.extend([1, 2, 3, 4, 16, 70].map(UniStcConfig::with_dpgs));
         cfgs.extend([TaskOrdering::DotProduct, TaskOrdering::RowRow].map(|ordering| {
             UniStcConfig { ordering, ..cfg() }
         }));
         cfgs.push(UniStcConfig { fill_order: FillOrder::NShape, ..cfg() });
         cfgs.push(UniStcConfig { power_gating: false, ..cfg() });
         cfgs
+    }
+
+    /// Stage 3's emission as a plain per-segment loop: segments leave in
+    /// nibble order until the first that does not fit `budget`.
+    fn emit_by_segment(lengths: &mut u64, budget: usize) -> (usize, u32) {
+        let (mut emitted, mut segments) = (0, 0);
+        while *lengths != 0 {
+            let at = lengths.trailing_zeros() & !3;
+            let len = (*lengths >> at & 0xF) as usize;
+            if emitted + len > budget {
+                break;
+            }
+            *lengths &= !(0xF << at);
+            emitted += len;
+            segments += 1;
+        }
+        (emitted, segments)
+    }
+
+    #[test]
+    fn prefix_cut_equals_a_per_segment_loop_at_every_budget() {
+        use crate::dpg::segment_lengths;
+        // Edge words: empty, all nibbles 4, one nibble of each length at
+        // each position, and zero gaps between segments.
+        let mut words =
+            vec![0, 0x4444_4444_4444_4444, 0x4040_4040_4040_4040, 0x1000_0000_0000_0001];
+        words.extend((0..16).flat_map(|at| (1..=4u64).map(move |len| len << (4 * at))));
+        words.extend([0x0000_0003_2100_0000, 0x4300_0000_0000_0012, 0x0102_0304_0403_0201]);
+        // Seeded T3 tasks in both fill orders, whole and with their first
+        // segments already emitted (the words Stage 3 carries over).
+        let mut rng = sparse::rng::Rng64::new(0x5EC_2027);
+        for _ in 0..256 {
+            let (a_tile, b_tile) = (rng.next_u64() as u16, rng.next_u64() as u16);
+            for fill in [FillOrder::ZShape, FillOrder::NShape] {
+                let lengths = segment_lengths(a_tile, b_tile, fill).lengths;
+                words.extend([0, 3, 7].map(|low| lengths & u64::MAX << (4 * low)));
+            }
+        }
+        for &word in &words {
+            for budget in 0..=256 {
+                let (mut got, mut want) = (word, word);
+                let cut = emit_prefix(&mut got, budget);
+                assert_eq!(cut, emit_by_segment(&mut want, budget), "{word:#018x} budget {budget}");
+                assert_eq!(got, want, "{word:#018x} budget {budget}");
+            }
+        }
     }
 
     #[test]

@@ -31,11 +31,15 @@ cargo test --workspace -q
 
 echo "== engine suites in release =="
 # Release builds wrap on integer overflow where debug builds panic, so the
-# engines' packed byte-lane arithmetic, simkit's word-parallel tile
-# extraction, the verifier's per-distinct-task pass, the runtime's checked
-# shard fold, multi-unit replay's checked counted fold (uni_stc::multi)
-# and their frozen-reference differentials must also pass with release
-# arithmetic.
+# engines' packed byte-lane arithmetic (Trapezoid's SWAR row-cycle counts
+# and byte-lane window sums, Uni-STC Stage 3's widened-nibble prefix cut),
+# simkit's word-parallel tile extraction, the verifier's per-distinct-task
+# pass, the runtime's checked shard fold, multi-unit replay's checked
+# counted fold (uni_stc::multi), their frozen-reference differentials and
+# the exhaustive helper tests (trapezoid
+# row_cycles_match_the_reference_schedule_for_every_row_mask, pipeline
+# prefix_cut_equals_a_per_segment_loop_at_every_budget) must also pass
+# with release arithmetic.
 cargo test --release -p simkit -p baselines -p uni-stc -p analysis -p runtime -q
 
 echo "== figures byte-identical =="
