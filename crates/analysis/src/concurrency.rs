@@ -1,38 +1,30 @@
-//! Concurrency verification: static proofs over shard plans and the
-//! shard-report fold.
+//! Concurrency verification: static proofs over the shard-report fold.
 //!
 //! The parallel runtime's headline claim — a sharded run folds to a
-//! report **bit-identical** to the serial driver's — rests on exactly
-//! three properties, and this module proves each one statically, before
-//! a single worker is spawned:
+//! report **bit-identical** to the serial driver's — rests on two
+//! properties:
 //!
-//! 1. **Disjointness** — no two shards claim the same T1 task
-//!    (`USTC014`), or the task would be double-counted.
-//! 2. **Coverage** — every task is claimed by some shard (`USTC015`),
-//!    and every shard is well-formed: non-empty, in range, planned for
-//!    the right stream length (`USTC016`).
-//! 3. **Commutative-monoid fold** — folding the per-shard
+//! 1. **Every task in exactly one shard.** `runtime::ShardPlan` has one
+//!    constructor, `ShardPlan::contiguous`, whose shards are non-empty,
+//!    ascending and adjacent over `0..tasks`; no plan can overlap, leave a
+//!    gap or hold a malformed shard, so there is nothing left to prove
+//!    per plan (`USTC014`–`USTC016` are retired).
+//! 2. **Commutative-monoid fold** — folding the per-shard
 //!    [`KernelReport`]s is order-independent (`USTC017`) and leaves the
 //!    energy field untouched so it is recomputed exactly once from the
 //!    merged events (`USTC018`), never summed per shard.
 //!
-//! [`verify_shard_plan`] and [`verify_model_plan`] walk a
-//! [`runtime::ShardPlan`] (optionally against the [`StreamModel`] whose
-//! T1 list it shards) and report *every* violation, where the runtime's
-//! own [`runtime::ShardPlan::verify_before_run`] gate stops at the
-//! first. [`verify_fold`] takes the fold as a function and tests it over
-//! deterministic permutations of the shard reports, so injected-defect
-//! tests can hand it a broken fold and assert the exact code.
-//!
-//! Spans reuse the model vocabulary: `block` is the shard index, `task`
-//! the T1 task index.
+//! This module proves the second. [`verify_fold`] takes the fold as a
+//! function and tests it over deterministic permutations of the shard
+//! reports, so injected-defect tests can hand it a broken fold and assert
+//! the exact code; [`verify_scaling`] does the same for the scaled merge
+//! a counted stream rests on.
 
 use simkit::driver::KernelReport;
 use simkit::CounterOverflow;
 use sparse::rng::Rng64;
 
 use crate::diag::{Code, Diagnostic, Report, Span};
-use crate::model::StreamModel;
 
 /// Seed for the deterministic fold permutations; fixed so the golden
 /// snapshot pins the exact shuffles [`verify_fold`] exercises.
@@ -41,76 +33,6 @@ const FOLD_SHUFFLE_SEED: u64 = 0x5EED_F01D;
 /// How many seeded shuffles [`verify_fold`] tries on top of the identity
 /// and reversed orders.
 const FOLD_SHUFFLES: usize = 3;
-
-/// Verifies a shard plan in isolation: disjointness, coverage and shard
-/// well-formedness. Reports every violation (`USTC014`–`USTC016`), not
-/// just the first.
-pub fn verify_shard_plan(plan: &runtime::ShardPlan) -> Report {
-    let mut report = Report::new();
-    let tasks = plan.tasks();
-    // `owner[i]` = 1 + index of the first shard that claimed task i.
-    let mut owner = vec![0usize; tasks];
-    for (s, range) in plan.shards().iter().enumerate() {
-        if range.start >= range.end {
-            report.push(Diagnostic::new(
-                Code::ShardMalformed,
-                Span::at_block(s),
-                format!("shard {s} is empty ({}..{})", range.start, range.end),
-            ));
-            continue;
-        }
-        if range.end > tasks {
-            report.push(Diagnostic::new(
-                Code::ShardMalformed,
-                Span::at_block(s),
-                format!("shard {s} ends at {}, past the {tasks}-task stream", range.end),
-            ));
-        }
-        let claim = range.start..range.end.min(tasks);
-        for (task, slot) in owner.iter_mut().enumerate().take(claim.end).skip(claim.start) {
-            if *slot != 0 {
-                report.push(Diagnostic::new(
-                    Code::ShardOverlap,
-                    Span::at_task(s, task),
-                    format!("shards {} and {s} both claim task {task}", *slot - 1),
-                ));
-            } else {
-                *slot = s + 1;
-            }
-        }
-    }
-    for (task, &o) in owner.iter().enumerate() {
-        if o == 0 {
-            report.push(Diagnostic::new(
-                Code::ShardGap,
-                Span { task: Some(task), ..Span::default() },
-                format!("task {task} is claimed by no shard"),
-            ));
-        }
-    }
-    report
-}
-
-/// Verifies a shard plan *against the stream it claims to shard*: the
-/// plan must be sized for the model's T1 list (`USTC016` otherwise) and
-/// pass every [`verify_shard_plan`] check.
-pub fn verify_model_plan(plan: &runtime::ShardPlan, model: &StreamModel) -> Report {
-    let mut report = Report::new();
-    if plan.tasks() != model.t1.len() {
-        report.push(Diagnostic::new(
-            Code::ShardMalformed,
-            Span::none(),
-            format!(
-                "plan shards a {}-task stream but the {} model issues {} T1 tasks",
-                plan.tasks(),
-                model.kernel,
-                model.t1.len()
-            ),
-        ));
-    }
-    report.merge(verify_shard_plan(plan));
-    report
-}
 
 /// A shard-report fold: merges the second report into the first, or
 /// reports that a merged counter is not representable.
@@ -338,22 +260,43 @@ mod tests {
         shard_report(0, 0, 0)
     }
 
-    #[test]
-    fn clean_contiguous_plan_verifies_clean() {
-        for (tasks, threads) in [(10, 2), (0, 4), (97, 8)] {
-            let plan = runtime::ShardPlan::contiguous(tasks, threads);
-            assert!(verify_shard_plan(&plan).is_clean(), "tasks={tasks} threads={threads}");
+    /// The SpMV tasks of a 160x160 operand whose 100 blocks all hold
+    /// nonzeros, cut to the first `n`.
+    fn spmv_tasks(n: usize) -> Vec<simkit::T1Task> {
+        let mut coo = sparse::CooMatrix::new(160, 160);
+        for r in 0..160 {
+            for c in (0..160).filter(|c| (r * 31 + c * 17) % 13 == 0) {
+                coo.push(r, c, 1.0);
+            }
         }
+        let a = sparse::CsrMatrix::try_from(coo).expect("entries in range");
+        let mut tasks = simkit::driver::spmv_tasks(&sparse::BbcMatrix::from_csr(&a));
+        assert!(tasks.len() >= n, "{} tasks, {n} wanted", tasks.len());
+        tasks.truncate(n);
+        tasks
     }
 
     #[test]
-    fn overlap_gap_and_malformed_each_get_their_code() {
-        let plan = runtime::ShardPlan::from_ranges(10, vec![0..4, 3..6, 8..10, 4..4, 9..12]);
-        let r = verify_shard_plan(&plan);
-        assert!(r.has_code(Code::ShardOverlap), "{}", r.render_human());
-        assert!(r.has_code(Code::ShardGap), "tasks 6,7 uncovered: {}", r.render_human());
-        assert!(r.has_code(Code::ShardMalformed), "{}", r.render_human());
-        assert!(r.has_errors());
+    fn clean_contiguous_plan_verifies_clean() {
+        // Every plan is contiguous, so each task lands in exactly one
+        // shard: the sharded run folds to the serial report.
+        let engine = uni_stc::UniStc::default();
+        let em = simkit::EnergyModel::default();
+        for (tasks, threads) in [(10, 2), (0, 4), (97, 8)] {
+            let tasks = spmv_tasks(tasks);
+            let serial = simkit::driver::run_stream(
+                &engine,
+                &em,
+                Kernel::SpMV,
+                &simkit::TaskStream::from(&tasks[..]),
+            )
+            .expect("no overflow");
+            let plan = runtime::ShardPlan::contiguous(tasks.len(), threads);
+            let cfg = runtime::RuntimeConfig::with_threads(threads);
+            let run = runtime::run_tasks_planned(&cfg, &plan, &engine, &em, Kernel::SpMV, &tasks)
+                .expect("a contiguous plan for this stream executes");
+            assert_eq!(run.report, serial, "tasks={} threads={threads}", tasks.len());
+        }
     }
 
     #[test]
@@ -460,9 +403,21 @@ mod tests {
 
     #[test]
     fn model_plan_length_mismatch_is_ustc016() {
-        let model = StreamModel { kernel: Kernel::SpMV, t1: Vec::new() };
+        // USTC016 is retired: a plan sized for another stream is refused
+        // by the runtime itself, before any worker spawns.
+        assert!(Code::ALL.iter().all(|c| c.as_str() != "USTC016"));
+        let model = crate::model::StreamModel { kernel: Kernel::SpMV, t1: Vec::new() };
         let plan = runtime::ShardPlan::contiguous(3, 1);
-        let r = verify_model_plan(&plan, &model);
-        assert!(r.has_code(Code::ShardMalformed), "{}", r.render_human());
+        let cfg = runtime::RuntimeConfig::with_threads(1);
+        let err = runtime::run_tasks_planned(
+            &cfg,
+            &plan,
+            &uni_stc::UniStc::default(),
+            &simkit::EnergyModel::default(),
+            model.kernel,
+            &spmv_tasks(model.t1.len()),
+        )
+        .expect_err("a 3-task plan cannot run an empty stream");
+        assert_eq!(err, runtime::PlannedRunError::StalePlan { planned: 3, tasks: 0 });
     }
 }

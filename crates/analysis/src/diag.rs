@@ -4,7 +4,11 @@
 //! Every invariant the static verifier proves has one stable code, so test
 //! suites, CI gates and downstream tooling can match on `USTC007` rather
 //! than on message text. Codes are append-only: a code is never renumbered
-//! or reused once it has shipped in a golden snapshot.
+//! or reused once it has shipped in a golden snapshot. A code whose
+//! invariant can no longer be broken is retired, and its number stays
+//! unused: `USTC014`–`USTC016` proved shard plans disjoint, covering and
+//! well-formed, which `runtime::ShardPlan::contiguous`, the only plan
+//! constructor, now guarantees.
 
 use std::fmt;
 
@@ -73,16 +77,6 @@ pub enum Code {
     /// `USTC013` — an instruction stream disagrees with the stream the
     /// verifier recompiles from the operand metadata.
     CostMismatch,
-    /// `USTC014` — two shards of a `runtime::kernels` shard plan claim
-    /// the same T1 task: executing the plan double-counts the task in
-    /// every merged counter.
-    ShardOverlap,
-    /// `USTC015` — a T1 task is claimed by no shard: executing the plan
-    /// silently drops the task from the merged report.
-    ShardGap,
-    /// `USTC016` — a shard is malformed: empty, out of the stream's
-    /// range, or planned for a different stream length.
-    ShardMalformed,
     /// `USTC017` — the per-shard report fold is not commutative: folding
     /// the same shard reports in a different order changes the merged
     /// counters, so the parallel schedule leaks into the result.
@@ -97,8 +91,9 @@ pub enum Code {
 }
 
 impl Code {
-    /// Every code, in numeric order (for docs and exhaustiveness tests).
-    pub const ALL: [Code; 19] = [
+    /// Every live code, in numeric order (for docs and exhaustiveness
+    /// tests).
+    pub const ALL: [Code; 16] = [
         Code::NumericWithoutBatch,
         Code::OverlappingTaskGen,
         Code::CostOutOfRange,
@@ -112,9 +107,6 @@ impl Code {
         Code::GatedDpgRoute,
         Code::CorruptMetadata,
         Code::CostMismatch,
-        Code::ShardOverlap,
-        Code::ShardGap,
-        Code::ShardMalformed,
         Code::NonCommutativeFold,
         Code::EnergyRefold,
         Code::ScheduleDivergence,
@@ -136,9 +128,6 @@ impl Code {
             Code::GatedDpgRoute => "USTC011",
             Code::CorruptMetadata => "USTC012",
             Code::CostMismatch => "USTC013",
-            Code::ShardOverlap => "USTC014",
-            Code::ShardGap => "USTC015",
-            Code::ShardMalformed => "USTC016",
             Code::NonCommutativeFold => "USTC017",
             Code::EnergyRefold => "USTC018",
             Code::ScheduleDivergence => "USTC019",
@@ -161,9 +150,6 @@ impl Code {
             | Code::DpgRouteOutOfRange
             | Code::GatedDpgRoute
             | Code::CorruptMetadata
-            | Code::ShardOverlap
-            | Code::ShardGap
-            | Code::ShardMalformed
             | Code::NonCommutativeFold
             | Code::EnergyRefold
             | Code::ScheduleDivergence => Severity::Error,
@@ -186,9 +172,6 @@ impl Code {
             Code::GatedDpgRoute => "T3 task routed to a power-gated DPG",
             Code::CorruptMetadata => "BBC metadata fails structural validation",
             Code::CostMismatch => "stream disagrees with metadata-derived recompilation",
-            Code::ShardOverlap => "two shards claim the same T1 task",
-            Code::ShardGap => "a T1 task is claimed by no shard",
-            Code::ShardMalformed => "shard empty, out of range, or planned for the wrong stream",
             Code::NonCommutativeFold => "shard-report fold is order-dependent",
             Code::EnergyRefold => "fold accumulates energy instead of recomputing it once",
             Code::ScheduleDivergence => "a pool schedule loses, repeats, or re-merges a task",
@@ -409,8 +392,18 @@ mod tests {
 
     #[test]
     fn codes_are_stable_and_dense() {
-        for (i, code) in Code::ALL.iter().enumerate() {
-            assert_eq!(code.as_str(), format!("USTC{:03}", i + 1));
+        // Retired codes keep their numbers; no live code may take one.
+        const RETIRED: [&str; 3] = ["USTC014", "USTC015", "USTC016"];
+        let mut numbered: Vec<&str> = Code::ALL.iter().map(|c| c.as_str()).collect();
+        numbered.extend(RETIRED);
+        numbered.sort_unstable();
+        for (i, code) in numbered.iter().enumerate() {
+            assert_eq!(*code, format!("USTC{:03}", i + 1));
+        }
+        for pair in Code::ALL.windows(2) {
+            assert!(pair[0].as_str() < pair[1].as_str(), "ALL in numeric order");
+        }
+        for code in Code::ALL {
             assert!(!code.summary().is_empty());
         }
     }

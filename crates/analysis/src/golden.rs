@@ -21,7 +21,7 @@ use uni_stc::isa::{Program, Uwmma};
 use uni_stc::tms::T3Task;
 use uni_stc::UniStcConfig;
 
-use crate::concurrency::{verify_fold, verify_model_plan, verify_runtime_fold, verify_shard_plan};
+use crate::concurrency::{verify_fold, verify_runtime_fold};
 use crate::diag::Report;
 use crate::model::{route_tasks, StreamModel, T1Node, T3Node};
 use crate::schedule::{explore, ModelBug, ModelConfig};
@@ -124,17 +124,6 @@ pub fn seeded_suite() -> Vec<(&'static str, Report)> {
     // Clean control: a real compiled SpMV stream verifies clean end-to-end.
     suite.push(("clean-spmv", v.verify(Invocation::SpMV(&seeded_matrix(64)), 4)));
 
-    // USTC014 + USTC015 + USTC016: one plan that overlaps (3..6 after
-    // 0..4), leaves tasks 6..8 uncovered, and carries an empty shard and
-    // an out-of-range shard.
-    let plan = runtime::ShardPlan::from_ranges(10, vec![0..4, 3..6, 8..10, 4..4, 9..12]);
-    suite.push(("shard-plan-violations", verify_shard_plan(&plan)));
-
-    // USTC016 (model form): a plan sized for the wrong stream.
-    let empty_model = StreamModel { kernel: Kernel::SpMV, t1: Vec::new() };
-    let stale_plan = runtime::ShardPlan::contiguous(3, 1);
-    suite.push(("stale-model-plan", verify_model_plan(&stale_plan, &empty_model)));
-
     // USTC017: a fold whose counters depend on shard encounter order.
     let shards: Vec<KernelReport> = (0..4).map(|i| shard_report(i + 1, 0, 1)).collect();
     let order_dependent = |acc: &mut KernelReport, next: &KernelReport| {
@@ -164,10 +153,9 @@ pub fn seeded_suite() -> Vec<(&'static str, Report)> {
     let lost = explore(&ModelConfig::clean(2, 3).with_bug(ModelBug::DropStolenTask), 50_000);
     suite.push(("lost-task-schedule", lost.report()));
 
-    // Clean concurrency control: the real contiguous planner, the real
-    // runtime fold and the faithful pool model all verify clean.
-    let mut clean = verify_shard_plan(&runtime::ShardPlan::contiguous(97, 8));
-    clean.merge(verify_runtime_fold(&shard_report(0, 0, 0), &shards));
+    // Clean concurrency control: the real runtime fold and the faithful
+    // pool model both verify clean.
+    let mut clean = verify_runtime_fold(&shard_report(0, 0, 0), &shards);
     clean.merge(explore(&ModelConfig::clean(2, 4), 20_000).report());
     suite.push(("clean-concurrency", clean));
 

@@ -14,13 +14,13 @@
 //!    illegal streams are rejected before a single cycle is simulated.
 //! 2. **The concurrency verifier** ([`concurrency`], [`schedule`]) —
 //!    proves the parallel runtime's determinism claims statically:
-//!    shard plans are pairwise-disjoint covers of the task stream
-//!    (`USTC014`–`USTC016`), the shard-report fold is a commutative
-//!    monoid that never re-folds energy (`USTC017`–`USTC018`), and a
-//!    loom-style schedule explorer enumerates the pool's
-//!    queue/steal/retry/degrade interleavings asserting every schedule
-//!    merges to the serial signature with no task lost or repeated
-//!    (`USTC019`).
+//!    the shard-report fold is a commutative monoid that never re-folds
+//!    energy (`USTC017`–`USTC018`), and a loom-style schedule explorer
+//!    enumerates the pool's queue/steal/retry/degrade interleavings
+//!    asserting every schedule merges to the serial signature with no
+//!    task lost or repeated (`USTC019`). Shard plans need no proof:
+//!    `runtime::ShardPlan::contiguous` is their only constructor, so the
+//!    plan codes `USTC014`–`USTC016` are retired.
 //! 3. **The source lint** ([`lint`]) — a dependency-free scanner over the
 //!    workspace's library code enforcing the repo's robustness rules
 //!    (no panicking calls outside tests, no ad-hoc float equality, no
@@ -45,10 +45,7 @@ pub mod model;
 pub mod schedule;
 pub mod verifier;
 
-pub use concurrency::{
-    verify_fold, verify_model_plan, verify_runtime_fold, verify_runtime_scaling, verify_scaling,
-    verify_shard_plan,
-};
+pub use concurrency::{verify_fold, verify_runtime_fold, verify_runtime_scaling, verify_scaling};
 pub use diag::{Code, Diagnostic, Report, Severity, Span};
 pub use model::{StreamModel, T1Node, T3Node, DOT_QUEUE_CAP, TILE_QUEUE_CAP};
 pub use schedule::{explore, Exploration, ModelBug, ModelConfig, Violation};

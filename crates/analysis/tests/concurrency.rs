@@ -1,10 +1,9 @@
 //! Caught-defect tests for the concurrency verifier: each classic
 //! parallel-runtime bug, injected deliberately, must be rejected with its
-//! exact stable `USTC` code — in both the human and the JSON renderings —
-//! and the runtime's own pre-spawn gate must refuse the same artifacts.
+//! exact stable `USTC` code — in both the human and the JSON renderings.
 
 use analysis::schedule::{explore, ModelBug, ModelConfig};
-use analysis::{verify_fold, verify_runtime_fold, verify_shard_plan, Code};
+use analysis::{verify_fold, verify_runtime_fold, Code};
 use simkit::driver::{Kernel, KernelReport};
 use simkit::{EventCounts, UtilHistogram};
 
@@ -28,20 +27,6 @@ fn assert_code_in_both_renderings(report: &analysis::Report, code: Code) {
     let json = report.render_json();
     assert!(human.contains(code.as_str()), "{} missing from human rendering:\n{human}", code.as_str());
     assert!(json.contains(code.as_str()), "{} missing from JSON rendering:\n{json}", code.as_str());
-}
-
-#[test]
-fn injected_overlapping_shard_plan_is_rejected_as_ustc014() {
-    let plan = runtime::ShardPlan::from_ranges(8, vec![0..5, 4..8]);
-    let report = verify_shard_plan(&plan);
-    assert_code_in_both_renderings(&report, Code::ShardOverlap);
-    assert!(!report.has_code(Code::ShardGap), "the overlap plan covers every task");
-
-    // The runtime's own gate refuses the same plan before spawning.
-    assert!(matches!(
-        plan.verify_before_run(),
-        Err(runtime::ShardPlanError::Overlap { shard: 1, other: 0, task: 4 })
-    ));
 }
 
 #[test]
@@ -78,21 +63,4 @@ fn explorer_covers_a_thousand_interleavings_with_zero_divergence() {
         total += e.schedules;
     }
     assert!(total >= 1_000, "only {total} distinct interleavings explored");
-}
-
-#[test]
-fn runtime_rejects_a_bad_plan_end_to_end_with_the_matching_code() {
-    // The static verifier and the runtime gate agree on the same artifact:
-    // every plan the verifier flags, the gate refuses, and vice versa.
-    let plans = [
-        runtime::ShardPlan::from_ranges(6, vec![0..3, 2..6]),
-        runtime::ShardPlan::from_ranges(6, vec![0..2, 4..6]),
-        runtime::ShardPlan::from_ranges(6, vec![0..6, 6..6]),
-        runtime::ShardPlan::contiguous(6, 2),
-    ];
-    for plan in &plans {
-        let statically_clean = verify_shard_plan(plan).is_clean();
-        let gate_clean = plan.verify_before_run().is_ok();
-        assert_eq!(statically_clean, gate_clean, "verifier and gate disagree on {plan:?}");
-    }
 }

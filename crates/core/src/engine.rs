@@ -24,77 +24,33 @@ pub struct UniStc {
 
 impl UniStc {
     /// Creates an engine with the given configuration.
-    pub fn new(config: UniStcConfig) -> Self {
-        UniStc { config }
-    }
-
-    /// Starts a builder at the paper's default design point.
     ///
     /// # Example
     ///
     /// ```
-    /// use uni_stc::UniStc;
+    /// use uni_stc::{UniStc, UniStcConfig};
     /// use simkit::{Precision, TileEngine};
     ///
-    /// let engine = UniStc::builder().precision(Precision::Fp32).dpgs(16).build();
+    /// let engine = UniStc::new(UniStcConfig {
+    ///     n_dpg: 16,
+    ///     ..UniStcConfig::with_precision(Precision::Fp32)
+    /// });
     /// assert_eq!(engine.lanes(), 128);
     /// ```
-    pub fn builder() -> UniStcBuilder {
-        UniStcBuilder { config: UniStcConfig::default() }
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.n_dpg == 0`, matching [`UniStcConfig::with_dpgs`]:
+    /// a config may name zero DPGs for the verifier to flag, but an
+    /// engine needs one to route T3 tasks to.
+    pub fn new(config: UniStcConfig) -> Self {
+        assert!(config.n_dpg > 0, "at least one DPG is required");
+        UniStc { config }
     }
 
     /// The engine's configuration.
     pub fn config(&self) -> &UniStcConfig {
         &self.config
-    }
-}
-
-/// Builder for [`UniStc`] configurations.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct UniStcBuilder {
-    config: UniStcConfig,
-}
-
-impl UniStcBuilder {
-    /// Sets the arithmetic precision (64 / 128 / 256 MAC lanes).
-    pub fn precision(mut self, precision: simkit::Precision) -> Self {
-        self.config.precision = precision;
-        self
-    }
-
-    /// Sets the DPG count.
-    ///
-    /// # Panics
-    ///
-    /// Panics at [`UniStcBuilder::build`] time never; a zero count panics
-    /// here, matching [`UniStcConfig::with_dpgs`].
-    pub fn dpgs(mut self, n: usize) -> Self {
-        assert!(n > 0, "at least one DPG is required");
-        self.config.n_dpg = n;
-        self
-    }
-
-    /// Sets the T3 task-ordering strategy.
-    pub fn ordering(mut self, ordering: crate::TaskOrdering) -> Self {
-        self.config.ordering = ordering;
-        self
-    }
-
-    /// Sets the dot-product queue fill order.
-    pub fn fill_order(mut self, fill: crate::FillOrder) -> Self {
-        self.config.fill_order = fill;
-        self
-    }
-
-    /// Enables or disables dynamic DPG power gating.
-    pub fn power_gating(mut self, enabled: bool) -> Self {
-        self.config.power_gating = enabled;
-        self
-    }
-
-    /// Finalises the engine.
-    pub fn build(self) -> UniStc {
-        UniStc::new(self.config)
     }
 }
 
@@ -136,28 +92,10 @@ mod tests {
     use simkit::{Block16, Precision};
 
     #[test]
-    fn builder_round_trips_every_knob() {
-        let e = UniStc::builder()
-            .precision(Precision::Fp32)
-            .dpgs(4)
-            .ordering(uni_stc_ordering())
-            .fill_order(crate::FillOrder::NShape)
-            .power_gating(false)
-            .build();
-        assert_eq!(e.config().n_dpg, 4);
-        assert_eq!(e.lanes(), 128);
-        assert!(!e.config().power_gating);
-        assert_eq!(e.config().fill_order, crate::FillOrder::NShape);
-    }
-
-    fn uni_stc_ordering() -> crate::TaskOrdering {
-        crate::TaskOrdering::RowRow
-    }
-
-    #[test]
     #[should_panic(expected = "at least one DPG")]
     fn builder_rejects_zero_dpgs() {
-        let _ = UniStc::builder().dpgs(0);
+        // A config literal handed to `new` is how an engine is built.
+        let _ = UniStc::new(UniStcConfig { n_dpg: 0, ..UniStcConfig::default() });
     }
 
     #[test]

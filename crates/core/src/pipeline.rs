@@ -115,7 +115,7 @@ pub fn execute_t1(cfg: &UniStcConfig, task: &T1Task) -> T1Result {
 }
 
 /// Like [`execute_t1`], but also returns a per-cycle trace — used by the
-/// `spgemm_pipeline` example and for debugging schedules.
+/// pipeline tests to pin per-cycle schedules, and for debugging them.
 pub fn execute_t1_traced(cfg: &UniStcConfig, task: &T1Task) -> (T1Result, Vec<CycleTrace>) {
     let mut trace = CycleVec(Vec::new());
     let res = execute_impl(cfg, task, &mut trace);

@@ -16,9 +16,12 @@
 //! ([`Invocation::stream`](simkit::driver::Invocation::stream)) and splits
 //! it itself with [`ShardPlan::contiguous`], a plan legal by construction
 //! (one shard on a single worker), so it fails only as
-//! [`ShardedRunError`] says. [`run_tasks_planned`] is the one entry point
-//! that takes a caller's plan, and it proves that plan legal before any
-//! worker spawns; only it can answer [`PlannedRunError::Rejected`].
+//! [`ShardedRunError`] says. [`ShardPlan::contiguous`] is the only way to
+//! build a plan, so no plan can overlap, leave a gap, or hold an empty or
+//! out-of-range shard. [`run_tasks_planned`], the one entry point that
+//! takes a caller's plan, checks the one thing a caller can still get
+//! wrong: a plan built for a stream of another length
+//! ([`PlannedRunError::StalePlan`]).
 //!
 //! The shards execute on the [`pool`], so they inherit its
 //! resilience: a shard whose execution panics is retried and, past the
@@ -42,74 +45,12 @@ pub struct ShardedRun {
     pub degraded: Option<pool::DegradedReport>,
 }
 
-/// Why a [`ShardPlan`] is illegal to execute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardPlanError {
-    /// A shard's range is empty (`start >= end`): it would produce a
-    /// report for no tasks and signals a broken planner.
-    EmptyShard {
-        /// Index of the degenerate shard.
-        shard: usize,
-    },
-    /// A shard's range extends past the end of the task stream.
-    OutOfRange {
-        /// Index of the offending shard.
-        shard: usize,
-        /// The shard's (exclusive) end.
-        end: usize,
-        /// The stream length it overruns.
-        tasks: usize,
-    },
-    /// Two shards both claim the same task index — executing the plan
-    /// would double-count that task's contribution to every counter.
-    Overlap {
-        /// The later of the two claiming shards.
-        shard: usize,
-        /// The earlier claiming shard.
-        other: usize,
-        /// The doubly-claimed task index.
-        task: usize,
-    },
-    /// A task index is claimed by no shard — executing the plan would
-    /// silently drop that task from the merged report.
-    Gap {
-        /// The first unclaimed task index.
-        task: usize,
-    },
-}
-
-impl std::fmt::Display for ShardPlanError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ShardPlanError::EmptyShard { shard } => {
-                write!(f, "shard {shard} is empty")
-            }
-            ShardPlanError::OutOfRange { shard, end, tasks } => {
-                write!(f, "shard {shard} ends at {end}, past the {tasks}-task stream")
-            }
-            ShardPlanError::Overlap { shard, other, task } => {
-                write!(f, "shards {other} and {shard} both claim task {task}")
-            }
-            ShardPlanError::Gap { task } => {
-                write!(f, "task {task} is claimed by no shard")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ShardPlanError {}
-
-/// How a task stream is split across pool workers: a list of contiguous
-/// index ranges over `0..tasks`.
+/// How a task stream is split across pool workers: non-empty, ascending,
+/// adjacent index ranges that cover `0..tasks` exactly once.
 ///
-/// A plan is *legal* when its shards are pairwise disjoint, cover every
-/// task index exactly once, and none is empty or out of range —
-/// [`ShardPlan::verify_before_run`] proves this before any worker is
-/// spawned, and `analysis::concurrency::verify_shard_plan` turns the
-/// same checks into `USTC014`–`USTC016` diagnostics. Plans built by
-/// [`ShardPlan::contiguous`] are legal by construction; hand-built plans
-/// ([`ShardPlan::from_ranges`]) carry whatever the caller put in them —
-/// that is what the verifier is for.
+/// [`ShardPlan::contiguous`] is the only constructor and the fields are
+/// private, so every plan is legal by construction: no two shards
+/// overlap, no task is left out, and no shard is empty or out of range.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardPlan {
     tasks: usize,
@@ -133,65 +74,14 @@ impl ShardPlan {
         ShardPlan { tasks, shards }
     }
 
-    /// An arbitrary plan over a `tasks`-long stream. Nothing is checked
-    /// here — run [`ShardPlan::verify_before_run`] (or the analysis
-    /// verifier) before executing it.
-    pub fn from_ranges(tasks: usize, shards: Vec<std::ops::Range<usize>>) -> Self {
-        ShardPlan { tasks, shards }
-    }
-
     /// Length of the task stream the plan covers.
-    pub fn tasks(&self) -> usize {
+    pub(crate) fn tasks(&self) -> usize {
         self.tasks
     }
 
     /// The shard ranges, in execution-submission order.
-    pub fn shards(&self) -> &[std::ops::Range<usize>] {
+    pub(crate) fn shards(&self) -> &[std::ops::Range<usize>] {
         &self.shards
-    }
-
-    /// Proves the plan safe to execute: every shard in range and
-    /// non-empty, shards pairwise disjoint, every task covered.
-    ///
-    /// This is the gate [`run_tasks_planned`] applies before spawning a
-    /// single worker; the first violation (in shard order, then gap
-    /// order) is returned.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`ShardPlanError`] the plan violates.
-    pub fn verify_before_run(&self) -> Result<(), ShardPlanError> {
-        self.verify_for(self.tasks)
-    }
-
-    /// [`ShardPlan::verify_before_run`] against a `tasks`-long stream. A
-    /// plan sized for another stream that passes still leaves a gap.
-    fn verify_for(&self, tasks: usize) -> Result<(), ShardPlanError> {
-        // `owner[i]` = 1 + index of the shard that claimed task i.
-        let mut owner = vec![0usize; tasks];
-        for (s, range) in self.shards.iter().enumerate() {
-            if range.start >= range.end {
-                return Err(ShardPlanError::EmptyShard { shard: s });
-            }
-            if range.end > tasks {
-                return Err(ShardPlanError::OutOfRange { shard: s, end: range.end, tasks });
-            }
-            for task in range.clone() {
-                if owner[task] != 0 {
-                    return Err(ShardPlanError::Overlap {
-                        shard: s,
-                        other: owner[task] - 1,
-                        task,
-                    });
-                }
-                owner[task] = s + 1;
-            }
-        }
-        match owner.iter().position(|&o| o == 0) {
-            Some(task) => Err(ShardPlanError::Gap { task }),
-            None if tasks != self.tasks => Err(ShardPlanError::Gap { task: self.tasks.min(tasks) }),
-            None => Ok(()),
-        }
     }
 }
 
@@ -228,17 +118,25 @@ impl std::error::Error for ShardedRunError {}
 /// Why a run under a caller's plan produced no merged report.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlannedRunError {
-    /// The plan failed [`ShardPlan::verify_before_run`]; no worker was
+    /// The plan was built for a stream of another length; no worker was
     /// spawned and no task executed.
-    Rejected(ShardPlanError),
-    /// The plan was legal but its run failed.
+    StalePlan {
+        /// The stream length the plan was built for.
+        planned: usize,
+        /// The length of the stream it was asked to run.
+        tasks: usize,
+    },
+    /// The plan matched the stream but its run failed.
     Run(ShardedRunError),
 }
 
 impl std::fmt::Display for PlannedRunError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            PlannedRunError::Rejected(e) => write!(f, "shard plan rejected: {e}"),
+            PlannedRunError::StalePlan { planned, tasks } => write!(
+                f,
+                "shard plan rejected: it covers {planned} tasks but the stream holds {tasks}"
+            ),
             PlannedRunError::Run(e) => e.fmt(f),
         }
     }
@@ -248,11 +146,10 @@ impl std::error::Error for PlannedRunError {}
 
 /// Runs a materialised task list sharded under `plan`: each shard is
 /// collapsed into a [`TaskStream`] and runs through
-/// [`driver::run_stream`]. The plan covers task indices and is verified
-/// *before any worker is spawned*: an illegal plan (overlap, gap, empty
-/// or out-of-range shard) is rejected with [`PlannedRunError::Rejected`]
-/// and zero tasks execute. The merged report is bit-identical to the
-/// serial driver over the same tasks.
+/// [`driver::run_stream`]. A plan built for a stream of another length
+/// is rejected *before any worker is spawned*, and zero tasks execute.
+/// The merged report is bit-identical to the serial driver over the same
+/// tasks.
 ///
 /// Prefer [`run_stream_planned`], which collapses the stream once
 /// instead of once per shard; this entry point serves callers that hold
@@ -260,9 +157,9 @@ impl std::error::Error for PlannedRunError {}
 ///
 /// # Errors
 ///
-/// [`PlannedRunError::Rejected`] when the plan fails
-/// [`ShardPlan::verify_before_run`]; [`PlannedRunError::Run`] when the
-/// run fails as [`run_stream_planned`] can.
+/// [`PlannedRunError::StalePlan`] when the plan covers another number of
+/// tasks; [`PlannedRunError::Run`] when the run fails as
+/// [`run_stream_planned`] can.
 pub fn run_tasks_planned(
     cfg: &RuntimeConfig,
     plan: &ShardPlan,
@@ -271,7 +168,9 @@ pub fn run_tasks_planned(
     kernel: Kernel,
     tasks: &[T1Task],
 ) -> Result<ShardedRun, PlannedRunError> {
-    plan.verify_for(tasks.len()).map_err(PlannedRunError::Rejected)?;
+    if plan.tasks() != tasks.len() {
+        return Err(PlannedRunError::StalePlan { planned: plan.tasks(), tasks: tasks.len() });
+    }
     run_shards(cfg, plan, engine, energy_model, kernel, |range| {
         driver::run_stream(engine, energy_model, kernel, &TaskStream::from(&tasks[range]))
     })
@@ -303,7 +202,7 @@ pub fn run_stream_planned(
     })
 }
 
-/// Executes a legal plan: one pool task per shard, fold in shard order,
+/// Executes a plan: one pool task per shard, fold in shard order,
 /// energy recomputed once from the merged events.
 fn run_shards<F>(
     cfg: &RuntimeConfig,
@@ -531,37 +430,36 @@ mod tests {
     #[test]
     fn contiguous_plans_are_legal_by_construction() {
         for tasks in [0, 1, 3, 17, 100, 1000] {
-            for threads in [1, 2, 8, 64] {
+            for threads in [0, 1, 2, 8, 64] {
                 let plan = ShardPlan::contiguous(tasks, threads);
                 assert_eq!(plan.tasks(), tasks);
-                assert!(plan.verify_before_run().is_ok(), "tasks={tasks} threads={threads}");
-                let covered: usize = plan.shards().iter().map(|r| r.len()).sum();
-                assert_eq!(covered, tasks);
+                // Non-empty shards, each starting where the last ended:
+                // ascending, adjacent, and so covering `0..tasks` once.
+                let mut next = 0;
+                for shard in plan.shards() {
+                    assert!(!shard.is_empty(), "tasks={tasks} threads={threads}: {shard:?}");
+                    assert_eq!(shard.start, next, "tasks={tasks} threads={threads}");
+                    next = shard.end;
+                }
+                assert_eq!(next, tasks, "tasks={tasks} threads={threads}");
             }
         }
     }
 
     #[test]
-    fn illegal_plans_are_rejected_with_the_specific_violation() {
-        let overlap = ShardPlan::from_ranges(8, vec![0..5, 4..8]);
-        assert_eq!(
-            overlap.verify_before_run(),
-            Err(ShardPlanError::Overlap { shard: 1, other: 0, task: 4 })
-        );
-        let gap = ShardPlan::from_ranges(8, vec![0..3, 5..8]);
-        assert_eq!(gap.verify_before_run(), Err(ShardPlanError::Gap { task: 3 }));
-        let empty = ShardPlan::from_ranges(4, vec![0..4, 2..2]);
-        assert_eq!(empty.verify_before_run(), Err(ShardPlanError::EmptyShard { shard: 1 }));
-        let oob = ShardPlan::from_ranges(4, std::iter::once(0..6).collect());
-        assert_eq!(
-            oob.verify_before_run(),
-            Err(ShardPlanError::OutOfRange { shard: 0, end: 6, tasks: 4 })
-        );
-        for e in [
-            overlap.verify_before_run().unwrap_err(),
-            gap.verify_before_run().unwrap_err(),
-        ] {
-            assert!(!e.to_string().is_empty());
+    fn legal_custom_plan_matches_serial_bit_for_bit() {
+        let a = demo_matrix(7);
+        let em = EnergyModel::default();
+        let tasks = driver::spmv_tasks(&a);
+        let serial = driver::run_spmv(&Ideal, &em, &a);
+        // A caller's plan need not fit the pool: one shard in all, or
+        // one per task (planned for 64 workers), on three workers.
+        let cfg = RuntimeConfig::with_threads(3);
+        for planned_threads in [1, 3, 64] {
+            let plan = ShardPlan::contiguous(tasks.len(), planned_threads);
+            let run = run_tasks_planned(&cfg, &plan, &Ideal, &em, Kernel::SpMV, &tasks)
+                .expect("a plan for this stream executes");
+            assert_eq!(run.report, serial, "planned for {planned_threads} threads");
         }
     }
 
@@ -588,42 +486,26 @@ mod tests {
             }
         }
         let tasks = driver::spmv_tasks(&demo_matrix(6));
-        let bad = ShardPlan::from_ranges(tasks.len(), vec![0..tasks.len(), 0..1]);
+        let stale = ShardPlan::contiguous(tasks.len() + 3, 2);
         let cfg = RuntimeConfig::with_threads(2);
         let em = EnergyModel::default();
-        let before = EXECUTED.load(Ordering::SeqCst);
-        let err = run_tasks_planned(&cfg, &bad, &Counting, &em, Kernel::SpMV, &tasks)
-            .expect_err("overlapping plan must be rejected");
-        assert!(matches!(err, PlannedRunError::Rejected(ShardPlanError::Overlap { .. })), "{err}");
-        assert_eq!(EXECUTED.load(Ordering::SeqCst), before, "no task may have executed");
+        let err = run_tasks_planned(&cfg, &stale, &Counting, &em, Kernel::SpMV, &tasks)
+            .expect_err("a stale plan must be rejected");
+        assert!(matches!(err, PlannedRunError::StalePlan { .. }), "{err}");
+        assert_eq!(EXECUTED.load(Ordering::SeqCst), 0, "no task may have executed");
     }
 
     #[test]
     fn planned_run_rejects_a_stale_plan_for_the_wrong_stream() {
         let tasks = driver::spmv_tasks(&demo_matrix(6));
-        let stale = ShardPlan::contiguous(tasks.len() + 3, 2);
         let cfg = RuntimeConfig::with_threads(2);
         let em = EnergyModel::default();
-        let err = run_tasks_planned(&cfg, &stale, &Ideal, &em, Kernel::SpMV, &tasks)
-            .expect_err("plan length must match the stream");
-        assert!(matches!(err, PlannedRunError::Rejected(_)), "{err}");
-    }
-
-    #[test]
-    fn legal_custom_plan_matches_serial_bit_for_bit() {
-        let a = demo_matrix(7);
-        let em = EnergyModel::default();
-        let tasks = driver::spmv_tasks(&a);
-        let serial = driver::run_spmv(&Ideal, &em, &a);
-        // A lopsided but legal plan: one big shard plus singletons.
-        let mut ranges: Vec<_> = std::iter::once(0..tasks.len() / 2).collect();
-        for t in tasks.len() / 2..tasks.len() {
-            ranges.push(t..t + 1);
+        for planned in [tasks.len() + 3, tasks.len() - 1] {
+            let stale = ShardPlan::contiguous(planned, 2);
+            let err = run_tasks_planned(&cfg, &stale, &Ideal, &em, Kernel::SpMV, &tasks)
+                .expect_err("plan length must match the stream");
+            assert_eq!(err, PlannedRunError::StalePlan { planned, tasks: tasks.len() });
+            assert!(err.to_string().contains(&format!("covers {planned} tasks")), "{err}");
         }
-        let plan = ShardPlan::from_ranges(tasks.len(), ranges);
-        let cfg = RuntimeConfig::with_threads(3);
-        let run = run_tasks_planned(&cfg, &plan, &Ideal, &em, Kernel::SpMV, &tasks)
-            .expect("legal plan executes");
-        assert_eq!(run.report, serial);
     }
 }

@@ -21,11 +21,13 @@
 //!   paths above are exercised by fixed-seed tests rather than trusted.
 //! * [`kernels`] — sharded kernel execution: a counted
 //!   `simkit::TaskStream` split over its distinct entries under a
-//!   contiguous plan the runtime builds itself ([`run_stream_planned`]),
-//!   each shard run through the untouched serial driver, and the shard
-//!   reports folded into a [`simkit::driver::KernelReport`] bit-identical
-//!   to the serial one (every counter is an order-independent sum; energy
-//!   is recomputed from the merged events), or a [`ShardedRunError`].
+//!   contiguous plan the runtime builds itself ([`run_stream_planned`];
+//!   [`ShardPlan::contiguous`] is the only plan constructor, so every
+//!   plan is a disjoint cover of its stream), each shard run through
+//!   the untouched serial driver, and the shard reports folded into a
+//!   [`simkit::driver::KernelReport`] bit-identical to the serial one
+//!   (every counter is an order-independent sum; energy is recomputed
+//!   from the merged events), or a [`ShardedRunError`].
 //!
 //! Scheduler lifecycle (worker spawn / steal / retry / crash / degrade)
 //! is recorded as [`obs::TraceEvent`]s and can be replayed into any
@@ -59,8 +61,7 @@ pub mod pool;
 
 pub use chaos::{ChaosPlan, InvalidChaosRate};
 pub use kernels::{
-    run_stream_planned, run_tasks_planned, PlannedRunError, ShardPlan, ShardPlanError, ShardedRun,
-    ShardedRunError,
+    run_stream_planned, run_tasks_planned, PlannedRunError, ShardPlan, ShardedRun, ShardedRunError,
 };
 pub use pool::{
     run, Backoff, DegradedReport, RunReport, RunStats, RuntimeConfig, TaskError, TaskOutcome,

@@ -77,11 +77,11 @@ if ! CONFORMANCE_SEED="${SMOKE_SEED}" cargo test -p conformance -q --test confor
 fi
 
 echo "== concurrency verify =="
-# Static shard-plan/fold proofs plus the deterministic schedule explorer:
+# Static fold proofs plus the deterministic schedule explorer:
 # >=1000 distinct pool interleavings, every one merging to the serial
-# signature with no task lost or repeated, and the three injected defects
-# (overlapping plan, non-commutative fold, lost-task schedule) each
-# rejected with their exact USTC code.
+# signature with no task lost or repeated, and the two injected defects
+# (non-commutative fold, lost-task schedule) each rejected with their
+# exact USTC code.
 cargo test -p analysis -q --test concurrency
 
 echo "== runtime chaos =="
