@@ -22,12 +22,13 @@
 use simkit::driver::Invocation;
 use simkit::{T1Task, TaskStream};
 use sparse::{BbcMatrix, SparseVector};
-use uni_stc::check::check_t1;
+use uni_stc::check::check_expansion;
 use uni_stc::compiler::{block_program, compile, CompiledKernel};
 use uni_stc::dpg::expand_t3;
 use uni_stc::isa::{Instruction, Program, Uwmma};
+use uni_stc::pipeline::expand;
 use uni_stc::tms::generate_t3_tasks;
-use uni_stc::{UniStcConfig, T4_MAX_LEN};
+use uni_stc::{Expansions, UniStcConfig, T4_MAX_LEN};
 
 use crate::diag::{Code, Diagnostic, Report, Span};
 use crate::model::{active_dpgs, route_tasks, StreamModel, T3Node, DOT_QUEUE_CAP, TILE_QUEUE_CAP};
@@ -387,28 +388,57 @@ impl Verifier {
     ///
     /// Every check is a pure function of one T1 task, so each distinct
     /// task is checked once, whatever its multiplicity: the
-    /// `USTC006`–`USTC011` schedule checks ([`check_t1`]), then the UWMMA
-    /// lifecycle of the sequence the compiler emits for it
-    /// (`USTC001`–`USTC005`, SpMV and SpGEMM). **A failing distinct task
-    /// reports once, at its first appearance:** its schedule findings
-    /// are spanned at the first A block that issues it, and a failing
-    /// UWMMA sequence at the first `(warp, instr)` of the compiled
-    /// kernel that carries it. Those positions are looked up only when a
-    /// check fails. The findings are therefore the per-issued-task
-    /// findings with repeats dropped: the same first error and the same
-    /// set of codes.
+    /// `USTC006`–`USTC011` schedule checks ([`check_expansion`], read off
+    /// the task's TMS/DPG expansion, [`expand`]), then the UWMMA lifecycle of
+    /// the sequence the compiler emits for it (`USTC001`–`USTC005`, SpMV
+    /// and SpGEMM). **A failing distinct task reports once, at its first
+    /// appearance:** its schedule findings are spanned at the first A
+    /// block that issues it, and a failing UWMMA sequence at the first
+    /// `(warp, instr)` of the compiled kernel that carries it. Those
+    /// positions are looked up only when a check fails. The findings are
+    /// therefore the per-issued-task findings with repeats dropped: the
+    /// same first error and the same set of codes.
     pub fn verify_stream(
         &self,
         inv: Invocation<'_>,
         stream: &TaskStream,
         n_warps: usize,
     ) -> Report {
+        self.check_stream(inv, stream, n_warps, None)
+    }
+
+    /// [`Verifier::verify_stream`], keeping the expansion each distinct
+    /// non-trivial task was checked over. The arena comes back only when
+    /// the report holds no error, the whole stream accepted, for a
+    /// [`Staged`](uni_stc::Staged) run of the same stream to pack from.
+    pub fn verify_stream_staged(
+        &self,
+        inv: Invocation<'_>,
+        stream: &TaskStream,
+        n_warps: usize,
+    ) -> (Report, Option<Expansions>) {
+        let mut arena = Expansions::with_capacity(self.cfg, stream.len());
+        let report = self.check_stream(inv, stream, n_warps, Some(&mut arena));
+        let accepted = !report.has_errors();
+        (report, accepted.then_some(arena))
+    }
+
+    /// [`Verifier::verify_stream`], keeping each sound expansion in
+    /// `arena` when one is given.
+    fn check_stream(
+        &self,
+        inv: Invocation<'_>,
+        stream: &TaskStream,
+        n_warps: usize,
+        mut arena: Option<&mut Expansions>,
+    ) -> Report {
         let mut report = Report::new();
         // The length of a per-task UWMMA sequence with a lifecycle finding.
         let mut failing_len = None;
         let mut lifecycle = LifecycleMemo::new();
         for (task, _) in stream.iter() {
-            let check = check_t1(&self.cfg, &task.a, &task.b);
+            let expansion = expand(&self.cfg, &task.a, &task.b);
+            let check = check_expansion(&self.cfg, &expansion);
             if check.t3_tasks == 0 {
                 continue; // trivial T1 tasks never reach the engine
             }
@@ -416,6 +446,8 @@ impl Verifier {
                 let tasks = generate_t3_tasks(&task.a, &task.b, self.cfg.ordering);
                 let block = first_block(inv, task).unwrap_or(0);
                 self.check_node(&mut report, block, &route_tasks(&self.cfg, &tasks));
+            } else if let Some(arena) = arena.as_mut() {
+                arena.insert(&task.a, &task.b, &expansion);
             }
             let failing = lifecycle.verdict(check.t3_tasks, check.products, || {
                 let program = block_program(inv.kernel())?(check.t3_tasks.into(), check.products);
@@ -585,6 +617,19 @@ impl UstcVerifier {
         to_result(self.verifier.verify_stream(inv, stream, Self::DEFAULT_WARPS))
     }
 
+    /// [`Verifier::verify_stream_staged`], reduced to its first error: on
+    /// acceptance, the expansions of the stream's distinct non-trivial
+    /// tasks, for a [`Staged`](uni_stc::Staged) run of that stream.
+    pub fn verify_stream_staged(
+        &self,
+        inv: Invocation<'_>,
+        stream: &TaskStream,
+    ) -> Result<Expansions, simkit::driver::VerifyError> {
+        let mut arena = Expansions::with_capacity(self.verifier.cfg, stream.len());
+        let report = self.verifier.check_stream(inv, stream, Self::DEFAULT_WARPS, Some(&mut arena));
+        to_result(report).map(|()| arena)
+    }
+
     fn verify(&self, inv: Invocation<'_>) -> Result<(), simkit::driver::VerifyError> {
         to_result(self.verifier.verify(inv, Self::DEFAULT_WARPS))
     }
@@ -631,6 +676,7 @@ mod tests {
     use super::*;
     use crate::model::reference;
     use sparse::{CooMatrix, CsrMatrix};
+    use uni_stc::check::check_t1;
     use uni_stc::tms::T3Task;
 
     fn bbc(n: usize, entries: impl IntoIterator<Item = (usize, usize)>) -> BbcMatrix {
@@ -757,6 +803,46 @@ mod tests {
         let x = SparseVector::try_new(64, vec![40], vec![1.0]).unwrap();
         let r = v.verify(Invocation::SpMSpV(&a, &x), 1);
         assert_eq!(r.first_error().map(|d| d.span.block), Some(Some(2)));
+    }
+
+    #[test]
+    fn staged_verification_keeps_each_distinct_task_of_an_accepted_stream() {
+        // A band plus a strip of block row 0: SpMM with an 8-column tail
+        // and SpGEMM, both accepted.
+        let a = bbc(64, (0..64).flat_map(|i| [(i, i), (i, (i + 1) % 64), (i % 16, 40 + i % 8)]));
+        let cfg = UniStcConfig::default();
+        let v = Verifier::new(cfg);
+        for inv in [Invocation::SpMM(&a, 40), Invocation::SpGEMM(&a, &a)] {
+            let stream = inv.stream().unwrap();
+            let (report, arena) = v.verify_stream_staged(inv, &stream, 4);
+            assert_eq!(report, v.verify_stream(inv, &stream, 4));
+            let arena = arena.expect("an accepted stream hands back its expansions");
+            let kept: Vec<_> = stream.iter().filter(|(t, _)| !t.is_trivial()).collect();
+            assert!(!kept.is_empty());
+            assert_eq!(arena.len(), kept.len());
+            for (t, _) in kept {
+                let want = expand(&cfg, &t.a, &t.b);
+                assert_eq!(arena.get(&t.a, &t.b), Some(want.queue()), "{t:?}");
+            }
+            let adapter = UstcVerifier::new(cfg);
+            assert_eq!(adapter.verify_stream_staged(inv, &stream).map(|e| e.len()), Ok(arena.len()));
+        }
+    }
+
+    #[test]
+    fn a_rejected_stream_hands_back_no_expansions() {
+        // No DPG to route to: every non-trivial task fails USTC010.
+        let cfg = UniStcConfig { n_dpg: 0, ..UniStcConfig::default() };
+        let a = bbc(64, (0..64).map(|i| (i, i)));
+        let inv = Invocation::SpMM(&a, 40);
+        let stream = inv.stream().unwrap();
+        let (report, arena) = Verifier::new(cfg).verify_stream_staged(inv, &stream, 1);
+        assert_eq!(report, Verifier::new(cfg).verify_stream(inv, &stream, 1));
+        assert!(report.has_code(Code::DpgRouteOutOfRange));
+        assert!(arena.is_none());
+        let adapter = UstcVerifier::new(cfg);
+        let rejection = adapter.verify_stream(inv, &stream).expect_err("no DPG");
+        assert_eq!(adapter.verify_stream_staged(inv, &stream).map(|e| e.len()), Err(rejection));
     }
 
     #[test]

@@ -1,25 +1,29 @@
 //! Static checks of one T1 task's schedule, without executing it.
 //!
-//! [`check_t1`] walks the T3 tasks the TMS would generate for a T1 task
-//! and the T4 segment lengths each DPG would expand them into (one
-//! `dpg::segment_lengths` word per T3 task), routes them the way
+//! [`check_expansion`] reads the T3 tasks the TMS generates for a T1 task
+//! and the T4 segment lengths each DPG expands them into (one
+//! `dpg::segment_lengths` word per T3 task) off the task's
+//! [`Expansion`], the Tile queue Stage 3 would pack, routes them the way
 //! [`route_window`] routes an issue window, and reports whether every
-//! static invariant of that schedule holds: Tile-queue occupancy within
-//! [`TILE_QUEUE_CAP`], each T3 task's Dot-product-queue load within
-//! [`DOT_QUEUE_CAP`] and its T4 segments within 1..=[`T4_MAX_LEN`](crate::T4_MAX_LEN) SDPU
-//! lanes, no output tile written twice in one run of same-K tasks, and
-//! every task routed to a DPG that exists and is powered. These are the
+//! static invariant of that schedule holds: each T3 task's T4 segments
+//! within 1..=[`T4_MAX_LEN`](crate::T4_MAX_LEN) SDPU lanes, no output tile
+//! written twice in one run of same-K tasks, and every task routed to a
+//! DPG that exists and is powered. The queue bounds hold by construction:
+//! a T1 task has at most 4 x 4 x 4 T3 tasks, exactly the
+//! [`TILE_QUEUE_CAP`] entries of the Tile queue, and a segment-length word
+//! has sixteen nibbles, one per output of the 4x4 tile C, exactly the
+//! [`DOT_QUEUE_CAP`] entries of a Dot-product queue. These are the
 //! `analysis` verifier's `USTC006`–`USTC011` checks.
 //!
 //! The walk is a pure function of `(cfg, a, b)` and allocates nothing, so
-//! a counted task stream needs it once per distinct task.
+//! a counted task stream needs it once per distinct task; a caller that
+//! keeps the expansion for Stage 3 ([`crate::staged`]) walks once.
 
 use simkit::Block16;
 
-use crate::dpg::segment_lengths;
-use crate::pipeline::{DOT_QUEUE_CAP, TILE_QUEUE_CAP};
+use crate::dpg::{nibble_sum, within_t4_max_len};
+use crate::pipeline::{expand, Expansion, DOT_QUEUE_CAP, TILE_QUEUE_CAP};
 use crate::power::dpgs_required;
-use crate::tms::visit_t3_tasks;
 use crate::UniStcConfig;
 
 /// What [`check_t1`] found for one T1 task.
@@ -48,42 +52,39 @@ pub fn route_window(cfg: &UniStcConfig, products: &[u32]) -> usize {
 }
 
 /// Checks the schedule of the T1 task `a x b` under `cfg` (see the
-/// module docs). Within each issue window of `n_dpg` consecutive T3
-/// tasks, task `i` is routed to DPG `i % route_window(..)`.
+/// module docs): [`check_expansion`] over [`expand`].
 pub fn check_t1(cfg: &UniStcConfig, a: &Block16, b: &Block16) -> T1Check {
-    // A T1 task has at most 4 x 4 x 4 T3 tasks: exactly the queue's size.
-    let mut t3_products = [0u32; TILE_QUEUE_CAP];
-    let mut t3_tasks = 0usize;
+    check_expansion(cfg, &expand(cfg, a, b))
+}
+
+/// Checks the schedule of the T1 task `expansion` was expanded from
+/// under `cfg` (see the module docs).
+pub fn check_expansion(cfg: &UniStcConfig, expansion: &Expansion) -> T1Check {
+    // One segment-length word per T3 task: the queue bounds of the module
+    // docs.
+    const _: () = assert!(DOT_QUEUE_CAP == 16 && TILE_QUEUE_CAP == 64);
+    let queue = expansion.queue();
     let mut products = 0u64;
     let mut sound = true;
-    let mut run_k = None;
     let mut written = 0u16;
-    visit_t3_tasks(a, b, cfg.ordering, &mut obs::NoopSink, |t| {
-        let segments = segment_lengths(t.a_tile, t.b_tile, cfg.fill_order);
-        if let Some(slot) = t3_products.get_mut(t3_tasks) {
-            *slot = segments.products();
-        }
-        t3_tasks += 1;
-        products += u64::from(segments.products());
-        if run_k != Some(t.k) {
-            run_k = Some(t.k);
-            written = 0;
-        }
-        let output = 1u16 << (t.output_id() & 0xF);
+    for (i, (&output_id, &lengths)) in queue.output_ids.iter().zip(queue.lengths).enumerate() {
+        products += u64::from(nibble_sum(lengths));
+        // A new run of same-K tasks clears the outputs written; branch-free,
+        // as run lengths follow the data.
+        written &= ((expansion.k_starts >> i & 1) as u16).wrapping_sub(1);
+        let output = 1u16 << (output_id & 0xF);
         sound &= written & output == 0;
         written |= output;
         // Present segments are nonzero nibbles, so at least one lane long.
-        sound &= segments.count() as usize <= DOT_QUEUE_CAP && segments.within_t4_max_len();
-    });
-    sound &= t3_tasks <= TILE_QUEUE_CAP;
-    let issued = &t3_products[..t3_tasks.min(TILE_QUEUE_CAP)];
-    for window in issued.chunks(cfg.n_dpg.max(1)) {
-        // Task `i` of the window goes to DPG `i % active`, so the window
-        // reaches exactly DPGs `0..min(len, active)`: all below `active`,
-        // hence powered, and all existing when `n_dpg` reaches the top one.
-        let active = route_window(cfg, window);
-        sound &= window.len().min(active) <= cfg.n_dpg;
+        sound &= within_t4_max_len(lengths);
     }
+    let t3_tasks = queue.lengths.len();
+    // Routing: within each issue window of `n_dpg` consecutive T3 tasks
+    // (one task when `n_dpg` is 0), task `i` goes to DPG
+    // `i % route_window(..)`, which lies below the window's active count,
+    // so it is powered. That count is at least 1 and at most
+    // `n_dpg.max(1)`, so the DPG exists exactly when `n_dpg` is at least 1.
+    sound &= t3_tasks == 0 || cfg.n_dpg > 0;
     T1Check { t3_tasks: t3_tasks as u32, products, sound }
 }
 

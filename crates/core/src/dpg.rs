@@ -125,17 +125,6 @@ impl Segments {
     pub(crate) const fn products(&self) -> u32 {
         nibble_sum(self.lengths)
     }
-
-    /// Whether no segment is longer than [`T4_MAX_LEN`] SDPU lanes.
-    ///
-    /// A nibble `v` of 8 or more has its top bit set; for `v < 8`,
-    /// `(v | 8) - (T4_MAX_LEN + 1)` keeps the top bit exactly when
-    /// `v > T4_MAX_LEN`, and never borrows from the next nibble.
-    pub(crate) const fn within_t4_max_len(&self) -> bool {
-        const HIGH: u64 = 0x8888_8888_8888_8888;
-        let bound = (T4_MAX_LEN as u64 + 1) * 0x1111_1111_1111_1111;
-        (((self.lengths | HIGH) - bound) | self.lengths) & HIGH == 0
-    }
 }
 
 /// The T4 segment lengths of the T3 task `a_tile x b_tile` in `fill`
@@ -143,6 +132,18 @@ impl Segments {
 /// operations instead of one step per code.
 pub(crate) fn segment_lengths(a_tile: u16, b_tile: u16, fill: FillOrder) -> Segments {
     Segments::of(patterns(a_tile, b_tile), fill)
+}
+
+/// Whether no segment of a [`Segments::lengths`] word is longer than
+/// [`T4_MAX_LEN`] SDPU lanes.
+///
+/// A nibble `v` of 8 or more has its top bit set; for `v < 8`,
+/// `(v | 8) - (T4_MAX_LEN + 1)` keeps the top bit exactly when
+/// `v > T4_MAX_LEN`, and never borrows from the next nibble.
+pub(crate) const fn within_t4_max_len(lengths: u64) -> bool {
+    const HIGH: u64 = 0x8888_8888_8888_8888;
+    let bound = (T4_MAX_LEN as u64 + 1) * 0x1111_1111_1111_1111;
+    (((lengths | HIGH) - bound) | lengths) & HIGH == 0
 }
 
 /// The number of nonzero nibbles of `lengths`: the segments a partly
@@ -372,7 +373,7 @@ mod tests {
                 assert_eq!(rest, 0);
                 assert_eq!(segments.count() as usize, codes.len());
                 assert_eq!(segments.products(), crate::walk_reference::tile_products(a, b));
-                assert!(segments.within_t4_max_len());
+                assert!(within_t4_max_len(segments.lengths));
             }
         }
     }
@@ -381,13 +382,12 @@ mod tests {
     fn within_t4_max_len_bounds_every_nibble() {
         for at in 0..16 {
             for len in 0..16u64 {
-                let segments = Segments { lengths: len << (4 * at), c_tile: 0 };
                 let want = len <= crate::T4_MAX_LEN as u64;
-                assert_eq!(segments.within_t4_max_len(), want, "nibble {at} = {len}");
+                assert_eq!(within_t4_max_len(len << (4 * at)), want, "nibble {at} = {len}");
             }
         }
-        assert!(Segments { lengths: 0x4444_4444_4444_4444, c_tile: u16::MAX }.within_t4_max_len());
-        assert!(!Segments { lengths: u64::MAX, c_tile: u16::MAX }.within_t4_max_len());
+        assert!(within_t4_max_len(0x4444_4444_4444_4444));
+        assert!(!within_t4_max_len(u64::MAX));
     }
 
     #[test]

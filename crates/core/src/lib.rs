@@ -21,7 +21,9 @@
 //!
 //! [`pipeline`] binds the three stages into the cycle-accurate model behind
 //! the [`UniStc`] engine ([`simkit::TileEngine`] implementation), including
-//! the dynamic DPG power gating of Section IV-C. [`isa`] models the UWMMA
+//! the dynamic DPG power gating of Section IV-C: [`pipeline::expand`] runs
+//! the TMS and the DPGs, [`pipeline::pack`] the SDPU. [`staged`] keeps a
+//! job's expansions from its admission check for Stage 3. [`isa`] models the UWMMA
 //! instruction set (Table V) and its execution lifecycle (Section IV-G).
 //!
 //! # Example
@@ -58,6 +60,7 @@ pub mod pipeline;
 pub mod power;
 pub mod schedule;
 pub mod sdpu;
+pub mod staged;
 pub mod tms;
 #[cfg(test)]
 mod walk_reference;
@@ -65,6 +68,7 @@ mod walk_reference;
 pub use config::{t3_tradeoff, T3TradeOffRow, UniStcConfig};
 pub use dpg::FillOrder;
 pub use engine::UniStc;
+pub use staged::{Expansions, Staged};
 pub use tms::{OrderingStats, TaskOrdering};
 
 /// Tile dimension of a T3 task (4x4x4).

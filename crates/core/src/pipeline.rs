@@ -17,9 +17,9 @@
 //! Task generation latency is hidden by the asynchronous `stc.task_gen`
 //! lifecycle (Section IV-G), so the model charges only execution cycles.
 
-use simkit::{T1Result, T1Task};
+use simkit::{Block16, T1Result, T1Task};
 
-use crate::dpg::{nibble_sum, segment_count, segment_lengths};
+use crate::dpg::{nibble_sum, scatter_nibble_flags, segment_count, segment_lengths};
 use crate::tms::visit_t3_tasks;
 use crate::UniStcConfig;
 
@@ -33,16 +33,6 @@ pub const DOT_QUEUE_CAP: usize = 16;
 
 /// A DPG slot holding no T3 task.
 const IDLE: u8 = u8::MAX;
-
-/// A T3 task on the Tile queue or a DPG: its output-tile id and the
-/// lengths of its T4 segments not yet emitted, in fill order (a
-/// [`Segments::lengths`](crate::dpg::Segments::lengths) word whose
-/// emitted nibbles are cleared).
-#[derive(Debug, Clone, Copy, Default)]
-struct InFlight {
-    output_id: u8,
-    lengths: u64,
-}
 
 /// One cycle of the pipeline's execution, as recorded by
 /// [`execute_t1_traced`].
@@ -108,8 +98,57 @@ impl PipeSink for ObsForward<'_> {
     }
 }
 
+/// Stages 1 and 2 of one T1 task, as [`expand`] leaves them for Stage 3:
+/// the Tile queue in issue order, each T3 task already expanded by its
+/// DPG into a segment-length word, and what the two stages charge.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Expansion {
+    output_ids: [u8; TILE_QUEUE_CAP],
+    lengths: [u64; TILE_QUEUE_CAP],
+    len: usize,
+    /// Bit `i` set when T3 task `i` opens a run of same-K tasks.
+    pub(crate) k_starts: u64,
+    counts: StageCounts,
+}
+
+impl Expansion {
+    /// The Tile queue [`pack`] runs Stage 3 over.
+    pub fn queue(&self) -> TileQueue<'_> {
+        TileQueue {
+            output_ids: &self.output_ids[..self.len],
+            lengths: &self.lengths[..self.len],
+            counts: self.counts,
+        }
+    }
+}
+
+/// A Tile queue as Stage 3 reads it: per T3 task, in issue order, its
+/// output-tile id and its segment-length word (nibble `v` the length of
+/// its `v`-th T4 segment in fill order), plus what Stages 1 and 2 charged
+/// the T1 task. Only [`Expansion::queue`] and the admission arena
+/// ([`Expansions`](crate::staged::Expansions)) hand one out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TileQueue<'a> {
+    pub(crate) output_ids: &'a [u8],
+    pub(crate) lengths: &'a [u64],
+    pub(crate) counts: StageCounts,
+}
+
+/// What Stages 1 and 2 charge one T1 task beyond its Tile queue:
+/// reuse-aware operand fetches and the C elements written back (the
+/// popcount of the structural C mask). The metadata words and scheduling
+/// operations follow from the queue itself: two tile bitmaps per T3
+/// task, and one operation per T3 task and per T4 code, each code being
+/// one segment Stage 3 emits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) struct StageCounts {
+    a_elems: u32,
+    b_elems: u32,
+    c_writes: u32,
+}
+
 /// Executes one T1 task through the three-stage pipeline, returning the
-/// cycle-accurate result.
+/// cycle-accurate result: [`pack`] over [`expand`].
 pub fn execute_t1(cfg: &UniStcConfig, task: &T1Task) -> T1Result {
     execute_impl(cfg, task, &mut obs::NoopSink)
 }
@@ -137,54 +176,132 @@ pub fn execute_t1_with_sink(
     execute_impl(cfg, task, &mut ObsForward(sink))
 }
 
-fn execute_impl(cfg: &UniStcConfig, task: &T1Task, sink: &mut impl PipeSink) -> T1Result {
-    let lanes = cfg.lanes();
-    let mut res = T1Result::new(lanes);
+/// Stages 1 and 2 of the T1 task `a x b`: the TMS's T3 tasks, each
+/// expanded by its DPG. A pure function of `(cfg, a, b)`; the task's
+/// `n_cols` matters only to [`pack`].
+pub fn expand(cfg: &UniStcConfig, a: &Block16, b: &Block16) -> Expansion {
+    expand_impl(cfg, a, b, &mut obs::NoopSink)
+}
 
-    // ---- Stages 1 and 2: TMS, each T3 task expanded by its DPG ----
+/// Stage 3 of a T1 task with `n_cols` columns whose Stages 1 and 2 left
+/// `queue`: `pack(cfg, expand(cfg, &t.a, &t.b).queue(), t.n_cols)` is
+/// [`execute_t1`]`(cfg, &t)`.
+pub fn pack(cfg: &UniStcConfig, queue: TileQueue<'_>, n_cols: usize) -> T1Result {
+    pack_queue(cfg, queue, n_cols, &mut obs::NoopSink)
+}
+
+fn execute_impl(cfg: &UniStcConfig, task: &T1Task, sink: &mut impl PipeSink) -> T1Result {
+    let mut e = expand_impl(cfg, &task.a, &task.b, sink.obs());
+    pack_impl(cfg, &e.output_ids[..e.len], &mut e.lengths, e.counts, task.n_cols, sink)
+}
+
+/// [`pack`] into `sink`, over a copy of the queue's segment-length words.
+fn pack_queue(
+    cfg: &UniStcConfig,
+    queue: TileQueue<'_>,
+    n_cols: usize,
+    sink: &mut impl PipeSink,
+) -> T1Result {
+    let mut lengths = [0u64; TILE_QUEUE_CAP];
+    lengths[..queue.lengths.len()].copy_from_slice(queue.lengths);
+    pack_impl(cfg, queue.output_ids, &mut lengths, queue.counts, n_cols, sink)
+}
+
+fn expand_impl(
+    cfg: &UniStcConfig,
+    a: &Block16,
+    b: &Block16,
+    sink: &mut dyn obs::TraceSink,
+) -> Expansion {
     // Reuse-aware operand fetch accounting: within one K layer the
     // outer-product ordering executes same-tile tasks back to back, so each
-    // distinct A(i,k) / B(k,j) tile is fetched once per layer (Fig. 8 (2)).
-    // Structural C, output tile `o` in 16-bit lane `o % 4` of word
-    // `o / 4`: output (r, c) is nonzero exactly when some K tile's
-    // pattern at (r, c) is, i.e. when a T4 code of some T3 task targets
-    // it.
-    let mut seen_a = [[false; 4]; 4]; // [k][i]
-    let mut seen_b = [[false; 4]; 4]; // [k][j]
-    let mut queue = [InFlight::default(); TILE_QUEUE_CAP];
-    let mut queued = 0usize;
+    // distinct A(i,k) / B(k,j) tile is fetched once per layer (Fig. 8 (2)):
+    // bit `4i + k` of `tiles_a`, bit `4k + j` of `tiles_b`. Structural C,
+    // output tile `o` in 16-bit lane `o % 4` of word `o / 4`: output
+    // (r, c) is nonzero exactly when some K tile's pattern at (r, c) is,
+    // i.e. when a T4 code of some T3 task targets it.
+    let (mut tiles_a, mut tiles_b) = (0u16, 0u16);
     let mut c_words = [0u64; 4];
-    visit_t3_tasks(&task.a, &task.b, cfg.ordering, sink.obs(), |t| {
-        if !seen_a[t.k as usize][t.i as usize] {
-            seen_a[t.k as usize][t.i as usize] = true;
-            res.events.a_elems += t.a_tile.count_ones() as u64;
-        }
-        if !seen_b[t.k as usize][t.j as usize] {
-            seen_b[t.k as usize][t.j as usize] = true;
-            res.events.b_elems += t.b_tile.count_ones() as u64;
-        }
+    let (mut output_ids, mut lengths) = ([0u8; TILE_QUEUE_CAP], [0u64; TILE_QUEUE_CAP]);
+    let (mut len, mut k_starts, mut run_k) = (0usize, 0u64, None);
+    visit_t3_tasks(a, b, cfg.ordering, sink, |t| {
+        tiles_a |= 1 << (4 * t.i + t.k);
+        tiles_b |= 1 << (4 * t.k + t.j);
         let segments = segment_lengths(t.a_tile, t.b_tile, cfg.fill_order);
-        let o = usize::from(t.output_id());
-        c_words[o / 4] |= u64::from(segments.c_tile) << (16 * (o % 4));
-        res.events.sched_ops += u64::from(segments.count());
-        queue[queued] = InFlight { output_id: t.output_id(), lengths: segments.lengths };
-        queued += 1;
+        let o = t.output_id();
+        c_words[usize::from(o / 4 % 4)] |= u64::from(segments.c_tile) << (16 * (o % 4));
+        if run_k != Some(t.k) {
+            run_k = Some(t.k);
+            k_starts |= 1 << len;
+        }
+        output_ids[len] = o;
+        lengths[len] = segments.lengths;
+        len += 1;
     });
-    if queued == 0 {
-        return res;
-    }
-    res.events.sched_ops += queued as u64;
-    res.events.meta_words += 2 * queued as u64; // two tile bitmaps each
-    if sink.obs().enabled() {
+    let e = Expansion {
+        output_ids,
+        lengths,
+        len,
+        k_starts,
+        counts: StageCounts {
+            a_elems: elems_in_tiles(a, tiles_a),
+            b_elems: elems_in_tiles(b, tiles_b),
+            // Final write-back: the accumulation buffer holds tile C
+            // partials across the whole T1 task, so each structurally
+            // nonzero C element is written back exactly once.
+            c_writes: c_words.iter().map(|w| w.count_ones()).sum(),
+        },
+    };
+    if sink.enabled() {
         // One expansion event per T3 task, after the TMS batch event.
-        for infl in &queue[..queued] {
-            sink.obs().record(obs::TraceEvent::DpgExpand {
+        for &lengths in &e.lengths[..e.len] {
+            sink.record(obs::TraceEvent::DpgExpand {
                 cycle: 0,
-                segments: segment_count(infl.lengths),
-                products: nibble_sum(infl.lengths),
+                segments: segment_count(lengths),
+                products: nibble_sum(lengths),
             });
         }
     }
+    e
+}
+
+/// The elements of `block` inside the 4x4 tiles whose bit
+/// `4 * tile_row + tile_col` is set in `tiles`: one masked popcount per
+/// tile row, its four rows in the 16-bit lanes of a word.
+fn elems_in_tiles(block: &Block16, tiles: u16) -> u32 {
+    // Lane `tr`: the columns of tile row `tr`'s selected tiles.
+    let cols = scatter_nibble_flags(tiles) * 0xF;
+    (0..4)
+        .map(|tr| {
+            let rows = (0..4)
+                .fold(0u64, |w, r| w | u64::from(block.row_mask(4 * tr + r)) << (16 * r));
+            let mask = (cols >> (16 * tr) & 0xFFFF) * 0x0001_0001_0001_0001;
+            (rows & mask).count_ones()
+        })
+        .sum()
+}
+
+/// Stage 3 over the Tile queue whose T3 task `q` writes output tile
+/// `output_ids[q]` and holds the segments of `lengths[q]`, which it
+/// consumes.
+fn pack_impl(
+    cfg: &UniStcConfig,
+    output_ids: &[u8],
+    lengths: &mut [u64; TILE_QUEUE_CAP],
+    counts: StageCounts,
+    n_cols: usize,
+    sink: &mut impl PipeSink,
+) -> T1Result {
+    let lanes = cfg.lanes();
+    let mut res = T1Result::new(lanes);
+    let queued = output_ids.len();
+    if queued == 0 {
+        return res;
+    }
+    res.events.a_elems = u64::from(counts.a_elems);
+    res.events.b_elems = u64::from(counts.b_elems);
+    res.events.meta_words = 2 * queued as u64; // two tile bitmaps each
+    res.events.c_writes = u64::from(counts.c_writes);
 
     // ---- Stage 3: SDPU execution with round-robin DPG arbitration ----
     let n_dpg = cfg.n_dpg;
@@ -199,7 +316,7 @@ fn execute_impl(cfg: &UniStcConfig, task: &T1Task, sink: &mut impl PipeSink) -> 
     // that a final `shfl_gather` merges, so same-output-tile T3 tasks do
     // not contend for an accumulator bank; write-conflict arbitration only
     // guards the accumulation-buffer path of MM tasks (Fig. 8 (3)).
-    let check_conflicts = task.n_cols > 1;
+    let check_conflicts = n_cols > 1;
     let mut cycle = 0u64;
 
     loop {
@@ -222,7 +339,7 @@ fn execute_impl(cfg: &UniStcConfig, task: &T1Task, sink: &mut impl PipeSink) -> 
             let dot: u32 = slots
                 .iter()
                 .filter(|&&q| q != IDLE)
-                .map(|&q| segment_count(queue[usize::from(q)].lengths))
+                .map(|&q| segment_count(lengths[usize::from(q)]))
                 .sum();
             sink.obs().record(obs::TraceEvent::QueueDepth {
                 cycle,
@@ -242,8 +359,8 @@ fn execute_impl(cfg: &UniStcConfig, task: &T1Task, sink: &mut impl PipeSink) -> 
                 break;
             }
             let Some(slot) = slots.get_mut(idx).filter(|q| **q != IDLE) else { continue };
-            let infl = &mut queue[usize::from(*slot)];
-            let bit = 1u16 << infl.output_id;
+            let q = usize::from(*slot);
+            let bit = 1u16 << output_ids[q];
             if check_conflicts && outputs_claimed & bit != 0 {
                 // Write conflict: the Tile queue's round-robin arbitration
                 // stalls this DPG for one cycle (Fig. 8 (3)).
@@ -252,7 +369,7 @@ fn execute_impl(cfg: &UniStcConfig, task: &T1Task, sink: &mut impl PipeSink) -> 
             }
             // The DPG emits its segments in order until the first that
             // does not fit the cycle's free lanes or its emit bandwidth.
-            let (emitted, segments) = emit_prefix(&mut infl.lengths, (lanes - used).min(emit_cap));
+            let (emitted, segments) = emit_prefix(&mut lengths[q], (lanes - used).min(emit_cap));
             used += emitted;
             segments_emitted += segments;
             // One pre-merged partial write per segment (SDPU merge).
@@ -261,7 +378,7 @@ fn execute_impl(cfg: &UniStcConfig, task: &T1Task, sink: &mut impl PipeSink) -> 
                 active_dpgs += 1;
                 outputs_claimed |= bit;
             }
-            if infl.lengths == 0 {
+            if lengths[q] == 0 {
                 *slot = IDLE;
             }
         }
@@ -302,11 +419,9 @@ fn execute_impl(cfg: &UniStcConfig, task: &T1Task, sink: &mut impl PipeSink) -> 
         }
         cycle += 1;
     }
-
-    // Final write-back: the accumulation buffer holds tile C partials
-    // across the whole T1 task, so each structurally nonzero C element is
-    // written back exactly once.
-    res.events.c_writes = c_words.iter().map(|w| u64::from(w.count_ones())).sum();
+    // One scheduling operation per T3 task and per T4 code, and every
+    // code has left as one segment.
+    res.events.sched_ops = queued as u64 + res.events.partial_updates;
     res
 }
 
@@ -882,6 +997,39 @@ pub(crate) mod tests {
                 let mut ref_cycles = CycleVec(Vec::new());
                 reference::execute_impl(&c, t, &mut ref_cycles);
                 assert_eq!(execute_t1_traced(&c, t).1, ref_cycles.0, "{c:?} {t:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn pack_over_expand_is_execute_t1() {
+        // Stage 3 packs each queue as a staged job does: read back from
+        // the admission arena. Results, obs events and per-cycle traces
+        // must all be the whole pipeline's, and the frozen reference's.
+        let tasks = sample_tasks(0xE9A_2026);
+        for c in sample_configs() {
+            let mut arena = crate::staged::Expansions::with_capacity(c, tasks.len());
+            for t in &tasks {
+                let mut got: Vec<obs::TraceEvent> = Vec::new();
+                let expansion = expand_impl(&c, &t.a, &t.b, &mut got);
+                assert_eq!(expansion, expand(&c, &t.a, &t.b), "{c:?} {t:?}");
+                arena.insert(&t.a, &t.b, &expansion);
+                let queue = arena.get(&t.a, &t.b).expect("kept");
+                assert_eq!(queue, expansion.queue(), "{c:?} {t:?}");
+                let res = pack_queue(&c, queue, t.n_cols, &mut ObsForward(&mut got));
+                assert_eq!(res, pack(&c, queue, t.n_cols), "{c:?} {t:?}");
+
+                let mut want: Vec<obs::TraceEvent> = Vec::new();
+                assert_eq!(res, execute_t1_with_sink(&c, t, &mut want), "{c:?} {t:?}");
+                assert_eq!(got, want, "{c:?} {t:?}");
+                let mut frozen: Vec<obs::TraceEvent> = Vec::new();
+                let frozen_res = reference::execute_impl(&c, t, &mut ObsForward(&mut frozen));
+                assert_eq!(res, frozen_res, "{c:?} {t:?}");
+                assert_eq!(got, frozen, "{c:?} {t:?}");
+
+                let mut cycles = CycleVec(Vec::new());
+                pack_queue(&c, queue, t.n_cols, &mut cycles);
+                assert_eq!(cycles.0, execute_t1_traced(&c, t).1, "{c:?} {t:?}");
             }
         }
     }

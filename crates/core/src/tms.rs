@@ -81,6 +81,10 @@ pub fn generate_t3_tasks(a: &Block16, b: &Block16, ordering: TaskOrdering) -> Ve
 /// Word-parallel: the presence layers come from [`presence_layers`]; each
 /// ordering is one 64-bit key word whose set bits, in ascending order,
 /// are the tasks in issue order (see [`issue_key`]).
+///
+/// Always inlined: a caller's callback then keeps its accumulators in
+/// registers across the walk instead of behind the closure's pointer.
+#[inline(always)]
 pub(crate) fn visit_t3_tasks(
     a: &Block16,
     b: &Block16,

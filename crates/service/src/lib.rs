@@ -17,10 +17,14 @@
 //! * [`cache`] — deterministic LRU caches (logical ticks, no wall
 //!   clock) for BBC encodings and compiled counted `TaskStream`s, with
 //!   exact hit/miss/eviction statistics.
-//! * [`service`] — admission control (`analysis::UstcVerifier` plus the
-//!   shard-plan proof), same-stream batching, execution on the
-//!   resilient `runtime` pool, and live metrics in an
-//!   [`obs::MetricsRegistry`].
+//! * [`service`] — admission control (`analysis::UstcVerifier`: the
+//!   operands' metadata and shapes, then the counted stream once per
+//!   distinct T1 task, with verdicts memoised per stream key),
+//!   same-stream batching, execution on the resilient `runtime` pool, and
+//!   live metrics in an [`obs::MetricsRegistry`]. On a Uni-STC job whose
+//!   own admission ran, the TMS/DPG expansions the check walked are
+//!   handed to the run ([`uni_stc::Staged`]), so Stage 3 packs them
+//!   instead of expanding each distinct task a second time.
 //!
 //! The headline invariant: a warm-cache response is **bit-identical** to
 //! a cold one and to the serial driver — same

@@ -23,7 +23,12 @@
 //!   scheduled, so illegal work is rejected with its `USTC` code instead
 //!   of being simulated. Admission checks the operands, then builds the
 //!   counted stream and verifies it once per distinct T1 task; on a
-//!   stream-cache miss that same stream is the one cached and run. The
+//!   stream-cache miss that same stream is the one cached and run. When
+//!   the job's engine is Uni-STC, admission keeps each distinct task's
+//!   TMS/DPG expansion ([`uni_stc::Expansions`]) and the run packs from
+//!   it through a [`Staged`] view, so the task is expanded once per job;
+//!   a verdict-cache hit, a baseline engine or admission off runs the
+//!   whole pipeline. The
 //!   runtime shards it under its own contiguous plan, legal by
 //!   construction, so no plan is checked here. Non-conforming SpGEMM
 //!   grids and SpMSpV vectors whose length is not the operator's column
@@ -36,8 +41,8 @@
 //!   counted fold cannot represent it.
 //! * **Observability** — queue depth, batch sizes, cache hit/miss/
 //!   eviction tallies, operand hashes, identity hits and collisions,
-//!   per-kernel latency histograms, simulated total and distinct T1
-//!   tasks, runtime scheduler stats and the degraded-run counter all land
+//!   per-kernel latency histograms, simulated total, distinct and staged
+//!   T1 tasks, runtime scheduler stats and the degraded-run counter all land
 //!   in one
 //!   [`MetricsRegistry`] snapshot ([`Service::metrics`]).
 
@@ -52,7 +57,7 @@ use runtime::{run_stream_planned, RuntimeConfig, ShardedRunError};
 use simkit::driver::{Invocation, VerifyError};
 use simkit::{CounterOverflow, EnergyModel, Precision, TaskStream, TileEngine};
 use sparse::{BbcMatrix, CsrMatrix, SparseVector};
-use uni_stc::{UniStc, UniStcConfig};
+use uni_stc::{Expansions, Staged, UniStc, UniStcConfig};
 
 use crate::cache::{CacheStats, Outcome, SharedCache};
 use crate::fingerprint::Fingerprint;
@@ -132,6 +137,9 @@ struct Prepared {
     /// The stream admission built and verified, for the stream cache to
     /// hold on a miss instead of building it again.
     stream: Option<Built>,
+    /// The expansions admission checked that stream over, kept for a
+    /// Uni-STC job to pack from; dropped with the job, never cached.
+    staged: Option<Expansions>,
 }
 
 /// A request's operands with its matrices resolved to BBC encodings: what
@@ -309,8 +317,11 @@ impl Service {
 
     /// A point-in-time metrics snapshot: dispatcher counters and
     /// histograms (among them `service/sim_tasks_total`, the T1 tasks the
-    /// executed streams stand for, and `service/sim_tasks_distinct`, the
-    /// distinct ones actually simulated; `service/fingerprint_hashes`,
+    /// executed streams stand for, `service/sim_tasks_distinct`, the
+    /// distinct ones actually simulated, and `service/sim_tasks_staged`,
+    /// the distinct ones whose Stage 3 packed admission's TMS/DPG
+    /// expansion instead of expanding them again;
+    /// `service/fingerprint_hashes`,
     /// the operands hashed, `service/operand_identity_hits`, the operand
     /// references resolved by allocation without hashing, and
     /// `service/fingerprint_collisions`, the cache entries or batch-mates
@@ -406,9 +417,15 @@ fn engine_roster(precision: Precision) -> Engines {
         Box::new(baselines::Trapezoid::new(precision)),
         Box::new(baselines::DsStc::new(precision)),
         Box::new(baselines::RmStc::new(precision)),
-        Box::new(UniStc::new(UniStcConfig::with_precision(precision))),
+        Box::new(uni_stc(precision)),
     ];
     engines.into_iter().map(|e| (e.name().to_owned(), e)).collect()
+}
+
+/// The roster's Uni-STC engine; admission verifies under its
+/// configuration, so the expansions it keeps are the engine's own.
+fn uni_stc(precision: Precision) -> UniStc {
+    UniStc::new(UniStcConfig::with_precision(precision))
 }
 
 fn dispatch_loop(
@@ -418,9 +435,7 @@ fn dispatch_loop(
     mut ids: Identities,
 ) {
     let engines = engine_roster(cfg.precision);
-    let verifier = cfg
-        .admission
-        .then(|| UstcVerifier::new(UniStcConfig::with_precision(cfg.precision)));
+    let verifier = cfg.admission.then(|| UstcVerifier::new(*uni_stc(cfg.precision).config()));
     let em = EnergyModel::default();
     while let Ok(first) = rx.recv() {
         let mut jobs = first.jobs;
@@ -505,6 +520,7 @@ fn execute(
 ) {
     let batch_size = members.len();
     let admitted = members[0].0.stream.take();
+    let kept = members[0].0.staged.take();
     let (first, first_job) = &members[0];
     let (kernel, engine_name) = (first.operands.invocation().kernel(), first.engine.clone());
     let Some(engine) = engines.get(&engine_name) else {
@@ -527,17 +543,28 @@ fn execute(
         .observe("service/batch_size", &[1, 2, 4, 8, 16, 32], batch_size as u64);
     let run = match &stream.1 {
         Ok(stream) => {
+            // Admission kept the expansions of this stream's distinct
+            // non-trivial tasks (a Uni-STC job): each packs from its own.
+            let staged = kept
+                .as_ref()
+                .and_then(|arena| Some((Staged::new(uni_stc(cfg.precision), arena)?, arena.len())));
             {
                 let mut m = shared.metrics();
                 m.inc_counter("service/sim_tasks_total", stream.total());
                 m.inc_counter("service/sim_tasks_distinct", stream.len() as u64);
+                m.inc_counter("service/sim_tasks_staged", staged.map_or(0, |(_, n)| n as u64));
             }
-            run_stream_planned(&cfg.exec, engine.as_ref(), em, kernel, stream)
+            match staged {
+                Some((staged, _)) => run_stream_planned(&cfg.exec, &staged, em, kernel, stream),
+                None => run_stream_planned(&cfg.exec, engine.as_ref(), em, kernel, stream),
+            }
         }
         Err(overflow) => Err(ShardedRunError::Overflow(*overflow)),
     };
-    // Release every reference to the clients' operands before replying.
+    // Release every reference to the clients' operands, and the job's
+    // expansions, before replying.
     drop(stream);
+    drop(kept);
     let replies: Vec<_> = members
         .into_iter()
         .map(|(p, job)| (p.encoding_cached, job.submitted, job.reply))
@@ -657,13 +684,18 @@ fn reject(e: VerifyError) -> JobError {
     JobError::Rejected { code: e.code, message: e.message }
 }
 
+/// What admission built for one job: the stream it verified and, when
+/// asked to stage, the expansions it verified that stream over.
+type Admitted = (Option<Built>, Option<Expansions>);
+
 /// Runs admission control through the verdict memo: on the first
 /// sighting of `key` the verifier checks the operands, builds the
 /// invocation's stream and verifies it, and the verdict — accept or
 /// reject — is recorded; every repeat with confirmed operands replays it
 /// without re-verification. Returns the stream it built, if any, so the
-/// stream cache holds the instance that was verified. No-op when
-/// admission is off.
+/// stream cache holds the instance that was verified, and with `stage`
+/// set, the expansions of an accepted stream's distinct tasks for a
+/// [`Staged`] run. No-op when admission is off.
 fn admit(
     verifier: Option<&UstcVerifier>,
     shared: &Shared,
@@ -671,25 +703,27 @@ fn admit(
     key: &StreamKey,
     req: &KernelRequest,
     inv: Invocation<'_>,
-) -> Result<Option<Built>, JobError> {
-    let Some(v) = verifier else { return Ok(None) };
-    let mut built = None;
+    stage: bool,
+) -> Result<Admitted, JobError> {
+    let Some(v) = verifier else { return Ok((None, None)) };
+    let (mut built, mut kept) = (None, None);
     let (verdict, _) = job.get(
         &shared.verdicts,
         key,
         |ids, (held, _)| ids.same_request(held, req),
         || {
-            let verdict = v.verify_operands(inv).and_then(|()| {
-                let stream = built.insert(inv.stream());
+            let verdict = v.verify_operands(inv).and_then(|()| match built.insert(inv.stream()) {
+                Ok(s) if stage => v.verify_stream_staged(inv, s).map(|e| kept = Some(e)),
+                Ok(s) => v.verify_stream(inv, s),
                 // A stream too long to count has no report to admit; the
                 // run rejects it.
-                stream.as_ref().map_or(Ok(()), |s| v.verify_stream(inv, s))
+                Err(_) => Ok(()),
             });
             (req.clone(), verdict)
         },
     );
     verdict.1.clone().map_err(reject)?;
-    Ok(built)
+    Ok((built, kept))
 }
 
 /// Validates, encodes and admits one request.
@@ -734,8 +768,11 @@ fn prepare(
     // length.
     inv.check_shape()
         .map_err(|message| JobError::Rejected { code: "USTC012".to_owned(), message })?;
-    let stream = admit(verifier, shared, &mut job, &key, sources, inv)?;
-    Ok(Prepared { engine, key, encoding_cached, operands, collided: job.collided, stream })
+    // Only a Uni-STC job can pack admission's expansions (its name is
+    // the same at every precision).
+    let stage = engine == uni_stc(Precision::default()).name();
+    let (stream, staged) = admit(verifier, shared, &mut job, &key, sources, inv, stage)?;
+    Ok(Prepared { engine, key, encoding_cached, operands, collided: job.collided, stream, staged })
 }
 
 #[cfg(test)]

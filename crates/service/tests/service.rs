@@ -362,6 +362,73 @@ fn metrics_count_total_and_distinct_simulated_tasks() {
     assert_eq!(m.counter("service/sim_tasks_distinct"), 3, "one pattern per step");
 }
 
+/// The four kernels over `a` (SpMM with a 4-column tail), each with the
+/// serial driver's signature for it and its non-trivial distinct tasks.
+fn staged_cases(a: &CsrMatrix) -> Vec<(KernelRequest, String, u64)> {
+    let bbc = BbcMatrix::from_csr(a);
+    let x = SparseVector::try_new(a.ncols(), vec![0, 5, 17, 40, 63], vec![1.0, -2.0, 0.5, 3.0, 1.5])
+        .expect("sorted indices");
+    let engine = UniStc::new(UniStcConfig::with_precision(Precision::Fp64));
+    let invocations = [
+        (KernelRequest::SpMV { a: a.clone().into() }, driver::Invocation::SpMV(&bbc)),
+        (
+            KernelRequest::SpMSpV { a: a.clone().into(), x: Arc::new(x.clone()) },
+            driver::Invocation::SpMSpV(&bbc, &x),
+        ),
+        (KernelRequest::SpMM { a: a.clone().into(), n_cols: 20 }, driver::Invocation::SpMM(&bbc, 20)),
+        (
+            KernelRequest::SpGEMM { a: a.clone().into(), b: a.clone().into() },
+            driver::Invocation::SpGEMM(&bbc, &bbc),
+        ),
+    ];
+    invocations
+        .into_iter()
+        .map(|(req, inv)| {
+            let stream = inv.stream().expect("countable stream");
+            let report = driver::run_stream(&engine, &EnergyModel::default(), inv.kernel(), &stream)
+                .expect("representable report");
+            let distinct = stream.iter().filter(|(t, _)| !t.is_trivial()).count() as u64;
+            (req, report.counter_signature(), distinct)
+        })
+        .collect()
+}
+
+#[test]
+fn cold_uni_stc_jobs_pack_admissions_expansions() {
+    let a = diag_csr(64);
+    for (req, want, distinct) in staged_cases(&a) {
+        let svc = Service::start(ServiceConfig::default());
+        let got = svc.submit(JobRequest::new(req.clone())).wait().expect("legal stream");
+        assert_eq!(got.report.counter_signature(), want, "{:?}", req.kernel());
+        let m = svc.shutdown();
+        assert!(distinct > 0);
+        assert_eq!(m.counter("service/sim_tasks_staged"), distinct, "{:?}", req.kernel());
+    }
+}
+
+#[test]
+fn only_a_uni_stc_jobs_own_admission_stages() {
+    let a = diag_csr(64);
+    for (req, want, _) in staged_cases(&a) {
+        // A baseline engine, then Uni-STC on the same stream: its
+        // verdict is a cache hit, so nothing was expanded for it to keep.
+        let svc = Service::start(ServiceConfig::default());
+        let ds = svc.submit(JobRequest::on_engine("DS-STC", req.clone())).wait().expect("legal");
+        assert_eq!(ds.report.engine, "DS-STC");
+        let uni = svc.submit(JobRequest::new(req.clone())).wait().expect("legal stream");
+        assert_eq!(uni.report.counter_signature(), want, "{:?}", req.kernel());
+        let m = svc.shutdown();
+        assert_eq!(m.counter("service/admission_cache_hits"), 1);
+        assert_eq!(m.counter("service/sim_tasks_staged"), 0, "{:?}", req.kernel());
+
+        // Admission off: no check, so no expansion to keep.
+        let svc = Service::start(ServiceConfig { admission: false, ..ServiceConfig::default() });
+        let uni = svc.submit(JobRequest::new(req.clone())).wait().expect("legal stream");
+        assert_eq!(uni.report.counter_signature(), want, "{:?}", req.kernel());
+        assert_eq!(svc.shutdown().counter("service/sim_tasks_staged"), 0);
+    }
+}
+
 #[test]
 fn unknown_engine_is_a_typed_error() {
     let a = csr(16, &[(0, 0, 1.0)]);
@@ -447,9 +514,10 @@ fn shutdown_then_wait_reports_service_stopped() {
 
 #[test]
 fn wait_timeout_expires_on_a_slow_job_then_the_handle_gets_its_report() {
-    // A banded SpGEMM: about a thousand dense-ish block pairs to verify,
-    // compile and simulate, far longer than the first wait allows.
-    let n: usize = 1024;
+    // A banded SpGEMM: about four thousand dense-ish block pairs to
+    // verify, compile and simulate, far longer than the first wait allows
+    // even with release arithmetic.
+    let n: usize = 4096;
     let band: Vec<_> = (0..n)
         .flat_map(|i| (i.saturating_sub(24)..(i + 25).min(n)).map(move |j| (i, j, 1.0)))
         .collect();

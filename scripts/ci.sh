@@ -38,9 +38,12 @@ echo "== engine suites in release =="
 # counted fold (uni_stc::multi), their frozen-reference differentials and
 # the exhaustive helper tests (trapezoid
 # row_cycles_match_the_reference_schedule_for_every_row_mask, pipeline
-# prefix_cut_equals_a_per_segment_loop_at_every_budget) must also pass
-# with release arithmetic.
-cargo test --release -p simkit -p baselines -p uni-stc -p analysis -p runtime -q
+# prefix_cut_equals_a_per_segment_loop_at_every_budget), the Stage 1-2 /
+# Stage 3 split (pipeline pack_over_expand_is_execute_t1) and the
+# service's handoff of admission's expansions to the run (service
+# cold_uni_stc_jobs_pack_admissions_expansions) must also pass with
+# release arithmetic.
+cargo test --release -p simkit -p baselines -p uni-stc -p analysis -p runtime -p service -q
 
 echo "== figures byte-identical =="
 # Fig. 16 and Fig. 17 print every engine's simulated utilisation,
